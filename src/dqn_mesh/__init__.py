@@ -27,6 +27,8 @@ from .quasi_newton import (
     dfp_hessian_update,
     dfp_inverse_update,
     pd_safeguard,
+    refresh_hessian_batch,
+    refresh_inverse_batch,
 )
 from .problems import (
     BasisPursuitLocalData,
@@ -42,8 +44,8 @@ from .problems import (
     solve_reference,
 )
 from .dqn import (
-    AgentState,
     DivergedError,
+    DqnState,
     RunConfig,
     RunTrace,
     SyncNetwork,
@@ -51,12 +53,11 @@ from .dqn import (
     dqn_run,
     dqn_step,
     init_dqn_states,
-    mix,
     safe_step_size,
     track_gradient,
 )
 from .ecdqn import (
-    EcAgentState,
+    EcDqnState,
     EcRunConfig,
     KktFactorizationError,
     KktSystem,

@@ -81,7 +81,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rse_tol=args.tol,
         seed=args.seed,
         fusion=not args.no_fusion,
-        parallel=args.parallel,
     )
     try:
         if alpha == "golden":
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", type=float, default=1e-10)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--no-fusion", action="store_true")
-    run.add_argument("--parallel", action="store_true")
     run.add_argument("--trace-out", dest="trace_out", type=str, default="trace.csv")
     run.add_argument("--summary-out", dest="summary_out", type=str, default=None)
     run.set_defaults(func=_cmd_run)

@@ -11,37 +11,34 @@ Communication is metered exactly: one mixed payload of dimension n costs
 every agent 8 * n * degree bytes (double precision, one copy per
 neighbor).  The quasi-Newton method mixes three payloads per round, the
 baseline two.
+
+The agents' variables are held stacked, one row (or one n x n slice) per
+agent, and every round refreshes all curvature estimates in one batched
+call.  Only the local gradients are evaluated agent by agent.  Runs are
+single-threaded.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .problems import SeparableProblem, solve_reference
-from .quasi_newton import (
-    CurvatureError,
-    CurvaturePair,
-    InverseHessianEstimate,
-    curvature_ok,
-    bfgs_inverse_update,
-    dfp_inverse_update,
-    pd_safeguard,
-)
+# curvature_ok is not called here; it stays importable under this module
+# for instrumentation that wraps the per-pair test by module-level name
+from .quasi_newton import curvature_ok, pd_safeguard, refresh_inverse_batch  # noqa: F401
 from .topology import CommGraph, MixingMatrix, metropolis_weights
 
 __all__ = [
-    "AgentState",
+    "DqnState",
     "SyncNetwork",
     "RunTrace",
     "RunConfig",
     "DivergedError",
-    "mix",
     "track_gradient",
     "init_dqn_states",
     "dqn_step",
@@ -69,17 +66,27 @@ class DivergedError(RuntimeError):
         self.round_index = round_index
 
 
-@dataclass
-class AgentState:
-    """Per-agent variables for the unconstrained method."""
+@dataclass(frozen=True)
+class DqnState:
+    """Every agent's variables for the unconstrained method, stacked.
+
+    Row i of x, v, z, d and last_gradient (each N x n), slice i of the
+    inverse-Hessian estimates c (N x n x n) and alpha[i] belong to agent i.
+    gamma is the eigenvalue ceiling of every estimate.  skipped_pairs and
+    safeguard_repairs count, over the rounds taken so far, curvature pairs
+    left unapplied and estimates whose spectrum was repaired.
+    """
 
     x: np.ndarray
     v: np.ndarray
     z: np.ndarray
     d: np.ndarray
-    c: InverseHessianEstimate
-    alpha: float
+    c: np.ndarray
+    alpha: np.ndarray
     last_gradient: np.ndarray
+    gamma: float
+    skipped_pairs: int = 0
+    safeguard_repairs: int = 0
 
 
 @dataclass
@@ -114,22 +121,17 @@ class SyncNetwork:
         return self.w @ rows
 
 
-def mix(w: MixingMatrix | np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Pure mixing without byte accounting."""
-    mat = w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
-    rows = np.asarray(rows, dtype=float)
-    if mat.shape[1] != rows.shape[0]:
-        raise ValueError("dimension mismatch between weights and rows")
-    return mat @ rows
-
-
 @dataclass
 class RunTrace:
     """Per-round history of a run plus its terminal status.
 
     One record per round, including round zero, so a run of R rounds
     yields R + 1 records.  x_final holds the last iterate of every agent
-    (one row per agent); intermediate iterates are not retained.
+    (one row per agent); intermediate iterates are not retained.  The
+    counters cover the completed rounds of the quasi-Newton methods and
+    stay None where a method has no such event: skipped_pairs counts
+    curvature pairs left unapplied, safeguard_repairs spectrum repairs,
+    kkt_retries saddle-point solves retried after a repair.
     """
 
     algo: str
@@ -155,6 +157,9 @@ class RunTrace:
     scheme: str | None = None
     fusion: bool | None = None
     rse_tol: float | None = None
+    skipped_pairs: int | None = None
+    safeguard_repairs: int | None = None
+    kkt_retries: int | None = None
 
     def to_csv(self, path: str | Path) -> None:
         """Write one row per (round, agent) with the pinned column set."""
@@ -193,6 +198,9 @@ class RunTrace:
             "total_bytes_per_agent_max": int(np.max(self.bytes_sent[self.rounds])),
             "tracking_residuals": [float(t) for t in self.tracking_residual[: self.rounds + 1]],
             "wall_time_ms": float(self.wall_time_ms),
+            "skipped_pairs": self.skipped_pairs,
+            "safeguard_repairs": self.safeguard_repairs,
+            "kkt_retries": self.kkt_retries,
         }
 
 
@@ -214,7 +222,6 @@ class RunConfig:
     rse_tol: float = 1e-10
     epsilon: float = 0.01
     seed: int = 0
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.scheme not in ("bfgs", "dfp"):
@@ -256,12 +263,9 @@ def _resolve_alpha(
     return min(config.alpha_cap, 0.9 * bound)
 
 
-def _map_agents(executor: ThreadPoolExecutor | None, fn, count: int) -> list:
-    # results are slotted by agent index, so scheduling order cannot
-    # change the outcome
-    if executor is None:
-        return [fn(i) for i in range(count)]
-    return list(executor.map(fn, range(count)))
+def local_gradients(problem: SeparableProblem, x: np.ndarray) -> np.ndarray:
+    """Every agent's local gradient at its own row of x, stacked."""
+    return np.stack([problem.locals[i].gradient(x[i]) for i in range(len(x))])
 
 
 def init_dqn_states(
@@ -272,7 +276,7 @@ def init_dqn_states(
     gamma: float = 1e3,
     seed: int = 0,
     x0: np.ndarray | None = None,
-) -> list[AgentState]:
+) -> DqnState:
     """Draw initial iterates and warm-start the tracker and directions.
 
     v starts at the local gradient, the inverse estimate at c0_scale
@@ -282,118 +286,74 @@ def init_dqn_states(
     """
     n, n_agents = problem.dim, problem.n_agents
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
+    x = rng.standard_normal((n_agents, n)) if x0 is None else np.array(x0, dtype=float, order="C")
     if x.shape != (n_agents, n):
         raise ValueError("x0 must have one row per agent")
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,))
-    grads = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
-    v = grads.copy()
-    c0 = c0_scale * np.eye(n)
-    d = np.stack([-(c0 @ v[i]) for i in range(n_agents)])
+    alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
+    grads = local_gradients(problem, x)
+    c = np.array(np.broadcast_to(c0_scale * np.eye(n), (n_agents, n, n)))
+    d = -(c @ grads[:, :, None])[:, :, 0]
     z = network.mix(d, account=False)
-    return [
-        AgentState(
-            x=x[i].copy(),
-            v=v[i].copy(),
-            z=z[i].copy(),
-            d=d[i].copy(),
-            c=InverseHessianEstimate(c=c0.copy(), gamma=gamma),
-            alpha=float(alphas[i]),
-            last_gradient=grads[i].copy(),
-        )
-        for i in range(n_agents)
-    ]
+    return DqnState(
+        x=x, v=grads.copy(), z=z, d=d, c=c, alpha=alphas, last_gradient=grads, gamma=gamma
+    )
 
 
 def track_gradient(
     network: SyncNetwork,
-    states: list[AgentState],
+    state: DqnState,
     new_x: np.ndarray,
     problem: SeparableProblem,
-    executor: ThreadPoolExecutor | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tracker update v' = W (v + g(x') - g(x)); returns (v', new gradients)."""
-    v = np.stack([st.v for st in states])
-    old_g = np.stack([st.last_gradient for st in states])
-    new_g = np.stack(
-        _map_agents(executor, lambda i: problem.locals[i].gradient(new_x[i]), len(states))
-    )
-    return network.mix(v + new_g - old_g), new_g
+    """Tracker update v' = W (v + g(x') - g(x)); returns (v', new gradients).
 
-
-_INVERSE_UPDATES = {"bfgs": bfgs_inverse_update, "dfp": dfp_inverse_update}
-
-
-def _refresh_inverse(
-    est: InverseHessianEstimate, pair: CurvaturePair, scheme: str, floor: float
-) -> InverseHessianEstimate:
-    """Apply one curvature update, skipping flat pairs and repairing the
-    spectrum only when a cheap definiteness probe fails."""
-    if curvature_ok(pair):
-        try:
-            est = _INVERSE_UPDATES[scheme](est, pair)
-        except CurvatureError:
-            pass
-    c = est.c
-    ok = bool(np.all(np.isfinite(c)))
-    if ok:
-        try:
-            np.linalg.cholesky(c)
-        except np.linalg.LinAlgError:
-            ok = False
-    if not ok or np.linalg.norm(c, ord="fro") > est.gamma:
-        c = pd_safeguard(np.where(np.isfinite(c), c, 0.0), floor=floor, ceiling=est.gamma)
-        est = InverseHessianEstimate(c=c, gamma=est.gamma)
-    return est
+    Reads only state.v and state.last_gradient, so it serves the
+    constrained method's state too.
+    """
+    new_g = local_gradients(problem, new_x)
+    return network.mix(state.v + new_g - state.last_gradient), new_g
 
 
 def dqn_step(
     network: SyncNetwork,
-    states: list[AgentState],
+    state: DqnState,
     problem: SeparableProblem,
     scheme: str = "bfgs",
     eig_floor: float = 1e-8,
-    executor: ThreadPoolExecutor | None = None,
-) -> list[AgentState]:
+) -> DqnState:
     """One synchronous round: mix iterates, track gradients, refresh the
     curvature estimates, then mix descent directions.
 
     Three payloads cross every edge, so the ledger adds 24 * dim * degree
     bytes per agent.
     """
-    x = np.stack([st.x for st in states])
-    z = np.stack([st.z for st in states])
-    alphas = np.array([st.alpha for st in states])
-
-    new_x = network.mix(x + alphas[:, None] * z)
+    new_x = network.mix(state.x + state.alpha[:, None] * state.z)
     if _blown_up(new_x):
         raise DivergedError(network.round + 1)
-    new_v, new_g = track_gradient(network, states, new_x, problem, executor)
+    new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
         raise DivergedError(network.round + 1)
-
-    def qn_work(i: int):
-        st = states[i]
-        pair = CurvaturePair(s=new_x[i] - st.x, y=new_v[i] - st.v)
-        est = _refresh_inverse(st.c, pair, scheme, eig_floor)
-        return est, -(est.c @ new_v[i])
-
-    results = _map_agents(executor, qn_work, len(states))
-    new_d = np.stack([r[1] for r in results])
+    # repairs go through this module's pd_safeguard name, so a wrapper
+    # installed on it sees every one
+    refresh = refresh_inverse_batch(
+        state.c, new_x - state.x, new_v - state.v, scheme, eig_floor, state.gamma,
+        safeguard=pd_safeguard,
+    )
+    new_d = -(refresh.estimates @ new_v[:, :, None])[:, :, 0]
     new_z = network.mix(new_d)
     network.round += 1
-    return [
-        replace(
-            states[i],
-            x=new_x[i],
-            v=new_v[i],
-            z=new_z[i],
-            d=new_d[i],
-            c=results[i][0],
-            last_gradient=new_g[i],
-        )
-        for i in range(len(states))
-    ]
+    return DqnState(
+        x=new_x,
+        v=new_v,
+        z=new_z,
+        d=new_d,
+        c=refresh.estimates,
+        alpha=state.alpha,
+        last_gradient=new_g,
+        gamma=state.gamma,
+        skipped_pairs=state.skipped_pairs + refresh.skipped,
+        safeguard_repairs=state.safeguard_repairs + refresh.repaired,
+    )
 
 
 class _Recorder:
@@ -490,44 +450,27 @@ def dqn_run(
     network = SyncNetwork(graph=graph, w=weights.w)
     x_star = _ensure_reference(problem)
     alpha = _resolve_alpha(config, problem, weights.contraction)
-    states = init_dqn_states(
+    state = init_dqn_states(
         problem, network, alpha, config.c0_scale, config.gamma, config.seed, x0
     )
     rec = _Recorder(problem, x_star, track_z=True)
-    executor = ThreadPoolExecutor(max_workers=min(8, problem.n_agents)) if config.parallel else None
     converged = diverged = False
-    try:
-        worst = rec.record(
-            np.stack([st.x for st in states]),
-            np.stack([st.v for st in states]),
-            np.stack([st.last_gradient for st in states]),
-            network.sent_bytes,
-            z=np.stack([st.z for st in states]),
-        )
-        if worst <= config.rse_tol:
-            converged = True
-        else:
-            for _ in range(config.max_iters):
-                try:
-                    states = dqn_step(
-                        network, states, problem, config.scheme, config.eig_floor, executor
-                    )
-                except DivergedError:
-                    diverged = True
-                    break
-                worst = rec.record(
-                    np.stack([st.x for st in states]),
-                    np.stack([st.v for st in states]),
-                    np.stack([st.last_gradient for st in states]),
-                    network.sent_bytes,
-                    z=np.stack([st.z for st in states]),
-                )
-                if worst <= config.rse_tol:
-                    converged = True
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    worst = rec.record(state.x, state.v, state.last_gradient, network.sent_bytes, z=state.z)
+    if worst <= config.rse_tol:
+        converged = True
+    else:
+        for _ in range(config.max_iters):
+            try:
+                state = dqn_step(network, state, problem, config.scheme, config.eig_floor)
+            except DivergedError:
+                diverged = True
+                break
+            worst = rec.record(
+                state.x, state.v, state.last_gradient, network.sent_bytes, z=state.z
+            )
+            if worst <= config.rse_tol:
+                converged = True
+                break
     trace = rec.build(
         f"dqn-{config.scheme}",
         problem.n_agents,
@@ -537,8 +480,10 @@ def dqn_run(
         diverged=diverged,
         scheme=config.scheme,
         rse_tol=config.rse_tol,
+        skipped_pairs=state.skipped_pairs,
+        safeguard_repairs=state.safeguard_repairs,
     )
-    trace.x_final = np.stack([st.x for st in states])
+    trace.x_final = state.x.copy()
     trace.wall_time_ms = (time.perf_counter() - start) * 1e3
     return trace
 
@@ -564,7 +509,7 @@ def diging_atc_run(
     n, n_agents = problem.dim, problem.n_agents
     rng = np.random.default_rng(config.seed)
     x = rng.standard_normal((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
-    grads = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
+    grads = local_gradients(problem, x)
     y = grads.copy()
     rec = _Recorder(problem, x_star, track_z=False)
     converged = diverged = False
@@ -577,7 +522,7 @@ def diging_atc_run(
             if _blown_up(new_x):
                 diverged = True
                 break
-            new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
+            new_g = local_gradients(problem, new_x)
             y = network.mix(y + new_g - grads)
             if _blown_up(y):
                 diverged = True

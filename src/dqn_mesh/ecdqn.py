@@ -5,14 +5,14 @@ system coupling its tracked gradient with the shared constraint residual.
 The resulting primal directions are optionally fused (mixed) before the
 iterate update; multipliers are recomputed fresh every round and never
 mixed.  Gradient tracking and the byte ledger reuse the unconstrained
-engine.
+engine.  The agents' variables are held stacked; the saddle-point solves
+run agent by agent, the Hessian refresh in one batched call.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,25 +20,18 @@ from .dqn import (
     DivergedError,
     SyncNetwork,
     _blown_up,
-    _map_agents,
     _Recorder,
     _ensure_reference,
+    local_gradients,
     track_gradient,
 )
 from .problems import SeparableProblem
-from .quasi_newton import (
-    CurvatureError,
-    CurvaturePair,
-    HessianEstimate,
-    bfgs_hessian_update,
-    curvature_ok,
-    dfp_hessian_update,
-    pd_safeguard,
-)
+# curvature_ok: see the note in dqn.py
+from .quasi_newton import curvature_ok, pd_safeguard, refresh_hessian_batch, row_dots  # noqa: F401
 from .topology import CommGraph, metropolis_weights
 
 __all__ = [
-    "EcAgentState",
+    "EcDqnState",
     "KktSystem",
     "KktFactorizationError",
     "EcRunConfig",
@@ -115,18 +108,29 @@ def kkt_solve(system: KktSystem) -> tuple[np.ndarray, np.ndarray]:
     return delta_x, beta
 
 
-@dataclass
-class EcAgentState:
-    """Per-agent variables for the constrained method."""
+@dataclass(frozen=True)
+class EcDqnState:
+    """Every agent's variables for the constrained method, stacked.
+
+    Row i of x, v, delta_x, d and last_gradient (each N x n), of the
+    multipliers beta (N x m), slice i of the Hessian estimates b
+    (N x n x n) and alpha[i] belong to agent i.  The counters cover the
+    rounds taken so far: curvature pairs left unapplied, spectrum repairs
+    (refresh fallbacks and repairs before a KKT retry), and saddle-point
+    solves retried.
+    """
 
     x: np.ndarray
     v: np.ndarray
-    b_est: HessianEstimate
+    b: np.ndarray
     beta: np.ndarray
     delta_x: np.ndarray
     d: np.ndarray
-    alpha: float
+    alpha: np.ndarray
     last_gradient: np.ndarray
+    skipped_pairs: int = 0
+    safeguard_repairs: int = 0
+    kkt_retries: int = 0
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,6 @@ class EcRunConfig:
     stall_rounds: int = 10
     epsilon: float = 0.01
     seed: int = 0
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.scheme not in ("bfgs", "dfp"):
@@ -176,7 +179,7 @@ def init_ecdqn_states(
     b0_spectrum: tuple[float, float] = (0.5, 2.0),
     seed: int = 0,
     x0: np.ndarray | None = None,
-) -> list[EcAgentState]:
+) -> EcDqnState:
     """Draw initial iterates and random well-conditioned Hessian estimates.
 
     Every agent gets an independent symmetric positive definite estimate
@@ -191,68 +194,38 @@ def init_ecdqn_states(
     if not 0 < lo <= hi:
         raise ValueError("b0_spectrum bounds must be positive and ordered")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
+    x = rng.standard_normal((n_agents, n)) if x0 is None else np.array(x0, dtype=float, order="C")
     if x.shape != (n_agents, n):
         raise ValueError("x0 must have one row per agent")
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,))
-    states = []
+    alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
+    b = np.empty((n_agents, n, n))
     for i in range(n_agents):
         q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
         vals = rng.uniform(lo, hi, size=n)
         b0 = (q_mat * vals) @ q_mat.T
-        g = problem.locals[i].gradient(x[i])
-        states.append(
-            EcAgentState(
-                x=x[i].copy(),
-                v=g.copy(),
-                b_est=HessianEstimate(b=0.5 * (b0 + b0.T)),
-                beta=np.zeros(m),
-                delta_x=np.zeros(n),
-                d=np.zeros(n),
-                alpha=float(alphas[i]),
-                last_gradient=g.copy(),
-            )
-        )
-    return states
-
-
-_HESSIAN_UPDATES = {"bfgs": bfgs_hessian_update, "dfp": dfp_hessian_update}
-
-
-def _refresh_hessian(
-    est: HessianEstimate, pair: CurvaturePair, scheme: str, floor: float, ceiling: float
-) -> HessianEstimate:
-    if curvature_ok(pair):
-        try:
-            est = _HESSIAN_UPDATES[scheme](est, pair)
-        except CurvatureError:
-            pass
-    b = est.b
-    ok = bool(np.all(np.isfinite(b))) and float(np.linalg.norm(b)) <= ceiling
-    if ok:
-        try:
-            # shifted probe: factorizable iff every eigenvalue clears half the
-            # floor, so estimates clamped exactly at the floor pass untouched
-            np.linalg.cholesky(b - 0.5 * floor * np.eye(b.shape[0]))
-        except np.linalg.LinAlgError:
-            ok = False
-    if not ok:
-        est = HessianEstimate(
-            b=pd_safeguard(np.where(np.isfinite(b), b, 0.0), floor=floor, ceiling=ceiling)
-        )
-    return est
+        b[i] = 0.5 * (b0 + b0.T)
+    grads = local_gradients(problem, x)
+    return EcDqnState(
+        x=x,
+        v=grads.copy(),
+        b=b,
+        beta=np.zeros((n_agents, m)),
+        delta_x=np.zeros((n_agents, n)),
+        d=np.zeros((n_agents, n)),
+        alpha=alphas,
+        last_gradient=grads,
+    )
 
 
 def ecdqn_step(
     network: SyncNetwork,
-    states: list[EcAgentState],
+    state: EcDqnState,
     problem: SeparableProblem,
     scheme: str = "bfgs",
     eig_floor: float = 1e-3,
     eig_ceiling: float = 1e3,
     fusion: bool = True,
-    executor: ThreadPoolExecutor | None = None,
-) -> list[EcAgentState]:
+) -> EcDqnState:
     """One synchronous round of the constrained method.
 
     Order within the round: local saddle-point solves, direction fusion,
@@ -262,56 +235,54 @@ def ecdqn_step(
     run as diverged.
     """
     a_mat, b_vec = problem.constraint
-    x = np.stack([st.x for st in states])
-    alphas = np.array([st.alpha for st in states])
-
-    def kkt_work(i: int):
-        st = states[i]
-        est = st.b_est
-        r_prim = a_mat @ st.x - b_vec
+    b_kkt = state.b
+    delta_x = np.empty_like(state.x)
+    beta = np.empty_like(state.beta)
+    retries = 0
+    for i in range(len(state.x)):
+        r_prim = a_mat @ state.x[i] - b_vec
         try:
-            dx, beta = kkt_solve(KktSystem(b=est.b, a=a_mat, rhs_stat=st.v, rhs_prim=r_prim))
+            delta_x[i], beta[i] = kkt_solve(
+                KktSystem(b=b_kkt[i], a=a_mat, rhs_stat=state.v[i], rhs_prim=r_prim)
+            )
         except KktFactorizationError:
-            est = HessianEstimate(b=pd_safeguard(est.b, floor=eig_floor, ceiling=eig_ceiling))
+            retries += 1
+            if b_kkt is state.b:
+                b_kkt = state.b.copy()
+            b_kkt[i] = pd_safeguard(b_kkt[i], floor=eig_floor, ceiling=eig_ceiling)
             try:
-                dx, beta = kkt_solve(
-                    KktSystem(b=est.b, a=a_mat, rhs_stat=st.v, rhs_prim=r_prim)
+                delta_x[i], beta[i] = kkt_solve(
+                    KktSystem(b=b_kkt[i], a=a_mat, rhs_stat=state.v[i], rhs_prim=r_prim)
                 )
             except KktFactorizationError as exc:
                 raise DivergedError(network.round + 1) from exc
-        return dx, beta, est
-
-    kkt_results = _map_agents(executor, kkt_work, len(states))
-    delta_x = np.stack([r[0] for r in kkt_results])
     d = network.mix(delta_x) if fusion else delta_x
 
-    new_x = network.mix(x + alphas[:, None] * d)
+    new_x = network.mix(state.x + state.alpha[:, None] * d)
     if _blown_up(new_x):
         raise DivergedError(network.round + 1)
-    new_v, new_g = track_gradient(network, states, new_x, problem, executor)
+    new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
         raise DivergedError(network.round + 1)
-
-    def qn_work(i: int):
-        st = states[i]
-        pair = CurvaturePair(s=new_x[i] - st.x, y=new_v[i] - st.v)
-        return _refresh_hessian(kkt_results[i][2], pair, scheme, eig_floor, eig_ceiling)
-
-    new_ests = _map_agents(executor, qn_work, len(states))
+    # repairs go through this module's pd_safeguard name, as in dqn_step
+    refresh = refresh_hessian_batch(
+        b_kkt, new_x - state.x, new_v - state.v, scheme, eig_floor, eig_ceiling,
+        safeguard=pd_safeguard,
+    )
     network.round += 1
-    return [
-        replace(
-            states[i],
-            x=new_x[i],
-            v=new_v[i],
-            b_est=new_ests[i],
-            beta=kkt_results[i][1],
-            delta_x=delta_x[i],
-            d=d[i],
-            last_gradient=new_g[i],
-        )
-        for i in range(len(states))
-    ]
+    return EcDqnState(
+        x=new_x,
+        v=new_v,
+        b=refresh.estimates,
+        beta=beta,
+        delta_x=delta_x,
+        d=d,
+        alpha=state.alpha,
+        last_gradient=new_g,
+        skipped_pairs=state.skipped_pairs + refresh.skipped,
+        safeguard_repairs=state.safeguard_repairs + retries + refresh.repaired,
+        kkt_retries=state.kkt_retries + retries,
+    )
 
 
 def ecdqn_run(
@@ -333,61 +304,50 @@ def ecdqn_run(
     network = SyncNetwork(graph=graph, w=weights.w)
     x_star = _ensure_reference(problem)
     alpha = _resolve_alpha(config)
-    states = init_ecdqn_states(
-        problem, network, alpha, config.b0_spectrum, config.seed, x0
-    )
+    state = init_ecdqn_states(problem, network, alpha, config.b0_spectrum, config.seed, x0)
     a_mat, b_vec = problem.constraint
     rec = _Recorder(problem, x_star, track_z=False)
-    executor = ThreadPoolExecutor(max_workers=min(8, problem.n_agents)) if config.parallel else None
 
-    def snapshot(sts):
-        x = np.stack([st.x for st in sts])
+    def snapshot(st: EcDqnState) -> float:
         return rec.record(
-            x,
-            np.stack([st.v for st in sts]),
-            np.stack([st.last_gradient for st in sts]),
+            st.x,
+            st.v,
+            st.last_gradient,
             network.sent_bytes,
-            feas=np.linalg.norm(x @ a_mat.T - b_vec, axis=1),
-            beta=np.stack([np.linalg.norm(st.beta) for st in sts]),
+            feas=np.linalg.norm(st.x @ a_mat.T - b_vec, axis=1),
+            beta=np.sqrt(row_dots(st.beta, st.beta)),
         )
 
     converged = diverged = stalled = False
     stall_run = 0
-    try:
-        worst = snapshot(states)
-        if worst <= config.rse_tol:
-            converged = True
-        else:
-            for _ in range(config.max_iters):
-                x_prev = np.stack([st.x for st in states])
-                try:
-                    states = ecdqn_step(
-                        network,
-                        states,
-                        problem,
-                        config.scheme,
-                        config.eig_floor,
-                        config.eig_ceiling,
-                        config.fusion,
-                        executor,
-                    )
-                except DivergedError:
-                    diverged = True
-                    break
-                worst = snapshot(states)
-                if worst <= config.rse_tol:
-                    converged = True
-                    break
-                move = float(
-                    np.max(np.linalg.norm(np.stack([st.x for st in states]) - x_prev, axis=1))
+    worst = snapshot(state)
+    if worst <= config.rse_tol:
+        converged = True
+    else:
+        for _ in range(config.max_iters):
+            x_prev = state.x
+            try:
+                state = ecdqn_step(
+                    network,
+                    state,
+                    problem,
+                    config.scheme,
+                    config.eig_floor,
+                    config.eig_ceiling,
+                    config.fusion,
                 )
-                stall_run = stall_run + 1 if move <= config.stall_tol else 0
-                if stall_run >= config.stall_rounds:
-                    stalled = True
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            except DivergedError:
+                diverged = True
+                break
+            worst = snapshot(state)
+            if worst <= config.rse_tol:
+                converged = True
+                break
+            move = float(np.max(np.linalg.norm(state.x - x_prev, axis=1)))
+            stall_run = stall_run + 1 if move <= config.stall_tol else 0
+            if stall_run >= config.stall_rounds:
+                stalled = True
+                break
     trace = rec.build(
         f"ecdqn-{config.scheme}",
         problem.n_agents,
@@ -399,7 +359,10 @@ def ecdqn_run(
         scheme=config.scheme,
         fusion=config.fusion,
         rse_tol=config.rse_tol,
+        skipped_pairs=state.skipped_pairs,
+        safeguard_repairs=state.safeguard_repairs,
+        kkt_retries=state.kkt_retries,
     )
-    trace.x_final = np.stack([st.x for st in states])
+    trace.x_final = state.x.copy()
     trace.wall_time_ms = (time.perf_counter() - start) * 1e3
     return trace

@@ -172,7 +172,6 @@ def run_algo(
     epsilon: float = 0.01,
     seed: int = 0,
     fusion: bool = True,
-    parallel: bool = False,
     x0: np.ndarray | None = None,
 ) -> RunTrace:
     """Dispatch one run by algorithm name."""
@@ -184,7 +183,6 @@ def run_algo(
             rse_tol=rse_tol,
             epsilon=epsilon,
             seed=seed,
-            parallel=parallel,
         )
         return dqn_run(problem, graph, cfg, x0)
     if algo == "diging-atc":
@@ -194,7 +192,6 @@ def run_algo(
             rse_tol=rse_tol,
             epsilon=epsilon,
             seed=seed,
-            parallel=parallel,
         )
         return diging_atc_run(problem, graph, cfg, x0)
     if algo in EC_ALGOS:
@@ -206,7 +203,6 @@ def run_algo(
             rse_tol=rse_tol,
             epsilon=epsilon,
             seed=seed,
-            parallel=parallel,
         )
         return ecdqn_run(problem, graph, ec_cfg, x0)
     raise ValueError(f"unknown algorithm {algo!r}")

@@ -313,11 +313,11 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         prob.reference_solution = np.linalg.solve(p, -lin)
         single = CommGraph(1, ())
         net = SyncNetwork(graph=single, w=metropolis_weights(single, 0.01).w)
-        states = init_dqn_states(prob, net, alpha=0.5, c0_scale=0.1, seed=9)
-        xs = [states[0].x.copy()]
+        state = init_dqn_states(prob, net, alpha=0.5, c0_scale=0.1, seed=9)
+        xs = [state.x[0].copy()]
         for _ in range(50):
-            states = dqn_step(net, states, prob, scheme="bfgs")
-            xs.append(states[0].x.copy())
+            state = dqn_step(net, state, prob, scheme="bfgs")
+            xs.append(state.x[0].copy())
         x = np.random.default_rng(9).standard_normal(dim)
         g = p @ x + lin
         c = 0.1 * np.eye(dim)
@@ -356,13 +356,13 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         prob3 = qp_family(3, 4, (2.0, 10.0), 6)
         triangle = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
         net3 = SyncNetwork(graph=triangle, w=metropolis_weights(triangle, 0.01).w)
-        states3 = init_dqn_states(prob3, net3, alpha=0.3, seed=4)
+        state3 = init_dqn_states(prob3, net3, alpha=0.3, seed=4)
         big_w = np.kron(net3.w, np.eye(4))
-        xf = np.concatenate([s.x for s in states3])
-        vf = np.concatenate([s.v for s in states3])
-        zf = np.concatenate([s.z for s in states3])
-        gf = np.concatenate([s.last_gradient for s in states3])
-        cs = [s.c.c.copy() for s in states3]
+        xf = state3.x.ravel()
+        vf = state3.v.ravel()
+        zf = state3.z.ravel()
+        gf = state3.last_gradient.ravel()
+        cs = list(state3.c.copy())
         for _ in range(2):
             x_new = big_w @ (xf + 0.3 * zf)
             g_new = np.concatenate(
@@ -381,10 +381,10 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
                 d_new[sl] = -(cs[i] @ v_new[sl])
             zf = big_w @ d_new
             xf, vf, gf = x_new, v_new, g_new
-            states3 = dqn_step(net3, states3, prob3, scheme="bfgs")
-        assert np.allclose(np.concatenate([s.x for s in states3]), xf, atol=1e-12, rtol=0.0)
-        assert np.allclose(np.concatenate([s.v for s in states3]), vf, atol=1e-12, rtol=0.0)
-        assert np.allclose(np.concatenate([s.z for s in states3]), zf, atol=1e-12, rtol=0.0)
+            state3 = dqn_step(net3, state3, prob3, scheme="bfgs")
+        assert np.allclose(state3.x.ravel(), xf, atol=1e-12, rtol=0.0)
+        assert np.allclose(state3.v.ravel(), vf, atol=1e-12, rtol=0.0)
+        assert np.allclose(state3.z.ravel(), zf, atol=1e-12, rtol=0.0)
 
     _report(criterion_report, 8, "degenerate and oracle checks", body)
 
@@ -425,19 +425,5 @@ def test_criterion_9_determinism(criterion_report, tmp_path):
             return payload
 
         assert strip_walls(dirs[0] / "summary.json") == strip_walls(dirs[1] / "summary.json")
-
-        # threaded per-agent evaluation must not change a single bit
-        prob = qp_family(6, 6, (2.0, 10.0), 4)
-        graph = random_connected_graph(6, 0.7, 4)
-        serial = dqn_run(prob, graph, RunConfig(alpha=0.3, max_iters=60, rse_tol=0.0))
-        threaded = dqn_run(prob, graph, RunConfig(alpha=0.3, max_iters=60, rse_tol=0.0, parallel=True))
-        assert np.array_equal(serial.rse, threaded.rse)
-        cprob = logreg_family(6, 6, 1e-2, 5, constraint=True)
-        solve_reference(cprob)
-        ec_serial = ecdqn_run(cprob, graph, EcRunConfig(alpha=0.5, max_iters=40, rse_tol=0.0))
-        ec_threaded = ecdqn_run(
-            cprob, graph, EcRunConfig(alpha=0.5, max_iters=40, rse_tol=0.0, parallel=True)
-        )
-        assert np.array_equal(ec_serial.rse, ec_threaded.rse)
 
     _report(criterion_report, 9, "determinism", body)

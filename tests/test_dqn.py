@@ -13,10 +13,10 @@ from dqn_mesh.dqn import (
     dqn_run,
     dqn_step,
     init_dqn_states,
-    mix,
     safe_step_size,
     track_gradient,
 )
+from dqn_mesh.quasi_newton import CurvaturePair, curvature_ok
 from dqn_mesh.problems import LocalObjective, SeparableProblem, qp_family, solve_reference
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
 
@@ -85,17 +85,6 @@ class TestSyncNetwork:
         assert np.array_equal(net.w, weights.w)
 
 
-class TestMixFunction:
-    def test_matches_matrix_product(self):
-        w = metropolis_weights(TRIANGLE, 0.01)
-        rows = np.arange(12.0).reshape(3, 4)
-        assert np.allclose(mix(w, rows), w.w @ rows)
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mix(np.eye(2), np.zeros((3, 4)))
-
-
 class TestByteLedger:
     def test_quasi_newton_rounds_cost_24_n_deg(self):
         prob = quadratic_problem()
@@ -129,28 +118,27 @@ class TestInit:
     def test_tracker_starts_at_local_gradients(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        states = init_dqn_states(prob, net, alpha=0.3, seed=5)
-        for i, st_ in enumerate(states):
-            g = prob.locals[i].gradient(st_.x)
-            assert np.allclose(st_.v, g)
-            assert np.allclose(st_.last_gradient, g)
-            assert np.allclose(st_.c.c, 0.1 * np.eye(prob.dim))
-            assert np.allclose(st_.d, -0.1 * g)
+        state = init_dqn_states(prob, net, alpha=0.3, seed=5)
+        assert state.c.shape == (3, prob.dim, prob.dim)
+        for i in range(3):
+            g = prob.locals[i].gradient(state.x[i])
+            assert np.allclose(state.v[i], g)
+            assert np.allclose(state.last_gradient[i], g)
+            assert np.allclose(state.c[i], 0.1 * np.eye(prob.dim))
+            assert np.allclose(state.d[i], -0.1 * g)
 
     def test_direction_mix_is_unmetered(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        states = init_dqn_states(prob, net, alpha=0.3)
-        d = np.stack([s.d for s in states])
-        z = np.stack([s.z for s in states])
-        assert np.allclose(z, net.w @ d)
+        state = init_dqn_states(prob, net, alpha=0.3)
+        assert np.allclose(state.z, net.w @ state.d)
         assert net.sent_bytes.tolist() == [0, 0, 0]
 
     def test_per_agent_step_sizes(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        states = init_dqn_states(prob, net, alpha=np.array([0.1, 0.2, 0.3]))
-        assert [s.alpha for s in states] == [0.1, 0.2, 0.3]
+        state = init_dqn_states(prob, net, alpha=np.array([0.1, 0.2, 0.3]))
+        assert state.alpha.tolist() == [0.1, 0.2, 0.3]
 
     def test_rejects_bad_x0(self):
         prob = quadratic_problem()
@@ -162,8 +150,8 @@ class TestInit:
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
         x0 = np.full((3, prob.dim), 2.0)
-        states = init_dqn_states(prob, net, 0.3, x0=x0)
-        assert all(np.array_equal(s.x, x0[i]) for i, s in enumerate(states))
+        state = init_dqn_states(prob, net, 0.3, x0=x0)
+        assert np.array_equal(state.x, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +165,22 @@ class TestTracking:
         prob = qp_family(4, 4, (2.0, 8.0), seed)
         graph = random_connected_graph(4, 0.7, seed)
         net = make_network(graph)
-        states = init_dqn_states(prob, net, alpha=0.2, seed=seed)
+        state = init_dqn_states(prob, net, alpha=0.2, seed=seed)
         for _ in range(rounds):
-            states = dqn_step(net, states, prob)
-        v_bar = np.mean([s.v for s in states], axis=0)
-        g_bar = np.mean([s.last_gradient for s in states], axis=0)
+            state = dqn_step(net, state, prob)
+        v_bar = state.v.mean(axis=0)
+        g_bar = state.last_gradient.mean(axis=0)
         assert np.linalg.norm(v_bar - g_bar) <= 1e-10 * (1.0 + np.linalg.norm(g_bar))
 
     def test_track_gradient_returns_fresh_gradients(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        states = init_dqn_states(prob, net, alpha=0.3)
-        new_x = np.stack([s.x for s in states]) * 0.5
-        new_v, new_g = track_gradient(net, states, new_x, prob)
+        state = init_dqn_states(prob, net, alpha=0.3)
+        new_x = state.x * 0.5
+        new_v, new_g = track_gradient(net, state, new_x, prob)
         for i in range(3):
             assert np.allclose(new_g[i], prob.locals[i].gradient(new_x[i]))
-        v = np.stack([s.v for s in states])
-        old_g = np.stack([s.last_gradient for s in states])
-        assert np.allclose(new_v, net.w @ (v + new_g - old_g))
+        assert np.allclose(new_v, net.w @ (state.v + new_g - state.last_gradient))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +222,11 @@ class TestSingleAgent:
     def test_matches_centralized_quasi_newton(self, scheme):
         prob = single_agent_quadratic(5, 3)
         net = make_network(SINGLE)
-        states = init_dqn_states(prob, net, alpha=0.5, c0_scale=0.1, seed=9)
-        xs = [states[0].x.copy()]
+        state = init_dqn_states(prob, net, alpha=0.5, c0_scale=0.1, seed=9)
+        xs = [state.x[0].copy()]
         for _ in range(50):
-            states = dqn_step(net, states, prob, scheme=scheme)
-            xs.append(states[0].x.copy())
+            state = dqn_step(net, state, prob, scheme=scheme)
+            xs.append(state.x[0].copy())
         oracle = centralized_qn_oracle(prob, 0.5, 0.1, scheme, 50, seed=9)
         assert np.allclose(np.stack(xs), oracle, atol=1e-12, rtol=0.0)
 
@@ -262,17 +248,17 @@ class TestSingleAgent:
 # joint-form oracle: all agents stacked into one big vector
 
 
-def kron_joint_oracle(problem, w, states, alpha, rounds):
+def kron_joint_oracle(problem, w, state, alpha, rounds):
     # independent implementation of the same rounds using the Kronecker
     # lift: mixing n-vectors agent-wise equals multiplying the stacked
     # vector by kron(W, I)
     n_agents, dim = w.shape[0], problem.dim
     big_w = np.kron(w, np.eye(dim))
-    x = np.concatenate([s.x for s in states])
-    v = np.concatenate([s.v for s in states])
-    z = np.concatenate([s.z for s in states])
-    g = np.concatenate([s.last_gradient for s in states])
-    cs = [s.c.c.copy() for s in states]
+    x = state.x.ravel()
+    v = state.v.ravel()
+    z = state.z.ravel()
+    g = state.last_gradient.ravel()
+    cs = list(state.c.copy())
 
     def grad_stack(xf):
         return np.concatenate(
@@ -304,13 +290,13 @@ class TestJointFormOracle:
     def test_two_rounds_match_stacked_recursion(self):
         prob = quadratic_problem(n_agents=3, dim=4, seed=6)
         net = make_network(TRIANGLE)
-        states = init_dqn_states(prob, net, alpha=0.3, seed=4)
-        ox, ov, oz = kron_joint_oracle(prob, net.w, states, 0.3, rounds=2)
+        state = init_dqn_states(prob, net, alpha=0.3, seed=4)
+        ox, ov, oz = kron_joint_oracle(prob, net.w, state, 0.3, rounds=2)
         for _ in range(2):
-            states = dqn_step(net, states, prob, scheme="bfgs")
-        assert np.allclose(np.concatenate([s.x for s in states]), ox, atol=1e-12, rtol=0.0)
-        assert np.allclose(np.concatenate([s.v for s in states]), ov, atol=1e-12, rtol=0.0)
-        assert np.allclose(np.concatenate([s.z for s in states]), oz, atol=1e-12, rtol=0.0)
+            state = dqn_step(net, state, prob, scheme="bfgs")
+        assert np.allclose(state.x.ravel(), ox, atol=1e-12, rtol=0.0)
+        assert np.allclose(state.v.ravel(), ov, atol=1e-12, rtol=0.0)
+        assert np.allclose(state.z.ravel(), oz, atol=1e-12, rtol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +304,6 @@ class TestJointFormOracle:
 
 
 class TestRunBehavior:
-    def test_serial_and_parallel_agree_bitwise(self):
-        prob = qp_family(6, 5, (2.0, 20.0), 8)
-        graph = random_connected_graph(6, 0.6, 0)
-        serial = dqn_run(prob, graph, RunConfig(alpha=0.3, max_iters=40, rse_tol=0.0))
-        threaded = dqn_run(prob, graph, RunConfig(alpha=0.3, max_iters=40, rse_tol=0.0, parallel=True))
-        assert np.array_equal(serial.rse, threaded.rse)
-        assert np.array_equal(serial.objective, threaded.objective)
-
     def test_divergence_is_flagged(self):
         prob = quadratic_problem()
         trace = dqn_run(prob, TRIANGLE, RunConfig(alpha=50.0, max_iters=200))
@@ -341,10 +319,10 @@ class TestRunBehavior:
     def test_diverged_error_carries_round(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        states = init_dqn_states(prob, net, alpha=1e20)
+        state = init_dqn_states(prob, net, alpha=1e20)
         with pytest.raises(DivergedError) as err:
             for _ in range(50):
-                states = dqn_step(net, states, prob)
+                state = dqn_step(net, state, prob)
         assert err.value.round_index >= 1
 
     def test_convergence_on_well_conditioned_quadratic(self):
@@ -477,3 +455,18 @@ class TestRunTrace:
         assert d["converged"] is False
         assert len(d["tracking_residuals"]) == 5
         assert d["wall_time_ms"] >= 0.0
+        # recount the skipped pairs with the per-pair curvature test
+        net = make_network(TRIANGLE)
+        state = init_dqn_states(prob, net, alpha=0.3)
+        skipped = 0
+        for _ in range(4):
+            new = dqn_step(net, state, prob)
+            skipped += sum(
+                not curvature_ok(CurvaturePair(s=new.x[i] - state.x[i], y=new.v[i] - state.v[i]))
+                for i in range(3)
+            )
+            state = new
+        assert skipped > 0
+        assert d["skipped_pairs"] == skipped
+        assert d["safeguard_repairs"] == 0
+        assert d["kkt_retries"] is None

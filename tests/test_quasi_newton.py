@@ -73,6 +73,11 @@ class TestCurvaturePair:
         assert not curvature_ok(CurvaturePair(s=s, y=-s))
         # orthogonal pair: y's = 0 < rtol * |y||s|
         assert not curvature_ok(CurvaturePair(s=s, y=np.array([0.0, 1.0])))
+        # zero pairs carry no curvature; the update would divide by y's = 0
+        zero = np.zeros(2)
+        assert not curvature_ok(CurvaturePair(s=zero, y=s))
+        assert not curvature_ok(CurvaturePair(s=s, y=zero))
+        assert not curvature_ok(CurvaturePair(s=zero, y=zero))
 
     def test_threshold_is_relative(self):
         s = np.array([1e8, 0.0])

@@ -1,0 +1,302 @@
+"""Stacked solvers against a per-agent reference stepper, bit for bit.
+
+The reference below steps every agent on its own through the public
+per-pair updates (``bfgs_inverse_update``, ..., ``pd_safeguard``,
+``kkt_solve``), one curvature pair and one probe at a time.  The solvers
+hold the agents stacked and refresh every estimate in one batched call;
+their traces must equal the reference's exactly, not just closely.
+"""
+
+import numpy as np
+import pytest
+
+from dqn_mesh.dqn import RunConfig, dqn_run
+from dqn_mesh.ecdqn import EcRunConfig, KktFactorizationError, KktSystem, ecdqn_run, kkt_solve
+from dqn_mesh.problems import logreg_family, qp_family, solve_reference
+from dqn_mesh.quasi_newton import (
+    CurvatureError,
+    CurvaturePair,
+    HessianEstimate,
+    InverseHessianEstimate,
+    bfgs_hessian_update,
+    bfgs_inverse_update,
+    curvature_ok,
+    dfp_hessian_update,
+    dfp_inverse_update,
+    pd_safeguard,
+    refresh_hessian_batch,
+    refresh_inverse_batch,
+)
+from dqn_mesh.topology import metropolis_weights, random_connected_graph
+
+INVERSE = {"bfgs": bfgs_inverse_update, "dfp": dfp_inverse_update}
+DIRECT = {"bfgs": bfgs_hessian_update, "dfp": dfp_hessian_update}
+
+
+def blown_up(arr):
+    return not np.all(np.isfinite(arr)) or float(np.max(np.abs(arr))) > 1e50
+
+
+def probe_fails(m, shift=0.0):
+    try:
+        np.linalg.cholesky(m - shift * np.eye(m.shape[0]) if shift else m)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def refresh_inverse(c, pair, scheme, floor, gamma):
+    """One agent's inverse refresh; returns (estimate, skipped, repaired)."""
+    skipped = 1
+    if curvature_ok(pair):
+        try:
+            c = INVERSE[scheme](InverseHessianEstimate(c=c, gamma=gamma), pair).c
+            skipped = 0
+        except CurvatureError:
+            pass
+    bad = not np.all(np.isfinite(c)) or probe_fails(c) or np.linalg.norm(c, ord="fro") > gamma
+    if bad:
+        c = pd_safeguard(np.where(np.isfinite(c), c, 0.0), floor=floor, ceiling=gamma)
+    return c, skipped, int(bad)
+
+
+def refresh_hessian(b, pair, scheme, floor, ceiling):
+    """One agent's direct refresh; returns (estimate, skipped, repaired)."""
+    skipped = 1
+    if curvature_ok(pair):
+        try:
+            b = DIRECT[scheme](HessianEstimate(b=b), pair).b
+            skipped = 0
+        except CurvatureError:
+            pass
+    bad = (
+        not np.all(np.isfinite(b))
+        or np.linalg.norm(b) > ceiling
+        or probe_fails(b, 0.5 * floor)
+    )
+    if bad:
+        b = pd_safeguard(np.where(np.isfinite(b), b, 0.0), floor=floor, ceiling=ceiling)
+    return b, skipped, int(bad)
+
+
+class Log:
+    """The per-round columns compared against a solver trace."""
+
+    def __init__(self, problem, payloads, degrees):
+        self.problem = problem
+        self.x_star = problem.reference_solution
+        self.ledger = 8 * payloads * problem.dim * degrees
+        self.rse, self.objective, self.bytes_sent = [], [], []
+        self.feasibility, self.beta_norm = [], []
+        self.skipped = self.repaired = self.retries = 0
+
+    def record(self, x, feas=None, beta=None):
+        rse = np.linalg.norm(x - self.x_star, axis=1) / np.linalg.norm(self.x_star)
+        self.rse.append(rse)
+        self.objective.append(self.problem.objective_value(x.mean(axis=0)))
+        self.bytes_sent.append(self.ledger * (len(self.rse) - 1))
+        if feas is not None:
+            self.feasibility.append(feas)
+            self.beta_norm.append(beta)
+        return float(np.max(rse))
+
+
+def reference_dqn(problem, graph, cfg):
+    n_agents, n = problem.n_agents, problem.dim
+    w = metropolis_weights(graph, cfg.epsilon).w
+    log = Log(problem, 3, graph.degrees())
+    x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
+    g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
+    v = g.copy()
+    c = [cfg.c0_scale * np.eye(n) for _ in range(n_agents)]
+    z = w @ np.stack([-(c[i] @ v[i]) for i in range(n_agents)])
+    worst = log.record(x)
+    for _ in range(cfg.max_iters):
+        if worst <= cfg.rse_tol:
+            break
+        new_x = w @ (x + cfg.alpha * z)
+        if blown_up(new_x):
+            break
+        new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
+        new_v = w @ (v + new_g - g)
+        if blown_up(new_v):
+            break
+        d = []
+        for i in range(n_agents):
+            pair = CurvaturePair(s=new_x[i] - x[i], y=new_v[i] - v[i])
+            c[i], skipped, repaired = refresh_inverse(c[i], pair, cfg.scheme, cfg.eig_floor, cfg.gamma)
+            log.skipped += skipped
+            log.repaired += repaired
+            d.append(-(c[i] @ new_v[i]))
+        z = w @ np.stack(d)
+        x, v, g = new_x, new_v, new_g
+        worst = log.record(x)
+    return log, x
+
+
+def reference_ecdqn(problem, graph, cfg):
+    n_agents, n = problem.n_agents, problem.dim
+    a_mat, b_vec = problem.constraint
+    w = metropolis_weights(graph, cfg.epsilon).w
+    log = Log(problem, 3 if cfg.fusion else 2, graph.degrees())
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal((n_agents, n))
+    b = []
+    for _ in range(n_agents):
+        q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        b0 = (q_mat * rng.uniform(*cfg.b0_spectrum, size=n)) @ q_mat.T
+        b.append(0.5 * (b0 + b0.T))
+    g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
+    v = g.copy()
+
+    def record(x, beta):
+        feas = np.linalg.norm(x @ a_mat.T - b_vec, axis=1)
+        return log.record(x, feas, np.array([np.linalg.norm(bi) for bi in beta]))
+
+    worst = record(x, np.zeros((n_agents, a_mat.shape[0])))
+    stall_run = 0
+    for _ in range(cfg.max_iters):
+        if worst <= cfg.rse_tol:
+            break
+        dx, beta = [], []
+        for i in range(n_agents):
+            r_prim = a_mat @ x[i] - b_vec
+            try:
+                sol = kkt_solve(KktSystem(b=b[i], a=a_mat, rhs_stat=v[i], rhs_prim=r_prim))
+            except KktFactorizationError:
+                log.retries += 1
+                log.repaired += 1
+                b[i] = pd_safeguard(b[i], floor=cfg.eig_floor, ceiling=cfg.eig_ceiling)
+                try:
+                    sol = kkt_solve(KktSystem(b=b[i], a=a_mat, rhs_stat=v[i], rhs_prim=r_prim))
+                except KktFactorizationError:
+                    return log, x
+            dx.append(sol[0])
+            beta.append(sol[1])
+        d = w @ np.stack(dx) if cfg.fusion else np.stack(dx)
+        new_x = w @ (x + cfg.alpha * d)
+        if blown_up(new_x):
+            break
+        new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
+        new_v = w @ (v + new_g - g)
+        if blown_up(new_v):
+            break
+        for i in range(n_agents):
+            pair = CurvaturePair(s=new_x[i] - x[i], y=new_v[i] - v[i])
+            b[i], skipped, repaired = refresh_hessian(
+                b[i], pair, cfg.scheme, cfg.eig_floor, cfg.eig_ceiling
+            )
+            log.skipped += skipped
+            log.repaired += repaired
+        move = float(np.max(np.linalg.norm(new_x - x, axis=1)))
+        x, v, g = new_x, new_v, new_g
+        worst = record(x, beta)
+        stall_run = stall_run + 1 if move <= cfg.stall_tol else 0
+        if stall_run >= cfg.stall_rounds:
+            break
+    return log, x
+
+
+def assert_trace_matches(trace, log, x_final):
+    assert trace.rounds == len(log.rse) - 1
+    assert np.array_equal(trace.rse, np.stack(log.rse))
+    assert np.array_equal(trace.objective, np.array(log.objective))
+    assert np.array_equal(trace.bytes_sent, np.stack(log.bytes_sent))
+    assert np.array_equal(trace.x_final, x_final)
+    if log.feasibility:
+        assert np.array_equal(trace.feasibility, np.stack(log.feasibility))
+        assert np.array_equal(trace.beta_norm, np.stack(log.beta_norm))
+        assert trace.kkt_retries == log.retries
+    assert trace.skipped_pairs == log.skipped
+    assert trace.safeguard_repairs == log.repaired
+
+
+DQN_CASES = {
+    # name: (scheme, alpha, gamma, expected outcome)
+    "bfgs": ("bfgs", 0.5, 1e3, "converged"),
+    "bfgs-safeguard": ("bfgs", 0.8, 1e3, "repaired"),
+    "dfp": ("dfp", 0.8, 1e3, "skipped"),
+    "dfp-safeguard": ("dfp", 0.8, 0.5, "repaired"),
+    "bfgs-diverges": ("bfgs", 50.0, 1e3, "diverged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DQN_CASES))
+def test_dqn_run_matches_reference(case):
+    scheme, alpha, gamma, outcome = DQN_CASES[case]
+    prob = qp_family(6, 5, (2.0, 20.0), 3)
+    solve_reference(prob)
+    graph = random_connected_graph(6, 0.9, 1)
+    cfg = RunConfig(scheme=scheme, alpha=alpha, gamma=gamma, max_iters=200, rse_tol=1e-10, seed=2)
+    trace = dqn_run(prob, graph, cfg)
+    log, x_final = reference_dqn(prob, graph, cfg)
+    assert_trace_matches(trace, log, x_final)
+    assert {
+        "converged": trace.converged,
+        "repaired": trace.safeguard_repairs > 0,
+        "skipped": trace.skipped_pairs > 0,
+        "diverged": trace.diverged,
+    }[outcome]
+
+
+EC_CASES = {
+    # name: (scheme, alpha, eig_ceiling, fusion, expected outcome)
+    "bfgs": ("bfgs", 0.3, 1e3, True, "converged"),
+    "dfp": ("dfp", 0.3, 1e3, True, "converged"),
+    "dfp-unfused": ("dfp", 0.5, 1e3, False, "converged"),
+    "bfgs-safeguard": ("bfgs", 1.0, 1.5, True, "repaired"),
+    "dfp-diverges": ("dfp", 1e6, 1e3, True, "diverged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EC_CASES))
+def test_ecdqn_run_matches_reference(case):
+    scheme, alpha, ceiling, fusion, outcome = EC_CASES[case]
+    prob = logreg_family(5, 5, 1e-2, 4, constraint=True)
+    solve_reference(prob)
+    graph = random_connected_graph(5, 0.7, 2)
+    cfg = EcRunConfig(scheme=scheme, alpha=alpha, eig_ceiling=ceiling, fusion=fusion,
+                      max_iters=120, rse_tol=1e-8, seed=1)
+    trace = ecdqn_run(prob, graph, cfg)
+    log, x_final = reference_ecdqn(prob, graph, cfg)
+    assert_trace_matches(trace, log, x_final)
+    assert {
+        "converged": trace.converged,
+        "repaired": trace.safeguard_repairs > 0,
+        "diverged": trace.diverged,
+    }[outcome]
+
+
+def awkward_stack(rng, n):
+    """Six agents: a good pair, a zero pair, a negative pair, a flat pair
+    on an indefinite estimate, a huge update, and a non-finite estimate."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spd = (q * rng.uniform(0.5, 2.0, size=n)) @ q.T
+    m = np.stack([spd] * 6)
+    m[3] = np.diag([-1.0] + [1.0] * (n - 1))
+    m[5, 0, 0] = np.nan
+    s = rng.standard_normal((6, n))
+    y = s + 0.1 * rng.standard_normal((6, n))
+    s[1] = 0.0
+    y[2] = -s[2]
+    y[3] = 0.0
+    y[4] = 1e-6 * s[4]
+    return m, s, y
+
+
+@pytest.mark.parametrize("scheme", ["bfgs", "dfp"])
+def test_batched_refresh_matches_per_pair(scheme):
+    rng = np.random.default_rng(5)
+    m, s, y = awkward_stack(rng, 4)
+    for batch, single, args in (
+        (refresh_inverse_batch, refresh_inverse, (1e-8, 50.0)),
+        (refresh_hessian_batch, refresh_hessian, (1e-3, 50.0)),
+    ):
+        out = batch(m, s, y, scheme, *args)
+        expected = [single(m[i], CurvaturePair(s=s[i], y=y[i]), scheme, *args) for i in range(6)]
+        assert np.array_equal(out.estimates, np.stack([e[0] for e in expected]))
+        assert out.skipped == sum(e[1] for e in expected) == 3
+        assert out.repaired == sum(e[2] for e in expected) >= 2
+    # the inputs are left alone
+    m2, _, _ = awkward_stack(np.random.default_rng(5), 4)
+    assert np.array_equal(m, m2, equal_nan=True)
