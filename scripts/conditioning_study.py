@@ -20,23 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from dqn_mesh.harness import ExperimentConfig, SummaryTable, run_experiment
-
-
-def print_table(table: SummaryTable) -> None:
-    header = f"{'algo':12s} {'kappa':>6s} {'success':>8s} {'rounds':>12s} {'bytes/agent':>12s}"
-    print(header)
-    print("-" * len(header))
-    for row in table.rows:
-        if row.rounds_mean is None:
-            rounds = "-"
-        else:
-            rounds = f"{row.rounds_mean:.1f} +/- {row.rounds_std:.1f}"
-        bytes_mean = "-" if row.bytes_mean is None else f"{row.bytes_mean:.0f}"
-        print(
-            f"{row.algo:12s} {row.kappa:>6g} {row.success_rate:>8.1%} "
-            f"{rounds:>12s} {bytes_mean:>12s}"
-        )
+from dqn_mesh.harness import ExperimentConfig, run_experiment
 
 
 def parse_band(text: str) -> tuple[float, float]:
@@ -87,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"cond_range": list(band), "table": table.to_dict()}
         (args.out / f"{label}.json").write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\n== condition numbers in [{band[0]:g}, {band[1]:g}] ({elapsed:.1f}s)")
-        print_table(table)
+        table.print_table()
         results.append((band, table))
 
     # the point of the study: quasi-Newton holds its success rate where the

@@ -19,7 +19,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from dqn_mesh.harness import ExperimentConfig, SummaryTable, emit_report, run_experiment
+from dqn_mesh.harness import ExperimentConfig, emit_report, run_experiment
 
 FAMILY_CONFIGS = {
     "qp": ExperimentConfig(
@@ -51,22 +51,6 @@ FAMILY_CONFIGS = {
         golden_bracket=(0.05, 2.0),
     ),
 }
-
-
-def print_table(table: SummaryTable) -> None:
-    header = f"{'algo':12s} {'kappa':>6s} {'success':>8s} {'rounds':>12s} {'bytes/agent':>12s}"
-    print(header)
-    print("-" * len(header))
-    for row in table.rows:
-        if row.rounds_mean is None:
-            rounds = "-"
-        else:
-            rounds = f"{row.rounds_mean:.1f} +/- {row.rounds_std:.1f}"
-        bytes_mean = "-" if row.bytes_mean is None else f"{row.bytes_mean:.0f}"
-        print(
-            f"{row.algo:12s} {row.kappa:>6g} {row.success_rate:>8.1%} "
-            f"{rounds:>12s} {bytes_mean:>12s}"
-        )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out / family
         emit_report(table, traces, out_dir)
         print(f"\n== {family} ({elapsed:.1f}s) -> {out_dir}")
-        print_table(table)
+        table.print_table()
         aborted += table.total_aborted()
     if aborted:
         print(f"{aborted} aborted cells", file=sys.stderr)

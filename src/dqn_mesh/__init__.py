@@ -71,7 +71,6 @@ from .harness import (
     SummaryRow,
     SummaryTable,
     emit_report,
-    rse,
     run_algo,
     run_experiment,
     tune_step_size,

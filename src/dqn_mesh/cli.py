@@ -13,6 +13,7 @@ import os
 import sys
 from pathlib import Path
 
+from .dqn import RunTrace
 from .harness import (
     ALL_ALGOS,
     ExperimentConfig,
@@ -76,21 +77,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     graph = load_graph(args.graph)
     alpha = _parse_alpha(args.alpha)
-    kwargs = dict(
-        max_iters=args.max_iters,
-        rse_tol=args.tol,
-        seed=args.seed,
-        fusion=not args.no_fusion,
-    )
+
+    def run(alpha: float | str) -> RunTrace:
+        return run_algo(
+            args.algo,
+            problem,
+            graph,
+            alpha=alpha,
+            max_iters=args.max_iters,
+            rse_tol=args.tol,
+            seed=args.seed,
+            fusion=not args.no_fusion,
+        )
+
     try:
         if alpha == "golden":
-            _, trace = tune_step_size(
-                lambda a: run_algo(args.algo, problem, graph, alpha=a, **kwargs),
-                rse_tol=args.tol,
-                max_iters=args.max_iters,
-            )
+            _, trace = tune_step_size(run, rse_tol=args.tol, max_iters=args.max_iters)
         else:
-            trace = run_algo(args.algo, problem, graph, alpha=alpha, **kwargs)
+            trace = run(alpha)
     except Exception as exc:  # aborted cell
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
@@ -114,12 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _default_out(args.out)
     table, traces = run_experiment(config)
     emit_report(table, traces, out)
-    for row in table.rows:
-        rounds = "-" if row.rounds_mean is None else f"{row.rounds_mean:.1f}"
-        print(
-            f"{row.algo:12s} kappa={row.kappa:<5g} success={row.success_rate:6.1%} "
-            f"rounds={rounds}"
-        )
+    table.print_table()
     if table.total_aborted() > 0:
         print(f"{table.total_aborted()} aborted cells", file=sys.stderr)
         return 2
@@ -138,16 +137,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     payload = json.loads((Path(args.dir) / "summary.json").read_text())
-    table = SummaryTable.from_dict(payload["table"])
-    header = f"{'algo':12s} {'kappa':>6s} {'success':>8s} {'rounds':>10s} {'bytes/agent':>12s}"
-    print(header)
-    print("-" * len(header))
-    for row in table.rows:
-        rounds = "-" if row.rounds_mean is None else f"{row.rounds_mean:.1f}"
-        bytes_mean = "-" if row.bytes_mean is None else f"{row.bytes_mean:.0f}"
-        print(
-            f"{row.algo:12s} {row.kappa:>6g} {row.success_rate:>8.1%} {rounds:>10s} {bytes_mean:>12s}"
-        )
+    SummaryTable.from_dict(payload["table"]).print_table()
     return 0
 
 

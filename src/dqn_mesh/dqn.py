@@ -5,7 +5,9 @@ stochastic weight matrix, tracks the network-average gradient with a
 correction term, refreshes a local inverse-Hessian estimate from the
 step/tracker differences, and mixes the resulting descent directions.
 A first-order gradient-tracking baseline shares the same engine so that
-iteration and communication costs are directly comparable.
+iteration and communication costs are directly comparable, and every
+method, the constrained one included, runs through the same round loop
+(run_rounds).
 
 Communication is metered exactly: one mixed payload of dimension n costs
 every agent 8 * n * degree bytes (double precision, one copy per
@@ -24,6 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .topology import CommGraph, MixingMatrix, metropolis_weights
 
 __all__ = [
     "DqnState",
+    "DigingState",
     "SyncNetwork",
     "RunTrace",
     "RunConfig",
@@ -42,6 +46,8 @@ __all__ = [
     "track_gradient",
     "init_dqn_states",
     "dqn_step",
+    "diging_step",
+    "run_rounds",
     "dqn_run",
     "diging_atc_run",
     "safe_step_size",
@@ -87,6 +93,18 @@ class DqnState:
     gamma: float
     skipped_pairs: int = 0
     safeguard_repairs: int = 0
+
+
+@dataclass(frozen=True)
+class DigingState:
+    """Every agent's variables for the first-order baseline, stacked:
+    iterates x, gradient trackers v and last local gradients (each N x n)
+    and step sizes alpha (N,)."""
+
+    x: np.ndarray
+    v: np.ndarray
+    alpha: np.ndarray
+    last_gradient: np.ndarray
 
 
 @dataclass
@@ -167,17 +185,21 @@ class RunTrace:
         extra = self.feasibility is not None
         if extra:
             cols += ",feasibility,beta_norm"
+        n = self.rounds + 1
+
+        def floats(col: np.ndarray) -> list:
+            # one conversion per column; repr of a Python float is the CSV text
+            return np.asarray(col[:n], dtype=float).tolist()
+
+        per_round = (self.x_consensus, self.v_consensus, self.mean_grad_norm, self.objective)
+        shared = [",".join(map(repr, vals)) for vals in zip(*map(floats, per_round))]
+        rse, sent = floats(self.rse), np.asarray(self.bytes_sent[:n], dtype=np.int64).tolist()
+        feas, beta = (floats(self.feasibility), floats(self.beta_norm)) if extra else (None, None)
         lines = [cols]
-        for k in range(self.rounds + 1):
+        for k in range(n):
             for i in range(self.n_agents):
-                row = (
-                    f"{k},{i},{float(self.rse[k, i])!r},{float(self.x_consensus[k])!r},"
-                    f"{float(self.v_consensus[k])!r},{float(self.mean_grad_norm[k])!r},"
-                    f"{float(self.objective[k])!r},{int(self.bytes_sent[k, i])}"
-                )
-                if extra:
-                    row += f",{float(self.feasibility[k, i])!r},{float(self.beta_norm[k, i])!r}"
-                lines.append(row)
+                row = f"{k},{i},{rse[k][i]!r},{shared[k]},{sent[k][i]}"
+                lines.append(row + f",{feas[k][i]!r},{beta[k][i]!r}" if extra else row)
         Path(path).write_text("\n".join(lines) + "\n")
 
     def summary_dict(self) -> dict:
@@ -268,6 +290,18 @@ def local_gradients(problem: SeparableProblem, x: np.ndarray) -> np.ndarray:
     return np.stack([problem.locals[i].gradient(x[i]) for i in range(len(x))])
 
 
+def initial_iterates(
+    problem: SeparableProblem, rng: np.random.Generator, x0: np.ndarray | None
+) -> np.ndarray:
+    """A C-ordered copy of x0, or one standard-normal row per agent drawn
+    from rng (which stays untouched when x0 is given)."""
+    shape = (problem.n_agents, problem.dim)
+    x = rng.standard_normal(shape) if x0 is None else np.array(x0, dtype=float, order="C")
+    if x.shape != shape:
+        raise ValueError("x0 must have one row per agent")
+    return x
+
+
 def init_dqn_states(
     problem: SeparableProblem,
     network: SyncNetwork,
@@ -285,10 +319,7 @@ def init_dqn_states(
     iteration rounds only.
     """
     n, n_agents = problem.dim, problem.n_agents
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_agents, n)) if x0 is None else np.array(x0, dtype=float, order="C")
-    if x.shape != (n_agents, n):
-        raise ValueError("x0 must have one row per agent")
+    x = initial_iterates(problem, np.random.default_rng(seed), x0)
     alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
     grads = local_gradients(problem, x)
     c = np.array(np.broadcast_to(c0_scale * np.eye(n), (n_agents, n, n)))
@@ -307,8 +338,8 @@ def track_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tracker update v' = W (v + g(x') - g(x)); returns (v', new gradients).
 
-    Reads only state.v and state.last_gradient, so it serves the
-    constrained method's state too.
+    Reads only state.v and state.last_gradient, so it serves every
+    method's state.
     """
     new_g = local_gradients(problem, new_x)
     return network.mix(state.v + new_g - state.last_gradient), new_g
@@ -354,6 +385,58 @@ def dqn_step(
         skipped_pairs=state.skipped_pairs + refresh.skipped,
         safeguard_repairs=state.safeguard_repairs + refresh.repaired,
     )
+
+
+def diging_step(
+    network: SyncNetwork, state: DigingState, problem: SeparableProblem
+) -> DigingState:
+    """One round of the first-order baseline: x' = W (x - alpha v), then
+    the tracker update.  Two payloads cross every edge."""
+    new_x = network.mix(state.x - state.alpha[:, None] * state.v)
+    if _blown_up(new_x):
+        raise DivergedError(network.round + 1)
+    new_v, new_g = track_gradient(network, state, new_x, problem)
+    if _blown_up(new_v):
+        raise DivergedError(network.round + 1)
+    network.round += 1
+    return DigingState(x=new_x, v=new_v, alpha=state.alpha, last_gradient=new_g)
+
+
+def run_rounds(
+    state,
+    step: Callable,
+    record: Callable,
+    rse_tol: float,
+    max_iters: int,
+    stall_tol: float = 0.0,
+    stall_rounds: int | None = None,
+) -> tuple:
+    """The round loop of every solver: record round zero, then step and
+    record until the worst relative error (what record returns) meets
+    rse_tol, a step raises DivergedError or max_iters rounds are spent.
+    With stall_rounds set, a run whose iterates all moved at most
+    stall_tol for stall_rounds rounds in a row stops as stalled, unless
+    that round also met rse_tol.  Returns the last state and its flags.
+    """
+    flags = dict(converged=record(state) <= rse_tol, diverged=False, stalled=False)
+    stall_run = 0
+    for _ in range(0 if flags["converged"] else max_iters):
+        x_prev = state.x
+        try:
+            state = step(state)
+        except DivergedError:
+            flags["diverged"] = True
+            break
+        if record(state) <= rse_tol:
+            flags["converged"] = True
+            break
+        if stall_rounds is not None:
+            move = float(np.max(np.linalg.norm(state.x - x_prev, axis=1)))
+            stall_run = stall_run + 1 if move <= stall_tol else 0
+            if stall_run >= stall_rounds:
+                flags["stalled"] = True
+                break
+    return state, flags
 
 
 class _Recorder:
@@ -408,12 +491,13 @@ class _Recorder:
             self.beta.append(beta)
         return float(np.max(self.rse[-1]))
 
-    def build(self, algo: str, n_agents: int, dim: int, alpha: float, **flags) -> RunTrace:
+    def build(self, algo: str, alpha: float, state, start: float, **fields) -> RunTrace:
+        """The finished trace: x_final from state, wall time since start."""
         rounds = len(self.rse) - 1
         return RunTrace(
             algo=algo,
-            n_agents=n_agents,
-            dim=dim,
+            n_agents=self.problem.n_agents,
+            dim=self.problem.dim,
             alpha=alpha,
             rse=np.stack(self.rse),
             x_consensus=np.array(self.x_cons),
@@ -426,7 +510,9 @@ class _Recorder:
             feasibility=None if self.feas is None else np.stack(self.feas),
             beta_norm=None if self.beta is None else np.stack(self.beta),
             rounds=rounds,
-            **flags,
+            x_final=state.x.copy(),
+            wall_time_ms=(time.perf_counter() - start) * 1e3,
+            **fields,
         )
 
 
@@ -448,44 +534,29 @@ def dqn_run(
     start = time.perf_counter()
     weights = metropolis_weights(graph, config.epsilon)
     network = SyncNetwork(graph=graph, w=weights.w)
-    x_star = _ensure_reference(problem)
+    rec = _Recorder(problem, _ensure_reference(problem), track_z=True)
     alpha = _resolve_alpha(config, problem, weights.contraction)
     state = init_dqn_states(
         problem, network, alpha, config.c0_scale, config.gamma, config.seed, x0
     )
-    rec = _Recorder(problem, x_star, track_z=True)
-    converged = diverged = False
-    worst = rec.record(state.x, state.v, state.last_gradient, network.sent_bytes, z=state.z)
-    if worst <= config.rse_tol:
-        converged = True
-    else:
-        for _ in range(config.max_iters):
-            try:
-                state = dqn_step(network, state, problem, config.scheme, config.eig_floor)
-            except DivergedError:
-                diverged = True
-                break
-            worst = rec.record(
-                state.x, state.v, state.last_gradient, network.sent_bytes, z=state.z
-            )
-            if worst <= config.rse_tol:
-                converged = True
-                break
-    trace = rec.build(
+    state, flags = run_rounds(
+        state,
+        lambda st: dqn_step(network, st, problem, config.scheme, config.eig_floor),
+        lambda st: rec.record(st.x, st.v, st.last_gradient, network.sent_bytes, z=st.z),
+        config.rse_tol,
+        config.max_iters,
+    )
+    return rec.build(
         f"dqn-{config.scheme}",
-        problem.n_agents,
-        problem.dim,
         alpha,
-        converged=converged,
-        diverged=diverged,
+        state,
+        start,
         scheme=config.scheme,
         rse_tol=config.rse_tol,
         skipped_pairs=state.skipped_pairs,
         safeguard_repairs=state.safeguard_repairs,
+        **flags,
     )
-    trace.x_final = state.x.copy()
-    trace.wall_time_ms = (time.perf_counter() - start) * 1e3
-    return trace
 
 
 def diging_atc_run(
@@ -504,44 +575,18 @@ def diging_atc_run(
     start = time.perf_counter()
     weights = metropolis_weights(graph, config.epsilon)
     network = SyncNetwork(graph=graph, w=weights.w)
-    x_star = _ensure_reference(problem)
+    rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
     alpha = _resolve_alpha(config, problem, weights.contraction)
-    n, n_agents = problem.dim, problem.n_agents
-    rng = np.random.default_rng(config.seed)
-    x = rng.standard_normal((n_agents, n)) if x0 is None else np.array(x0, dtype=float)
+    x = initial_iterates(problem, np.random.default_rng(config.seed), x0)
     grads = local_gradients(problem, x)
-    y = grads.copy()
-    rec = _Recorder(problem, x_star, track_z=False)
-    converged = diverged = False
-    worst = rec.record(x, y, grads, network.sent_bytes)
-    if worst <= config.rse_tol:
-        converged = True
-    else:
-        for _ in range(config.max_iters):
-            new_x = network.mix(x - alpha * y)
-            if _blown_up(new_x):
-                diverged = True
-                break
-            new_g = local_gradients(problem, new_x)
-            y = network.mix(y + new_g - grads)
-            if _blown_up(y):
-                diverged = True
-                break
-            x, grads = new_x, new_g
-            network.round += 1
-            worst = rec.record(x, y, grads, network.sent_bytes)
-            if worst <= config.rse_tol:
-                converged = True
-                break
-    trace = rec.build(
-        "diging-atc",
-        n_agents,
-        n,
-        alpha,
-        converged=converged,
-        diverged=diverged,
-        rse_tol=config.rse_tol,
+    state = DigingState(
+        x=x, v=grads.copy(), alpha=np.full(problem.n_agents, alpha), last_gradient=grads
     )
-    trace.x_final = x.copy()
-    trace.wall_time_ms = (time.perf_counter() - start) * 1e3
-    return trace
+    state, flags = run_rounds(
+        state,
+        lambda st: diging_step(network, st, problem),
+        lambda st: rec.record(st.x, st.v, st.last_gradient, network.sent_bytes),
+        config.rse_tol,
+        config.max_iters,
+    )
+    return rec.build("diging-atc", alpha, state, start, rse_tol=config.rse_tol, **flags)

@@ -5,8 +5,9 @@ system coupling its tracked gradient with the shared constraint residual.
 The resulting primal directions are optionally fused (mixed) before the
 iterate update; multipliers are recomputed fresh every round and never
 mixed.  Gradient tracking and the byte ledger reuse the unconstrained
-engine.  The agents' variables are held stacked; the saddle-point solves
-run agent by agent, the Hessian refresh in one batched call.
+engine, and runs go through its round loop.  The agents' variables are
+held stacked; the saddle-point solves run agent by agent, the Hessian
+refresh in one batched call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .dqn import (
     _blown_up,
     _Recorder,
     _ensure_reference,
+    initial_iterates,
     local_gradients,
+    run_rounds,
     track_gradient,
 )
 from .problems import SeparableProblem
@@ -194,9 +197,8 @@ def init_ecdqn_states(
     if not 0 < lo <= hi:
         raise ValueError("b0_spectrum bounds must be positive and ordered")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_agents, n)) if x0 is None else np.array(x0, dtype=float, order="C")
-    if x.shape != (n_agents, n):
-        raise ValueError("x0 must have one row per agent")
+    # iterates first, then the estimates, from the same stream
+    x = initial_iterates(problem, rng, x0)
     alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
     b = np.empty((n_agents, n, n))
     for i in range(n_agents):
@@ -302,13 +304,12 @@ def ecdqn_run(
         raise ValueError("constrained method needs a problem with a constraint")
     weights = metropolis_weights(graph, config.epsilon)
     network = SyncNetwork(graph=graph, w=weights.w)
-    x_star = _ensure_reference(problem)
+    rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
     alpha = _resolve_alpha(config)
     state = init_ecdqn_states(problem, network, alpha, config.b0_spectrum, config.seed, x0)
     a_mat, b_vec = problem.constraint
-    rec = _Recorder(problem, x_star, track_z=False)
 
-    def snapshot(st: EcDqnState) -> float:
+    def record(st: EcDqnState) -> float:
         return rec.record(
             st.x,
             st.v,
@@ -318,51 +319,36 @@ def ecdqn_run(
             beta=np.sqrt(row_dots(st.beta, st.beta)),
         )
 
-    converged = diverged = stalled = False
-    stall_run = 0
-    worst = snapshot(state)
-    if worst <= config.rse_tol:
-        converged = True
-    else:
-        for _ in range(config.max_iters):
-            x_prev = state.x
-            try:
-                state = ecdqn_step(
-                    network,
-                    state,
-                    problem,
-                    config.scheme,
-                    config.eig_floor,
-                    config.eig_ceiling,
-                    config.fusion,
-                )
-            except DivergedError:
-                diverged = True
-                break
-            worst = snapshot(state)
-            if worst <= config.rse_tol:
-                converged = True
-                break
-            move = float(np.max(np.linalg.norm(state.x - x_prev, axis=1)))
-            stall_run = stall_run + 1 if move <= config.stall_tol else 0
-            if stall_run >= config.stall_rounds:
-                stalled = True
-                break
-    trace = rec.build(
+    def step(st: EcDqnState) -> EcDqnState:
+        return ecdqn_step(
+            network,
+            st,
+            problem,
+            config.scheme,
+            config.eig_floor,
+            config.eig_ceiling,
+            config.fusion,
+        )
+
+    state, flags = run_rounds(
+        state,
+        step,
+        record,
+        config.rse_tol,
+        config.max_iters,
+        config.stall_tol,
+        config.stall_rounds,
+    )
+    return rec.build(
         f"ecdqn-{config.scheme}",
-        problem.n_agents,
-        problem.dim,
         alpha,
-        converged=converged,
-        diverged=diverged,
-        stalled=stalled,
+        state,
+        start,
         scheme=config.scheme,
         fusion=config.fusion,
         rse_tol=config.rse_tol,
         skipped_pairs=state.skipped_pairs,
         safeguard_repairs=state.safeguard_repairs,
         kkt_retries=state.kkt_retries,
+        **flags,
     )
-    trace.x_final = state.x.copy()
-    trace.wall_time_ms = (time.perf_counter() - start) * 1e3
-    return trace

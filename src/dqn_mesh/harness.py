@@ -29,7 +29,6 @@ from .problems import (
 from .topology import CommGraph, load_graph, random_connected_graph
 
 __all__ = [
-    "rse",
     "ExperimentConfig",
     "SummaryRow",
     "SummaryTable",
@@ -43,18 +42,6 @@ __all__ = [
 DQN_ALGOS = ("dqn-bfgs", "dqn-dfp")
 EC_ALGOS = ("ecdqn-bfgs", "ecdqn-dfp")
 ALL_ALGOS = DQN_ALGOS + ("diging-atc",) + EC_ALGOS
-
-
-def rse(x: np.ndarray, x_star: np.ndarray) -> float:
-    """Relative error of an iterate against the reference solution.
-
-    Falls back to the absolute error when the reference is the origin.
-    """
-    x = np.asarray(x, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    denom = np.linalg.norm(x_star)
-    err = float(np.linalg.norm(x - x_star))
-    return err if denom == 0.0 else err / denom
 
 
 @dataclass(frozen=True)
@@ -145,6 +132,23 @@ class SummaryTable:
     def total_aborted(self) -> int:
         return sum(r.aborted for r in self.rows)
 
+    def print_table(self) -> None:
+        """Print one line per row: success rate, rounds mean +/- std and
+        mean bytes per agent over the converged runs ("-" when none)."""
+        header = f"{'algo':12s} {'kappa':>6s} {'success':>8s} {'rounds':>16s} {'bytes/agent':>12s}"
+        print(header)
+        print("-" * len(header))
+        for row in self.rows:
+            if row.rounds_mean is None:
+                rounds = "-"
+            else:
+                rounds = f"{row.rounds_mean:.1f} +/- {row.rounds_std:.1f}"
+            bytes_mean = "-" if row.bytes_mean is None else f"{row.bytes_mean:.0f}"
+            print(
+                f"{row.algo:12s} {row.kappa:>6g} {row.success_rate:>8.1%} "
+                f"{rounds:>16s} {bytes_mean:>12s}"
+            )
+
 
 def make_problem(config: ExperimentConfig, seed: int) -> SeparableProblem:
     if config.family == "qp":
@@ -175,35 +179,13 @@ def run_algo(
     x0: np.ndarray | None = None,
 ) -> RunTrace:
     """Dispatch one run by algorithm name."""
+    knobs = dict(alpha=alpha, max_iters=max_iters, rse_tol=rse_tol, epsilon=epsilon, seed=seed)
     if algo in DQN_ALGOS:
-        cfg = RunConfig(
-            scheme=algo.split("-")[1],
-            alpha=alpha,
-            max_iters=max_iters,
-            rse_tol=rse_tol,
-            epsilon=epsilon,
-            seed=seed,
-        )
-        return dqn_run(problem, graph, cfg, x0)
+        return dqn_run(problem, graph, RunConfig(scheme=algo.split("-")[1], **knobs), x0)
     if algo == "diging-atc":
-        cfg = RunConfig(
-            alpha=alpha,
-            max_iters=max_iters,
-            rse_tol=rse_tol,
-            epsilon=epsilon,
-            seed=seed,
-        )
-        return diging_atc_run(problem, graph, cfg, x0)
+        return diging_atc_run(problem, graph, RunConfig(**knobs), x0)
     if algo in EC_ALGOS:
-        ec_cfg = EcRunConfig(
-            scheme=algo.split("-")[1],
-            alpha=alpha,
-            fusion=fusion,
-            max_iters=max_iters,
-            rse_tol=rse_tol,
-            epsilon=epsilon,
-            seed=seed,
-        )
+        ec_cfg = EcRunConfig(scheme=algo.split("-")[1], fusion=fusion, **knobs)
         return ecdqn_run(problem, graph, ec_cfg, x0)
     raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -284,37 +266,31 @@ def run_experiment(
                     aborted[(algo, kappa)] = aborted.get((algo, kappa), 0) + 1
                 continue
             for algo in config.algos:
+
+                def run(alpha: float | str) -> RunTrace:
+                    return run_algo(
+                        algo,
+                        problem,
+                        graph,
+                        alpha=alpha,
+                        max_iters=config.max_iters,
+                        rse_tol=config.rse_tol,
+                        epsilon=config.epsilon,
+                        seed=seed,
+                        fusion=config.fusion,
+                    )
+
                 try:
                     if config.alpha == "golden":
                         _, trace = tune_step_size(
-                            lambda a: run_algo(
-                                algo,
-                                problem,
-                                graph,
-                                alpha=a,
-                                max_iters=config.max_iters,
-                                rse_tol=config.rse_tol,
-                                epsilon=config.epsilon,
-                                seed=seed,
-                                fusion=config.fusion,
-                            ),
+                            run,
                             bracket=config.golden_bracket,
                             probes=config.golden_probes,
                             rse_tol=config.rse_tol,
                             max_iters=config.max_iters,
                         )
                     else:
-                        trace = run_algo(
-                            algo,
-                            problem,
-                            graph,
-                            alpha=config.alpha,
-                            max_iters=config.max_iters,
-                            rse_tol=config.rse_tol,
-                            epsilon=config.epsilon,
-                            seed=seed,
-                            fusion=config.fusion,
-                        )
+                        trace = run(config.alpha)
                     traces[(algo, kappa, seed)] = trace
                 except Exception:
                     aborted[(algo, kappa)] = aborted.get((algo, kappa), 0) + 1
@@ -375,9 +351,9 @@ def emit_report(
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     lines = ["algo,kappa,seed,round,agent,rse"]
     for (algo, kappa, seed), trace in sorted(traces.items()):
-        for k in range(trace.rounds + 1):
-            for i in range(trace.n_agents):
-                lines.append(f"{algo},{kappa},{seed},{k},{i},{float(trace.rse[k, i])!r}")
+        rse = np.asarray(trace.rse[: trace.rounds + 1], dtype=float).tolist()
+        for k, row in enumerate(rse):
+            lines.extend(f"{algo},{kappa},{seed},{k},{i},{r!r}" for i, r in enumerate(row))
     (out / "long.csv").write_text("\n".join(lines) + "\n")
 
 

@@ -316,6 +316,13 @@ class TestRunBehavior:
         trace = diging_atc_run(prob, TRIANGLE, RunConfig(alpha=1e4, max_iters=200))
         assert trace.diverged and not trace.converged
 
+    @pytest.mark.parametrize("run", [dqn_run, diging_atc_run])
+    def test_runs_reject_bad_x0(self, run):
+        prob = qp_family(5, 3, (2.0, 10.0), 0)
+        graph = random_connected_graph(5, 0.8, 0)
+        with pytest.raises(ValueError, match="one row per agent"):
+            run(prob, graph, RunConfig(alpha=0.1, max_iters=0), x0=np.zeros((4, 3)))
+
     def test_diverged_error_carries_round(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)

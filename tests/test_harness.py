@@ -12,7 +12,6 @@ from dqn_mesh.harness import (
     SummaryTable,
     emit_report,
     make_problem,
-    rse,
     run_algo,
     run_experiment,
     tune_step_size,
@@ -20,17 +19,6 @@ from dqn_mesh.harness import (
 )
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
 from dqn_mesh.topology import random_connected_graph, save_graph
-
-
-class TestRse:
-    def test_relative_error(self):
-        assert rse([3.0, 4.0], [0.0, 4.0]) == pytest.approx(0.75)
-
-    def test_exact_match_is_zero(self):
-        assert rse([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_zero_reference_uses_absolute_error(self):
-        assert rse([3.0, 4.0], [0.0, 0.0]) == pytest.approx(5.0)
 
 
 class TestExperimentConfig:

@@ -2,15 +2,17 @@
 
 The reference below steps every agent on its own through the public
 per-pair updates (``bfgs_inverse_update``, ..., ``pd_safeguard``,
-``kkt_solve``), one curvature pair and one probe at a time.  The solvers
-hold the agents stacked and refresh every estimate in one batched call;
-their traces must equal the reference's exactly, not just closely.
+``kkt_solve``), one curvature pair and one probe at a time, each method
+with its own loop and stopping rules.  The solvers hold the agents stacked,
+refresh every estimate in one batched call and share one round loop; their
+traces and terminal flags must equal the reference's exactly, not just
+closely.
 """
 
 import numpy as np
 import pytest
 
-from dqn_mesh.dqn import RunConfig, dqn_run
+from dqn_mesh.dqn import RunConfig, diging_atc_run, dqn_run
 from dqn_mesh.ecdqn import EcRunConfig, KktFactorizationError, KktSystem, ecdqn_run, kkt_solve
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
 from dqn_mesh.quasi_newton import (
@@ -89,6 +91,7 @@ class Log:
         self.rse, self.objective, self.bytes_sent = [], [], []
         self.feasibility, self.beta_norm = [], []
         self.skipped = self.repaired = self.retries = 0
+        self.diverged = self.stalled = False
 
     def record(self, x, feas=None, beta=None):
         rse = np.linalg.norm(x - self.x_star, axis=1) / np.linalg.norm(self.x_star)
@@ -116,10 +119,12 @@ def reference_dqn(problem, graph, cfg):
             break
         new_x = w @ (x + cfg.alpha * z)
         if blown_up(new_x):
+            log.diverged = True
             break
         new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
         new_v = w @ (v + new_g - g)
         if blown_up(new_v):
+            log.diverged = True
             break
         d = []
         for i in range(n_agents):
@@ -130,6 +135,31 @@ def reference_dqn(problem, graph, cfg):
             d.append(-(c[i] @ new_v[i]))
         z = w @ np.stack(d)
         x, v, g = new_x, new_v, new_g
+        worst = log.record(x)
+    return log, x
+
+
+def reference_diging(problem, graph, cfg):
+    n_agents, n = problem.n_agents, problem.dim
+    w = metropolis_weights(graph, cfg.epsilon).w
+    log = Log(problem, 2, graph.degrees())
+    x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
+    g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
+    y = g.copy()
+    worst = log.record(x)
+    for _ in range(cfg.max_iters):
+        if worst <= cfg.rse_tol:
+            break
+        new_x = w @ np.stack([x[i] - cfg.alpha * y[i] for i in range(n_agents)])
+        if blown_up(new_x):
+            log.diverged = True
+            break
+        new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
+        y = w @ (y + new_g - g)
+        if blown_up(y):
+            log.diverged = True
+            break
+        x, g = new_x, new_g
         worst = log.record(x)
     return log, x
 
@@ -170,16 +200,19 @@ def reference_ecdqn(problem, graph, cfg):
                 try:
                     sol = kkt_solve(KktSystem(b=b[i], a=a_mat, rhs_stat=v[i], rhs_prim=r_prim))
                 except KktFactorizationError:
+                    log.diverged = True
                     return log, x
             dx.append(sol[0])
             beta.append(sol[1])
         d = w @ np.stack(dx) if cfg.fusion else np.stack(dx)
         new_x = w @ (x + cfg.alpha * d)
         if blown_up(new_x):
+            log.diverged = True
             break
         new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
         new_v = w @ (v + new_g - g)
         if blown_up(new_v):
+            log.diverged = True
             break
         for i in range(n_agents):
             pair = CurvaturePair(s=new_x[i] - x[i], y=new_v[i] - v[i])
@@ -193,12 +226,17 @@ def reference_ecdqn(problem, graph, cfg):
         worst = record(x, beta)
         stall_run = stall_run + 1 if move <= cfg.stall_tol else 0
         if stall_run >= cfg.stall_rounds:
+            # a round that meets the tolerance is a convergence, not a stall
+            log.stalled = worst > cfg.rse_tol
             break
     return log, x
 
 
-def assert_trace_matches(trace, log, x_final):
+def assert_trace_matches(trace, log, x_final, rse_tol):
     assert trace.rounds == len(log.rse) - 1
+    assert (trace.converged, trace.diverged, trace.stalled) == (
+        float(np.max(log.rse[-1])) <= rse_tol, log.diverged, log.stalled
+    )
     assert np.array_equal(trace.rse, np.stack(log.rse))
     assert np.array_equal(trace.objective, np.array(log.objective))
     assert np.array_equal(trace.bytes_sent, np.stack(log.bytes_sent))
@@ -207,8 +245,12 @@ def assert_trace_matches(trace, log, x_final):
         assert np.array_equal(trace.feasibility, np.stack(log.feasibility))
         assert np.array_equal(trace.beta_norm, np.stack(log.beta_norm))
         assert trace.kkt_retries == log.retries
-    assert trace.skipped_pairs == log.skipped
-    assert trace.safeguard_repairs == log.repaired
+    if trace.algo == "diging-atc":
+        # the first-order baseline has no curvature pairs to count
+        assert trace.skipped_pairs is None and trace.safeguard_repairs is None
+    else:
+        assert trace.skipped_pairs == log.skipped
+        assert trace.safeguard_repairs == log.repaired
 
 
 DQN_CASES = {
@@ -230,7 +272,7 @@ def test_dqn_run_matches_reference(case):
     cfg = RunConfig(scheme=scheme, alpha=alpha, gamma=gamma, max_iters=200, rse_tol=1e-10, seed=2)
     trace = dqn_run(prob, graph, cfg)
     log, x_final = reference_dqn(prob, graph, cfg)
-    assert_trace_matches(trace, log, x_final)
+    assert_trace_matches(trace, log, x_final, cfg.rse_tol)
     assert {
         "converged": trace.converged,
         "repaired": trace.safeguard_repairs > 0,
@@ -239,31 +281,53 @@ def test_dqn_run_matches_reference(case):
     }[outcome]
 
 
+DIGING_CASES = {
+    # name: (alpha, expected outcome)
+    "converges": (0.3, "converged"),
+    "diverges": (5.0, "diverged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGING_CASES))
+def test_diging_run_matches_reference(case):
+    alpha, outcome = DIGING_CASES[case]
+    prob = qp_family(6, 5, (2.0, 20.0), 3)
+    solve_reference(prob)
+    graph = random_connected_graph(6, 0.9, 1)
+    cfg = RunConfig(alpha=alpha, max_iters=1500, rse_tol=1e-8, seed=2)
+    trace = diging_atc_run(prob, graph, cfg)
+    log, x_final = reference_diging(prob, graph, cfg)
+    assert_trace_matches(trace, log, x_final, cfg.rse_tol)
+    assert {"converged": trace.converged, "diverged": trace.diverged}[outcome]
+
+
 EC_CASES = {
-    # name: (scheme, alpha, eig_ceiling, fusion, expected outcome)
-    "bfgs": ("bfgs", 0.3, 1e3, True, "converged"),
-    "dfp": ("dfp", 0.3, 1e3, True, "converged"),
-    "dfp-unfused": ("dfp", 0.5, 1e3, False, "converged"),
-    "bfgs-safeguard": ("bfgs", 1.0, 1.5, True, "repaired"),
-    "dfp-diverges": ("dfp", 1e6, 1e3, True, "diverged"),
+    # name: (scheme, alpha, eig_ceiling, fusion, stall_tol, expected outcome)
+    "bfgs": ("bfgs", 0.3, 1e3, True, 1e-14, "converged"),
+    "dfp": ("dfp", 0.3, 1e3, True, 1e-14, "converged"),
+    "dfp-unfused": ("dfp", 0.5, 1e3, False, 1e-14, "converged"),
+    "bfgs-safeguard": ("bfgs", 1.0, 1.5, True, 1e-14, "repaired"),
+    "dfp-diverges": ("dfp", 1e6, 1e3, True, 1e-14, "diverged"),
+    "bfgs-stalls": ("bfgs", 0.3, 1e3, True, 1e-3, "stalled"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EC_CASES))
 def test_ecdqn_run_matches_reference(case):
-    scheme, alpha, ceiling, fusion, outcome = EC_CASES[case]
+    scheme, alpha, ceiling, fusion, stall_tol, outcome = EC_CASES[case]
     prob = logreg_family(5, 5, 1e-2, 4, constraint=True)
     solve_reference(prob)
     graph = random_connected_graph(5, 0.7, 2)
     cfg = EcRunConfig(scheme=scheme, alpha=alpha, eig_ceiling=ceiling, fusion=fusion,
-                      max_iters=120, rse_tol=1e-8, seed=1)
+                      stall_tol=stall_tol, max_iters=120, rse_tol=1e-8, seed=1)
     trace = ecdqn_run(prob, graph, cfg)
     log, x_final = reference_ecdqn(prob, graph, cfg)
-    assert_trace_matches(trace, log, x_final)
+    assert_trace_matches(trace, log, x_final, cfg.rse_tol)
     assert {
         "converged": trace.converged,
         "repaired": trace.safeguard_repairs > 0,
         "diverged": trace.diverged,
+        "stalled": trace.stalled and 0 < trace.rounds < cfg.max_iters,
     }[outcome]
 
 
