@@ -16,8 +16,9 @@ baseline two.
 
 The agents' variables are held stacked, one row (or one n x n slice) per
 agent, and every round refreshes all curvature estimates in one batched
-call.  Only the local gradients are evaluated agent by agent.  Runs are
-single-threaded.
+call.  Generator-built quadratics evaluate every local gradient, and the
+objective, in one stacked call; other problems call each agent's
+gradient in turn.  Runs are single-threaded.
 """
 
 from __future__ import annotations
@@ -285,11 +286,6 @@ def _resolve_alpha(
     return min(config.alpha_cap, 0.9 * bound)
 
 
-def local_gradients(problem: SeparableProblem, x: np.ndarray) -> np.ndarray:
-    """Every agent's local gradient at its own row of x, stacked."""
-    return np.stack([problem.locals[i].gradient(x[i]) for i in range(len(x))])
-
-
 def initial_iterates(
     problem: SeparableProblem, rng: np.random.Generator, x0: np.ndarray | None
 ) -> np.ndarray:
@@ -321,7 +317,7 @@ def init_dqn_states(
     n, n_agents = problem.dim, problem.n_agents
     x = initial_iterates(problem, np.random.default_rng(seed), x0)
     alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
-    grads = local_gradients(problem, x)
+    grads = problem.gradients(x)
     c = np.array(np.broadcast_to(c0_scale * np.eye(n), (n_agents, n, n)))
     d = -(c @ grads[:, :, None])[:, :, 0]
     z = network.mix(d, account=False)
@@ -341,7 +337,7 @@ def track_gradient(
     Reads only state.v and state.last_gradient, so it serves every
     method's state.
     """
-    new_g = local_gradients(problem, new_x)
+    new_g = problem.gradients(new_x)
     return network.mix(state.v + new_g - state.last_gradient), new_g
 
 
@@ -578,7 +574,7 @@ def diging_atc_run(
     rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
     alpha = _resolve_alpha(config, problem, weights.contraction)
     x = initial_iterates(problem, np.random.default_rng(config.seed), x0)
-    grads = local_gradients(problem, x)
+    grads = problem.gradients(x)
     state = DigingState(
         x=x, v=grads.copy(), alpha=np.full(problem.n_agents, alpha), last_gradient=grads
     )

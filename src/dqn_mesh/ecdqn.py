@@ -6,8 +6,9 @@ The resulting primal directions are optionally fused (mixed) before the
 iterate update; multipliers are recomputed fresh every round and never
 mixed.  Gradient tracking and the byte ledger reuse the unconstrained
 engine, and runs go through its round loop.  The agents' variables are
-held stacked; the saddle-point solves run agent by agent, the Hessian
-refresh in one batched call.
+held stacked; every round solves all saddle-point systems in one batched
+call (agent by agent only when that call fails) and refreshes the
+Hessian estimates in another.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .dqn import (
     _Recorder,
     _ensure_reference,
     initial_iterates,
-    local_gradients,
     run_rounds,
     track_gradient,
 )
@@ -39,6 +39,7 @@ __all__ = [
     "KktFactorizationError",
     "EcRunConfig",
     "kkt_solve",
+    "kkt_solve_batch",
     "init_ecdqn_states",
     "ecdqn_step",
     "ecdqn_run",
@@ -71,44 +72,62 @@ class KktSystem:
             raise ValueError("inconsistent right-hand-side shapes")
 
 
-def kkt_solve(system: KktSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the saddle-point system by Schur complement.
+def kkt_solve_batch(
+    b: np.ndarray, a: np.ndarray, rhs_stat: np.ndarray, rhs_prim: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve N saddle-point systems sharing one constraint block at once.
 
-    Cholesky-factorizes the Hessian block, reduces to an m x m system in
-    the multiplier, and back-substitutes.  Raises KktFactorizationError
-    naming the offending block when either factorization fails, and when
-    the assembled residual exceeds 1e-10 * (1 + |rhs|).
+    b is (N, n, n), a (m, n), rhs_stat (N, n) and rhs_prim (N, m); row i
+    is the system of ``KktSystem(b[i], a, rhs_stat[i], rhs_prim[i])``.
+    Schur complement: one batched Cholesky of the Hessian blocks,
+    triangular solves for B^-1 u and B^-1 A', the symmetrized m x m block
+    A B^-1 A' and its Cholesky, then the multipliers and the primal
+    directions.  Returns (delta_x (N, n), beta (N, m)).  Raises
+    KktFactorizationError naming the offending block when a factorization
+    fails on any row, and when any row's assembled residual exceeds
+    1e-10 * (1 + |rhs|).  Every product is a stacked ``matmul`` and every
+    norm a ``row_dots``, so each row equals the same call on that row alone.
     """
-    b_mat, a_mat = system.b, system.a
-    u = -system.rhs_stat
-    w = -system.rhs_prim
+    u = -rhs_stat[:, :, None]
+    w = -rhs_prim[:, :, None]
     try:
-        chol = np.linalg.cholesky(b_mat)
+        chol = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
         raise KktFactorizationError("hessian block is not positive definite") from exc
+    chol_t = chol.transpose(0, 2, 1)
 
     def b_solve(rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        return np.linalg.solve(chol_t, np.linalg.solve(chol, rhs))
 
     binv_u = b_solve(u)
-    binv_at = b_solve(a_mat.T)
-    schur = a_mat @ binv_at
-    schur = 0.5 * (schur + schur.T)
+    # every right-hand side is stacked like the factor: numpy 1.x reads an
+    # unstacked (n, m) one as a stack of vectors
+    binv_at = b_solve(np.broadcast_to(a.T, (len(b),) + a.T.shape))
+    schur = a @ binv_at
+    schur = 0.5 * (schur + schur.transpose(0, 2, 1))
     try:
         schur_chol = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError as exc:
         raise KktFactorizationError("constraint block is rank deficient") from exc
     beta = np.linalg.solve(
-        schur_chol.T, np.linalg.solve(schur_chol, a_mat @ binv_u - w)
+        schur_chol.transpose(0, 2, 1), np.linalg.solve(schur_chol, a @ binv_u - w)
     )
     delta_x = binv_u - binv_at @ beta
 
-    scale = 1.0 + float(np.linalg.norm(np.concatenate([u, w])))
-    res_stat = b_mat @ delta_x + a_mat.T @ beta - u
-    res_prim = a_mat @ delta_x - w
-    if np.linalg.norm(np.concatenate([res_stat, res_prim])) > 1e-10 * scale:
+    rhs = np.concatenate([u, w], axis=1)[:, :, 0]
+    res = np.concatenate([b @ delta_x + a.T @ beta - u, a @ delta_x - w], axis=1)[:, :, 0]
+    scale = 1.0 + np.sqrt(row_dots(rhs, rhs))
+    if np.any(np.sqrt(row_dots(res, res)) > 1e-10 * scale):
         raise KktFactorizationError("saddle-point solve residual too large")
-    return delta_x, beta
+    return delta_x[:, :, 0], beta[:, :, 0]
+
+
+def kkt_solve(system: KktSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Solve one saddle-point system: ``kkt_solve_batch`` on a single row."""
+    delta_x, beta = kkt_solve_batch(
+        system.b[None], system.a, system.rhs_stat[None], system.rhs_prim[None]
+    )
+    return delta_x[0], beta[0]
 
 
 @dataclass(frozen=True)
@@ -206,7 +225,7 @@ def init_ecdqn_states(
         vals = rng.uniform(lo, hi, size=n)
         b0 = (q_mat * vals) @ q_mat.T
         b[i] = 0.5 * (b0 + b0.T)
-    grads = local_gradients(problem, x)
+    grads = problem.gradients(x)
     return EcDqnState(
         x=x,
         v=grads.copy(),
@@ -232,32 +251,41 @@ def ecdqn_step(
 
     Order within the round: local saddle-point solves, direction fusion,
     iterate mixing, gradient tracking, Hessian refresh.  Three payloads
-    cross every edge (two with fusion disabled).  A failed factorization
-    triggers one spectrum repair and retry; a second failure aborts the
-    run as diverged.
+    cross every edge (two with fusion disabled).  Every agent's
+    saddle-point system is solved in one batched call; if that fails on
+    any agent, the round's solves are redone agent by agent, where a
+    failed factorization triggers one spectrum repair and retry and a
+    second failure aborts the run as diverged.
     """
     a_mat, b_vec = problem.constraint
     b_kkt = state.b
-    delta_x = np.empty_like(state.x)
-    beta = np.empty_like(state.beta)
+    r_prim = (a_mat @ state.x[:, :, None])[:, :, 0] - b_vec
     retries = 0
-    for i in range(len(state.x)):
-        r_prim = a_mat @ state.x[i] - b_vec
-        try:
-            delta_x[i], beta[i] = kkt_solve(
-                KktSystem(b=b_kkt[i], a=a_mat, rhs_stat=state.v[i], rhs_prim=r_prim)
+    try:
+        delta_x, beta = kkt_solve_batch(b_kkt, a_mat, state.v, r_prim)
+    except KktFactorizationError:
+        delta_x = np.empty_like(state.x)
+        beta = np.empty_like(state.beta)
+
+        def solve_agent(i: int) -> tuple[np.ndarray, np.ndarray]:
+            # through this module's kkt_solve name, so a wrapper installed
+            # on it sees every agent-by-agent solve
+            return kkt_solve(
+                KktSystem(b=b_kkt[i], a=a_mat, rhs_stat=state.v[i], rhs_prim=r_prim[i])
             )
-        except KktFactorizationError:
-            retries += 1
-            if b_kkt is state.b:
-                b_kkt = state.b.copy()
-            b_kkt[i] = pd_safeguard(b_kkt[i], floor=eig_floor, ceiling=eig_ceiling)
+
+        for i in range(len(state.x)):
             try:
-                delta_x[i], beta[i] = kkt_solve(
-                    KktSystem(b=b_kkt[i], a=a_mat, rhs_stat=state.v[i], rhs_prim=r_prim)
-                )
-            except KktFactorizationError as exc:
-                raise DivergedError(network.round + 1) from exc
+                delta_x[i], beta[i] = solve_agent(i)
+            except KktFactorizationError:
+                retries += 1
+                if b_kkt is state.b:
+                    b_kkt = state.b.copy()
+                b_kkt[i] = pd_safeguard(b_kkt[i], floor=eig_floor, ceiling=eig_ceiling)
+                try:
+                    delta_x[i], beta[i] = solve_agent(i)
+                except KktFactorizationError as exc:
+                    raise DivergedError(network.round + 1) from exc
     d = network.mix(delta_x) if fusion else delta_x
 
     new_x = network.mix(state.x + state.alpha[:, None] * d)

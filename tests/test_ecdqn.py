@@ -17,6 +17,7 @@ from dqn_mesh.ecdqn import (
     ecdqn_step,
     init_ecdqn_states,
     kkt_solve,
+    kkt_solve_batch,
 )
 from dqn_mesh.problems import (
     LocalObjective,
@@ -166,6 +167,31 @@ class TestKktSolve:
         )
         with pytest.raises(KktFactorizationError, match="constraint block"):
             kkt_solve(sys_)
+
+    @pytest.mark.parametrize("n_agents,n,m", [(3, 4, 2), (3, 3, 3), (1, 2, 2), (2, 5, 1)])
+    def test_same_result_under_numpy1_solve_rule(self, monkeypatch, n_agents, n, m):
+        # numpy 1.x reads solve(a, b) with b.ndim == a.ndim - 1 as a stack
+        # of vectors, numpy 2.x as one matrix; under the 1.x rule the
+        # batched solve must give the same bits (or fail loudly if not)
+        real_solve = np.linalg.solve
+
+        def numpy1_solve(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            if b.ndim == a.ndim - 1:
+                return real_solve(a, b[..., None])[..., 0]
+            return real_solve(a, b)
+
+        rng = np.random.default_rng(n_agents * 100 + n * 10 + m)
+        b = np.stack([random_spd(rng, n) for _ in range(n_agents)])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = q[:, :m].T
+        rs = rng.standard_normal((n_agents, n))
+        rp = rng.standard_normal((n_agents, m))
+        dx, beta = kkt_solve_batch(b, a, rs, rp)
+        monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+        dx1, beta1 = kkt_solve_batch(b, a, rs, rp)
+        assert np.array_equal(dx1, dx)
+        assert np.array_equal(beta1, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,79 @@ class TestQpFamily:
 
 
 # ---------------------------------------------------------------------------
+# stacked quadratic evaluators
+
+
+def assert_stacked_quadratics_exact(prob, rng):
+    """The stacked evaluators equal both the per-agent closures and the
+    textbook per-agent expressions bit for bit."""
+    x_rows = rng.standard_normal((prob.n_agents, prob.dim))
+    x = rng.standard_normal(prob.dim)
+    stacked = prob.gradients(x_rows)
+    closures = np.stack([loc.gradient(xi) for loc, xi in zip(prob.locals, x_rows)])
+    by_hand = np.stack([d.p @ xi + d.q for d, xi in zip(prob.local_data, x_rows)])
+    assert np.array_equal(stacked, closures)
+    assert np.array_equal(stacked, by_hand)
+    value = prob.objective_value(x)
+    assert value == sum(loc.value(x) for loc in prob.locals) / prob.n_agents
+    assert value == sum(float(0.5 * x @ d.p @ x + d.q @ x) for d in prob.local_data) / prob.n_agents
+
+
+class TestStackedQuadratics:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(2, 12),
+        extra=st.integers(0, 6),
+        keep=st.integers(1, 20),
+        seed=st.integers(0, 10_000),
+    )
+    def test_match_closures_exactly(self, dim, extra, keep, seed):
+        # every agent holds at least one row, so dim + 2 agents always suffice
+        base = qp_family(dim + 2 + extra, dim, (2.0, 20.0), seed)
+        # a prefix of the agents, down to a single one, is a qp problem too
+        k = min(keep, base.n_agents)
+        prob = SeparableProblem(
+            locals=base.locals[:k], family="qp", local_data=base.local_data[:k]
+        )
+        assert_stacked_quadratics_exact(prob, np.random.default_rng(seed))
+
+    def test_loaded_problem_matches_closures_exactly(self, tmp_path):
+        prob = qp_family(5, 2, (2.0, 20.0), 8)
+        save_problem(prob, tmp_path / "qp.json")
+        back = load_problem(tmp_path / "qp.json")
+        assert_stacked_quadratics_exact(back, np.random.default_rng(1))
+        x_rows = np.random.default_rng(2).standard_normal((5, 2))
+        assert np.array_equal(back.gradients(x_rows), prob.gradients(x_rows))
+
+    def test_rejects_local_data_of_another_length(self):
+        base = qp_family(5, 3, (2.0, 20.0), 0)
+        with pytest.raises(ValueError, match="one local_data entry per local"):
+            SeparableProblem(locals=base.locals, family="qp", local_data=base.local_data[:4])
+
+    def test_custom_problem_calls_its_closures(self):
+        calls = {"value": 0, "gradient": 0}
+
+        def counted(dim, scale):
+            loc = tiny_quadratic(dim, scale)
+
+            def value(x):
+                calls["value"] += 1
+                return loc.value(x)
+
+            def gradient(x):
+                calls["gradient"] += 1
+                return loc.gradient(x)
+
+            return LocalObjective(dim=dim, value=value, gradient=gradient)
+
+        prob = SeparableProblem(locals=[counted(3, 1.0), counted(3, 2.0)], family="custom")
+        x_rows = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(prob.gradients(x_rows), [[0.0, 1.0, 2.0], [6.0, 8.0, 10.0]])
+        assert prob.objective_value(np.ones(3)) == pytest.approx(2.25)
+        assert calls == {"value": 2, "gradient": 2}
+
+
+# ---------------------------------------------------------------------------
 # logistic family
 
 
@@ -357,6 +430,14 @@ class TestBasisPursuitFamily:
             prob = basis_pursuit_family(5, 12, 5e-3, seed)
             x = solve_reference(prob)
             assert_l1_kkt(prob, x)
+
+    def test_reference_may_sit_on_the_kink(self):
+        # exact zeros are generic for l1 problems: this certified minimizer
+        # has one coordinate at 0.0, where sign(0) = 0 is the subgradient used
+        prob = basis_pursuit_family(10, 20, 2e-3, 2)
+        x = solve_reference(prob)
+        assert int(np.sum(x == 0.0)) == 1
+        assert_l1_kkt(prob, x)
 
     def test_zero_weight_reduces_to_equality_least_squares(self):
         prob = basis_pursuit_family(5, 10, 0.0, 4)

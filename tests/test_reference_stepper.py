@@ -1,19 +1,29 @@
 """Stacked solvers against a per-agent reference stepper, bit for bit.
 
 The reference below steps every agent on its own through the public
-per-pair updates (``bfgs_inverse_update``, ..., ``pd_safeguard``,
-``kkt_solve``), one curvature pair and one probe at a time, each method
-with its own loop and stopping rules.  The solvers hold the agents stacked,
-refresh every estimate in one batched call and share one round loop; their
-traces and terminal flags must equal the reference's exactly, not just
-closely.
+per-pair updates (``bfgs_inverse_update``, ..., ``pd_safeguard``) and its
+own single-system saddle-point solve (``reference_kkt_solve``), one
+curvature pair, one probe and one solve at a time, each method with its
+own loop and stopping rules.  The solvers hold the agents stacked,
+refresh every estimate and solve every saddle-point system in one batched
+call, and share one round loop; their traces and terminal flags must
+equal the reference's exactly, not just closely.
 """
 
 import numpy as np
 import pytest
 
-from dqn_mesh.dqn import RunConfig, diging_atc_run, dqn_run
-from dqn_mesh.ecdqn import EcRunConfig, KktFactorizationError, KktSystem, ecdqn_run, kkt_solve
+from dataclasses import replace
+
+from dqn_mesh import ecdqn
+from dqn_mesh.dqn import DivergedError, RunConfig, SyncNetwork, diging_atc_run, dqn_run
+from dqn_mesh.ecdqn import (
+    EcRunConfig,
+    KktFactorizationError,
+    ecdqn_run,
+    ecdqn_step,
+    init_ecdqn_states,
+)
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
 from dqn_mesh.quasi_newton import (
     CurvatureError,
@@ -79,6 +89,39 @@ def refresh_hessian(b, pair, scheme, floor, ceiling):
     if bad:
         b = pd_safeguard(np.where(np.isfinite(b), b, 0.0), floor=floor, ceiling=ceiling)
     return b, skipped, int(bad)
+
+
+def reference_kkt_solve(b_mat, a_mat, rhs_stat, rhs_prim):
+    """One saddle-point system [[B, A'], [A, 0]] [dx; beta] = -[r_stat;
+    r_prim] by Schur complement, written for a single agent: Cholesky,
+    two triangular solves per block, then the residual check."""
+    u = -rhs_stat
+    w = -rhs_prim
+    try:
+        chol = np.linalg.cholesky(b_mat)
+    except np.linalg.LinAlgError as exc:
+        raise KktFactorizationError("hessian block is not positive definite") from exc
+
+    def b_solve(rhs):
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+    binv_u = b_solve(u)
+    binv_at = b_solve(a_mat.T)
+    schur = a_mat @ binv_at
+    schur = 0.5 * (schur + schur.T)
+    try:
+        schur_chol = np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError as exc:
+        raise KktFactorizationError("constraint block is rank deficient") from exc
+    beta = np.linalg.solve(schur_chol.T, np.linalg.solve(schur_chol, a_mat @ binv_u - w))
+    delta_x = binv_u - binv_at @ beta
+
+    scale = 1.0 + float(np.linalg.norm(np.concatenate([u, w])))
+    res_stat = b_mat @ delta_x + a_mat.T @ beta - u
+    res_prim = a_mat @ delta_x - w
+    if np.linalg.norm(np.concatenate([res_stat, res_prim])) > 1e-10 * scale:
+        raise KktFactorizationError("saddle-point solve residual too large")
+    return delta_x, beta
 
 
 class Log:
@@ -164,6 +207,28 @@ def reference_diging(problem, graph, cfg):
     return log, x
 
 
+def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
+    """Every agent's saddle-point solve in turn; a failed solve repairs
+    that agent's estimate in the list b and retries once.  Returns
+    (dx, beta), or None when a retry fails too."""
+    dx, beta = [], []
+    for i in range(len(x)):
+        r_prim = a_mat @ x[i] - b_vec
+        try:
+            sol = reference_kkt_solve(b[i], a_mat, v[i], r_prim)
+        except KktFactorizationError:
+            log.retries += 1
+            log.repaired += 1
+            b[i] = pd_safeguard(b[i], floor=floor, ceiling=ceiling)
+            try:
+                sol = reference_kkt_solve(b[i], a_mat, v[i], r_prim)
+            except KktFactorizationError:
+                return None
+        dx.append(sol[0])
+        beta.append(sol[1])
+    return np.stack(dx), np.stack(beta)
+
+
 def reference_ecdqn(problem, graph, cfg):
     n_agents, n = problem.n_agents, problem.dim
     a_mat, b_vec = problem.constraint
@@ -188,23 +253,12 @@ def reference_ecdqn(problem, graph, cfg):
     for _ in range(cfg.max_iters):
         if worst <= cfg.rse_tol:
             break
-        dx, beta = [], []
-        for i in range(n_agents):
-            r_prim = a_mat @ x[i] - b_vec
-            try:
-                sol = kkt_solve(KktSystem(b=b[i], a=a_mat, rhs_stat=v[i], rhs_prim=r_prim))
-            except KktFactorizationError:
-                log.retries += 1
-                log.repaired += 1
-                b[i] = pd_safeguard(b[i], floor=cfg.eig_floor, ceiling=cfg.eig_ceiling)
-                try:
-                    sol = kkt_solve(KktSystem(b=b[i], a=a_mat, rhs_stat=v[i], rhs_prim=r_prim))
-                except KktFactorizationError:
-                    log.diverged = True
-                    return log, x
-            dx.append(sol[0])
-            beta.append(sol[1])
-        d = w @ np.stack(dx) if cfg.fusion else np.stack(dx)
+        sols = reference_kkt_round(b, a_mat, b_vec, x, v, cfg.eig_floor, cfg.eig_ceiling, log)
+        if sols is None:
+            log.diverged = True
+            return log, x
+        dx, beta = sols
+        d = w @ dx if cfg.fusion else dx
         new_x = w @ (x + cfg.alpha * d)
         if blown_up(new_x):
             log.diverged = True
@@ -301,25 +355,35 @@ def test_diging_run_matches_reference(case):
     assert {"converged": trace.converged, "diverged": trace.diverged}[outcome]
 
 
+def ec_config(**kwargs):
+    return EcRunConfig(**{"max_iters": 120, "rse_tol": 1e-8, "seed": 1, **kwargs})
+
+
+# retries need an estimate that fails its saddle-point solve: a wide
+# spectrum box and a unit step get there on these seeds
+RETRY = dict(scheme="dfp", alpha=1.0, eig_floor=1e-6, eig_ceiling=1e6, max_iters=150)
+
 EC_CASES = {
-    # name: (scheme, alpha, eig_ceiling, fusion, stall_tol, expected outcome)
-    "bfgs": ("bfgs", 0.3, 1e3, True, 1e-14, "converged"),
-    "dfp": ("dfp", 0.3, 1e3, True, 1e-14, "converged"),
-    "dfp-unfused": ("dfp", 0.5, 1e3, False, 1e-14, "converged"),
-    "bfgs-safeguard": ("bfgs", 1.0, 1.5, True, 1e-14, "repaired"),
-    "dfp-diverges": ("dfp", 1e6, 1e3, True, 1e-14, "diverged"),
-    "bfgs-stalls": ("bfgs", 0.3, 1e3, True, 1e-3, "stalled"),
+    # name: (problem seed, graph seed, config, expected outcome)
+    "bfgs": (4, 2, ec_config(scheme="bfgs", alpha=0.3), "converged"),
+    "dfp": (4, 2, ec_config(scheme="dfp", alpha=0.3), "converged"),
+    "dfp-unfused": (4, 2, ec_config(scheme="dfp", alpha=0.5, fusion=False), "converged"),
+    "bfgs-safeguard": (4, 2, ec_config(scheme="bfgs", alpha=1.0, eig_ceiling=1.5), "repaired"),
+    "dfp-diverges": (4, 2, ec_config(scheme="dfp", alpha=1e6), "diverged"),
+    "bfgs-stalls": (4, 2, ec_config(scheme="bfgs", alpha=0.3, stall_tol=1e-3), "stalled"),
+    # converges at round 90 after one retry
+    "dfp-retry": (4, 4, ec_config(**RETRY, seed=4), "retried"),
+    # runs all 150 rounds, one retry on the way
+    "dfp-unfused-retry": (7, 7, ec_config(**RETRY, fusion=False, seed=7), "retried"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EC_CASES))
 def test_ecdqn_run_matches_reference(case):
-    scheme, alpha, ceiling, fusion, stall_tol, outcome = EC_CASES[case]
-    prob = logreg_family(5, 5, 1e-2, 4, constraint=True)
+    prob_seed, graph_seed, cfg, outcome = EC_CASES[case]
+    prob = logreg_family(5, 5, 1e-2, prob_seed, constraint=True)
     solve_reference(prob)
-    graph = random_connected_graph(5, 0.7, 2)
-    cfg = EcRunConfig(scheme=scheme, alpha=alpha, eig_ceiling=ceiling, fusion=fusion,
-                      stall_tol=stall_tol, max_iters=120, rse_tol=1e-8, seed=1)
+    graph = random_connected_graph(5, 0.7, graph_seed)
     trace = ecdqn_run(prob, graph, cfg)
     log, x_final = reference_ecdqn(prob, graph, cfg)
     assert_trace_matches(trace, log, x_final, cfg.rse_tol)
@@ -328,7 +392,72 @@ def test_ecdqn_run_matches_reference(case):
         "repaired": trace.safeguard_repairs > 0,
         "diverged": trace.diverged,
         "stalled": trace.stalled and 0 < trace.rounds < cfg.max_iters,
+        "retried": trace.kkt_retries > 0,
     }[outcome]
+
+
+def ec_step_setup(bad_agent_b):
+    """A three-round-old EC-DQN state on a five-agent logistic problem
+    whose agent 2 then gets the estimate bad_agent_b."""
+    prob = logreg_family(5, 4, 1e-2, 3, constraint=True)
+    graph = random_connected_graph(5, 0.7, 1)
+    net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01).w)
+    state = init_ecdqn_states(prob, net, 0.5, seed=2)
+    for _ in range(3):
+        state = ecdqn_step(net, state, prob)
+    b = state.b.copy()
+    b[2] = bad_agent_b
+    return prob, net, replace(state, b=b)
+
+
+def assert_step_matches_reference(prob, net, state, floor=1e-3, ceiling=1e3):
+    """One solver round against the saddle-point solves and Hessian
+    refresh done agent by agent; the pairs come from the solver's iterates
+    and trackers."""
+    log = Log(prob, 3, net.graph.degrees())
+    b = list(state.b)
+    a_mat, b_vec = prob.constraint
+    dx, beta = reference_kkt_round(b, a_mat, b_vec, state.x, state.v, floor, ceiling, log)
+    stepped = ecdqn_step(net, state, prob, eig_floor=floor, eig_ceiling=ceiling)
+    assert np.array_equal(stepped.delta_x, dx)
+    assert np.array_equal(stepped.beta, beta)
+    for i in range(prob.n_agents):
+        pair = CurvaturePair(s=stepped.x[i] - state.x[i], y=stepped.v[i] - state.v[i])
+        b[i], skipped, repaired = refresh_hessian(b[i], pair, "bfgs", floor, ceiling)
+        log.skipped += skipped
+        log.repaired += repaired
+    assert np.array_equal(stepped.b, np.stack(b))
+    assert stepped.kkt_retries - state.kkt_retries == log.retries == 1
+    assert stepped.safeguard_repairs - state.safeguard_repairs == log.repaired
+    assert stepped.skipped_pairs - state.skipped_pairs == log.skipped
+
+
+def test_ecdqn_step_falls_back_on_indefinite_estimate():
+    prob, net, state = ec_step_setup(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    assert_step_matches_reference(prob, net, state)
+
+
+def test_ecdqn_step_falls_back_on_residual_failure():
+    # positive definite, so its Cholesky succeeds, but too ill-conditioned
+    # for the solve to pass the residual check
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    bad = (q * np.array([1.0, 1.0, 1.0, 1e-14])) @ q.T
+    bad = 0.5 * (bad + bad.T)
+    prob, net, state = ec_step_setup(bad)
+    np.linalg.cholesky(bad)
+    a_mat, b_vec = prob.constraint
+    with pytest.raises(KktFactorizationError, match="residual"):
+        reference_kkt_solve(bad, a_mat, state.v[2], a_mat @ state.x[2] - b_vec)
+    assert_step_matches_reference(prob, net, state)
+
+
+def test_ecdqn_step_diverges_when_the_retry_fails(monkeypatch):
+    prob, net, state = ec_step_setup(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    # a repair that changes nothing leaves the retry to fail as well
+    monkeypatch.setattr(ecdqn, "pd_safeguard", lambda m, floor, ceiling: m)
+    with pytest.raises(DivergedError) as err:
+        ecdqn_step(net, state, prob)
+    assert err.value.round_index == net.round + 1 == 4
 
 
 def awkward_stack(rng, n):
