@@ -17,15 +17,7 @@ from .topology import (
     spectral_contraction,
 )
 from .quasi_newton import (
-    CurvatureError,
-    CurvaturePair,
-    HessianEstimate,
-    InverseHessianEstimate,
-    bfgs_hessian_update,
-    bfgs_inverse_update,
     curvature_ok,
-    dfp_hessian_update,
-    dfp_inverse_update,
     pd_safeguard,
     refresh_hessian_batch,
     refresh_inverse_batch,

@@ -16,9 +16,9 @@ baseline two.
 
 The agents' variables are held stacked, one row (or one n x n slice) per
 agent, and every round refreshes all curvature estimates in one batched
-call.  Generator-built quadratics evaluate every local gradient, and the
-objective, in one stacked call; other problems call each agent's
-gradient in turn.  Runs are single-threaded.
+call, spectrum repairs included.  Generator-built quadratics evaluate
+every local gradient, and the objective, in one stacked call; other
+problems call each agent's gradient in turn.  Runs are single-threaded.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .problems import SeparableProblem, solve_reference
 # curvature_ok is not called here; it stays importable under this module
-# for instrumentation that wraps the per-pair test by module-level name
+# for instrumentation that looks the curvature test up by module-level name
 from .quasi_newton import curvature_ok, pd_safeguard, refresh_inverse_batch  # noqa: F401
 from .topology import CommGraph, MixingMatrix, metropolis_weights
 
@@ -361,7 +361,7 @@ def dqn_step(
     if _blown_up(new_v):
         raise DivergedError(network.round + 1)
     # repairs go through this module's pd_safeguard name, so a wrapper
-    # installed on it sees every one
+    # installed on it sees every batch of them
     refresh = refresh_inverse_batch(
         state.c, new_x - state.x, new_v - state.v, scheme, eig_floor, state.gamma,
         safeguard=pd_safeguard,

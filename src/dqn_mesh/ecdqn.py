@@ -7,8 +7,8 @@ iterate update; multipliers are recomputed fresh every round and never
 mixed.  Gradient tracking and the byte ledger reuse the unconstrained
 engine, and runs go through its round loop.  The agents' variables are
 held stacked; every round solves all saddle-point systems in one batched
-call (agent by agent only when that call fails) and refreshes the
-Hessian estimates in another.
+call, repairs and re-solves only the agents whose solve failed in a
+second one, and refreshes the Hessian estimates in another.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .dqn import (
     track_gradient,
 )
 from .problems import SeparableProblem
-# curvature_ok: see the note in dqn.py
-from .quasi_newton import curvature_ok, pd_safeguard, refresh_hessian_batch, row_dots  # noqa: F401
+from .quasi_newton import cholesky_rows, pd_safeguard, refresh_hessian_batch, row_dots
+from .quasi_newton import curvature_ok  # noqa: F401  (see the note in dqn.py)
 from .topology import CommGraph, metropolis_weights
 
 __all__ = [
@@ -72,28 +72,21 @@ class KktSystem:
             raise ValueError("inconsistent right-hand-side shapes")
 
 
-def kkt_solve_batch(
-    b: np.ndarray, a: np.ndarray, rhs_stat: np.ndarray, rhs_prim: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve N saddle-point systems sharing one constraint block at once.
+# why each stage of a saddle-point solve can fail, by failure code
+_KKT_FAILURES = {
+    1: "hessian block is not positive definite",
+    2: "constraint block is rank deficient",
+    3: "saddle-point solve residual too large",
+}
 
-    b is (N, n, n), a (m, n), rhs_stat (N, n) and rhs_prim (N, m); row i
-    is the system of ``KktSystem(b[i], a, rhs_stat[i], rhs_prim[i])``.
-    Schur complement: one batched Cholesky of the Hessian blocks,
-    triangular solves for B^-1 u and B^-1 A', the symmetrized m x m block
-    A B^-1 A' and its Cholesky, then the multipliers and the primal
-    directions.  Returns (delta_x (N, n), beta (N, m)).  Raises
-    KktFactorizationError naming the offending block when a factorization
-    fails on any row, and when any row's assembled residual exceeds
-    1e-10 * (1 + |rhs|).  Every product is a stacked ``matmul`` and every
-    norm a ``row_dots``, so each row equals the same call on that row alone.
-    """
+
+def _kkt_rows(b, a, rhs_stat, rhs_prim):
+    """``kkt_solve_batch`` with a failure code per row: 0 where the row
+    was solved, else the key in ``_KKT_FAILURES`` of its first failure."""
     u = -rhs_stat[:, :, None]
     w = -rhs_prim[:, :, None]
-    try:
-        chol = np.linalg.cholesky(b)
-    except np.linalg.LinAlgError as exc:
-        raise KktFactorizationError("hessian block is not positive definite") from exc
+    chol, ok = cholesky_rows(b)
+    failure = np.where(ok, 0, 1)
     chol_t = chol.transpose(0, 2, 1)
 
     def b_solve(rhs: np.ndarray) -> np.ndarray:
@@ -105,10 +98,8 @@ def kkt_solve_batch(
     binv_at = b_solve(np.broadcast_to(a.T, (len(b),) + a.T.shape))
     schur = a @ binv_at
     schur = 0.5 * (schur + schur.transpose(0, 2, 1))
-    try:
-        schur_chol = np.linalg.cholesky(schur)
-    except np.linalg.LinAlgError as exc:
-        raise KktFactorizationError("constraint block is rank deficient") from exc
+    schur_chol, ok = cholesky_rows(schur)
+    failure[(failure == 0) & ~ok] = 2
     beta = np.linalg.solve(
         schur_chol.transpose(0, 2, 1), np.linalg.solve(schur_chol, a @ binv_u - w)
     )
@@ -117,16 +108,39 @@ def kkt_solve_batch(
     rhs = np.concatenate([u, w], axis=1)[:, :, 0]
     res = np.concatenate([b @ delta_x + a.T @ beta - u, a @ delta_x - w], axis=1)[:, :, 0]
     scale = 1.0 + np.sqrt(row_dots(rhs, rhs))
-    if np.any(np.sqrt(row_dots(res, res)) > 1e-10 * scale):
-        raise KktFactorizationError("saddle-point solve residual too large")
-    return delta_x[:, :, 0], beta[:, :, 0]
+    failure[(failure == 0) & (np.sqrt(row_dots(res, res)) > 1e-10 * scale)] = 3
+    return delta_x[:, :, 0], beta[:, :, 0], failure
+
+
+def kkt_solve_batch(
+    b: np.ndarray, a: np.ndarray, rhs_stat: np.ndarray, rhs_prim: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve N saddle-point systems sharing one constraint block at once.
+
+    b is (N, n, n), a (m, n), rhs_stat (N, n) and rhs_prim (N, m); row i
+    is the system of ``KktSystem(b[i], a, rhs_stat[i], rhs_prim[i])``.
+    Schur complement: one batched Cholesky of the Hessian blocks,
+    triangular solves for B^-1 u and B^-1 A', the symmetrized m x m block
+    A B^-1 A' and its Cholesky, then the multipliers and the primal
+    directions.  Returns (delta_x (N, n), beta (N, m), ok (N,)).  ok is
+    False on a row whose Hessian block or Schur block has no Cholesky
+    factor, or whose assembled residual exceeds 1e-10 * (1 + |rhs|); that
+    row's delta_x and beta are meaningless.  Every product is a stacked
+    ``matmul`` and every norm a ``row_dots``, so each row equals the same
+    call on that row alone.
+    """
+    delta_x, beta, failure = _kkt_rows(b, a, rhs_stat, rhs_prim)
+    return delta_x, beta, failure == 0
 
 
 def kkt_solve(system: KktSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one saddle-point system: ``kkt_solve_batch`` on a single row."""
-    delta_x, beta = kkt_solve_batch(
+    """Solve one saddle-point system: ``kkt_solve_batch`` on a single row.
+    Raises KktFactorizationError naming the stage that failed."""
+    delta_x, beta, failure = _kkt_rows(
         system.b[None], system.a, system.rhs_stat[None], system.rhs_prim[None]
     )
+    if failure[0]:
+        raise KktFactorizationError(_KKT_FAILURES[failure[0]])
     return delta_x[0], beta[0]
 
 
@@ -252,40 +266,24 @@ def ecdqn_step(
     Order within the round: local saddle-point solves, direction fusion,
     iterate mixing, gradient tracking, Hessian refresh.  Three payloads
     cross every edge (two with fusion disabled).  Every agent's
-    saddle-point system is solved in one batched call; if that fails on
-    any agent, the round's solves are redone agent by agent, where a
-    failed factorization triggers one spectrum repair and retry and a
-    second failure aborts the run as diverged.
+    saddle-point system is solved in one batched call.  The agents whose
+    solve fails get one spectrum repair and are solved again, together, in
+    a second batched call; a failure there aborts the run as diverged.
     """
     a_mat, b_vec = problem.constraint
     b_kkt = state.b
     r_prim = (a_mat @ state.x[:, :, None])[:, :, 0] - b_vec
-    retries = 0
-    try:
-        delta_x, beta = kkt_solve_batch(b_kkt, a_mat, state.v, r_prim)
-    except KktFactorizationError:
-        delta_x = np.empty_like(state.x)
-        beta = np.empty_like(state.beta)
-
-        def solve_agent(i: int) -> tuple[np.ndarray, np.ndarray]:
-            # through this module's kkt_solve name, so a wrapper installed
-            # on it sees every agent-by-agent solve
-            return kkt_solve(
-                KktSystem(b=b_kkt[i], a=a_mat, rhs_stat=state.v[i], rhs_prim=r_prim[i])
-            )
-
-        for i in range(len(state.x)):
-            try:
-                delta_x[i], beta[i] = solve_agent(i)
-            except KktFactorizationError:
-                retries += 1
-                if b_kkt is state.b:
-                    b_kkt = state.b.copy()
-                b_kkt[i] = pd_safeguard(b_kkt[i], floor=eig_floor, ceiling=eig_ceiling)
-                try:
-                    delta_x[i], beta[i] = solve_agent(i)
-                except KktFactorizationError as exc:
-                    raise DivergedError(network.round + 1) from exc
+    delta_x, beta, ok = kkt_solve_batch(b_kkt, a_mat, state.v, r_prim)
+    failed = np.flatnonzero(~ok)
+    if failed.size:
+        b_kkt = state.b.copy()
+        # through this module's pd_safeguard name, as in the refresh below
+        b_kkt[failed] = pd_safeguard(b_kkt[failed], floor=eig_floor, ceiling=eig_ceiling)
+        delta_x[failed], beta[failed], ok = kkt_solve_batch(
+            b_kkt[failed], a_mat, state.v[failed], r_prim[failed]
+        )
+        if not ok.all():
+            raise DivergedError(network.round + 1)
     d = network.mix(delta_x) if fusion else delta_x
 
     new_x = network.mix(state.x + state.alpha[:, None] * d)
@@ -310,8 +308,8 @@ def ecdqn_step(
         alpha=state.alpha,
         last_gradient=new_g,
         skipped_pairs=state.skipped_pairs + refresh.skipped,
-        safeguard_repairs=state.safeguard_repairs + retries + refresh.repaired,
-        kkt_retries=state.kkt_retries + retries,
+        safeguard_repairs=state.safeguard_repairs + failed.size + refresh.repaired,
+        kkt_retries=state.kkt_retries + failed.size,
     )
 
 

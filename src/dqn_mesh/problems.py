@@ -14,11 +14,13 @@ distributed runs can report the relative error of every agent's iterate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .quasi_newton import DEFAULT_FLOOR, refresh_inverse_batch
 
 __all__ = [
     "LocalObjective",
@@ -514,11 +516,14 @@ def _solve_qp(problem: SeparableProblem, tol: float) -> np.ndarray:
     q = sum(d.q for d in problem.local_data)
     if problem.constraint is None:
         return np.linalg.solve(p, -q)
-    f, e = problem.constraint
+    return _equality_qp(p, q, *problem.constraint)
+
+
+def _equality_qp(p, q, f, e):
+    """Minimizer of 0.5 x'Px + q'x subject to Fx = e, from its KKT system."""
     m = f.shape[0]
     kkt = np.block([[p, f.T], [f, np.zeros((m, m))]])
-    sol = np.linalg.solve(kkt, np.concatenate([-q, e]))
-    return sol[: problem.dim]
+    return np.linalg.solve(kkt, np.concatenate([-q, e]))[: q.size]
 
 
 def _mean_hessian(problem: SeparableProblem, x: np.ndarray) -> np.ndarray:
@@ -585,10 +590,7 @@ def _solve_basis_pursuit(problem: SeparableProblem, tol: float) -> np.ndarray:
     xi_total = problem.n_agents * problem.local_data[0].l1
     f, e = problem.constraint
     if xi_total == 0.0:
-        m = f.shape[0]
-        kkt = np.block([[p, f.T], [f, np.zeros((m, m))]])
-        sol = np.linalg.solve(kkt, np.concatenate([-q, e]))
-        return sol[: problem.dim]
+        return _equality_qp(p, q, f, e)
     for iters in (2000, 20000, 100000):
         x = _bp_admm(p, q, xi_total, f, e, iters)
         polished = _bp_polish(p, q, xi_total, f, e, x)
@@ -667,12 +669,10 @@ def _solve_generic_qn(problem: SeparableProblem, tol: float, max_iters: int = 50
             t *= 0.5
         x_new = x + t * step
         g_new = problem.mean_gradient(x_new)
-        s = x_new - x
-        y = g_new - g
-        rho = y @ s
-        if rho > 1e-10 * np.linalg.norm(y) * np.linalg.norm(s):
-            a = np.eye(n) - np.outer(s, y) / rho
-            c = a @ c @ a.T + np.outer(s, s) / rho
+        # the solvers' BFGS refresh on a stack of one, with no ceiling
+        c = refresh_inverse_batch(
+            c[None], (x_new - x)[None], (g_new - g)[None], "bfgs", DEFAULT_FLOOR, np.inf
+        ).estimates[0]
         x, g = x_new, g_new
     if np.linalg.norm(g) <= 10 * tol:
         return x
@@ -682,33 +682,28 @@ def _solve_generic_qn(problem: SeparableProblem, tol: float, max_iters: int = 50
 # ---------------------------------------------------------------------------
 # serialization
 
-_FAMILY_BUILDERS = {
-    "qp": _qp_local,
-    "logreg": _logreg_local,
-    "basis-pursuit": _bp_local,
+# family -> (local-data record, builder of its local objective); a record
+# is stored as one JSON object per agent, keyed by the record's fields
+_FAMILIES = {
+    "qp": (QpLocalData, _qp_local),
+    "logreg": (LogRegLocalData, _logreg_local),
+    "basis-pursuit": (BasisPursuitLocalData, _bp_local),
 }
 
 
+def _encode(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _decode(value):
+    if isinstance(value, list):
+        return np.array(value, dtype=float)
+    return None if value is None else float(value)
+
+
 def save_problem(problem: SeparableProblem, path: str | Path) -> None:
-    if problem.local_data is None or problem.family not in _FAMILY_BUILDERS:
+    if problem.local_data is None or problem.family not in _FAMILIES:
         raise ValueError("only generator-built problems can be serialized")
-    locals_payload = []
-    for d in problem.local_data:
-        if isinstance(d, QpLocalData):
-            locals_payload.append(
-                {
-                    "p": d.p.tolist(),
-                    "q": d.q.tolist(),
-                    "a": None if d.a is None else d.a.tolist(),
-                    "b": None if d.b is None else d.b.tolist(),
-                }
-            )
-        elif isinstance(d, LogRegLocalData):
-            locals_payload.append(
-                {"features": d.features.tolist(), "labels": d.labels.tolist(), "reg": d.reg}
-            )
-        else:
-            locals_payload.append({"a": d.a.tolist(), "b": d.b.tolist(), "l1": d.l1})
     payload = {
         "family": problem.family,
         "n_agents": problem.n_agents,
@@ -718,11 +713,11 @@ def save_problem(problem: SeparableProblem, path: str | Path) -> None:
         "achieved_cond": problem.achieved_cond,
         "constraint": None
         if problem.constraint is None
-        else {"a": problem.constraint[0].tolist(), "b": problem.constraint[1].tolist()},
-        "reference_solution": None
-        if problem.reference_solution is None
-        else problem.reference_solution.tolist(),
-        "locals": locals_payload,
+        else {"a": _encode(problem.constraint[0]), "b": _encode(problem.constraint[1])},
+        "reference_solution": _encode(problem.reference_solution),
+        "locals": [
+            {f.name: _encode(getattr(d, f.name)) for f in fields(d)} for d in problem.local_data
+        ],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -730,47 +725,22 @@ def save_problem(problem: SeparableProblem, path: str | Path) -> None:
 def load_problem(path: str | Path) -> SeparableProblem:
     payload = json.loads(Path(path).read_text())
     family = payload["family"]
-    if family not in _FAMILY_BUILDERS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown problem family {family!r}")
-    data: list = []
-    for entry in payload["locals"]:
-        if family == "qp":
-            data.append(
-                QpLocalData(
-                    p=np.array(entry["p"], dtype=float),
-                    q=np.array(entry["q"], dtype=float),
-                    a=None if entry.get("a") is None else np.array(entry["a"], dtype=float),
-                    b=None if entry.get("b") is None else np.array(entry["b"], dtype=float),
-                )
-            )
-        elif family == "logreg":
-            data.append(
-                LogRegLocalData(
-                    features=np.array(entry["features"], dtype=float),
-                    labels=np.array(entry["labels"], dtype=float),
-                    reg=float(entry["reg"]),
-                )
-            )
-        else:
-            data.append(
-                BasisPursuitLocalData(
-                    a=np.array(entry["a"], dtype=float),
-                    b=np.array(entry["b"], dtype=float),
-                    l1=float(entry["l1"]),
-                )
-            )
-    constraint = payload.get("constraint")
-    cons = (
-        None
-        if constraint is None
-        else (np.array(constraint["a"], dtype=float), np.array(constraint["b"], dtype=float))
-    )
-    ref = payload.get("reference_solution")
-    builder = _FAMILY_BUILDERS[family]
+    record, builder = _FAMILIES[family]
+    # a field with a default may be absent from the file
+    data = [
+        record(**{
+            f.name: _decode(entry[f.name] if f.default is MISSING else entry.get(f.name, f.default))
+            for f in fields(record)
+        })
+        for entry in payload["locals"]
+    ]
+    cons = payload.get("constraint")
     return SeparableProblem(
         locals=[builder(d) for d in data],
-        constraint=cons,
-        reference_solution=None if ref is None else np.array(ref, dtype=float),
+        constraint=None if cons is None else (_decode(cons["a"]), _decode(cons["b"])),
+        reference_solution=_decode(payload.get("reference_solution")),
         family=family,
         local_data=data,
         xi=payload.get("xi"),

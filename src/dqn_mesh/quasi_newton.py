@@ -1,4 +1,4 @@
-"""Curvature-pair updates for Hessian and inverse-Hessian estimates.
+"""Curvature-pair updates for stacked Hessian and inverse-Hessian estimates.
 
 Both update families come in an inverse form (estimate of the inverse
 Hessian, used by the unconstrained method) and a direct form (estimate of
@@ -6,31 +6,24 @@ the Hessian itself, used inside saddle-point solves).  Every accepted
 update preserves symmetry and positive definiteness and satisfies the
 secant equation for its pair.
 
-Each update formula is written once, for stacks of estimates.  The
-per-pair functions apply it to one agent; the solvers refresh every agent
-at once through ``refresh_inverse_batch`` and ``refresh_hessian_batch``,
-which reproduce the per-pair results bit for bit: every dot product and
-norm that feeds a decision is a stacked ``matmul``, which reduces in the
-same order as the per-pair ``y @ s``.
+Every kernel here is written once, for stacks: the curvature test, the
+four updates, the Cholesky probe and the spectrum clamp.  The solvers
+refresh every agent's estimate at once through ``refresh_inverse_batch``
+and ``refresh_hessian_batch``.  Row i of every result equals the same call
+on row i alone, and the textbook per-pair forms bit for bit: every dot
+product and norm that feeds a decision is a stacked ``matmul``, which
+reduces in the same order as the per-pair ``y @ s``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "CurvaturePair",
-    "InverseHessianEstimate",
-    "HessianEstimate",
-    "CurvatureError",
     "curvature_ok",
-    "bfgs_inverse_update",
-    "dfp_inverse_update",
-    "bfgs_hessian_update",
-    "dfp_hessian_update",
+    "cholesky_rows",
     "pd_safeguard",
     "row_dots",
     "BatchRefresh",
@@ -42,65 +35,7 @@ __all__ = [
 # this relative threshold is skipped rather than risking a blow-up
 CURVATURE_RTOL = 1e-10
 
-DEFAULT_GAMMA = 1e3
 DEFAULT_FLOOR = 1e-8
-
-
-class CurvatureError(ValueError):
-    """Raised when a pair fails the curvature condition; callers keep the
-    previous estimate."""
-
-
-@dataclass(frozen=True)
-class CurvaturePair:
-    """Step difference s and gradient (or tracker) difference y."""
-
-    s: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.s, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if s.shape != y.shape or s.ndim != 1:
-            raise ValueError("s and y must be vectors of equal length")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True)
-class InverseHessianEstimate:
-    """Symmetric positive definite estimate of an inverse Hessian.
-
-    gamma is the eigenvalue ceiling enforced by the safeguard; it also
-    bounds the step energy a single agent can inject per round.
-    """
-
-    c: np.ndarray
-    gamma: float = DEFAULT_GAMMA
-
-
-@dataclass(frozen=True)
-class HessianEstimate:
-    """Symmetric positive definite estimate of a Hessian."""
-
-    b: np.ndarray
-
-
-def curvature_ok(pair: CurvaturePair, rtol: float = CURVATURE_RTOL) -> bool:
-    """True when y's is strictly positive and safely so relative to |y||s|.
-
-    The strict test matters for zero pairs (s = 0 or y = 0), where the
-    relative bound is itself zero and an update would divide by y's = 0.
-    """
-    ys = float(pair.y @ pair.s)
-    return ys > 0.0 and bool(ys >= rtol * np.linalg.norm(pair.y) * np.linalg.norm(pair.s))
-
-
-def _require_curvature(pair: CurvaturePair) -> float:
-    rho = float(pair.y @ pair.s)
-    if not curvature_ok(pair):
-        raise CurvatureError(f"y's = {rho:.3e} fails the curvature condition")
-    return rho
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -114,6 +49,39 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def curvature_ok(s: np.ndarray, y: np.ndarray, rtol: float = CURVATURE_RTOL) -> np.ndarray:
+    """Mask of the pairs (s[i], y[i]) whose y's is strictly positive and
+    safely so relative to |y||s|.
+
+    The strict test matters for zero pairs (s = 0 or y = 0), where the
+    relative bound is itself zero and an update would divide by y's = 0.
+    """
+    ys = row_dots(y, s)
+    return (ys > 0.0) & (ys >= rtol * np.sqrt(row_dots(y, y)) * np.sqrt(row_dots(s, s)))
+
+
+def cholesky_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack m (N, n, n) and the mask of the rows
+    that have one.
+
+    One batched call; only when it fails are the rows factorized one at a
+    time, to find the failing ones.  Their factors are set to the
+    identity, so that solves against the stack still go through.
+    """
+    try:
+        return np.linalg.cholesky(m), np.ones(len(m), dtype=bool)
+    except np.linalg.LinAlgError:
+        chol = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
+        ok = np.zeros(len(m), dtype=bool)
+        for i in range(len(m)):
+            try:
+                chol[i] = np.linalg.cholesky(m[i])
+                ok[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return chol, ok
+
+
 # Each update is written once, for stacks: m (N, n, n), s and y (N, n),
 # rho = y's (N,).  Each returns the unsymmetrized estimates and, where the
 # update has a second denominator, a mask of the rows where it was not
@@ -125,11 +93,13 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bfgs_inverse_rows(c, s, y, rho):
+    """C' = (I - sy'/r) C (I - ys'/r) + ss'/r with r = y's; maps y to s."""
     a = np.eye(s.shape[1]) - _outer(s, y) / rho[:, None, None]
     return a @ c @ a.transpose(0, 2, 1) + _outer(s, s) / rho[:, None, None], None
 
 
 def _dfp_inverse_rows(c, s, y, rho):
+    """C' = C - Cyy'C/(y'Cy) + ss'/(y's)."""
     cy = (c @ y[:, :, None])[:, :, 0]
     denom = row_dots(y, cy)
     c_new = c - _outer(cy, cy) / denom[:, None, None] + _outer(s, s) / rho[:, None, None]
@@ -137,6 +107,7 @@ def _dfp_inverse_rows(c, s, y, rho):
 
 
 def _bfgs_hessian_rows(b, s, y, rho):
+    """B' = B - Bss'B/(s'Bs) + yy'/(y's); maps s to y."""
     bs = (b @ s[:, :, None])[:, :, 0]
     denom = row_dots(s, bs)
     b_new = b - _outer(bs, bs) / denom[:, None, None] + _outer(y, y) / rho[:, None, None]
@@ -144,58 +115,32 @@ def _bfgs_hessian_rows(b, s, y, rho):
 
 
 def _dfp_hessian_rows(b, s, y, rho):
+    """B' = (I - ys'/r) B (I - sy'/r) + yy'/r with r = y's."""
     a = np.eye(s.shape[1]) - _outer(y, s) / rho[:, None, None]
     return a @ b @ a.transpose(0, 2, 1) + _outer(y, y) / rho[:, None, None], None
 
 
-def _update_one(rows_update, m: np.ndarray, pair: CurvaturePair) -> np.ndarray:
-    rho = _require_curvature(pair)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        new, valid = rows_update(m[None], pair.s[None], pair.y[None], np.array([rho]))
-    if valid is not None and not valid[0]:
-        raise CurvatureError("update denominator is not positive; estimate lost definiteness")
-    return _sym(new[0])
-
-
-def bfgs_inverse_update(est: InverseHessianEstimate, pair: CurvaturePair) -> InverseHessianEstimate:
-    """Rank-two inverse-Hessian update C' = (I - sy'/r) C (I - ys'/r) + ss'/r
-    with r = y's.  The result maps y to s exactly."""
-    return InverseHessianEstimate(c=_update_one(_bfgs_inverse_rows, est.c, pair), gamma=est.gamma)
-
-
-def dfp_inverse_update(est: InverseHessianEstimate, pair: CurvaturePair) -> InverseHessianEstimate:
-    """Rank-two inverse-Hessian update C' = C - Cyy'C/(y'Cy) + ss'/(y's)."""
-    return InverseHessianEstimate(c=_update_one(_dfp_inverse_rows, est.c, pair), gamma=est.gamma)
-
-
-def bfgs_hessian_update(est: HessianEstimate, pair: CurvaturePair) -> HessianEstimate:
-    """Direct-form update B' = B - Bss'B/(s'Bs) + yy'/(y's); inverse of the
-    inverse-form update applied to B^-1."""
-    return HessianEstimate(b=_update_one(_bfgs_hessian_rows, est.b, pair))
-
-
-def dfp_hessian_update(est: HessianEstimate, pair: CurvaturePair) -> HessianEstimate:
-    """Direct-form update B' = (I - ys'/r) B (I - sy'/r) + yy'/r with r = y's."""
-    return HessianEstimate(b=_update_one(_dfp_hessian_rows, est.b, pair))
-
-
 def pd_safeguard(matrix: np.ndarray, floor: float = DEFAULT_FLOOR, ceiling: float | None = None) -> np.ndarray:
-    """Clamp the spectrum of a symmetric matrix into [floor, ceiling].
+    """Clamp the spectrum of each symmetric matrix of a stack (..., n, n)
+    into [floor, ceiling].
 
     Full eigendecomposition; intended as the fallback when a cheap
-    definiteness check fails, not as a per-iteration hot path.
+    definiteness check fails, not as a per-iteration hot path.  Raises
+    ValueError when any matrix is not symmetric.  Each matrix's result
+    equals the call on that matrix alone.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    if np.max(np.abs(matrix - matrix.T)) > 1e-8 * scale:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(matrix), axis=axes))
+    if np.any(np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2)), axis=axes) > 1e-8 * scale):
         raise ValueError("matrix is not symmetric")
     if ceiling is not None and ceiling < floor:
         raise ValueError("ceiling below floor")
     vals, vecs = np.linalg.eigh(_sym(matrix))
     vals = np.clip(vals, floor, ceiling)
-    return _sym((vecs * vals) @ vecs.T)
+    return _sym((vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +162,18 @@ class BatchRefresh(NamedTuple):
 def _apply_pairs(m, s, y, rows_update):
     """Masked rank-two update; returns (estimates, number applied).
 
-    A pair is applied only where the per-pair curvature test would pass
-    and the update's own denominator is not found non-positive (a NaN
-    denominator applies, as in the per-pair update).  The result never
-    aliases ``m``.
+    A pair is applied only where ``curvature_ok`` passes and the update's
+    own denominator is not found non-positive (a NaN denominator applies).
+    The result never aliases ``m``.
     """
-    ys = row_dots(y, s)
-    ok = (ys > 0.0) & (ys >= CURVATURE_RTOL * np.sqrt(row_dots(y, y)) * np.sqrt(row_dots(s, s)))
-    rows = np.flatnonzero(ok)
+    rows = np.flatnonzero(curvature_ok(s, y))
     if rows.size == 0:
         return m.copy(), 0
     whole = rows.size == len(m)
     sel = slice(None) if whole else rows
     # a second denominator may vanish; such rows are discarded below
     with np.errstate(divide="ignore", invalid="ignore"):
-        new, valid = rows_update(m[sel], s[sel], y[sel], ys[sel])
+        new, valid = rows_update(m[sel], s[sel], y[sel], row_dots(y[sel], s[sel]))
     new = _sym(new)
     if valid is not None and not valid.all():
         new, rows = new[valid], rows[valid]
@@ -256,22 +198,16 @@ def _needs_repair(m: np.ndarray, ceiling: float, shift: float) -> np.ndarray:
         shifted = m if probe.size == n_rows else m[probe]
         if shift:
             shifted = shifted - shift * np.eye(n)
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            for k, i in enumerate(probe):
-                try:
-                    np.linalg.cholesky(shifted[k])
-                except np.linalg.LinAlgError:
-                    bad[i] = True
+        bad[probe[~cholesky_rows(shifted)[1]]] = True
     return bad
 
 
 def _refresh_batch(m, s, y, rows_update, floor, ceiling, shift, safeguard):
     out, applied = _apply_pairs(m, s, y, rows_update)
     bad = np.flatnonzero(_needs_repair(out, ceiling, shift))
-    for i in bad:
-        out[i] = safeguard(np.where(np.isfinite(out[i]), out[i], 0.0), floor=floor, ceiling=ceiling)
+    if bad.size:
+        flagged = out[bad]
+        out[bad] = safeguard(np.where(np.isfinite(flagged), flagged, 0.0), floor=floor, ceiling=ceiling)
     return BatchRefresh(out, len(m) - applied, int(bad.size))
 
 
@@ -285,15 +221,14 @@ def refresh_inverse_batch(
     safeguard: Callable[..., np.ndarray] = pd_safeguard,
 ) -> BatchRefresh:
     """Refresh stacked inverse-Hessian estimates c (N, n, n) with the
-    pairs (s[i], y[i]).
+    pairs (s[i], y[i]) by the BFGS or DFP inverse update.
 
-    Pairs failing the curvature test are skipped.  An estimate that is
-    then non-finite, has Frobenius norm above gamma, or fails a Cholesky
-    probe is clamped into [floor, gamma] by ``safeguard``, one agent at a
-    time; the solvers pass their own module-level ``pd_safeguard`` name so
-    that a wrapper installed on it sees each repair.  Agent i's result
-    equals the per-pair update of ``InverseHessianEstimate(c[i], gamma)``
-    followed by the same probe.
+    Pairs failing ``curvature_ok`` are skipped, and so is a DFP pair whose
+    y'Cy is not positive.  The estimates that are then non-finite, have
+    Frobenius norm above gamma, or fail a Cholesky probe are clamped into
+    [floor, gamma] by one ``safeguard`` call on their stack; the solvers
+    pass their own module-level ``pd_safeguard`` name so that a wrapper
+    installed on it sees each batch of repairs.
     """
     return _refresh_batch(c, s, y, _INVERSE_ROWS[scheme], floor, gamma, 0.0, safeguard)
 
@@ -307,7 +242,8 @@ def refresh_hessian_batch(
     ceiling: float,
     safeguard: Callable[..., np.ndarray] = pd_safeguard,
 ) -> BatchRefresh:
-    """Refresh stacked direct Hessian estimates b (N, n, n).
+    """Refresh stacked direct Hessian estimates b (N, n, n) by the BFGS
+    or DFP direct update (a BFGS pair with s'Bs not positive is skipped).
 
     As ``refresh_inverse_batch``, but the probe is shifted by half the
     floor, so estimates clamped exactly at the floor pass untouched, and

@@ -3,7 +3,8 @@
 Each test drives the library end to end at desk scale and appends a
 PASS/FAIL line to the terminal summary.  The tests are self-contained:
 oracles used here are reimplemented inline rather than imported from the
-unit-test modules.
+unit-test modules, apart from the per-pair quasi-Newton forms, which
+come from the test oracle (``oracle.py``).
 """
 
 import json
@@ -22,21 +23,14 @@ from dqn_mesh.problems import (
     qp_family,
     solve_reference,
 )
-from dqn_mesh.quasi_newton import (
-    CurvaturePair,
-    HessianEstimate,
-    InverseHessianEstimate,
-    bfgs_hessian_update,
-    bfgs_inverse_update,
-    dfp_hessian_update,
-    dfp_inverse_update,
-)
+from dqn_mesh.quasi_newton import refresh_hessian_batch, refresh_inverse_batch
 from dqn_mesh.topology import (
     CommGraph,
     metropolis_weights,
     random_connected_graph,
     spectral_contraction,
 )
+from oracle import DIRECT, INVERSE
 
 
 def _report(lines, num, name, body):
@@ -84,13 +78,17 @@ def test_criterion_2_quasi_newton_algebra(criterion_report):
             c0 = np.linalg.inv(b0)
             s = rng.standard_normal(n)
             y = _random_spd(rng, n, 0.5, 3.0) @ s
-            pair = CurvaturePair(s=s, y=y)
-            new = {
-                "bfgs_b": bfgs_hessian_update(HessianEstimate(b=b0), pair).b,
-                "dfp_b": dfp_hessian_update(HessianEstimate(b=b0), pair).b,
-                "bfgs_c": bfgs_inverse_update(InverseHessianEstimate(c=c0), pair).c,
-                "dfp_c": dfp_inverse_update(InverseHessianEstimate(c=c0), pair).c,
-            }
+            new = {}
+            for scheme in ("bfgs", "dfp"):
+                for key, refresh, m0, per_pair in (
+                    (f"{scheme}_b", refresh_hessian_batch, b0, DIRECT[scheme]),
+                    (f"{scheme}_c", refresh_inverse_batch, c0, INVERSE[scheme]),
+                ):
+                    out = refresh(m0[None], s[None], y[None], scheme, 1e-8, np.inf)
+                    assert out.skipped == out.repaired == 0
+                    new[key] = out.estimates[0]
+                    # the batched update is the textbook per-pair one, bit for bit
+                    assert np.array_equal(new[key], per_pair(m0, s, y))
             for m in new.values():
                 assert np.max(np.abs(m - m.T)) <= 1e-12
                 assert np.linalg.eigvalsh(m)[0] > 0.0

@@ -16,9 +16,9 @@ from dqn_mesh.dqn import (
     safe_step_size,
     track_gradient,
 )
-from dqn_mesh.quasi_newton import CurvaturePair, curvature_ok
 from dqn_mesh.problems import LocalObjective, SeparableProblem, qp_family, solve_reference
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
+from oracle import curvature_ok
 
 TRIANGLE = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
 PATH3 = CommGraph(3, ((0, 1), (1, 2)))
@@ -469,7 +469,7 @@ class TestRunTrace:
         for _ in range(4):
             new = dqn_step(net, state, prob)
             skipped += sum(
-                not curvature_ok(CurvaturePair(s=new.x[i] - state.x[i], y=new.v[i] - state.v[i]))
+                not curvature_ok(new.x[i] - state.x[i], new.v[i] - state.v[i])
                 for i in range(3)
             )
             state = new

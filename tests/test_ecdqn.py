@@ -26,6 +26,7 @@ from dqn_mesh.problems import (
     solve_reference,
 )
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
+from oracle import KktError, reference_kkt_solve
 
 TRIANGLE = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
 SINGLE = CommGraph(1, ())
@@ -187,11 +188,42 @@ class TestKktSolve:
         a = q[:, :m].T
         rs = rng.standard_normal((n_agents, n))
         rp = rng.standard_normal((n_agents, m))
-        dx, beta = kkt_solve_batch(b, a, rs, rp)
+        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        assert ok.all()
         monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
-        dx1, beta1 = kkt_solve_batch(b, a, rs, rp)
+        dx1, beta1, ok1 = kkt_solve_batch(b, a, rs, rp)
         assert np.array_equal(dx1, dx)
         assert np.array_equal(beta1, beta)
+        assert ok1.all()
+
+    @pytest.mark.parametrize("stage", ["hessian", "residual"])
+    def test_batch_flags_only_the_failing_row(self, stage):
+        rng = np.random.default_rng(8)
+        b = np.stack([random_spd(rng, 4) for _ in range(5)])
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = q[:, :2].T
+        rs = rng.standard_normal((5, 4))
+        rp = rng.standard_normal((5, 2))
+        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        assert ok.all()
+        if stage == "hessian":
+            bad = np.diag([-1.0, 1.0, 1.0, 1.0])
+        else:
+            # positive definite, so its Cholesky succeeds, but too
+            # ill-conditioned for the solve to pass the residual check
+            q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+            bad = (q * np.array([1.0, 1.0, 1.0, 1e-14])) @ q.T
+            bad = 0.5 * (bad + bad.T)
+        with pytest.raises(KktError, match=stage):
+            reference_kkt_solve(bad, a, rs[2], rp[2])
+        with pytest.raises(KktFactorizationError, match=stage):
+            kkt_solve(KktSystem(b=bad, a=a, rhs_stat=rs[2], rhs_prim=rp[2]))
+        b[2] = bad
+        dx_bad, beta_bad, ok = kkt_solve_batch(b, a, rs, rp)
+        assert ok.tolist() == [True, True, False, True, True]
+        # the other rows keep the all-good batch's bits
+        assert np.array_equal(dx_bad[ok], dx[ok])
+        assert np.array_equal(beta_bad[ok], beta[ok])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the benchmark problem generators and reference solvers."""
 
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -513,6 +516,33 @@ class TestSerialization:
         for la, lb in zip(prob.locals, back.locals):
             assert la.value(x) == pytest.approx(lb.value(x), rel=1e-12)
             assert np.allclose(la.gradient(x), lb.gradient(x))
+        # every field of every record comes back exactly, and saves the same
+        for da, db in zip(prob.local_data, back.local_data):
+            assert type(db) is type(da)
+            for f in fields(da):
+                assert np.array_equal(getattr(db, f.name), getattr(da, f.name))
+        save_problem(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_qp_record_without_rows(self, tmp_path):
+        prob = qp_family(4, 8, (2.0, 20.0), 13)
+        prob.local_data = [replace(d, a=None, b=None) for d in prob.local_data]
+        path = tmp_path / "problem.json"
+        save_problem(prob, path)
+        assert all(
+            entry["a"] is None and entry["b"] is None
+            for entry in json.loads(path.read_text())["locals"]
+        )
+        back = load_problem(path)
+        for da, db in zip(prob.local_data, back.local_data):
+            assert db.a is None and db.b is None
+            assert np.array_equal(db.p, da.p) and np.array_equal(db.q, da.q)
+        # a file that leaves the optional fields out loads the same way
+        payload = json.loads(path.read_text())
+        for entry in payload["locals"]:
+            del entry["a"], entry["b"]
+        path.write_text(json.dumps(payload))
+        assert all(d.a is None and d.b is None for d in load_problem(path).local_data)
 
     def test_rejects_handmade_problem(self, tmp_path):
         prob = SeparableProblem(locals=[tiny_quadratic(2)], family="custom")

@@ -1,23 +1,25 @@
-"""Curvature updates: secant equations, definiteness, duality, safeguards."""
+"""Curvature updates: secant equations, definiteness, duality, safeguards.
+
+The stacked kernels are checked against their algebra and against the
+per-pair textbook forms of ``oracle.py``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from dqn_mesh.quasi_newton import (
     CURVATURE_RTOL,
-    CurvatureError,
-    CurvaturePair,
-    HessianEstimate,
-    InverseHessianEstimate,
-    bfgs_hessian_update,
-    bfgs_inverse_update,
+    cholesky_rows,
     curvature_ok,
-    dfp_hessian_update,
-    dfp_inverse_update,
     pd_safeguard,
+    refresh_hessian_batch,
+    refresh_inverse_batch,
 )
+
+REFRESH = {"inverse": refresh_inverse_batch, "hessian": refresh_hessian_batch}
 
 
 def random_spd(rng, n, lo=0.2, hi=5.0):
@@ -31,14 +33,21 @@ def good_pair(rng, n):
         s = rng.standard_normal(n)
         y = rng.standard_normal(n)
         if y @ s > 1e-3 * np.linalg.norm(y) * np.linalg.norm(s):
-            return CurvaturePair(s=s, y=y)
+            return s, y
 
 
 def consistent_pair(rng, n):
     # step/gradient-difference pair generated by an actual quadratic, so the
     # curvature angle is bounded away from zero and products stay conditioned
     s = rng.standard_normal(n)
-    return CurvaturePair(s=s, y=random_spd(rng, n) @ s)
+    return s, random_spd(rng, n) @ s
+
+
+def update(form, scheme, m, s, y):
+    """One estimate refreshed by the batched update; no spectrum box."""
+    out = REFRESH[form](m[None], s[None], y[None], scheme, 1e-8, np.inf)
+    assert out.repaired == 0
+    return out.estimates[0]
 
 
 # expanded-form oracles, algebraically identical but coded independently
@@ -59,69 +68,55 @@ def oracle_dfp_hessian(b, s, y):
 
 
 class TestCurvaturePair:
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            CurvaturePair(s=np.ones(3), y=np.ones(2))
-
-    def test_rejects_matrices(self):
-        with pytest.raises(ValueError):
-            CurvaturePair(s=np.ones((2, 2)), y=np.ones((2, 2)))
-
     def test_curvature_ok_boundary(self):
         s = np.array([1.0, 0.0])
-        assert curvature_ok(CurvaturePair(s=s, y=s))
-        assert not curvature_ok(CurvaturePair(s=s, y=-s))
-        # orthogonal pair: y's = 0 < rtol * |y||s|
-        assert not curvature_ok(CurvaturePair(s=s, y=np.array([0.0, 1.0])))
-        # zero pairs carry no curvature; the update would divide by y's = 0
         zero = np.zeros(2)
-        assert not curvature_ok(CurvaturePair(s=zero, y=s))
-        assert not curvature_ok(CurvaturePair(s=s, y=zero))
-        assert not curvature_ok(CurvaturePair(s=zero, y=zero))
+        # aligned; opposite; orthogonal (y's = 0 < rtol * |y||s|); zero pairs,
+        # which carry no curvature: the update would divide by y's = 0
+        ss = np.array([s, s, s, zero, s, zero])
+        ys = np.array([s, -s, [0.0, 1.0], s, zero, zero])
+        want = [True, False, False, False, False, False]
+        assert curvature_ok(ss, ys).tolist() == want
+        assert [oracle.curvature_ok(a, b) for a, b in zip(ss, ys)] == want
 
     def test_threshold_is_relative(self):
-        s = np.array([1e8, 0.0])
-        y = np.array([1e-8, 0.0])
+        s = np.array([[1e8, 0.0]])
+        y = np.array([[1e-8, 0.0]])
         # tiny absolute product but perfectly aligned
-        assert curvature_ok(CurvaturePair(s=s, y=y))
-        assert CURVATURE_RTOL == 1e-10
+        assert curvature_ok(s, y).tolist() == [True]
+        assert CURVATURE_RTOL == oracle.CURVATURE_RTOL == 1e-10
 
 
 class TestFrozenExamples:
     def test_dfp_inverse_hand_example(self):
-        est = dfp_inverse_update(
-            InverseHessianEstimate(c=2.0 * np.eye(2)),
-            CurvaturePair(s=np.array([1.0, 1.0]), y=np.array([1.0, 0.0])),
-        )
-        assert np.allclose(est.c, np.array([[1.0, 1.0], [1.0, 3.0]]), atol=1e-14)
+        c = update("inverse", "dfp", 2.0 * np.eye(2), np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        assert np.allclose(c, np.array([[1.0, 1.0], [1.0, 3.0]]), atol=1e-14)
 
     def test_bfgs_inverse_hand_example(self):
-        est = bfgs_inverse_update(
-            InverseHessianEstimate(c=np.eye(2)),
-            CurvaturePair(s=np.array([1.0, 0.0]), y=np.array([2.0, 1.0])),
-        )
-        assert np.allclose(est.c, np.array([[0.75, -0.5], [-0.5, 1.0]]), atol=1e-14)
+        c = update("inverse", "bfgs", np.eye(2), np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+        assert np.allclose(c, np.array([[0.75, -0.5], [-0.5, 1.0]]), atol=1e-14)
 
     def test_identity_pair_is_fixed_point(self):
         # s = y and C = I: every scheme returns the identity
-        pair = CurvaturePair(s=np.array([1.0, 0.0]), y=np.array([1.0, 0.0]))
-        assert np.allclose(bfgs_inverse_update(InverseHessianEstimate(c=np.eye(2)), pair).c, np.eye(2))
-        assert np.allclose(dfp_inverse_update(InverseHessianEstimate(c=np.eye(2)), pair).c, np.eye(2))
-        assert np.allclose(bfgs_hessian_update(HessianEstimate(b=np.eye(2)), pair).b, np.eye(2))
-        assert np.allclose(dfp_hessian_update(HessianEstimate(b=np.eye(2)), pair).b, np.eye(2))
+        s = np.array([1.0, 0.0])
+        for form in REFRESH:
+            for scheme in ("bfgs", "dfp"):
+                assert np.allclose(update(form, scheme, np.eye(2), s, s), np.eye(2))
 
 
 class TestCurvatureRejection:
     def test_all_updates_raise_on_negative_curvature(self):
-        pair = CurvaturePair(s=np.array([1.0, 0.0]), y=np.array([-1.0, 0.0]))
-        with pytest.raises(CurvatureError):
-            bfgs_inverse_update(InverseHessianEstimate(c=np.eye(2)), pair)
-        with pytest.raises(CurvatureError):
-            dfp_inverse_update(InverseHessianEstimate(c=np.eye(2)), pair)
-        with pytest.raises(CurvatureError):
-            bfgs_hessian_update(HessianEstimate(b=np.eye(2)), pair)
-        with pytest.raises(CurvatureError):
-            dfp_hessian_update(HessianEstimate(b=np.eye(2)), pair)
+        # the per-pair forms raise; the batched refresh skips the pair and
+        # keeps the estimate
+        s, y = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+        for update_one in (*oracle.INVERSE.values(), *oracle.DIRECT.values()):
+            with pytest.raises(oracle.CurvatureError):
+                update_one(np.eye(2), s, y)
+        for refresh in REFRESH.values():
+            for scheme in ("bfgs", "dfp"):
+                out = refresh(np.eye(2)[None], s[None], y[None], scheme, 1e-8, np.inf)
+                assert out.skipped == 1 and out.repaired == 0
+                assert np.array_equal(out.estimates[0], np.eye(2))
 
 
 @given(n=st.integers(2, 20), seed=st.integers(0, 2**31 - 1))
@@ -129,12 +124,12 @@ class TestCurvatureRejection:
 def test_inverse_updates_satisfy_secant(n, seed):
     rng = np.random.default_rng(seed)
     c = random_spd(rng, n)
-    pair = good_pair(rng, n)
-    for update in (bfgs_inverse_update, dfp_inverse_update):
-        new = update(InverseHessianEstimate(c=c), pair).c
+    s, y = good_pair(rng, n)
+    for scheme in ("bfgs", "dfp"):
+        new = update("inverse", scheme, c, s, y)
         # inverse-form secant: C'y = s
-        resid = np.linalg.norm(new @ pair.y - pair.s)
-        assert resid <= 1e-10 * (1 + np.linalg.norm(pair.s))
+        resid = np.linalg.norm(new @ y - s)
+        assert resid <= 1e-10 * (1 + np.linalg.norm(s))
         assert np.max(np.abs(new - new.T)) <= 1e-12 * max(1, np.abs(new).max())
         assert np.linalg.eigvalsh(new)[0] > 0
 
@@ -144,12 +139,12 @@ def test_inverse_updates_satisfy_secant(n, seed):
 def test_hessian_updates_satisfy_secant(n, seed):
     rng = np.random.default_rng(seed)
     b = random_spd(rng, n)
-    pair = good_pair(rng, n)
-    for update in (bfgs_hessian_update, dfp_hessian_update):
-        new = update(HessianEstimate(b=b), pair).b
+    s, y = good_pair(rng, n)
+    for scheme in ("bfgs", "dfp"):
+        new = update("hessian", scheme, b, s, y)
         # direct-form secant: B's = y
-        resid = np.linalg.norm(new @ pair.s - pair.y)
-        assert resid <= 1e-10 * (1 + np.linalg.norm(pair.y))
+        resid = np.linalg.norm(new @ s - y)
+        assert resid <= 1e-10 * (1 + np.linalg.norm(y))
         assert np.max(np.abs(new - new.T)) <= 1e-12 * max(1, np.abs(new).max())
         assert np.linalg.eigvalsh(new)[0] > 0
 
@@ -159,12 +154,12 @@ def test_hessian_updates_satisfy_secant(n, seed):
 def test_updates_match_expanded_form_oracles(n, seed):
     rng = np.random.default_rng(seed)
     m = random_spd(rng, n)
-    pair = good_pair(rng, n)
-    got = bfgs_inverse_update(InverseHessianEstimate(c=m), pair).c
-    want = oracle_bfgs_inverse(m, pair.s, pair.y)
+    s, y = good_pair(rng, n)
+    got = update("inverse", "bfgs", m, s, y)
+    want = oracle_bfgs_inverse(m, s, y)
     assert np.allclose(got, want, atol=1e-10 * max(1, np.abs(want).max()))
-    got = dfp_hessian_update(HessianEstimate(b=m), pair).b
-    want = oracle_dfp_hessian(m, pair.s, pair.y)
+    got = update("hessian", "dfp", m, s, y)
+    want = oracle_dfp_hessian(m, s, y)
     assert np.allclose(got, want, atol=1e-10 * max(1, np.abs(want).max()))
 
 
@@ -175,13 +170,10 @@ def test_same_scheme_duality(n, seed):
     # started from a matrix and its exact inverse
     rng = np.random.default_rng(seed)
     b = random_spd(rng, n)
-    pair = consistent_pair(rng, n)
-    for hess_up, inv_up in (
-        (bfgs_hessian_update, bfgs_inverse_update),
-        (dfp_hessian_update, dfp_inverse_update),
-    ):
-        new_b = hess_up(HessianEstimate(b=b), pair).b
-        new_c = inv_up(InverseHessianEstimate(c=np.linalg.inv(b)), pair).c
+    s, y = consistent_pair(rng, n)
+    for scheme in ("bfgs", "dfp"):
+        new_b = update("hessian", scheme, b, s, y)
+        new_c = update("inverse", scheme, np.linalg.inv(b), s, y)
         assert np.allclose(new_b @ new_c, np.eye(n), atol=1e-8)
 
 
@@ -204,6 +196,9 @@ class TestPdSafeguard:
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             pd_safeguard(m)
+        # one asymmetric matrix in a stack is enough
+        with pytest.raises(ValueError, match="symmetric"):
+            pd_safeguard(np.stack([np.eye(2), m, np.eye(2)]))
 
     def test_rejects_ceiling_below_floor(self):
         with pytest.raises(ValueError, match="ceiling"):
@@ -217,6 +212,38 @@ class TestPdSafeguard:
         want = (q * np.array([0.1, 0.5, 2.0, 3.0])) @ q.T
         assert np.allclose(out, want, atol=1e-12)
 
+    def test_stack_matches_per_matrix_calls(self):
+        # each matrix of a stack clamps as it would alone, and as the
+        # textbook clamp does, bit for bit; indefinite ones included
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(2, 41))
+            stack = np.stack([
+                random_spd(rng, n, -2.0, 3.0) if rng.uniform() < 0.5 else random_spd(rng, n)
+                for _ in range(int(rng.integers(1, 12)))
+            ])
+            stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+            floor, ceiling = 1e-3, float(rng.choice([2.0, 1e3]))
+            out = pd_safeguard(stack, floor=floor, ceiling=ceiling)
+            for m, got in zip(stack, out):
+                assert np.array_equal(got, pd_safeguard(m, floor=floor, ceiling=ceiling))
+                assert np.array_equal(got, oracle.spectrum_clamp(m, floor, ceiling))
+
+
+def test_cholesky_rows_flags_exactly_the_failing_rows():
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_spd(rng, 4) for _ in range(5)])
+    chol, ok = cholesky_rows(stack)
+    assert ok.all() and np.array_equal(chol, np.linalg.cholesky(stack))
+    bad = stack.copy()
+    bad[1] = np.diag([1.0, -1.0, 1.0, 1.0])
+    bad[4, 0, 0] = 0.0
+    chol_bad, ok = cholesky_rows(bad)
+    assert ok.tolist() == [True, False, True, True, False]
+    assert np.array_equal(chol_bad[ok], chol[ok])
+    # the failing rows get an identity factor, so solves still go through
+    assert np.array_equal(chol_bad[~ok], np.stack([np.eye(4)] * 2))
+
 
 def test_bfgs_drives_quadratic_to_optimum():
     # centralized sanity: inverse-form updates with exact line search solve
@@ -226,16 +253,14 @@ def test_bfgs_drives_quadratic_to_optimum():
     a = random_spd(rng, n, lo=0.5, hi=4.0)
     b = rng.standard_normal(n)
     x = rng.standard_normal(n)
-    est = InverseHessianEstimate(c=np.eye(n))
+    c = np.eye(n)[None]
     g = a @ x - b
     for _ in range(40):
-        d = -est.c @ g
+        d = -c[0] @ g
         step = -(g @ d) / (d @ a @ d)
         x_new = x + step * d
         g_new = a @ x_new - b
-        pair = CurvaturePair(s=x_new - x, y=g_new - g)
-        if curvature_ok(pair):
-            est = bfgs_inverse_update(est, pair)
+        c = refresh_inverse_batch(c, (x_new - x)[None], (g_new - g)[None], "bfgs", 1e-8, np.inf).estimates
         x, g = x_new, g_new
         if np.linalg.norm(g) < 1e-12:
             break

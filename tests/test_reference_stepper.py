@@ -1,10 +1,10 @@
 """Stacked solvers against a per-agent reference stepper, bit for bit.
 
-The reference below steps every agent on its own through the public
-per-pair updates (``bfgs_inverse_update``, ..., ``pd_safeguard``) and its
-own single-system saddle-point solve (``reference_kkt_solve``), one
-curvature pair, one probe and one solve at a time, each method with its
-own loop and stopping rules.  The solvers hold the agents stacked,
+The reference below steps every agent on its own through the textbook
+per-pair updates, spectrum clamp and single-system saddle-point solve of
+``oracle.py``, one curvature pair, one probe and one solve at a time, each
+method with its own loop and stopping rules; it shares no numerical code
+with the solvers.  The solvers hold the agents stacked,
 refresh every estimate and solve every saddle-point system in one batched
 call, and share one round loop; their traces and terminal flags must
 equal the reference's exactly, not just closely.
@@ -17,32 +17,19 @@ from dataclasses import replace
 
 from dqn_mesh import ecdqn
 from dqn_mesh.dqn import DivergedError, RunConfig, SyncNetwork, diging_atc_run, dqn_run
-from dqn_mesh.ecdqn import (
-    EcRunConfig,
-    KktFactorizationError,
-    ecdqn_run,
-    ecdqn_step,
-    init_ecdqn_states,
-)
+from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run, ecdqn_step, init_ecdqn_states
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
-from dqn_mesh.quasi_newton import (
-    CurvatureError,
-    CurvaturePair,
-    HessianEstimate,
-    InverseHessianEstimate,
-    bfgs_hessian_update,
-    bfgs_inverse_update,
-    curvature_ok,
-    dfp_hessian_update,
-    dfp_inverse_update,
-    pd_safeguard,
-    refresh_hessian_batch,
-    refresh_inverse_batch,
-)
+from dqn_mesh.quasi_newton import refresh_hessian_batch, refresh_inverse_batch
 from dqn_mesh.topology import metropolis_weights, random_connected_graph
-
-INVERSE = {"bfgs": bfgs_inverse_update, "dfp": dfp_inverse_update}
-DIRECT = {"bfgs": bfgs_hessian_update, "dfp": dfp_hessian_update}
+from oracle import (
+    DIRECT,
+    INVERSE,
+    CurvatureError,
+    KktError,
+    curvature_ok,
+    reference_kkt_solve,
+    spectrum_clamp,
+)
 
 
 def blown_up(arr):
@@ -57,71 +44,27 @@ def probe_fails(m, shift=0.0):
     return False
 
 
-def refresh_inverse(c, pair, scheme, floor, gamma):
-    """One agent's inverse refresh; returns (estimate, skipped, repaired)."""
+def refresh_one(m, s, y, update, floor, ceiling, shift):
+    """One agent's refresh; returns (estimate, skipped, repaired)."""
     skipped = 1
-    if curvature_ok(pair):
+    if curvature_ok(s, y):
         try:
-            c = INVERSE[scheme](InverseHessianEstimate(c=c, gamma=gamma), pair).c
+            m = update(m, s, y)
             skipped = 0
         except CurvatureError:
             pass
-    bad = not np.all(np.isfinite(c)) or probe_fails(c) or np.linalg.norm(c, ord="fro") > gamma
+    bad = not np.all(np.isfinite(m)) or np.linalg.norm(m) > ceiling or probe_fails(m, shift)
     if bad:
-        c = pd_safeguard(np.where(np.isfinite(c), c, 0.0), floor=floor, ceiling=gamma)
-    return c, skipped, int(bad)
+        m = spectrum_clamp(np.where(np.isfinite(m), m, 0.0), floor, ceiling)
+    return m, skipped, int(bad)
 
 
-def refresh_hessian(b, pair, scheme, floor, ceiling):
-    """One agent's direct refresh; returns (estimate, skipped, repaired)."""
-    skipped = 1
-    if curvature_ok(pair):
-        try:
-            b = DIRECT[scheme](HessianEstimate(b=b), pair).b
-            skipped = 0
-        except CurvatureError:
-            pass
-    bad = (
-        not np.all(np.isfinite(b))
-        or np.linalg.norm(b) > ceiling
-        or probe_fails(b, 0.5 * floor)
-    )
-    if bad:
-        b = pd_safeguard(np.where(np.isfinite(b), b, 0.0), floor=floor, ceiling=ceiling)
-    return b, skipped, int(bad)
+def refresh_inverse(c, s, y, scheme, floor, gamma):
+    return refresh_one(c, s, y, INVERSE[scheme], floor, gamma, 0.0)
 
 
-def reference_kkt_solve(b_mat, a_mat, rhs_stat, rhs_prim):
-    """One saddle-point system [[B, A'], [A, 0]] [dx; beta] = -[r_stat;
-    r_prim] by Schur complement, written for a single agent: Cholesky,
-    two triangular solves per block, then the residual check."""
-    u = -rhs_stat
-    w = -rhs_prim
-    try:
-        chol = np.linalg.cholesky(b_mat)
-    except np.linalg.LinAlgError as exc:
-        raise KktFactorizationError("hessian block is not positive definite") from exc
-
-    def b_solve(rhs):
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-
-    binv_u = b_solve(u)
-    binv_at = b_solve(a_mat.T)
-    schur = a_mat @ binv_at
-    schur = 0.5 * (schur + schur.T)
-    try:
-        schur_chol = np.linalg.cholesky(schur)
-    except np.linalg.LinAlgError as exc:
-        raise KktFactorizationError("constraint block is rank deficient") from exc
-    beta = np.linalg.solve(schur_chol.T, np.linalg.solve(schur_chol, a_mat @ binv_u - w))
-    delta_x = binv_u - binv_at @ beta
-
-    scale = 1.0 + float(np.linalg.norm(np.concatenate([u, w])))
-    res_stat = b_mat @ delta_x + a_mat.T @ beta - u
-    res_prim = a_mat @ delta_x - w
-    if np.linalg.norm(np.concatenate([res_stat, res_prim])) > 1e-10 * scale:
-        raise KktFactorizationError("saddle-point solve residual too large")
-    return delta_x, beta
+def refresh_hessian(b, s, y, scheme, floor, ceiling):
+    return refresh_one(b, s, y, DIRECT[scheme], floor, ceiling, 0.5 * floor)
 
 
 class Log:
@@ -171,8 +114,9 @@ def reference_dqn(problem, graph, cfg):
             break
         d = []
         for i in range(n_agents):
-            pair = CurvaturePair(s=new_x[i] - x[i], y=new_v[i] - v[i])
-            c[i], skipped, repaired = refresh_inverse(c[i], pair, cfg.scheme, cfg.eig_floor, cfg.gamma)
+            c[i], skipped, repaired = refresh_inverse(
+                c[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, cfg.eig_floor, cfg.gamma
+            )
             log.skipped += skipped
             log.repaired += repaired
             d.append(-(c[i] @ new_v[i]))
@@ -216,13 +160,13 @@ def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
         r_prim = a_mat @ x[i] - b_vec
         try:
             sol = reference_kkt_solve(b[i], a_mat, v[i], r_prim)
-        except KktFactorizationError:
+        except KktError:
             log.retries += 1
             log.repaired += 1
-            b[i] = pd_safeguard(b[i], floor=floor, ceiling=ceiling)
+            b[i] = spectrum_clamp(b[i], floor, ceiling)
             try:
                 sol = reference_kkt_solve(b[i], a_mat, v[i], r_prim)
-            except KktFactorizationError:
+            except KktError:
                 return None
         dx.append(sol[0])
         beta.append(sol[1])
@@ -269,9 +213,8 @@ def reference_ecdqn(problem, graph, cfg):
             log.diverged = True
             break
         for i in range(n_agents):
-            pair = CurvaturePair(s=new_x[i] - x[i], y=new_v[i] - v[i])
             b[i], skipped, repaired = refresh_hessian(
-                b[i], pair, cfg.scheme, cfg.eig_floor, cfg.eig_ceiling
+                b[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, cfg.eig_floor, cfg.eig_ceiling
             )
             log.skipped += skipped
             log.repaired += repaired
@@ -422,8 +365,9 @@ def assert_step_matches_reference(prob, net, state, floor=1e-3, ceiling=1e3):
     assert np.array_equal(stepped.delta_x, dx)
     assert np.array_equal(stepped.beta, beta)
     for i in range(prob.n_agents):
-        pair = CurvaturePair(s=stepped.x[i] - state.x[i], y=stepped.v[i] - state.v[i])
-        b[i], skipped, repaired = refresh_hessian(b[i], pair, "bfgs", floor, ceiling)
+        b[i], skipped, repaired = refresh_hessian(
+            b[i], stepped.x[i] - state.x[i], stepped.v[i] - state.v[i], "bfgs", floor, ceiling
+        )
         log.skipped += skipped
         log.repaired += repaired
     assert np.array_equal(stepped.b, np.stack(b))
@@ -446,7 +390,7 @@ def test_ecdqn_step_falls_back_on_residual_failure():
     prob, net, state = ec_step_setup(bad)
     np.linalg.cholesky(bad)
     a_mat, b_vec = prob.constraint
-    with pytest.raises(KktFactorizationError, match="residual"):
+    with pytest.raises(KktError, match="residual"):
         reference_kkt_solve(bad, a_mat, state.v[2], a_mat @ state.x[2] - b_vec)
     assert_step_matches_reference(prob, net, state)
 
@@ -486,7 +430,7 @@ def test_batched_refresh_matches_per_pair(scheme):
         (refresh_hessian_batch, refresh_hessian, (1e-3, 50.0)),
     ):
         out = batch(m, s, y, scheme, *args)
-        expected = [single(m[i], CurvaturePair(s=s[i], y=y[i]), scheme, *args) for i in range(6)]
+        expected = [single(m[i], s[i], y[i], scheme, *args) for i in range(6)]
         assert np.array_equal(out.estimates, np.stack([e[0] for e in expected]))
         assert out.skipped == sum(e[1] for e in expected) == 3
         assert out.repaired == sum(e[2] for e in expected) >= 2
