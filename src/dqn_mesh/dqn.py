@@ -17,8 +17,12 @@ baseline two.
 The agents' variables are held stacked, one row (or one n x n slice) per
 agent, and every round refreshes all curvature estimates in one batched
 call, spectrum repairs included.  Generator-built quadratics evaluate
-every local gradient, and the objective, in one stacked call; other
-problems call each agent's gradient in turn.  Runs are single-threaded.
+every local gradient in one stacked call; other problems call each
+agent's gradient in turn.  A round records only what its stopping rule
+reads, every agent's relative error; the other trace columns are
+computed in one stacked pass per block of rounds, the objective at the
+mean iterates in one ``objective_values`` call per block rather than once
+per round.  Runs are single-threaded.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .problems import SeparableProblem, solve_reference
 # curvature_ok is not called here; it stays importable under this module
 # for instrumentation that looks the curvature test up by module-level name
-from .quasi_newton import curvature_ok, pd_safeguard, refresh_inverse_batch  # noqa: F401
+from .quasi_newton import curvature_ok, pd_safeguard, refresh_inverse_batch, row_dots  # noqa: F401
 from .topology import CommGraph, MixingMatrix, metropolis_weights
 
 __all__ = [
@@ -62,7 +66,9 @@ DIVERGENCE_LIMIT = 1e50
 
 
 def _blown_up(arr: np.ndarray) -> bool:
-    return not np.all(np.isfinite(arr)) or float(np.max(np.abs(arr))) > DIVERGENCE_LIMIT
+    """True when an entry is NaN or exceeds DIVERGENCE_LIMIT in magnitude;
+    one reduction, since a NaN makes the max NaN and fails the test."""
+    return not np.abs(arr).max() <= DIVERGENCE_LIMIT
 
 
 class DivergedError(RuntimeError):
@@ -436,28 +442,34 @@ def run_rounds(
 
 
 class _Recorder:
-    """Accumulates per-round trace rows."""
+    """Accumulates per-round trace rows.
+
+    A round's record computes what the stopping rule needs, every agent's
+    relative error, and copies x, v, the gradients (and z) into a block of
+    rounds.  A full block, and the partial one at build, is reduced in one
+    stacked pass: the means, consensus norms, mean-gradient norm, tracking
+    residual and, in one ``objective_values`` call, the objective at each
+    round's mean iterate.  Every column equals its textbook form bit for
+    bit: a mean is ``np.add.reduce`` over the agents divided by N, as
+    ``.mean(axis=0)`` computes it, and a norm reduces through ``row_dots``,
+    as ``np.linalg.norm`` reduces through ``ddot``.
+    """
+
+    BLOCK = 32
 
     def __init__(self, problem: SeparableProblem, x_star: np.ndarray, track_z: bool):
         self.problem = problem
         self.x_star = x_star
         self.star_norm = float(np.linalg.norm(x_star))
+        self.track_z = track_z
+        # one slot per round: x, v, gradients and, when tracked, z
+        self.block = np.empty((self.BLOCK, 4 if track_z else 3, problem.n_agents, problem.dim))
+        self.filled = 0
         self.rse: list[np.ndarray] = []
-        self.x_cons: list[float] = []
-        self.v_cons: list[float] = []
-        self.z_cons: list[float] = [] if track_z else None
-        self.grad_norm: list[float] = []
-        self.objective: list[float] = []
         self.bytes: list[np.ndarray] = []
-        self.tracking: list[float] = []
+        self.columns: dict[str, list[np.ndarray]] = {}
         self.feas: list[np.ndarray] | None = None
         self.beta: list[np.ndarray] | None = None
-
-    def agent_rse(self, x: np.ndarray) -> np.ndarray:
-        err = np.linalg.norm(x - self.x_star, axis=1)
-        if self.star_norm == 0.0:
-            return err
-        return err / self.star_norm
 
     def record(
         self,
@@ -469,26 +481,54 @@ class _Recorder:
         feas: np.ndarray | None = None,
         beta: np.ndarray | None = None,
     ) -> float:
-        self.rse.append(self.agent_rse(x))
-        x_bar = x.mean(axis=0)
-        self.x_cons.append(float(np.linalg.norm(x - x_bar)))
-        self.v_cons.append(float(np.linalg.norm(v - v.mean(axis=0))))
-        if self.z_cons is not None:
-            self.z_cons.append(float(np.linalg.norm(z - z.mean(axis=0))))
-        g_bar = grads.mean(axis=0)
-        self.grad_norm.append(float(np.linalg.norm(g_bar)))
-        self.objective.append(self.problem.objective_value(x_bar))
+        """Record one round; returns the worst agent's relative error."""
+        err = x - self.x_star
+        rse = np.sqrt(np.add.reduce(err * err, axis=1))
+        if self.star_norm != 0.0:
+            rse /= self.star_norm
+        self.rse.append(rse)
+        slot = self.block[self.filled]
+        slot[0], slot[1], slot[2] = x, v, grads
+        if self.track_z:
+            slot[3] = z
+        self.filled += 1
+        if self.filled == self.BLOCK:
+            self._reduce_block()
         self.bytes.append(bytes_sent.copy())
-        self.tracking.append(float(np.linalg.norm(v.mean(axis=0) - g_bar)))
         if feas is not None:
             if self.feas is None:
                 self.feas, self.beta = [], []
             self.feas.append(feas)
             self.beta.append(beta)
-        return float(np.max(self.rse[-1]))
+        return float(rse.max())
+
+    def _reduce_block(self) -> None:
+        """Every per-round column of the rounds held in the block."""
+        k, block = self.filled, self.block[: self.filled]
+        if k == 0:
+            return
+        means = np.add.reduce(block, axis=2) / self.problem.n_agents
+        dev = (block - means[:, :, None]).reshape(k * block.shape[1], -1)
+        consensus = np.sqrt(row_dots(dev, dev)).reshape(k, -1)
+        x_bar, v_bar, g_bar = means[:, 0], means[:, 1], means[:, 2]
+        gaps = np.concatenate((g_bar, v_bar - g_bar))
+        norms = np.sqrt(row_dots(gaps, gaps))
+        cols = {
+            "x_consensus": consensus[:, 0],
+            "v_consensus": consensus[:, 1],
+            "mean_grad_norm": norms[:k],
+            "tracking_residual": norms[k:],
+            "objective": self.problem.objective_values(x_bar),
+        }
+        if self.track_z:
+            cols["z_consensus"] = consensus[:, 3]
+        for name, col in cols.items():
+            self.columns.setdefault(name, []).append(col)
+        self.filled = 0
 
     def build(self, algo: str, alpha: float, state, start: float, **fields) -> RunTrace:
         """The finished trace: x_final from state, wall time since start."""
+        self._reduce_block()
         rounds = len(self.rse) - 1
         return RunTrace(
             algo=algo,
@@ -496,13 +536,8 @@ class _Recorder:
             dim=self.problem.dim,
             alpha=alpha,
             rse=np.stack(self.rse),
-            x_consensus=np.array(self.x_cons),
-            v_consensus=np.array(self.v_cons),
-            z_consensus=None if self.z_cons is None else np.array(self.z_cons),
-            mean_grad_norm=np.array(self.grad_norm),
-            objective=np.array(self.objective),
+            **{name: np.concatenate(parts) for name, parts in self.columns.items()},
             bytes_sent=np.stack(self.bytes),
-            tracking_residual=np.array(self.tracking),
             feasibility=None if self.feas is None else np.stack(self.feas),
             beta_norm=None if self.beta is None else np.stack(self.beta),
             rounds=rounds,

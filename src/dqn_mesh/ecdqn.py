@@ -336,12 +336,15 @@ def ecdqn_run(
     a_mat, b_vec = problem.constraint
 
     def record(st: EcDqnState) -> float:
+        # feasibility as np.linalg.norm(gap, axis=1) computes it, each
+        # multiplier norm as np.linalg.norm of its row
+        gap = st.x @ a_mat.T - b_vec
         return rec.record(
             st.x,
             st.v,
             st.last_gradient,
             network.sent_bytes,
-            feas=np.linalg.norm(st.x @ a_mat.T - b_vec, axis=1),
+            feas=np.sqrt(np.add.reduce(gap * gap, axis=1)),
             beta=np.sqrt(row_dots(st.beta, st.beta)),
         )
 

@@ -8,7 +8,6 @@ deterministic for a fixed config except for wall-clock timing fields.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -366,6 +365,8 @@ def validate_run(
     """Re-check a finished run's ledger arithmetic and tracker identity.
 
     Returns a list of violation messages; empty means the trace passes.
+    Only the first row that breaks the ledger is reported, and only the
+    rows before it lend their mean-gradient norm to the tracker bound.
     """
     violations: list[str] = []
     summary = json.loads(Path(summary_path).read_text())
@@ -381,25 +382,35 @@ def validate_run(
     n_agents = int(summary["n_agents"])
     rounds = int(summary["rounds"])
 
-    with open(trace_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if len(rows) != (rounds + 1) * n_agents:
+    header, *lines = [line for line in Path(trace_path).read_text().splitlines() if line]
+    names = header.split(",")
+    cols = [names.index(name) for name in ("round", "agent", "bytes_sent")]
+    if lines:
+        rnd, agent, sent = np.loadtxt(
+            lines, dtype=np.int64, delimiter=",", usecols=cols, comments=None, ndmin=2
+        ).T
+    else:
+        rnd = agent = sent = np.empty(0, dtype=np.int64)
+    if len(lines) != (rounds + 1) * n_agents:
         violations.append(
-            f"expected {(rounds + 1) * n_agents} rows ({rounds} rounds), found {len(rows)}"
+            f"expected {(rounds + 1) * n_agents} rows ({rounds} rounds), found {len(lines)}"
         )
-    grad_norms: dict[int, float] = {}
-    for row in rows:
-        k = int(row["round"])
-        i = int(row["agent"])
-        expected = payloads * 8 * dim * int(deg[i]) * k
-        actual = int(row["bytes_sent"])
-        if actual != expected:
-            violations.append(
-                f"round {k} agent {i}: ledger says {actual} bytes, formula gives {expected}"
-            )
-            break
-        grad_norms[k] = float(row["mean_grad_norm"])
+    expected = payloads * 8 * dim * deg[agent] * rnd
+    bad = np.flatnonzero(sent != expected)
+    stop = int(bad[0]) if bad.size else len(lines)
+    if bad.size:
+        violations.append(
+            f"round {rnd[stop]} agent {agent[stop]}: ledger says {sent[stop]} bytes, "
+            f"formula gives {expected[stop]}"
+        )
+    # each round's mean-gradient norm from its last row before the first
+    # ledger violation; only those rows' text is parsed as floats
+    last_rounds, from_end = np.unique(rnd[:stop][::-1], return_index=True)
+    grad_col = names.index("mean_grad_norm")
+    grad_norms = {
+        r: float(lines[stop - 1 - j].split(",")[grad_col])
+        for r, j in zip(last_rounds.tolist(), from_end.tolist())
+    }
     residuals = summary.get("tracking_residuals", [])
     if len(residuals) != rounds + 1:
         violations.append(

@@ -113,6 +113,16 @@ class SeparableProblem:
             return sum(_qp_values(*self._quad, x).tolist()) / self.n_agents
         return sum(loc.value(x) for loc in self.locals) / self.n_agents
 
+    def objective_values(self, points: np.ndarray) -> np.ndarray:
+        """objective_value at every row of a stack of points (R, n), bit
+        for bit.  A ``qp`` problem with local_data evaluates every (point,
+        agent) pair in one stacked call; other problems evaluate one point
+        at a time."""
+        if self._quad is not None:
+            values = _qp_values(*self._quad, points).tolist()
+            return np.array([sum(row) / self.n_agents for row in values])
+        return np.array([self.objective_value(x) for x in points], dtype=float)
+
     def gradients(self, x: np.ndarray) -> np.ndarray:
         """Every agent's local gradient at its own row of x (N, n), stacked."""
         if self._quad is not None:
@@ -179,7 +189,9 @@ def _expit(t: np.ndarray) -> np.ndarray:
 # The quadratic 0.5 x'Px + q'x is written once, for stacks: p (N, n, n)
 # and q (N, n).  Both are stacked matmuls, so row i equals the same call
 # on agent i alone, and equals the per-agent p @ x + q and
-# 0.5 * x @ p @ x + q @ x bit for bit (a 2-D q @ x would not).
+# 0.5 * x @ p @ x + q @ x bit for bit (a 2-D q @ x would not).  Values
+# at a stack of points (R, n) add one more stacked axis, so each point's
+# row equals the call on that point alone.
 
 
 def _qp_gradients(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -188,8 +200,11 @@ def _qp_gradients(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _qp_values(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Value of every agent's quadratic at the one point x (n,)."""
-    return (((0.5 * x)[None, None] @ p) @ x)[:, 0] + (q[:, None] @ x[None, :, None])[:, 0, 0]
+    """Value of every agent's quadratic at a point x (n,), shape (N,), or
+    at every row of a stack of points x (R, n), shape (R, N)."""
+    col = x[..., None, :, None]
+    quad = ((0.5 * x)[..., None, None, :] @ p) @ col
+    return quad[..., 0, 0] + (q[:, None] @ col)[..., 0, 0]
 
 
 def _qp_local(data: QpLocalData) -> LocalObjective:
@@ -670,10 +685,13 @@ def _solve_generic_qn(problem: SeparableProblem, tol: float, max_iters: int = 50
         x_new = x + t * step
         g_new = problem.mean_gradient(x_new)
         # the solvers' BFGS refresh on a stack of one, with no ceiling
-        c = refresh_inverse_batch(
+        c_new = refresh_inverse_batch(
             c[None], (x_new - x)[None], (g_new - g)[None], "bfgs", DEFAULT_FLOOR, np.inf
         ).estimates[0]
-        x, g = x_new, g_new
+        if np.array_equal(x_new, x) and np.array_equal(c_new, c):
+            # a fixed point: x, g and C would repeat for every iteration left
+            break
+        x, g, c = x_new, g_new, c_new
     if np.linalg.norm(g) <= 10 * tol:
         return x
     raise ReferenceSolveError("quasi-Newton fallback failed to reach the tolerance")

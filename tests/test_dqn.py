@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqn_mesh.dqn import (
+    DIVERGENCE_LIMIT,
     DivergedError,
+    _blown_up,
     RunConfig,
     SyncNetwork,
     diging_atc_run,
@@ -322,6 +324,25 @@ class TestRunBehavior:
         graph = random_connected_graph(5, 0.8, 0)
         with pytest.raises(ValueError, match="one row per agent"):
             run(prob, graph, RunConfig(alpha=0.1, max_iters=0), x0=np.zeros((4, 3)))
+
+    @pytest.mark.parametrize(
+        "values, blown",
+        [
+            ([0.0, np.nan], True),
+            ([1.0, np.inf], True),
+            ([-np.inf, 1.0], True),
+            ([[np.nan, np.inf], [-np.inf, 0.0]], True),
+            ([DIVERGENCE_LIMIT, -1.0], False),
+            ([-DIVERGENCE_LIMIT, 1.0], False),
+            ([np.nextafter(DIVERGENCE_LIMIT, np.inf), 0.0], True),
+            ([[1.0, 2.0], [-2e50, 3.0]], True),
+            ([[1.0, -2.0], [3.5e-300, 0.0]], False),
+            ([[0.0, 0.0]], False),
+        ],
+    )
+    def test_blown_up_cuts_at_the_divergence_limit(self, values, blown):
+        # a NaN anywhere counts, and the limit itself still counts as finite
+        assert _blown_up(np.array(values, dtype=float)) is blown
 
     def test_diverged_error_carries_round(self):
         prob = quadratic_problem()

@@ -335,6 +335,50 @@ class TestValidateRun:
         violations = validate_run(trace_path, summary_path, graph_path)
         assert any("tracker" in v for v in violations)
 
+    def test_ledger_message_names_the_first_violating_row(self, finished_run):
+        _, trace_path, summary_path, graph_path = finished_run
+        lines = trace_path.read_text().strip().split("\n")
+        # rows 5 and 9 are agent 0 of rounds 1 and 2 (four agents per round)
+        parts = lines[5].split(",")
+        formula = int(parts[-1])
+        parts[-1] = str(formula + 8)
+        lines[5] = ",".join(parts)
+        later = lines[9].split(",")
+        later[-1] = "0"
+        lines[9] = ",".join(later)
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"round 1 agent 0: ledger says {formula + 8} bytes, formula gives {formula}"
+        ]
+
+    def test_missing_rows_message(self, finished_run):
+        trace, trace_path, summary_path, graph_path = finished_run
+        lines = trace_path.read_text().strip().split("\n")
+        trace_path.write_text("\n".join(lines[:-2]) + "\n")
+        rows = (trace.rounds + 1) * 4
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"expected {rows} rows ({trace.rounds} rounds), found {rows - 2}"
+        ]
+
+    def test_tracker_message_names_the_first_violating_round(self, finished_run):
+        trace, trace_path, summary_path, graph_path = finished_run
+        payload = json.loads(summary_path.read_text())
+        payload["tracking_residuals"][1] = 1.0
+        payload["tracking_residuals"][2] = 2.0
+        summary_path.write_text(json.dumps(payload))
+        bound = 1e-12 * (1.0 + float(trace.mean_grad_norm[1]))
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"round 1: tracker deviates from the mean gradient by 1.000e+00 > {bound:.3e}"
+        ]
+
+    def test_header_only_trace_reports_missing_rows(self, finished_run):
+        trace, trace_path, summary_path, graph_path = finished_run
+        header = trace_path.read_text().split("\n")[0]
+        trace_path.write_text(header + "\n")
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"expected {(trace.rounds + 1) * 4} rows ({trace.rounds} rounds), found 0"
+        ]
+
     def test_detects_false_convergence_claim(self, finished_run):
         _, trace_path, summary_path, graph_path = finished_run
         payload = json.loads(summary_path.read_text())

@@ -1,6 +1,7 @@
 """Tests for the benchmark problem generators and reference solvers."""
 
 import json
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -469,6 +470,29 @@ class TestSolveReference:
         prob = SeparableProblem(locals=locs, family="custom")
         x = solve_reference(prob)
         assert np.linalg.norm(prob.mean_gradient(x)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_generic_fallback_gives_up_at_a_fixed_point(self, seed):
+        # the line search shrinks the step to nothing by iteration 25, after
+        # which every iteration would repeat the same x, gradient and estimate
+        prob = SeparableProblem(locals=qp_family(6, 6, (5, 50), seed).locals, family="custom")
+        start = time.perf_counter()
+        with pytest.raises(ReferenceSolveError, match="quasi-Newton fallback failed"):
+            solve_reference(prob)
+        assert time.perf_counter() - start < 1.0
+
+    def test_generic_fallback_certifies_a_fixed_point_within_its_slack(self):
+        # this fixed point misses tol but meets the 10 * tol post-loop check
+        prob = SeparableProblem(locals=qp_family(6, 6, (5, 50), 9).locals, family="custom")
+        x = solve_reference(prob, tol=1e-12)
+        assert 1e-12 < np.linalg.norm(prob.mean_gradient(x)) <= 1e-11
+
+    def test_objective_values_match_one_point_at_a_time(self):
+        rng = np.random.default_rng(4)
+        points = rng.standard_normal((7, 5))
+        for prob in (qp_family(6, 5, (2.0, 20.0), 1), logreg_family(4, 5, 1e-2, 2)):
+            expected = [prob.objective_value(x) for x in points]
+            assert prob.objective_values(points).tolist() == expected
 
     def test_constrained_custom_rejected(self):
         f = np.eye(1, 3)

@@ -16,7 +16,14 @@ import pytest
 from dataclasses import replace
 
 from dqn_mesh import ecdqn
-from dqn_mesh.dqn import DivergedError, RunConfig, SyncNetwork, diging_atc_run, dqn_run
+from dqn_mesh.dqn import (
+    DivergedError,
+    RunConfig,
+    SyncNetwork,
+    _Recorder,
+    diging_atc_run,
+    dqn_run,
+)
 from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run, ecdqn_step, init_ecdqn_states
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
 from dqn_mesh.quasi_newton import refresh_hessian_batch, refresh_inverse_batch
@@ -68,21 +75,33 @@ def refresh_hessian(b, s, y, scheme, floor, ceiling):
 
 
 class Log:
-    """The per-round columns compared against a solver trace."""
+    """Every per-round column of a solver trace, in textbook form: norms
+    through ``np.linalg.norm``, means through ``.mean(axis=0)`` and the
+    objective summed over the agents' own value closures."""
 
     def __init__(self, problem, payloads, degrees):
         self.problem = problem
         self.x_star = problem.reference_solution
         self.ledger = 8 * payloads * problem.dim * degrees
         self.rse, self.objective, self.bytes_sent = [], [], []
+        self.x_consensus, self.v_consensus, self.z_consensus = [], [], []
+        self.mean_grad_norm, self.tracking_residual = [], []
         self.feasibility, self.beta_norm = [], []
         self.skipped = self.repaired = self.retries = 0
         self.diverged = self.stalled = False
 
-    def record(self, x, feas=None, beta=None):
+    def record(self, x, v, g, z=None, feas=None, beta=None):
         rse = np.linalg.norm(x - self.x_star, axis=1) / np.linalg.norm(self.x_star)
         self.rse.append(rse)
-        self.objective.append(self.problem.objective_value(x.mean(axis=0)))
+        x_bar, v_bar, g_bar = x.mean(axis=0), v.mean(axis=0), g.mean(axis=0)
+        self.x_consensus.append(np.linalg.norm(x - x_bar))
+        self.v_consensus.append(np.linalg.norm(v - v_bar))
+        if z is not None:
+            self.z_consensus.append(np.linalg.norm(z - z.mean(axis=0)))
+        self.mean_grad_norm.append(np.linalg.norm(g_bar))
+        self.tracking_residual.append(np.linalg.norm(v_bar - g_bar))
+        values = [loc.value(x_bar) for loc in self.problem.locals]
+        self.objective.append(sum(values) / self.problem.n_agents)
         self.bytes_sent.append(self.ledger * (len(self.rse) - 1))
         if feas is not None:
             self.feasibility.append(feas)
@@ -99,7 +118,7 @@ def reference_dqn(problem, graph, cfg):
     v = g.copy()
     c = [cfg.c0_scale * np.eye(n) for _ in range(n_agents)]
     z = w @ np.stack([-(c[i] @ v[i]) for i in range(n_agents)])
-    worst = log.record(x)
+    worst = log.record(x, v, g, z)
     for _ in range(cfg.max_iters):
         if worst <= cfg.rse_tol:
             break
@@ -122,7 +141,7 @@ def reference_dqn(problem, graph, cfg):
             d.append(-(c[i] @ new_v[i]))
         z = w @ np.stack(d)
         x, v, g = new_x, new_v, new_g
-        worst = log.record(x)
+        worst = log.record(x, v, g, z)
     return log, x
 
 
@@ -133,7 +152,7 @@ def reference_diging(problem, graph, cfg):
     x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
     y = g.copy()
-    worst = log.record(x)
+    worst = log.record(x, y, g)
     for _ in range(cfg.max_iters):
         if worst <= cfg.rse_tol:
             break
@@ -147,7 +166,7 @@ def reference_diging(problem, graph, cfg):
             log.diverged = True
             break
         x, g = new_x, new_g
-        worst = log.record(x)
+        worst = log.record(x, y, g)
     return log, x
 
 
@@ -188,11 +207,12 @@ def reference_ecdqn(problem, graph, cfg):
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
     v = g.copy()
 
-    def record(x, beta):
+    def record(x, v, g, beta):
         feas = np.linalg.norm(x @ a_mat.T - b_vec, axis=1)
-        return log.record(x, feas, np.array([np.linalg.norm(bi) for bi in beta]))
+        beta_norm = np.array([np.linalg.norm(bi) for bi in beta])
+        return log.record(x, v, g, feas=feas, beta=beta_norm)
 
-    worst = record(x, np.zeros((n_agents, a_mat.shape[0])))
+    worst = record(x, v, g, np.zeros((n_agents, a_mat.shape[0])))
     stall_run = 0
     for _ in range(cfg.max_iters):
         if worst <= cfg.rse_tol:
@@ -220,7 +240,7 @@ def reference_ecdqn(problem, graph, cfg):
             log.repaired += repaired
         move = float(np.max(np.linalg.norm(new_x - x, axis=1)))
         x, v, g = new_x, new_v, new_g
-        worst = record(x, beta)
+        worst = record(x, v, g, beta)
         stall_run = stall_run + 1 if move <= cfg.stall_tol else 0
         if stall_run >= cfg.stall_rounds:
             # a round that meets the tolerance is a convergence, not a stall
@@ -235,7 +255,14 @@ def assert_trace_matches(trace, log, x_final, rse_tol):
         float(np.max(log.rse[-1])) <= rse_tol, log.diverged, log.stalled
     )
     assert np.array_equal(trace.rse, np.stack(log.rse))
-    assert np.array_equal(trace.objective, np.array(log.objective))
+    for column in (
+        "x_consensus", "v_consensus", "mean_grad_norm", "objective", "tracking_residual"
+    ):
+        assert np.array_equal(getattr(trace, column), np.array(getattr(log, column))), column
+    if log.z_consensus:
+        assert np.array_equal(trace.z_consensus, np.array(log.z_consensus))
+    else:
+        assert trace.z_consensus is None
     assert np.array_equal(trace.bytes_sent, np.stack(log.bytes_sent))
     assert np.array_equal(trace.x_final, x_final)
     if log.feasibility:
@@ -276,6 +303,22 @@ def test_dqn_run_matches_reference(case):
         "skipped": trace.skipped_pairs > 0,
         "diverged": trace.diverged,
     }[outcome]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_trace_columns_across_block_boundaries(extra):
+    # the recorder reduces its rounds a block at a time; a run of
+    # 2 * BLOCK + extra records ends just short of, on, or just past a
+    # block boundary
+    prob = qp_family(6, 5, (2.0, 20.0), 3)
+    solve_reference(prob)
+    graph = random_connected_graph(6, 0.9, 1)
+    max_iters = 2 * _Recorder.BLOCK + extra - 1
+    cfg = RunConfig(scheme="bfgs", alpha=0.2, max_iters=max_iters, rse_tol=0.0, seed=2)
+    trace = dqn_run(prob, graph, cfg)
+    log, x_final = reference_dqn(prob, graph, cfg)
+    assert trace.rounds == max_iters
+    assert_trace_matches(trace, log, x_final, cfg.rse_tol)
 
 
 DIGING_CASES = {
