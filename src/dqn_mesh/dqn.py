@@ -16,13 +16,14 @@ baseline two.
 
 The agents' variables are held stacked, one row (or one n x n slice) per
 agent, and every round refreshes all curvature estimates in one batched
-call, spectrum repairs included.  Generator-built quadratics evaluate
-every local gradient in one stacked call; other problems call each
-agent's gradient in turn.  A round records only what its stopping rule
-reads, every agent's relative error; the other trace columns are
-computed in one stacked pass per block of rounds, the objective at the
-mean iterates in one ``objective_values`` call per block rather than once
-per round.  Runs are single-threaded.
+call, spectrum repairs included.  Generator-built problems (quadratics,
+logistic regression, basis pursuit) evaluate every local gradient in one
+stacked call; custom problems call each agent's gradient in turn.  A
+round records only what its stopping rule reads, every agent's relative
+error; the other trace columns are computed in one stacked pass per
+block of rounds, the objective at the mean iterates in one
+``objective_values`` call per block rather than once per round.  Runs
+are single-threaded.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ iterate update; multipliers are recomputed fresh every round and never
 mixed.  Gradient tracking and the byte ledger reuse the unconstrained
 engine, and runs go through its round loop.  The agents' variables are
 held stacked; every round solves all saddle-point systems in one batched
-call, repairs and re-solves only the agents whose solve failed in a
-second one, and refreshes the Hessian estimates in another.
+call (block elimination, one LU solve per block), repairs and
+re-solves only the agents whose solve failed in a second one, and
+refreshes the Hessian estimates in another.
 """
 
 from __future__ import annotations
@@ -80,29 +81,34 @@ _KKT_FAILURES = {
 }
 
 
+def _identity_where(bad: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The stack m (N, k, k) with the rows flagged in bad set to the identity."""
+    if not bad.any():
+        return m
+    return np.where(bad[:, None, None], np.eye(m.shape[-1]), m)
+
+
 def _kkt_rows(b, a, rhs_stat, rhs_prim):
     """``kkt_solve_batch`` with a failure code per row: 0 where the row
     was solved, else the key in ``_KKT_FAILURES`` of its first failure."""
     u = -rhs_stat[:, :, None]
     w = -rhs_prim[:, :, None]
-    chol, ok = cholesky_rows(b)
+    # the Cholesky factorizations only test definiteness; each block is
+    # solved by one LU, with its failed rows swapped for the identity so
+    # that the stacked solve cannot raise on them
+    ok = cholesky_rows(b)[1]
     failure = np.where(ok, 0, 1)
-    chol_t = chol.transpose(0, 2, 1)
-
-    def b_solve(rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(chol_t, np.linalg.solve(chol, rhs))
-
-    binv_u = b_solve(u)
-    # every right-hand side is stacked like the factor: numpy 1.x reads an
-    # unstacked (n, m) one as a stack of vectors
-    binv_at = b_solve(np.broadcast_to(a.T, (len(b),) + a.T.shape))
+    # every right-hand side is stacked like the matrices: numpy 1.x reads
+    # an unstacked (n, k) one as a stack of vectors
+    at = np.broadcast_to(a.T, (len(b),) + a.T.shape)
+    binv = np.linalg.solve(_identity_where(~ok, b), np.concatenate([u, at], axis=2))
+    binv_u, binv_at = binv[:, :, :1], binv[:, :, 1:]
+    # the rank test reads the symmetric part of A B^-1 A'; the solve uses
+    # the product as computed, which keeps A delta_x - w at rounding level
     schur = a @ binv_at
-    schur = 0.5 * (schur + schur.transpose(0, 2, 1))
-    schur_chol, ok = cholesky_rows(schur)
+    ok = cholesky_rows(0.5 * (schur + schur.transpose(0, 2, 1)))[1]
     failure[(failure == 0) & ~ok] = 2
-    beta = np.linalg.solve(
-        schur_chol.transpose(0, 2, 1), np.linalg.solve(schur_chol, a @ binv_u - w)
-    )
+    beta = np.linalg.solve(_identity_where(~ok, schur), a @ binv_u - w)
     delta_x = binv_u - binv_at @ beta
 
     rhs = np.concatenate([u, w], axis=1)[:, :, 0]
@@ -119,15 +125,21 @@ def kkt_solve_batch(
 
     b is (N, n, n), a (m, n), rhs_stat (N, n) and rhs_prim (N, m); row i
     is the system of ``KktSystem(b[i], a, rhs_stat[i], rhs_prim[i])``.
-    Schur complement: one batched Cholesky of the Hessian blocks,
-    triangular solves for B^-1 u and B^-1 A', the symmetrized m x m block
-    A B^-1 A' and its Cholesky, then the multipliers and the primal
-    directions.  Returns (delta_x (N, n), beta (N, m), ok (N,)).  ok is
-    False on a row whose Hessian block or Schur block has no Cholesky
-    factor, or whose assembled residual exceeds 1e-10 * (1 + |rhs|); that
-    row's delta_x and beta are meaningless.  Every product is a stacked
-    ``matmul`` and every norm a ``row_dots``, so each row equals the same
-    call on that row alone.
+    Block elimination (Boyd & Vandenberghe, *Convex Optimization*,
+    section 10.4) with one LU solve per block: a batched Cholesky
+    factorization tests that every Hessian block is positive definite and
+    one batched LU solve gives B^-1 [u | A'], a batched Cholesky
+    factorization of the symmetric part of the m x m Schur block
+    A B^-1 A' tests its rank and one LU solve of the block gives the
+    multipliers, then the primal directions.  Returns delta_x (N, n),
+    beta (N, m) and ok (N,).  ok is False on a row whose Hessian
+    block or Schur block has no Cholesky factor, or whose assembled
+    residual exceeds 1e-10 * (1 + |rhs|); that row's delta_x and beta are
+    meaningless.  A failed row is swapped for the identity before each
+    solve, so it never makes the stacked call raise and leaves the other
+    rows as they are.  Every solve is a stacked ``np.linalg.solve``, every
+    product a stacked ``matmul`` and every norm a ``row_dots``, so each
+    row equals the same call on that row alone.
     """
     delta_x, beta, failure = _kkt_rows(b, a, rhs_stat, rhs_prim)
     return delta_x, beta, failure == 0

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quasi_newton import DEFAULT_FLOOR, refresh_inverse_batch
+from .quasi_newton import DEFAULT_FLOOR, refresh_inverse_batch, row_dots
 
 __all__ = [
     "LocalObjective",
@@ -57,10 +57,13 @@ class SeparableProblem:
     """A mean-of-locals objective with an optional equality constraint.
 
     local_data, when given, holds one generator record per local
-    objective.  A ``qp`` problem with local_data evaluates ``gradients``
-    and ``objective_value`` from the P_i and q_i stacked out of it at
-    construction; later edits to ``locals`` (wrapped closures included)
-    do not reach those two methods.
+    objective.  A ``qp``, ``logreg`` or ``basis-pursuit`` problem with
+    local_data evaluates ``gradients``, ``mean_gradient``,
+    ``objective_value`` and ``objective_values`` from a stack of every
+    agent's data built out of it at construction (for logistic regression
+    and basis pursuit a ragged one: every agent needs at least one data
+    row); later edits to ``locals`` (wrapped closures included) do not
+    reach those methods.  Other problems call each agent's closures.
     """
 
     locals: list[LocalObjective]
@@ -91,13 +94,10 @@ class SeparableProblem:
             self.constraint = (a, b)
         if self.local_data is not None and len(self.local_data) != len(self.locals):
             raise ValueError("need one local_data entry per local objective")
-        # generator-built quadratics are evaluated for every agent at once
-        self._quad = None
-        if self.family == "qp" and self.local_data is not None:
-            self._quad = (
-                np.stack([d.p for d in self.local_data]),
-                np.stack([d.q for d in self.local_data]),
-            )
+        # generator-built problems are evaluated for every agent at once
+        self._stack = None
+        if self.local_data is not None and self.family in _STACKS:
+            self._stack = _STACKS[self.family].of(self.local_data)
 
     @property
     def n_agents(self) -> int:
@@ -109,32 +109,28 @@ class SeparableProblem:
 
     def objective_value(self, x: np.ndarray) -> float:
         """Mean of the local objective values at x, summed in agent order."""
-        if self._quad is not None:
-            return sum(_qp_values(*self._quad, x).tolist()) / self.n_agents
-        return sum(loc.value(x) for loc in self.locals) / self.n_agents
+        return float(self.objective_values(np.asarray(x, dtype=float)[None])[0])
 
     def objective_values(self, points: np.ndarray) -> np.ndarray:
-        """objective_value at every row of a stack of points (R, n), bit
-        for bit.  A ``qp`` problem with local_data evaluates every (point,
-        agent) pair in one stacked call; other problems evaluate one point
-        at a time."""
-        if self._quad is not None:
-            values = _qp_values(*self._quad, points).tolist()
-            return np.array([sum(row) / self.n_agents for row in values])
-        return np.array([self.objective_value(x) for x in points], dtype=float)
+        """objective_value at every row of a stack of points (R, n).  A
+        generator-built problem evaluates every (point, agent) pair in one
+        stacked call; other problems call every closure at every point."""
+        if self._stack is not None:
+            values = self._stack.values(points).tolist()
+        else:
+            values = [[loc.value(x) for loc in self.locals] for x in points]
+        return np.array([sum(row) / self.n_agents for row in values], dtype=float)
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
         """Every agent's local gradient at its own row of x (N, n), stacked."""
-        if self._quad is not None:
-            return _qp_gradients(*self._quad, x)
+        if self._stack is not None:
+            return self._stack.gradients(x)
         return np.stack([loc.gradient(xi) for loc, xi in zip(self.locals, x)])
 
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Mean of the local gradients at x."""
-        g = np.zeros(self.dim)
-        for loc in self.locals:
-            g += loc.gradient(x)
-        return g / self.n_agents
+        """Mean of the local gradients at x, summed in agent order."""
+        grads = self.gradients(np.broadcast_to(x, (self.n_agents, self.dim)))
+        return np.add.reduce(grads, axis=0) / self.n_agents
 
     def smoothness(self) -> float | None:
         """Smoothness bound for the mean objective, if every local has one."""
@@ -186,70 +182,148 @@ def _expit(t: np.ndarray) -> np.ndarray:
     return out
 
 
-# The quadratic 0.5 x'Px + q'x is written once, for stacks: p (N, n, n)
-# and q (N, n).  Both are stacked matmuls, so row i equals the same call
-# on agent i alone, and equals the per-agent p @ x + q and
-# 0.5 * x @ p @ x + q @ x bit for bit (a 2-D q @ x would not).  Values
-# at a stack of points (R, n) add one more stacked axis, so each point's
-# row equals the call on that point alone.
+# Every generator family is written once, for stacks holding all agents'
+# data: gradients at one point per agent, x (N, n) -> (N, n), and values
+# at every row of a stack of points (R, n) -> (R, N).  Each agent's
+# closures are the one-agent case of the same kernels, and every step is
+# a stacked matmul, an elementwise op or a per-agent segment sum, so row i
+# of a stacked call equals the call on agent i alone bit for bit, and
+# each point's row equals the call on that point alone.
 
 
-def _qp_gradients(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of agent i at row i of x (N, n)."""
-    return (p @ x[:, :, None])[:, :, 0] + q
+@dataclass(frozen=True)
+class _QpStack:
+    """The quadratics 0.5 x'P_i x + q_i'x: p (N, n, n) and q (N, n).  Their
+    products equal the per-agent p @ x + q and 0.5 * x @ p @ x + q @ x bit
+    for bit (a 2-D q @ x would not)."""
+
+    p: np.ndarray
+    q: np.ndarray
+
+    @classmethod
+    def of(cls, data: list) -> "_QpStack":
+        return cls(np.stack([d.p for d in data]), np.stack([d.q for d in data]))
+
+    def gradients(self, x: np.ndarray) -> np.ndarray:
+        return (self.p @ x[:, :, None])[:, :, 0] + self.q
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        col = points[:, None, :, None]
+        quad = ((0.5 * points)[:, None, None, :] @ self.p) @ col
+        return quad[..., 0, 0] + (self.q[:, None] @ col)[..., 0, 0]
 
 
-def _qp_values(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Value of every agent's quadratic at a point x (n,), shape (N,), or
-    at every row of a stack of points x (R, n), shape (R, N)."""
-    col = x[..., None, :, None]
-    quad = ((0.5 * x)[..., None, None, :] @ p) @ col
-    return quad[..., 0, 0] + (q[:, None] @ col)[..., 0, 0]
+@dataclass(frozen=True)
+class _RowStack:
+    """Ragged per-agent data: every agent's rows (M, n) and targets (M,)
+    concatenated in agent order, a per-agent weight (N,), and the row
+    counts and segment starts (N,) that split them.  A sum over an agent's
+    rows is ``np.add.reduceat`` over its segment."""
+
+    rows: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def build(cls, rows: list, targets: list, weights: list) -> "_RowStack":
+        counts = np.array([len(r) for r in rows])
+        if (counts == 0).any():
+            # reduceat would give an empty segment its neighbor's row
+            raise ValueError("every agent needs at least one data row")
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        return cls(
+            np.concatenate(rows), np.concatenate(targets),
+            np.array(weights, dtype=float), counts, starts,
+        )
+
+    def own_dots(self, x: np.ndarray) -> np.ndarray:
+        """Each row's dot with its agent's row of x (N, n), shape (M,)."""
+        return row_dots(self.rows, np.repeat(x, self.counts, axis=0))
+
+    def point_dots(self, points: np.ndarray) -> np.ndarray:
+        """Each row's dot with every point of a stack (R, n), shape (R, M)."""
+        return (points[:, None, None, :] @ self.rows[:, :, None])[..., 0, 0]
+
+    def row_sums(self, scale: np.ndarray) -> np.ndarray:
+        """Every agent's sum of scale[j] * rows[j] over its rows, (N, n)."""
+        return np.add.reduceat(self.rows * scale[:, None], self.starts, axis=0)
+
+    def segment_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Every agent's sum of its terms (R, M) in each row, (R, N)."""
+        return np.add.reduceat(terms, self.starts, axis=1)
+
+
+class _LogRegStack(_RowStack):
+    """Logistic losses: rows are features, targets labels, weights the
+    ridge shares."""
+
+    @classmethod
+    def of(cls, data: list) -> "_LogRegStack":
+        return cls.build(
+            [d.features for d in data], [d.labels for d in data], [d.reg for d in data]
+        )
+
+    def gradients(self, x: np.ndarray) -> np.ndarray:
+        z = self.targets * self.own_dots(x)
+        return self.weights[:, None] * x - self.row_sums(self.targets * _expit(-z))
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        z = self.targets * self.point_dots(points)
+        ridge = (0.5 * self.weights) * row_dots(points, points)[:, None]
+        return ridge + self.segment_sums(np.logaddexp(0.0, -z))
+
+
+class _BpStack(_RowStack):
+    """l1-regularized least squares: rows and targets are the blocks a_i
+    and b_i, weights the l1 shares.  The gradient is a subgradient; sign(0)
+    = 0 picks the zero element of the subdifferential."""
+
+    @classmethod
+    def of(cls, data: list) -> "_BpStack":
+        return cls.build([d.a for d in data], [d.b for d in data], [d.l1 for d in data])
+
+    def gradients(self, x: np.ndarray) -> np.ndarray:
+        r = self.own_dots(x) - self.targets
+        return self.row_sums(r) + self.weights[:, None] * np.sign(x)
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        r = self.point_dots(points) - self.targets
+        l1 = self.weights * np.add.reduce(np.abs(points), axis=1)[:, None]
+        return 0.5 * self.segment_sums(r * r) + l1
+
+
+def _one_agent(stack, dim: int, **meta) -> LocalObjective:
+    """One agent's closures: its stack of one, called on a single point."""
+
+    def value(x: np.ndarray) -> float:
+        return float(stack.values(x[None])[0, 0])
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return stack.gradients(x[None])[0]
+
+    return LocalObjective(dim=dim, value=value, gradient=gradient, **meta)
 
 
 def _qp_local(data: QpLocalData) -> LocalObjective:
-    p, q = data.p[None], data.q[None]
-
-    def value(x: np.ndarray) -> float:
-        return float(_qp_values(p, q, x)[0])
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return _qp_gradients(p, q, x[None])[0]
-
     bound = float(np.linalg.eigvalsh(data.p)[-1])
-    return LocalObjective(dim=data.q.size, value=value, gradient=gradient, smoothness_bound=bound)
+    return _one_agent(_QpStack(data.p[None], data.q[None]), data.q.size, smoothness_bound=bound)
 
 
 def _logreg_local(data: LogRegLocalData) -> LocalObjective:
-    feats, labels, reg = data.features, data.labels, data.reg
-
-    def value(x: np.ndarray) -> float:
-        z = labels * (feats @ x)
-        return float(0.5 * reg * x @ x + np.sum(np.logaddexp(0.0, -z)))
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        z = labels * (feats @ x)
-        return reg * x - feats.T @ (labels * _expit(-z))
-
-    bound = reg + 0.25 * float(np.linalg.eigvalsh(feats.T @ feats)[-1])
-    return LocalObjective(dim=feats.shape[1], value=value, gradient=gradient, smoothness_bound=bound)
+    feats = data.features
+    bound = data.reg + 0.25 * float(np.linalg.eigvalsh(feats.T @ feats)[-1])
+    return _one_agent(_LogRegStack.of([data]), feats.shape[1], smoothness_bound=bound)
 
 
 def _bp_local(data: BasisPursuitLocalData) -> LocalObjective:
-    a, b, l1 = data.a, data.b, data.l1
+    bound = float(np.linalg.eigvalsh(data.a.T @ data.a)[-1])
+    return _one_agent(_BpStack.of([data]), data.a.shape[1], smoothness_bound=bound, smooth=False)
 
-    def value(x: np.ndarray) -> float:
-        r = a @ x - b
-        return float(0.5 * r @ r + l1 * np.sum(np.abs(x)))
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        # subgradient; sign(0) = 0 picks the zero element of the subdifferential
-        return a.T @ (a @ x - b) + l1 * np.sign(x)
-
-    bound = float(np.linalg.eigvalsh(a.T @ a)[-1])
-    return LocalObjective(
-        dim=a.shape[1], value=value, gradient=gradient, smoothness_bound=bound, smooth=False
-    )
+# generator family -> the stack its local_data evaluates through
+_STACKS = {"qp": _QpStack, "logreg": _LogRegStack, "basis-pursuit": _BpStack}
 
 
 def _local_hessian(data, x: np.ndarray) -> np.ndarray:

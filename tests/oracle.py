@@ -3,9 +3,9 @@
 One curvature pair, one estimate, one saddle-point system at a time, in
 plain 2-D numpy and independent of ``dqn_mesh``: the BFGS and DFP updates
 in inverse and direct form (Nocedal & Wright, *Numerical Optimization*,
-section 6.1), the curvature test, the spectrum clamp and a Schur-complement
-saddle-point solve.  The stacked code in ``dqn_mesh`` must reproduce these
-bit for bit.
+section 6.1), the curvature test, the spectrum clamp and a saddle-point
+solve by block elimination.  The stacked code in ``dqn_mesh`` must
+reproduce these bit for bit.
 """
 
 import numpy as np
@@ -84,27 +84,26 @@ def spectrum_clamp(matrix, floor, ceiling=None):
 
 def reference_kkt_solve(b_mat, a_mat, rhs_stat, rhs_prim):
     """One saddle-point system [[B, A'], [A, 0]] [dx; beta] = -[r_stat;
-    r_prim] by Schur complement, written for a single agent: Cholesky,
-    two triangular solves per block, then the residual check."""
+    r_prim] by block elimination (Boyd & Vandenberghe, *Convex
+    Optimization*, section 10.4), written for a single agent: a Cholesky
+    factorization tests that B is positive definite, one LU solve gives
+    B^-1 [u | A'], a Cholesky factorization of the symmetric part of the
+    Schur complement S = A B^-1 A' tests its rank, one LU solve of S gives
+    the multipliers, then the residual check."""
     u = -rhs_stat
     w = -rhs_prim
     try:
-        chol = np.linalg.cholesky(b_mat)
+        np.linalg.cholesky(b_mat)
     except np.linalg.LinAlgError as exc:
         raise KktError("hessian block is not positive definite") from exc
-
-    def b_solve(rhs):
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-
-    binv_u = b_solve(u)
-    binv_at = b_solve(a_mat.T)
+    binv = np.linalg.solve(b_mat, np.column_stack([u, a_mat.T]))
+    binv_u, binv_at = binv[:, 0], binv[:, 1:]
     schur = a_mat @ binv_at
-    schur = 0.5 * (schur + schur.T)
     try:
-        schur_chol = np.linalg.cholesky(schur)
+        np.linalg.cholesky(0.5 * (schur + schur.T))
     except np.linalg.LinAlgError as exc:
         raise KktError("constraint block is rank deficient") from exc
-    beta = np.linalg.solve(schur_chol.T, np.linalg.solve(schur_chol, a_mat @ binv_u - w))
+    beta = np.linalg.solve(schur, a_mat @ binv_u - w)
     delta_x = binv_u - binv_at @ beta
 
     scale = 1.0 + float(np.linalg.norm(np.concatenate([u, w])))

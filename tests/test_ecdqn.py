@@ -225,6 +225,53 @@ class TestKktSolve:
         assert np.array_equal(dx_bad[ok], dx[ok])
         assert np.array_equal(beta_bad[ok], beta[ok])
 
+    def test_batch_rows_equal_the_oracle(self):
+        rng = np.random.default_rng(11)
+        b = np.stack([random_spd(rng, 6, 0.01, 50.0) for _ in range(7)])
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        a = q[:, :3].T
+        rs = rng.standard_normal((7, 6))
+        rp = rng.standard_normal((7, 3))
+        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        assert ok.all()
+        for i in range(7):
+            dx_i, beta_i = reference_kkt_solve(b[i], a, rs[i], rp[i])
+            assert np.array_equal(dx[i], dx_i)
+            assert np.array_equal(beta[i], beta_i)
+
+    def test_singular_row_is_flagged_without_raising(self):
+        rng = np.random.default_rng(9)
+        b = np.stack([random_spd(rng, 4) for _ in range(5)])
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = q[:, :2].T
+        rs = rng.standard_normal((5, 4))
+        rp = rng.standard_normal((5, 2))
+        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        assert ok.all()
+        b[3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(b, rs[:, :, None])
+        dx_bad, beta_bad, ok = kkt_solve_batch(b, a, rs, rp)
+        assert ok.tolist() == [True, True, True, False, True]
+        assert np.array_equal(dx_bad[ok], dx[ok])
+        assert np.array_equal(beta_bad[ok], beta[ok])
+        with pytest.raises(KktFactorizationError, match="hessian block"):
+            kkt_solve(KktSystem(b=b[3], a=a, rhs_stat=rs[3], rhs_prim=rp[3]))
+
+    def test_rank_deficient_constraint_flags_every_row(self):
+        rng = np.random.default_rng(10)
+        b = np.stack([random_spd(rng, 4) for _ in range(4)])
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        # the second constraint row repeats the first
+        a = np.stack([q[:, 0], q[:, 0], q[:, 1]])
+        rs = rng.standard_normal((4, 4))
+        rp = rng.standard_normal((4, 3))
+        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        assert not ok.any()
+        for i in range(4):
+            with pytest.raises(KktFactorizationError, match="constraint block"):
+                kkt_solve(KktSystem(b=b[i], a=a, rhs_stat=rs[i], rhs_prim=rp[i]))
+
 
 # ---------------------------------------------------------------------------
 # initialization

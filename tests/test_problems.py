@@ -320,6 +320,113 @@ class TestStackedQuadratics:
 
 
 # ---------------------------------------------------------------------------
+# stacked logistic and l1 evaluators
+
+
+def closure_sums(prob, x_rows, points, x):
+    """gradients, objective_values, objective_value and mean_gradient as
+    loops over the agents' own closures."""
+    grads = np.stack([loc.gradient(xi) for loc, xi in zip(prob.locals, x_rows)])
+    values = [sum(loc.value(pt) for loc in prob.locals) / prob.n_agents for pt in points]
+    value = sum(loc.value(x) for loc in prob.locals) / prob.n_agents
+    g = np.zeros(prob.dim)
+    for loc in prob.locals:
+        g += loc.gradient(x)
+    return grads, values, value, g / prob.n_agents
+
+
+def assert_stacked_rows_exact(prob, x_rows, points, x):
+    """The stacked evaluators equal the closure loops bit for bit."""
+    grads, values, value, mean_grad = closure_sums(prob, x_rows, points, x)
+    assert np.array_equal(prob.gradients(x_rows), grads)
+    assert prob.objective_values(points).tolist() == values
+    assert prob.objective_value(x) == value
+    assert np.array_equal(prob.mean_gradient(x), mean_grad)
+
+
+def textbook_forms(data, x):
+    """One agent's (value, gradient) from the textbook formulas."""
+    if isinstance(data, LogRegLocalData):
+        z = data.labels * (data.features @ x)
+        sig = 1.0 / (1.0 + np.exp(z))
+        value = 0.5 * data.reg * x @ x + np.sum(np.log1p(np.exp(-z)))
+        return value, data.reg * x - data.features.T @ (data.labels * sig)
+    r = data.a @ x - data.b
+    return 0.5 * r @ r + data.l1 * np.sum(np.abs(x)), data.a.T @ r + data.l1 * np.sign(x)
+
+
+ROW_FAMILIES = {
+    "logreg": lambda seed: logreg_family(6, 5, 1e-2, seed, constraint=True),
+    "basis-pursuit": lambda seed: basis_pursuit_family(6, 8, 1e-2, seed),
+}
+
+
+class TestStackedRows:
+    @pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_match_closures_exactly(self, family, seed):
+        prob = ROW_FAMILIES[family](seed)
+        rows = [len(d.labels if family == "logreg" else d.b) for d in prob.local_data]
+        assert len(set(rows)) > 1
+        rng = np.random.default_rng(seed)
+        x_rows = rng.standard_normal((prob.n_agents, prob.dim))
+        points = rng.standard_normal((7, prob.dim))
+        assert_stacked_rows_exact(prob, x_rows, points, rng.standard_normal(prob.dim))
+        # and the closures compute the textbook formulas
+        for d, loc, xi in zip(prob.local_data, prob.locals, x_rows):
+            value, grad = textbook_forms(d, xi)
+            assert loc.value(xi) == pytest.approx(value, rel=1e-12)
+            assert np.allclose(loc.gradient(xi), grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
+    def test_one_agent_problem(self, family):
+        base = ROW_FAMILIES[family](3)
+        prob = SeparableProblem(
+            locals=base.locals[:1], family=family, local_data=base.local_data[:1]
+        )
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(prob.dim)
+        assert_stacked_rows_exact(prob, x[None], rng.standard_normal((4, prob.dim)), x)
+        assert np.array_equal(prob.gradients(x[None]), base.gradients(
+            np.broadcast_to(x, (base.n_agents, base.dim))
+        )[:1])
+
+    def test_l1_at_exact_zeros(self):
+        prob = basis_pursuit_family(6, 8, 1e-2, 4)
+        rng = np.random.default_rng(4)
+        x_rows = rng.standard_normal((prob.n_agents, prob.dim))
+        x_rows[:, ::3] = 0.0
+        x_rows[2] = 0.0
+        points = np.vstack([np.zeros(prob.dim), x_rows[:3]])
+        assert_stacked_rows_exact(prob, x_rows, points, x_rows[0])
+        # sign(0) = 0: at a zero coordinate the l1 term adds nothing
+        for d, g, xi in zip(prob.local_data, prob.gradients(x_rows), x_rows):
+            assert np.allclose(g, d.a.T @ (d.a @ xi - d.b) + d.l1 * np.sign(xi), atol=1e-14)
+            zero = xi == 0.0
+            assert np.allclose(g[zero], (d.a.T @ (d.a @ xi - d.b))[zero], atol=1e-14)
+
+    @pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
+    def test_loaded_problem_matches_closures_exactly(self, family, tmp_path):
+        prob = ROW_FAMILIES[family](5)
+        save_problem(prob, tmp_path / "problem.json")
+        back = load_problem(tmp_path / "problem.json")
+        rng = np.random.default_rng(5)
+        x_rows = rng.standard_normal((prob.n_agents, prob.dim))
+        points = rng.standard_normal((3, prob.dim))
+        assert_stacked_rows_exact(back, x_rows, points, points[0])
+        assert np.array_equal(back.gradients(x_rows), prob.gradients(x_rows))
+        assert np.array_equal(back.objective_values(points), prob.objective_values(points))
+
+    def test_rejects_an_agent_without_rows(self):
+        base = logreg_family(3, 4, 1e-2, 0)
+        empty = LogRegLocalData(features=np.zeros((0, 4)), labels=np.zeros(0), reg=0.0)
+        with pytest.raises(ValueError, match="at least one data row"):
+            SeparableProblem(
+                locals=base.locals, family="logreg", local_data=base.local_data[:2] + [empty]
+            )
+
+
+# ---------------------------------------------------------------------------
 # logistic family
 
 
@@ -490,7 +597,11 @@ class TestSolveReference:
     def test_objective_values_match_one_point_at_a_time(self):
         rng = np.random.default_rng(4)
         points = rng.standard_normal((7, 5))
-        for prob in (qp_family(6, 5, (2.0, 20.0), 1), logreg_family(4, 5, 1e-2, 2)):
+        for prob in (
+            qp_family(6, 5, (2.0, 20.0), 1),
+            logreg_family(4, 5, 1e-2, 2),
+            basis_pursuit_family(4, 5, 1e-2, 3),
+        ):
             expected = [prob.objective_value(x) for x in points]
             assert prob.objective_values(points).tolist() == expected
 

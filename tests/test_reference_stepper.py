@@ -357,10 +357,10 @@ EC_CASES = {
     "bfgs-safeguard": (4, 2, ec_config(scheme="bfgs", alpha=1.0, eig_ceiling=1.5), "repaired"),
     "dfp-diverges": (4, 2, ec_config(scheme="dfp", alpha=1e6), "diverged"),
     "bfgs-stalls": (4, 2, ec_config(scheme="bfgs", alpha=0.3, stall_tol=1e-3), "stalled"),
-    # converges at round 90 after one retry
+    # converges at round 88 after one retry
     "dfp-retry": (4, 4, ec_config(**RETRY, seed=4), "retried"),
     # runs all 150 rounds, one retry on the way
-    "dfp-unfused-retry": (7, 7, ec_config(**RETRY, fusion=False, seed=7), "retried"),
+    "dfp-unfused-retry": (12, 12, ec_config(**RETRY, fusion=False, seed=12), "retried"),
 }
 
 
