@@ -73,11 +73,13 @@ def _blown_up(arr: np.ndarray) -> bool:
 
 
 class DivergedError(RuntimeError):
-    """Iterates left the representable range; carries the failing round."""
+    """Iterates left the representable range; carries the failing round
+    and, optionally, the state whose counters cover that round's work."""
 
-    def __init__(self, round_index: int):
+    def __init__(self, round_index: int, state=None):
         super().__init__(f"non-finite iterate at round {round_index}")
         self.round_index = round_index
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -416,7 +418,8 @@ def run_rounds(
 ) -> tuple:
     """The round loop of every solver: record round zero, then step and
     record until the worst relative error (what record returns) meets
-    rse_tol, a step raises DivergedError or max_iters rounds are spent.
+    rse_tol, a step raises DivergedError or max_iters rounds are spent;
+    the state a DivergedError carries replaces the last one.
     With stall_rounds set, a run whose iterates all moved at most
     stall_tol for stall_rounds rounds in a row stops as stalled, unless
     that round also met rse_tol.  Returns the last state and its flags.
@@ -427,8 +430,10 @@ def run_rounds(
         x_prev = state.x
         try:
             state = step(state)
-        except DivergedError:
+        except DivergedError as err:
             flags["diverged"] = True
+            if err.state is not None:
+                state = err.state
             break
         if record(state) <= rse_tol:
             flags["converged"] = True

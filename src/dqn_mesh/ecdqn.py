@@ -15,7 +15,7 @@ refreshes the Hessian estimates in another.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,7 +114,8 @@ def _kkt_rows(b, a, rhs_stat, rhs_prim):
     rhs = np.concatenate([u, w], axis=1)[:, :, 0]
     res = np.concatenate([b @ delta_x + a.T @ beta - u, a @ delta_x - w], axis=1)[:, :, 0]
     scale = 1.0 + np.sqrt(row_dots(rhs, rhs))
-    failure[(failure == 0) & (np.sqrt(row_dots(res, res)) > 1e-10 * scale)] = 3
+    # written so that a NaN residual fails too
+    failure[(failure == 0) & ~(np.sqrt(row_dots(res, res)) <= 1e-10 * scale)] = 3
     return delta_x[:, :, 0], beta[:, :, 0], failure
 
 
@@ -134,10 +135,10 @@ def kkt_solve_batch(
     multipliers, then the primal directions.  Returns delta_x (N, n),
     beta (N, m) and ok (N,).  ok is False on a row whose Hessian
     block or Schur block has no Cholesky factor, or whose assembled
-    residual exceeds 1e-10 * (1 + |rhs|); that row's delta_x and beta are
-    meaningless.  A failed row is swapped for the identity before each
-    solve, so it never makes the stacked call raise and leaves the other
-    rows as they are.  Every solve is a stacked ``np.linalg.solve``, every
+    residual is not finite or exceeds 1e-10 * (1 + |rhs|); that row's
+    delta_x and beta are meaningless.  A failed row is swapped for the
+    identity before each solve, so it never makes the stacked call raise
+    and leaves the other rows as they are.  Every solve is a stacked ``np.linalg.solve``, every
     product a stacked ``matmul`` and every norm a ``row_dots``, so each
     row equals the same call on that row alone.
     """
@@ -280,7 +281,9 @@ def ecdqn_step(
     cross every edge (two with fusion disabled).  Every agent's
     saddle-point system is solved in one batched call.  The agents whose
     solve fails get one spectrum repair and are solved again, together, in
-    a second batched call; a failure there aborts the run as diverged.
+    a second batched call; a failure there aborts the run as diverged.  The
+    DivergedError of a round that aborts carries the state with that
+    round's retries and repairs counted.
     """
     a_mat, b_vec = problem.constraint
     b_kkt = state.b
@@ -288,6 +291,10 @@ def ecdqn_step(
     delta_x, beta, ok = kkt_solve_batch(b_kkt, a_mat, state.v, r_prim)
     failed = np.flatnonzero(~ok)
     if failed.size:
+        state = replace(
+            state, kkt_retries=state.kkt_retries + failed.size,
+            safeguard_repairs=state.safeguard_repairs + failed.size,
+        )
         b_kkt = state.b.copy()
         # through this module's pd_safeguard name, as in the refresh below
         b_kkt[failed] = pd_safeguard(b_kkt[failed], floor=eig_floor, ceiling=eig_ceiling)
@@ -295,15 +302,15 @@ def ecdqn_step(
             b_kkt[failed], a_mat, state.v[failed], r_prim[failed]
         )
         if not ok.all():
-            raise DivergedError(network.round + 1)
+            raise DivergedError(network.round + 1, state)
     d = network.mix(delta_x) if fusion else delta_x
 
     new_x = network.mix(state.x + state.alpha[:, None] * d)
     if _blown_up(new_x):
-        raise DivergedError(network.round + 1)
+        raise DivergedError(network.round + 1, state)
     new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
-        raise DivergedError(network.round + 1)
+        raise DivergedError(network.round + 1, state)
     # repairs go through this module's pd_safeguard name, as in dqn_step
     refresh = refresh_hessian_batch(
         b_kkt, new_x - state.x, new_v - state.v, scheme, eig_floor, eig_ceiling,
@@ -320,8 +327,8 @@ def ecdqn_step(
         alpha=state.alpha,
         last_gradient=new_g,
         skipped_pairs=state.skipped_pairs + refresh.skipped,
-        safeguard_repairs=state.safeguard_repairs + failed.size + refresh.repaired,
-        kkt_retries=state.kkt_retries + failed.size,
+        safeguard_repairs=state.safeguard_repairs + refresh.repaired,
+        kkt_retries=state.kkt_retries,
     )
 
 

@@ -6,17 +6,19 @@ the Hessian itself, used inside saddle-point solves).  Every accepted
 update preserves symmetry and positive definiteness and satisfies the
 secant equation for its pair.
 
-Every kernel here is written once, for stacks: the curvature test, the
-four updates, the Cholesky probe and the spectrum clamp.  The solvers
+Every kernel here is written once, for stacks: the curvature test, two
+dual O(n^2) update kernels (Nocedal & Wright, *Numerical Optimization*,
+section 6.1), the Cholesky probe and the spectrum clamp.  The solvers
 refresh every agent's estimate at once through ``refresh_inverse_batch``
 and ``refresh_hessian_batch``.  Row i of every result equals the same call
-on row i alone, and the textbook per-pair forms bit for bit: every dot
-product and norm that feeds a decision is a stacked ``matmul``, which
-reduces in the same order as the per-pair ``y @ s``.
+on row i alone, and the same update written for one pair, bit for bit:
+every dot product and norm that feeds a decision is a stacked ``matmul``,
+which reduces in the same order as the per-pair ``y @ s``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,8 +58,20 @@ def curvature_ok(s: np.ndarray, y: np.ndarray, rtol: float = CURVATURE_RTOL) -> 
     The strict test matters for zero pairs (s = 0 or y = 0), where the
     relative bound is itself zero and an update would divide by y's = 0.
     """
-    ys = row_dots(y, s)
+    return _curvature_mask(row_dots(y, s), s, y, rtol)
+
+
+def _curvature_mask(ys, s, y, rtol=CURVATURE_RTOL):
+    """``curvature_ok`` given the pairs' y's."""
     return (ys > 0.0) & (ys >= rtol * np.sqrt(row_dots(y, y)) * np.sqrt(row_dots(s, s)))
+
+
+@lru_cache(maxsize=8)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, shared and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def cholesky_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +85,7 @@ def cholesky_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.cholesky(m), np.ones(len(m), dtype=bool)
     except np.linalg.LinAlgError:
-        chol = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
+        chol = np.broadcast_to(_eye(m.shape[-1]), m.shape).copy()
         ok = np.zeros(len(m), dtype=bool)
         for i in range(len(m)):
             try:
@@ -82,42 +96,46 @@ def cholesky_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return chol, ok
 
 
-# Each update is written once, for stacks: m (N, n, n), s and y (N, n),
-# rho = y's (N,).  Each returns the unsymmetrized estimates and, where the
-# update has a second denominator, a mask of the rows where it was not
-# found non-positive (None otherwise).
+# Both kernels take m (N, n, n), p and q (N, n) and r = q'p (N,), and return
+# the new estimates and, where the update has a second denominator, a mask
+# of the rows where it was not found non-positive (None otherwise).  Each
+# entry is computed from the same operands as its mirror entry, so a
+# symmetric m gives an exactly symmetric result.  Each allocates two
+# (N, n, n) arrays and works in place otherwise: a fresh array of that
+# size can cost more than a pass over it.
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :, None] * b[:, None, :]
 
 
-def _bfgs_inverse_rows(c, s, y, rho):
-    """C' = (I - sy'/r) C (I - ys'/r) + ss'/r with r = y's; maps y to s."""
-    a = np.eye(s.shape[1]) - _outer(s, y) / rho[:, None, None]
-    return a @ c @ a.transpose(0, 2, 1) + _outer(s, s) / rho[:, None, None], None
+def _product_rows(m, p, q, r):
+    """M' = (I - pq'/r) M (I - qp'/r) + pp'/r, expanded: with w = Mq,
+    M' = M + (Q + Q') where Q = pa' and a = ((1 + q'w/r)/2 p - w)/r.
+
+    BFGS inverse as (C, s, y), DFP direct as (B, y, s)."""
+    w = (m @ q[:, :, None])[:, :, 0]
+    k = 1.0 + row_dots(q, w) / r
+    a = (0.5 * k[:, None] * p - w) / r[:, None]
+    half = _outer(p, a)
+    new = half + half.transpose(0, 2, 1)
+    new += m
+    return new, None
 
 
-def _dfp_inverse_rows(c, s, y, rho):
-    """C' = C - Cyy'C/(y'Cy) + ss'/(y's)."""
-    cy = (c @ y[:, :, None])[:, :, 0]
-    denom = row_dots(y, cy)
-    c_new = c - _outer(cy, cy) / denom[:, None, None] + _outer(s, s) / rho[:, None, None]
-    return c_new, ~(denom <= 0)
+def _rank_two_rows(m, p, q, r):
+    """M' = M - ww'/(q'w) + pp'/r with w = Mq.
 
-
-def _bfgs_hessian_rows(b, s, y, rho):
-    """B' = B - Bss'B/(s'Bs) + yy'/(y's); maps s to y."""
-    bs = (b @ s[:, :, None])[:, :, 0]
-    denom = row_dots(s, bs)
-    b_new = b - _outer(bs, bs) / denom[:, None, None] + _outer(y, y) / rho[:, None, None]
-    return b_new, ~(denom <= 0)
-
-
-def _dfp_hessian_rows(b, s, y, rho):
-    """B' = (I - ys'/r) B (I - sy'/r) + yy'/r with r = y's."""
-    a = np.eye(s.shape[1]) - _outer(y, s) / rho[:, None, None]
-    return a @ b @ a.transpose(0, 2, 1) + _outer(y, y) / rho[:, None, None], None
+    DFP inverse as (C, s, y), BFGS direct as (B, y, s)."""
+    w = (m @ q[:, :, None])[:, :, 0]
+    denom = row_dots(q, w)
+    new = _outer(w, w)
+    new /= denom[:, None, None]
+    np.subtract(m, new, out=new)
+    add = _outer(p, p)
+    add /= r[:, None, None]
+    new += add
+    return new, ~(denom <= 0)
 
 
 def pd_safeguard(matrix: np.ndarray, floor: float = DEFAULT_FLOOR, ceiling: float | None = None) -> np.ndarray:
@@ -146,8 +164,10 @@ def pd_safeguard(matrix: np.ndarray, floor: float = DEFAULT_FLOOR, ceiling: floa
 # ---------------------------------------------------------------------------
 # stacked refresh: one call updates every agent's estimate
 
-_INVERSE_ROWS = {"bfgs": _bfgs_inverse_rows, "dfp": _dfp_inverse_rows}
-_HESSIAN_ROWS = {"bfgs": _bfgs_hessian_rows, "dfp": _dfp_hessian_rows}
+# scheme -> kernel; the inverse forms take the pair as (p, q) = (s, y) and
+# the direct forms, their duals, as (y, s)
+_INVERSE_ROWS = {"bfgs": _product_rows, "dfp": _rank_two_rows}
+_HESSIAN_ROWS = {"bfgs": _rank_two_rows, "dfp": _product_rows}
 
 
 class BatchRefresh(NamedTuple):
@@ -159,51 +179,50 @@ class BatchRefresh(NamedTuple):
     repaired: int
 
 
-def _apply_pairs(m, s, y, rows_update):
+def _apply_pairs(m, s, y, rows_update, direct):
     """Masked rank-two update; returns (estimates, number applied).
 
     A pair is applied only where ``curvature_ok`` passes and the update's
     own denominator is not found non-positive (a NaN denominator applies).
-    The result never aliases ``m``.
+    Every row is updated and the rows not applied are copied back, which
+    allocates less than updating a selection.  The result never aliases
+    ``m``.
     """
-    rows = np.flatnonzero(curvature_ok(s, y))
-    if rows.size == 0:
+    ys = row_dots(y, s)
+    ok = _curvature_mask(ys, s, y)
+    if not ok.any():
         return m.copy(), 0
-    whole = rows.size == len(m)
-    sel = slice(None) if whole else rows
-    # a second denominator may vanish; such rows are discarded below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        new, valid = rows_update(m[sel], s[sel], y[sel], row_dots(y[sel], s[sel]))
-    new = _sym(new)
-    if valid is not None and not valid.all():
-        new, rows = new[valid], rows[valid]
-        whole = False
-    if whole:
-        return new, rows.size
-    out = m.copy()
-    out[rows] = new
-    return out, rows.size
+    # a row failing either test may divide by zero; it is restored below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        new, valid = rows_update(m, *((y, s) if direct else (s, y)), ys)
+    if valid is not None:
+        ok &= valid
+    keep = np.flatnonzero(~ok)
+    new[keep] = m[keep]
+    return new, len(m) - keep.size
 
 
 def _needs_repair(m: np.ndarray, ceiling: float, shift: float) -> np.ndarray:
     """Mask of estimates that are non-finite, above the Frobenius ceiling,
-    or fail a Cholesky probe of ``m - shift * I``."""
+    or fail a Cholesky probe of ``m - shift * I``.  One norm test does the
+    first two: a non-finite entry makes the norm fail ``norm <= limit``
+    for any finite limit (a norm that overflows counts as non-finite)."""
     n_rows, n = m.shape[0], m.shape[1]
     flat = m.reshape(n_rows, n * n)
-    bad = ~np.isfinite(flat).all(axis=1)
+    limit = min(ceiling, np.finfo(float).max)
     with np.errstate(invalid="ignore", over="ignore"):
-        bad |= np.sqrt(row_dots(flat, flat)) > ceiling
+        bad = ~(np.sqrt(row_dots(flat, flat)) <= limit)
     probe = np.flatnonzero(~bad)
     if probe.size:
         shifted = m if probe.size == n_rows else m[probe]
         if shift:
-            shifted = shifted - shift * np.eye(n)
+            shifted = shifted - shift * _eye(n)
         bad[probe[~cholesky_rows(shifted)[1]]] = True
     return bad
 
 
-def _refresh_batch(m, s, y, rows_update, floor, ceiling, shift, safeguard):
-    out, applied = _apply_pairs(m, s, y, rows_update)
+def _refresh_batch(m, s, y, rows_update, direct, floor, ceiling, shift, safeguard):
+    out, applied = _apply_pairs(m, s, y, rows_update, direct)
     bad = np.flatnonzero(_needs_repair(out, ceiling, shift))
     if bad.size:
         flagged = out[bad]
@@ -230,7 +249,7 @@ def refresh_inverse_batch(
     pass their own module-level ``pd_safeguard`` name so that a wrapper
     installed on it sees each batch of repairs.
     """
-    return _refresh_batch(c, s, y, _INVERSE_ROWS[scheme], floor, gamma, 0.0, safeguard)
+    return _refresh_batch(c, s, y, _INVERSE_ROWS[scheme], False, floor, gamma, 0.0, safeguard)
 
 
 def refresh_hessian_batch(
@@ -249,4 +268,6 @@ def refresh_hessian_batch(
     floor, so estimates clamped exactly at the floor pass untouched, and
     the spectrum box is [floor, ceiling].
     """
-    return _refresh_batch(b, s, y, _HESSIAN_ROWS[scheme], floor, ceiling, 0.5 * floor, safeguard)
+    return _refresh_batch(
+        b, s, y, _HESSIAN_ROWS[scheme], True, floor, ceiling, 0.5 * floor, safeguard
+    )

@@ -5,7 +5,8 @@ plain 2-D numpy and independent of ``dqn_mesh``: the BFGS and DFP updates
 in inverse and direct form (Nocedal & Wright, *Numerical Optimization*,
 section 6.1), the curvature test, the spectrum clamp and a saddle-point
 solve by block elimination.  The stacked code in ``dqn_mesh`` must
-reproduce these bit for bit.
+reproduce these bit for bit; the product forms of two updates are kept
+as a cross-check to rounding.
 """
 
 import numpy as np
@@ -38,11 +39,20 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
+# The four updates in expanded form (Nocedal & Wright, section 6.1): the
+# BFGS inverse and the DFP direct update as M + (Q + Q'), the other two as
+# a rank-two correction.  Each entry is computed from the same operands as
+# its mirror entry, so a symmetric estimate stays exactly symmetric.
+
+
 def bfgs_inverse_update(c, s, y):
-    """C' = (I - sy'/r) C (I - ys'/r) + ss'/r with r = y's."""
+    """C' = C + (Q + Q') with Q = sa', a = ((1 + y'Cy/r)/2 s - Cy)/r and
+    r = y's: the product form below, multiplied out."""
     rho = _require_curvature(s, y)
-    a = np.eye(s.size) - np.outer(s, y) / rho
-    return _sym(a @ c @ a.T + np.outer(s, s) / rho)
+    cy = c @ y
+    a = (0.5 * (1.0 + float(y @ cy) / rho) * s - cy) / rho
+    half = np.outer(s, a)
+    return c + (half + half.T)
 
 
 def dfp_inverse_update(c, s, y):
@@ -52,7 +62,7 @@ def dfp_inverse_update(c, s, y):
     denom = float(y @ cy)
     if denom <= 0:
         raise CurvatureError("y'Cy is not positive; estimate lost definiteness")
-    return _sym(c - np.outer(cy, cy) / denom + np.outer(s, s) / rho)
+    return c - np.outer(cy, cy) / denom + np.outer(s, s) / rho
 
 
 def bfgs_hessian_update(b, s, y):
@@ -62,18 +72,43 @@ def bfgs_hessian_update(b, s, y):
     denom = float(s @ bs)
     if denom <= 0:
         raise CurvatureError("s'Bs is not positive; estimate lost definiteness")
-    return _sym(b - np.outer(bs, bs) / denom + np.outer(y, y) / rho)
+    return b - np.outer(bs, bs) / denom + np.outer(y, y) / rho
 
 
 def dfp_hessian_update(b, s, y):
-    """B' = (I - ys'/r) B (I - sy'/r) + yy'/r with r = y's."""
+    """B' = B + (Q + Q') with Q = ya', a = ((1 + s'Bs/r)/2 y - Bs)/r and
+    r = y's: the product form below, multiplied out."""
     rho = _require_curvature(s, y)
-    a = np.eye(s.size) - np.outer(y, s) / rho
-    return _sym(a @ b @ a.T + np.outer(y, y) / rho)
+    bs = b @ s
+    a = (0.5 * (1.0 + float(s @ bs) / rho) * y - bs) / rho
+    half = np.outer(y, a)
+    return b + (half + half.T)
 
 
 INVERSE = {"bfgs": bfgs_inverse_update, "dfp": dfp_inverse_update}
 DIRECT = {"bfgs": bfgs_hessian_update, "dfp": dfp_hessian_update}
+
+
+# The product forms of the BFGS inverse and the DFP direct update, an
+# independent cross-check of the expanded ones: they agree to rounding
+# (PRODUCT_RTOL of the result's largest entry), not bit for bit, and cost
+# two n x n matrix products each.
+
+PRODUCT_RTOL = 1e-13
+
+
+def bfgs_inverse_product(c, s, y):
+    """C' = (I - sy'/r) C (I - ys'/r) + ss'/r with r = y's."""
+    rho = _require_curvature(s, y)
+    a = np.eye(s.size) - np.outer(s, y) / rho
+    return a @ c @ a.T + np.outer(s, s) / rho
+
+
+def dfp_hessian_product(b, s, y):
+    """B' = (I - ys'/r) B (I - sy'/r) + yy'/r with r = y's."""
+    rho = _require_curvature(s, y)
+    a = np.eye(s.size) - np.outer(y, s) / rho
+    return a @ b @ a.T + np.outer(y, y) / rho
 
 
 def spectrum_clamp(matrix, floor, ceiling=None):
@@ -109,6 +144,6 @@ def reference_kkt_solve(b_mat, a_mat, rhs_stat, rhs_prim):
     scale = 1.0 + float(np.linalg.norm(np.concatenate([u, w])))
     res_stat = b_mat @ delta_x + a_mat.T @ beta - u
     res_prim = a_mat @ delta_x - w
-    if np.linalg.norm(np.concatenate([res_stat, res_prim])) > 1e-10 * scale:
+    if not np.linalg.norm(np.concatenate([res_stat, res_prim])) <= 1e-10 * scale:
         raise KktError("saddle-point solve residual too large")
     return delta_x, beta

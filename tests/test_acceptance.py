@@ -30,7 +30,7 @@ from dqn_mesh.topology import (
     random_connected_graph,
     spectral_contraction,
 )
-from oracle import DIRECT, INVERSE
+from oracle import DIRECT, INVERSE, PRODUCT_RTOL, bfgs_inverse_product, dfp_hessian_product
 
 
 def _report(lines, num, name, body):
@@ -89,6 +89,13 @@ def test_criterion_2_quasi_newton_algebra(criterion_report):
                     new[key] = out.estimates[0]
                     # the batched update is the textbook per-pair one, bit for bit
                     assert np.array_equal(new[key], per_pair(m0, s, y))
+            # and the product forms agree with it to rounding
+            for key, product, m0 in (
+                ("bfgs_c", bfgs_inverse_product, c0),
+                ("dfp_b", dfp_hessian_product, b0),
+            ):
+                want = product(m0, s, y)
+                assert np.max(np.abs(new[key] - want)) <= PRODUCT_RTOL * np.max(np.abs(want))
             for m in new.values():
                 assert np.max(np.abs(m - m.T)) <= 1e-12
                 assert np.linalg.eigvalsh(m)[0] > 0.0

@@ -258,6 +258,21 @@ class TestKktSolve:
         with pytest.raises(KktFactorizationError, match="hessian block"):
             kkt_solve(KktSystem(b=b[3], a=a, rhs_stat=rs[3], rhs_prim=rp[3]))
 
+    def test_non_finite_right_hand_side_is_flagged(self):
+        # a NaN residual norm fails the residual check instead of passing it
+        b = np.stack([np.eye(3)] * 2)
+        a = np.array([[1.0, 0.0, 0.0]])
+        rs = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        rp = np.zeros((2, 1))
+        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        assert ok.tolist() == [False, True]
+        dx_1, beta_1 = kkt_solve(KktSystem(b=b[1], a=a, rhs_stat=rs[1], rhs_prim=rp[1]))
+        assert np.array_equal(dx[1], dx_1) and np.array_equal(beta[1], beta_1)
+        with pytest.raises(KktFactorizationError, match="residual"):
+            kkt_solve(KktSystem(b=b[0], a=a, rhs_stat=rs[0], rhs_prim=rp[0]))
+        with pytest.raises(KktError, match="residual"):
+            reference_kkt_solve(b[0], a, rs[0], rp[0])
+
     def test_rank_deficient_constraint_flags_every_row(self):
         rng = np.random.default_rng(10)
         b = np.stack([random_spd(rng, 4) for _ in range(4)])

@@ -578,7 +578,7 @@ class TestSolveReference:
         x = solve_reference(prob)
         assert np.linalg.norm(prob.mean_gradient(x)) <= 1e-10
 
-    @pytest.mark.parametrize("seed", [0, 6])
+    @pytest.mark.parametrize("seed", [6, 9])
     def test_generic_fallback_gives_up_at_a_fixed_point(self, seed):
         # the line search shrinks the step to nothing by iteration 25, after
         # which every iteration would repeat the same x, gradient and estimate
@@ -590,7 +590,7 @@ class TestSolveReference:
 
     def test_generic_fallback_certifies_a_fixed_point_within_its_slack(self):
         # this fixed point misses tol but meets the 10 * tol post-loop check
-        prob = SeparableProblem(locals=qp_family(6, 6, (5, 50), 9).locals, family="custom")
+        prob = SeparableProblem(locals=qp_family(6, 6, (5, 50), 1).locals, family="custom")
         x = solve_reference(prob, tol=1e-12)
         assert 1e-12 < np.linalg.norm(prob.mean_gradient(x)) <= 1e-11
 

@@ -1,7 +1,8 @@
 """Curvature updates: secant equations, definiteness, duality, safeguards.
 
-The stacked kernels are checked against their algebra and against the
-per-pair textbook forms of ``oracle.py``.
+The stacked kernels are checked against their algebra, against the
+per-pair textbook forms of ``oracle.py`` and, to rounding, against its
+product forms.
 """
 
 import numpy as np
@@ -10,6 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from dqn_mesh import dqn, ecdqn
+from dqn_mesh.dqn import RunConfig, dqn_run
+from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run
+from dqn_mesh.problems import logreg_family, qp_family
 from dqn_mesh.quasi_newton import (
     CURVATURE_RTOL,
     cholesky_rows,
@@ -18,6 +23,7 @@ from dqn_mesh.quasi_newton import (
     refresh_hessian_batch,
     refresh_inverse_batch,
 )
+from dqn_mesh.topology import random_connected_graph
 
 REFRESH = {"inverse": refresh_inverse_batch, "hessian": refresh_hessian_batch}
 
@@ -48,23 +54,6 @@ def update(form, scheme, m, s, y):
     out = REFRESH[form](m[None], s[None], y[None], scheme, 1e-8, np.inf)
     assert out.repaired == 0
     return out.estimates[0]
-
-
-# expanded-form oracles, algebraically identical but coded independently
-
-
-def oracle_bfgs_inverse(c, s, y):
-    rho = y @ s
-    cy = c @ y
-    term = np.outer(s, cy) + np.outer(cy, s)
-    return c - term / rho + (1.0 + (y @ cy) / rho) * np.outer(s, s) / rho
-
-
-def oracle_dfp_hessian(b, s, y):
-    rho = y @ s
-    bs = b @ s
-    term = np.outer(y, bs) + np.outer(bs, y)
-    return b - term / rho + (1.0 + (s @ bs) / rho) * np.outer(y, y) / rho
 
 
 class TestCurvaturePair:
@@ -152,15 +141,62 @@ def test_hessian_updates_satisfy_secant(n, seed):
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_updates_match_expanded_form_oracles(n, seed):
+    # every update equals its per-pair form bit for bit and keeps a
+    # symmetric estimate exactly symmetric; the two with a product form
+    # agree with it to oracle.PRODUCT_RTOL of the largest entry
     rng = np.random.default_rng(seed)
     m = random_spd(rng, n)
+    m = 0.5 * (m + m.T)
     s, y = good_pair(rng, n)
-    got = update("inverse", "bfgs", m, s, y)
-    want = oracle_bfgs_inverse(m, s, y)
-    assert np.allclose(got, want, atol=1e-10 * max(1, np.abs(want).max()))
-    got = update("hessian", "dfp", m, s, y)
-    want = oracle_dfp_hessian(m, s, y)
-    assert np.allclose(got, want, atol=1e-10 * max(1, np.abs(want).max()))
+    for form, per_pair in (("inverse", oracle.INVERSE), ("hessian", oracle.DIRECT)):
+        for scheme in ("bfgs", "dfp"):
+            got = update(form, scheme, m, s, y)
+            assert np.array_equal(got, per_pair[scheme](m, s, y))
+            assert np.array_equal(got, got.T)
+    for form, scheme, product in (
+        ("inverse", "bfgs", oracle.bfgs_inverse_product),
+        ("hessian", "dfp", oracle.dfp_hessian_product),
+    ):
+        got = update(form, scheme, m, s, y)
+        want = product(m, s, y)
+        assert np.max(np.abs(got - want)) <= oracle.PRODUCT_RTOL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scheme", ["bfgs", "dfp"])
+def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatch):
+    # every refresh of a whole DQN and EC-DQN run returns a bitwise
+    # symmetric stack, on rows whose pair was applied, skipped or repaired
+    seen = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+        seen[name] = []
+
+        def recorded(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen[name].append(out)
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(dqn, "refresh_inverse_batch")
+    spy(ecdqn, "refresh_hessian_batch")
+    dqn_run(
+        qp_family(6, 5, (2.0, 20.0), 3),
+        random_connected_graph(6, 0.9, 1),
+        RunConfig(scheme=scheme, alpha=0.8, gamma=0.5, max_iters=200, rse_tol=1e-10, seed=2),
+    )
+    ecdqn_run(
+        logreg_family(5, 5, 1e-2, 4, constraint=True),
+        random_connected_graph(5, 0.7, 2),
+        EcRunConfig(scheme=scheme, alpha=1.0, eig_ceiling=1.5, max_iters=120, seed=1),
+    )
+    for outs in seen.values():
+        for out in outs:
+            assert np.array_equal(out.estimates, out.estimates.transpose(0, 2, 1))
+        assert sum(len(out.estimates) - out.skipped for out in outs) > 0
+        assert sum(out.skipped for out in outs) > 0
+        assert sum(out.repaired for out in outs) > 0
 
 
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))

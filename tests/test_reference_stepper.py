@@ -173,8 +173,9 @@ def reference_diging(problem, graph, cfg):
 def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
     """Every agent's saddle-point solve in turn; a failed solve repairs
     that agent's estimate in the list b and retries once.  Returns
-    (dx, beta), or None when a retry fails too."""
-    dx, beta = [], []
+    (dx, beta), or None when a retry fails too; every agent's solve and
+    retry of the round is counted either way."""
+    dx, beta, lost = [], [], False
     for i in range(len(x)):
         r_prim = a_mat @ x[i] - b_vec
         try:
@@ -186,10 +187,11 @@ def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
             try:
                 sol = reference_kkt_solve(b[i], a_mat, v[i], r_prim)
             except KktError:
-                return None
+                lost = True
+                continue
         dx.append(sol[0])
         beta.append(sol[1])
-    return np.stack(dx), np.stack(beta)
+    return None if lost else (np.stack(dx), np.stack(beta))
 
 
 def reference_ecdqn(problem, graph, cfg):
@@ -357,10 +359,13 @@ EC_CASES = {
     "bfgs-safeguard": (4, 2, ec_config(scheme="bfgs", alpha=1.0, eig_ceiling=1.5), "repaired"),
     "dfp-diverges": (4, 2, ec_config(scheme="dfp", alpha=1e6), "diverged"),
     "bfgs-stalls": (4, 2, ec_config(scheme="bfgs", alpha=0.3, stall_tol=1e-3), "stalled"),
-    # converges at round 88 after one retry
-    "dfp-retry": (4, 4, ec_config(**RETRY, seed=4), "retried"),
-    # runs all 150 rounds, one retry on the way
-    "dfp-unfused-retry": (12, 12, ec_config(**RETRY, fusion=False, seed=12), "retried"),
+    # converges at round 89 after one retry
+    "dfp-retry": (85, 85, ec_config(**RETRY, seed=85), "retried"),
+    # runs all 150 rounds, two retries on the way
+    "dfp-unfused-retry": (24, 24, ec_config(**RETRY, fusion=False, seed=24), "retried"),
+    # its one retry, in round 23, fails and ends the run; the summary still
+    # counts that retry and its repair
+    "dfp-retry-fails": (8, 8, ec_config(**RETRY, seed=8), "retry-failed"),
 }
 
 
@@ -379,6 +384,7 @@ def test_ecdqn_run_matches_reference(case):
         "diverged": trace.diverged,
         "stalled": trace.stalled and 0 < trace.rounds < cfg.max_iters,
         "retried": trace.kkt_retries > 0,
+        "retry-failed": trace.diverged and trace.kkt_retries > 0,
     }[outcome]
 
 
@@ -445,6 +451,11 @@ def test_ecdqn_step_diverges_when_the_retry_fails(monkeypatch):
     with pytest.raises(DivergedError) as err:
         ecdqn_step(net, state, prob)
     assert err.value.round_index == net.round + 1 == 4
+    # the error carries the state with the round's retry and repair counted
+    counted = err.value.state
+    assert counted.kkt_retries - state.kkt_retries == 1
+    assert counted.safeguard_repairs - state.safeguard_repairs == 1
+    assert counted.x is state.x and counted.b is state.b
 
 
 def awkward_stack(rng, n):
