@@ -39,7 +39,7 @@ import numpy as np
 from .problems import SeparableProblem, solve_reference
 # curvature_ok is not called here; it stays importable under this module
 # for instrumentation that looks the curvature test up by module-level name
-from .quasi_newton import curvature_ok, pd_safeguard, refresh_inverse_batch, row_dots  # noqa: F401
+from .quasi_newton import curvature_ok, pd_safeguard, refresh_inverse_batch  # noqa: F401
 from .topology import CommGraph, MixingMatrix, metropolis_weights
 
 __all__ = [
@@ -134,6 +134,7 @@ class SyncNetwork:
             raise ValueError("weight matrix does not match the graph")
         self.sent_bytes = np.zeros(self.graph.n_agents, dtype=np.int64)
         self._degrees = self.graph.degrees()
+        self._costs: dict[int, np.ndarray] = {}  # payload width -> bytes per agent
 
     def mix(self, rows: np.ndarray, account: bool = True) -> np.ndarray:
         """One synchronous exchange: every agent averages neighbor rows.
@@ -145,7 +146,10 @@ class SyncNetwork:
         if rows.shape[0] != self.graph.n_agents:
             raise ValueError("row count does not match the number of agents")
         if account:
-            self.sent_bytes += BYTES_PER_SCALAR * rows.shape[1] * self._degrees
+            width = rows.shape[1]
+            if width not in self._costs:
+                self._costs[width] = BYTES_PER_SCALAR * width * self._degrees
+            self.sent_bytes += self._costs[width]
         return self.w @ rows
 
 
@@ -327,8 +331,8 @@ def init_dqn_states(
     x = initial_iterates(problem, np.random.default_rng(seed), x0)
     alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
     grads = problem.gradients(x)
-    c = np.array(np.broadcast_to(c0_scale * np.eye(n), (n_agents, n, n)))
-    d = -(c @ grads[:, :, None])[:, :, 0]
+    c = np.broadcast_to(c0_scale * np.eye(n), (n_agents, n, n)).copy()
+    d = -np.matvec(c, grads)
     z = network.mix(d, account=False)
     return DqnState(
         x=x, v=grads.copy(), z=z, d=d, c=c, alpha=alphas, last_gradient=grads, gamma=gamma
@@ -375,7 +379,7 @@ def dqn_step(
         state.c, new_x - state.x, new_v - state.v, scheme, eig_floor, state.gamma,
         safeguard=pd_safeguard,
     )
-    new_d = -(refresh.estimates @ new_v[:, :, None])[:, :, 0]
+    new_d = -np.matvec(refresh.estimates, new_v)
     new_z = network.mix(new_d)
     network.round += 1
     return DqnState(
@@ -457,7 +461,7 @@ class _Recorder:
     residual and, in one ``objective_values`` call, the objective at each
     round's mean iterate.  Every column equals its textbook form bit for
     bit: a mean is ``np.add.reduce`` over the agents divided by N, as
-    ``.mean(axis=0)`` computes it, and a norm reduces through ``row_dots``,
+    ``.mean(axis=0)`` computes it, and a norm reduces through ``np.vecdot``,
     as ``np.linalg.norm`` reduces through ``ddot``.
     """
 
@@ -515,10 +519,10 @@ class _Recorder:
             return
         means = np.add.reduce(block, axis=2) / self.problem.n_agents
         dev = (block - means[:, :, None]).reshape(k * block.shape[1], -1)
-        consensus = np.sqrt(row_dots(dev, dev)).reshape(k, -1)
+        consensus = np.sqrt(np.vecdot(dev, dev)).reshape(k, -1)
         x_bar, v_bar, g_bar = means[:, 0], means[:, 1], means[:, 2]
         gaps = np.concatenate((g_bar, v_bar - g_bar))
-        norms = np.sqrt(row_dots(gaps, gaps))
+        norms = np.sqrt(np.vecdot(gaps, gaps))
         cols = {
             "x_consensus": consensus[:, 0],
             "v_consensus": consensus[:, 1],

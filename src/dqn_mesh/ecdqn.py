@@ -30,7 +30,7 @@ from .dqn import (
     track_gradient,
 )
 from .problems import SeparableProblem
-from .quasi_newton import cholesky_rows, pd_safeguard, refresh_hessian_batch, row_dots
+from .quasi_newton import cholesky_rows, pd_safeguard, refresh_hessian_batch
 from .quasi_newton import curvature_ok  # noqa: F401  (see the note in dqn.py)
 from .topology import CommGraph, metropolis_weights
 
@@ -98,8 +98,8 @@ def _kkt_rows(b, a, rhs_stat, rhs_prim):
     # that the stacked solve cannot raise on them
     ok = cholesky_rows(b)[1]
     failure = np.where(ok, 0, 1)
-    # every right-hand side is stacked like the matrices: numpy 1.x reads
-    # an unstacked (n, k) one as a stack of vectors
+    # the right-hand sides are stacked (n, k) matrices: an (N, n) stack of
+    # vectors would be one (N, n) matrix to numpy 2 and N vectors to 1.x
     at = np.broadcast_to(a.T, (len(b),) + a.T.shape)
     binv = np.linalg.solve(_identity_where(~ok, b), np.concatenate([u, at], axis=2))
     binv_u, binv_at = binv[:, :, :1], binv[:, :, 1:]
@@ -113,9 +113,9 @@ def _kkt_rows(b, a, rhs_stat, rhs_prim):
 
     rhs = np.concatenate([u, w], axis=1)[:, :, 0]
     res = np.concatenate([b @ delta_x + a.T @ beta - u, a @ delta_x - w], axis=1)[:, :, 0]
-    scale = 1.0 + np.sqrt(row_dots(rhs, rhs))
+    scale = 1.0 + np.sqrt(np.vecdot(rhs, rhs))
     # written so that a NaN residual fails too
-    failure[(failure == 0) & ~(np.sqrt(row_dots(res, res)) <= 1e-10 * scale)] = 3
+    failure[(failure == 0) & ~(np.sqrt(np.vecdot(res, res)) <= 1e-10 * scale)] = 3
     return delta_x[:, :, 0], beta[:, :, 0], failure
 
 
@@ -139,7 +139,7 @@ def kkt_solve_batch(
     delta_x and beta are meaningless.  A failed row is swapped for the
     identity before each solve, so it never makes the stacked call raise
     and leaves the other rows as they are.  Every solve is a stacked ``np.linalg.solve``, every
-    product a stacked ``matmul`` and every norm a ``row_dots``, so each
+    product a stacked ``matmul`` and every norm an ``np.vecdot``, so each
     row equals the same call on that row alone.
     """
     delta_x, beta, failure = _kkt_rows(b, a, rhs_stat, rhs_prim)
@@ -287,7 +287,7 @@ def ecdqn_step(
     """
     a_mat, b_vec = problem.constraint
     b_kkt = state.b
-    r_prim = (a_mat @ state.x[:, :, None])[:, :, 0] - b_vec
+    r_prim = np.matvec(a_mat, state.x) - b_vec
     delta_x, beta, ok = kkt_solve_batch(b_kkt, a_mat, state.v, r_prim)
     failed = np.flatnonzero(~ok)
     if failed.size:
@@ -364,7 +364,7 @@ def ecdqn_run(
             st.last_gradient,
             network.sent_bytes,
             feas=np.sqrt(np.add.reduce(gap * gap, axis=1)),
-            beta=np.sqrt(row_dots(st.beta, st.beta)),
+            beta=np.sqrt(np.vecdot(st.beta, st.beta)),
         )
 
     def step(st: EcDqnState) -> EcDqnState:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quasi_newton import DEFAULT_FLOOR, refresh_inverse_batch, row_dots
+from .quasi_newton import DEFAULT_FLOOR, refresh_inverse_batch
 
 __all__ = [
     "LocalObjective",
@@ -186,9 +186,10 @@ def _expit(t: np.ndarray) -> np.ndarray:
 # data: gradients at one point per agent, x (N, n) -> (N, n), and values
 # at every row of a stack of points (R, n) -> (R, N).  Each agent's
 # closures are the one-agent case of the same kernels, and every step is
-# a stacked matmul, an elementwise op or a per-agent segment sum, so row i
-# of a stacked call equals the call on agent i alone bit for bit, and
-# each point's row equals the call on that point alone.
+# a stacked ``np.vecdot``, ``np.matvec`` or ``np.vecmat``, an elementwise
+# op or a per-agent segment sum, so row i of a stacked call equals the
+# call on agent i alone bit for bit, and each point's row equals the call
+# on that point alone.
 
 
 @dataclass(frozen=True)
@@ -205,12 +206,11 @@ class _QpStack:
         return cls(np.stack([d.p for d in data]), np.stack([d.q for d in data]))
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
-        return (self.p @ x[:, :, None])[:, :, 0] + self.q
+        return np.matvec(self.p, x) + self.q
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        col = points[:, None, :, None]
-        quad = ((0.5 * points)[:, None, None, :] @ self.p) @ col
-        return quad[..., 0, 0] + (self.q[:, None] @ col)[..., 0, 0]
+        pts = points[:, None, :]
+        return np.vecdot(np.vecmat(0.5 * pts, self.p), pts) + np.vecdot(pts, self.q)
 
 
 @dataclass(frozen=True)
@@ -240,11 +240,7 @@ class _RowStack:
 
     def own_dots(self, x: np.ndarray) -> np.ndarray:
         """Each row's dot with its agent's row of x (N, n), shape (M,)."""
-        return row_dots(self.rows, np.repeat(x, self.counts, axis=0))
-
-    def point_dots(self, points: np.ndarray) -> np.ndarray:
-        """Each row's dot with every point of a stack (R, n), shape (R, M)."""
-        return (points[:, None, None, :] @ self.rows[:, :, None])[..., 0, 0]
+        return np.vecdot(self.rows, np.repeat(x, self.counts, axis=0))
 
     def row_sums(self, scale: np.ndarray) -> np.ndarray:
         """Every agent's sum of scale[j] * rows[j] over its rows, (N, n)."""
@@ -270,8 +266,8 @@ class _LogRegStack(_RowStack):
         return self.weights[:, None] * x - self.row_sums(self.targets * _expit(-z))
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        z = self.targets * self.point_dots(points)
-        ridge = (0.5 * self.weights) * row_dots(points, points)[:, None]
+        z = self.targets * np.vecdot(points[:, None, :], self.rows)
+        ridge = (0.5 * self.weights) * np.vecdot(points, points)[:, None]
         return ridge + self.segment_sums(np.logaddexp(0.0, -z))
 
 
@@ -289,7 +285,7 @@ class _BpStack(_RowStack):
         return self.row_sums(r) + self.weights[:, None] * np.sign(x)
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        r = self.point_dots(points) - self.targets
+        r = np.vecdot(points[:, None, :], self.rows) - self.targets
         l1 = self.weights * np.add.reduce(np.abs(points), axis=1)[:, None]
         return 0.5 * self.segment_sums(r * r) + l1
 

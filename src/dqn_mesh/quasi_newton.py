@@ -12,8 +12,9 @@ section 6.1), the Cholesky probe and the spectrum clamp.  The solvers
 refresh every agent's estimate at once through ``refresh_inverse_batch``
 and ``refresh_hessian_batch``.  Row i of every result equals the same call
 on row i alone, and the same update written for one pair, bit for bit:
-every dot product and norm that feeds a decision is a stacked ``matmul``,
-which reduces in the same order as the per-pair ``y @ s``.
+every dot product and norm is an ``np.vecdot`` and every matrix-vector
+product an ``np.matvec``, which reduce in the same order as the per-pair
+``y @ s`` and ``m @ q`` on C-contiguous stacks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "curvature_ok",
     "cholesky_rows",
     "pd_safeguard",
-    "row_dots",
     "BatchRefresh",
     "refresh_inverse_batch",
     "refresh_hessian_batch",
@@ -39,16 +39,12 @@ CURVATURE_RTOL = 1e-10
 
 DEFAULT_FLOOR = 1e-8
 
+_FLOAT_MAX = np.finfo(float).max
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
-def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (N, k) stacks, bitwise equal to the
-    per-row ``a[i] @ b[i]``; ``einsum`` and ``sum(axis=...)`` reduce in a
-    different order and are not."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def curvature_ok(s: np.ndarray, y: np.ndarray, rtol: float = CURVATURE_RTOL) -> np.ndarray:
@@ -58,12 +54,12 @@ def curvature_ok(s: np.ndarray, y: np.ndarray, rtol: float = CURVATURE_RTOL) -> 
     The strict test matters for zero pairs (s = 0 or y = 0), where the
     relative bound is itself zero and an update would divide by y's = 0.
     """
-    return _curvature_mask(row_dots(y, s), s, y, rtol)
+    return _curvature_mask(np.vecdot(y, s), s, y, rtol)
 
 
 def _curvature_mask(ys, s, y, rtol=CURVATURE_RTOL):
     """``curvature_ok`` given the pairs' y's."""
-    return (ys > 0.0) & (ys >= rtol * np.sqrt(row_dots(y, y)) * np.sqrt(row_dots(s, s)))
+    return (ys > 0.0) & (ys >= rtol * np.sqrt(np.vecdot(y, y)) * np.sqrt(np.vecdot(s, s)))
 
 
 @lru_cache(maxsize=8)
@@ -114,8 +110,8 @@ def _product_rows(m, p, q, r):
     M' = M + (Q + Q') where Q = pa' and a = ((1 + q'w/r)/2 p - w)/r.
 
     BFGS inverse as (C, s, y), DFP direct as (B, y, s)."""
-    w = (m @ q[:, :, None])[:, :, 0]
-    k = 1.0 + row_dots(q, w) / r
+    w = np.matvec(m, q)
+    k = 1.0 + np.vecdot(q, w) / r
     a = (0.5 * k[:, None] * p - w) / r[:, None]
     half = _outer(p, a)
     new = half + half.transpose(0, 2, 1)
@@ -127,8 +123,8 @@ def _rank_two_rows(m, p, q, r):
     """M' = M - ww'/(q'w) + pp'/r with w = Mq.
 
     DFP inverse as (C, s, y), BFGS direct as (B, y, s)."""
-    w = (m @ q[:, :, None])[:, :, 0]
-    denom = row_dots(q, w)
+    w = np.matvec(m, q)
+    denom = np.vecdot(q, w)
     new = _outer(w, w)
     new /= denom[:, None, None]
     np.subtract(m, new, out=new)
@@ -188,46 +184,49 @@ def _apply_pairs(m, s, y, rows_update, direct):
     allocates less than updating a selection.  The result never aliases
     ``m``.
     """
-    ys = row_dots(y, s)
+    ys = np.vecdot(y, s)
     ok = _curvature_mask(ys, s, y)
-    if not ok.any():
+    if not np.count_nonzero(ok):
         return m.copy(), 0
-    # a row failing either test may divide by zero; it is restored below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new, valid = rows_update(m, *((y, s) if direct else (s, y)), ys)
+    new, valid = rows_update(m, *((y, s) if direct else (s, y)), ys)
     if valid is not None:
         ok &= valid
-    keep = np.flatnonzero(~ok)
-    new[keep] = m[keep]
-    return new, len(m) - keep.size
+    applied = int(np.count_nonzero(ok))
+    if applied < len(m):
+        new[~ok] = m[~ok]
+    return new, applied
 
 
-def _needs_repair(m: np.ndarray, ceiling: float, shift: float) -> np.ndarray:
-    """Mask of estimates that are non-finite, above the Frobenius ceiling,
-    or fail a Cholesky probe of ``m - shift * I``.  One norm test does the
-    first two: a non-finite entry makes the norm fail ``norm <= limit``
-    for any finite limit (a norm that overflows counts as non-finite)."""
+def _repair_rows(m: np.ndarray, ceiling: float, shift: float) -> np.ndarray:
+    """Indices of the estimates that are non-finite, above the Frobenius
+    ceiling, or fail a Cholesky probe of ``m - shift * I``; no index array
+    is built when none is.  One norm test does the first two: a non-finite
+    entry makes the norm fail ``norm <= limit`` for any finite limit (a
+    norm that overflows counts as non-finite)."""
     n_rows, n = m.shape[0], m.shape[1]
     flat = m.reshape(n_rows, n * n)
-    limit = min(ceiling, np.finfo(float).max)
-    with np.errstate(invalid="ignore", over="ignore"):
-        bad = ~(np.sqrt(row_dots(flat, flat)) <= limit)
-    probe = np.flatnonzero(~bad)
-    if probe.size:
-        shifted = m if probe.size == n_rows else m[probe]
-        if shift:
-            shifted = shifted - shift * _eye(n)
-        bad[probe[~cholesky_rows(shifted)[1]]] = True
-    return bad
+    fine = np.sqrt(np.vecdot(flat, flat)) <= min(ceiling, _FLOAT_MAX)
+    clear = np.count_nonzero(fine) == n_rows
+    probe = m if clear else m[fine]
+    if shift:
+        probe = probe - shift * _eye(n)
+    try:
+        np.linalg.cholesky(probe)
+    except np.linalg.LinAlgError:
+        fine[np.flatnonzero(fine)] = cholesky_rows(probe)[1]
+        clear = False
+    return _NO_ROWS if clear else np.flatnonzero(~fine)
 
 
 def _refresh_batch(m, s, y, rows_update, direct, floor, ceiling, shift, safeguard):
-    out, applied = _apply_pairs(m, s, y, rows_update, direct)
-    bad = np.flatnonzero(_needs_repair(out, ceiling, shift))
+    # a row may divide by zero or overflow: it is then restored or repaired
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out, applied = _apply_pairs(m, s, y, rows_update, direct)
+        bad = _repair_rows(out, ceiling, shift)
     if bad.size:
         flagged = out[bad]
         out[bad] = safeguard(np.where(np.isfinite(flagged), flagged, 0.0), floor=floor, ceiling=ceiling)
-    return BatchRefresh(out, len(m) - applied, int(bad.size))
+    return BatchRefresh(out, len(m) - applied, bad.size)
 
 
 def refresh_inverse_batch(

@@ -72,6 +72,13 @@ class TestSyncNetwork:
         net.mix(rows, account=False)
         assert net.sent_bytes.tolist() == [40, 80, 40]
 
+    def test_each_payload_width_costs_its_own_bytes(self):
+        # the cost of a width is computed once and reused, per width
+        net = make_network(PATH3)
+        for width in (5, 2, 5):
+            net.mix(np.zeros((3, width)))
+        assert net.sent_bytes.tolist() == [96, 192, 96]
+
     def test_rejects_row_mismatch(self):
         net = make_network(TRIANGLE)
         with pytest.raises(ValueError, match="row count"):

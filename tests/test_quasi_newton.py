@@ -5,14 +5,16 @@ per-pair textbook forms of ``oracle.py`` and, to rounding, against its
 product forms.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from dqn_mesh import dqn, ecdqn
-from dqn_mesh.dqn import RunConfig, dqn_run
+from dqn_mesh import dqn, ecdqn, quasi_newton
+from dqn_mesh.dqn import RunConfig, SyncNetwork, dqn_run
 from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run
 from dqn_mesh.problems import logreg_family, qp_family
 from dqn_mesh.quasi_newton import (
@@ -23,7 +25,7 @@ from dqn_mesh.quasi_newton import (
     refresh_hessian_batch,
     refresh_inverse_batch,
 )
-from dqn_mesh.topology import random_connected_graph
+from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
 
 REFRESH = {"inverse": refresh_inverse_batch, "hessian": refresh_hessian_batch}
 
@@ -47,6 +49,21 @@ def consistent_pair(rng, n):
     # curvature angle is bounded away from zero and products stay conditioned
     s = rng.standard_normal(n)
     return s, random_spd(rng, n) @ s
+
+
+# The secant residual |M'q - p| of an update (C'y = s for the inverse
+# form, B's = y for the direct one) is rounding: at most
+# k n eps (|M'|_2 |q| + |p|).  Over 20,000 draws from the generators
+# below (all four updates each) the largest ratio of the residual to
+# n eps (|M'|_2 |q| + |p|) was 2.03, and 1.73 over 20,000 more; k = 8
+# leaves a factor of four.  A bound without |M'| fails whenever y's is
+# near good_pair's floor and the estimate's entries reach 1e6.
+SECANT_K = 8.0
+
+
+def secant_bound(new, q, p):
+    eps = np.finfo(float).eps
+    return SECANT_K * len(q) * eps * (np.linalg.norm(new, 2) * np.linalg.norm(q) + np.linalg.norm(p))
 
 
 def update(form, scheme, m, s, y):
@@ -74,6 +91,40 @@ class TestCurvaturePair:
         # tiny absolute product but perfectly aligned
         assert curvature_ok(s, y).tolist() == [True]
         assert CURVATURE_RTOL == oracle.CURVATURE_RTOL == 1e-10
+
+
+def with_layout(rng, shape, layout):
+    """A standard-normal array of the given shape, stored C-contiguous, as
+    a view whose last two axes are transposed, or as a column slice of a
+    wider array."""
+    if layout == "contiguous":
+        return rng.standard_normal(shape)
+    if layout == "transposed":
+        return np.swapaxes(rng.standard_normal(shape[:-2] + shape[-2:][::-1]), -1, -2)
+    return rng.standard_normal(shape[:-1] + (shape[-1] + 3,))[..., 1 : shape[-1] + 1]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "column-slice"])
+def test_stacked_products_equal_per_row_products(layout):
+    # np.vecdot, np.matvec and np.vecmat, which every stacked kernel uses,
+    # equal the per-row a[i] @ b[i], m[i] @ q[i] and q[i] @ m[i] bit for
+    # bit; a (k, N) stack read transposed counts as a transposed vector
+    # stack.  A stack of matrices whose agent axis varies fastest is not
+    # among these layouts: there np.matvec and the per-row product differ
+    # in the last bit, which is why the solvers hold C-contiguous
+    # estimate stacks (test_refreshed_stacks_stay_exactly_symmetric_through_runs).
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        rows, k, n = int(rng.integers(1, 51)), int(rng.integers(1, 121)), int(rng.integers(1, 41))
+        a, b = (with_layout(rng, (rows, k), layout) for _ in range(2))
+        assert np.vecdot(a, b).tobytes() == np.array([a[i] @ b[i] for i in range(rows)]).tobytes()
+        m, q = with_layout(rng, (rows, n, n), layout), with_layout(rng, (rows, n), layout)
+        assert np.matvec(m, q).tobytes() == np.array([m[i] @ q[i] for i in range(rows)]).tobytes()
+        assert np.vecmat(q, m).tobytes() == np.array([q[i] @ m[i] for i in range(rows)]).tobytes()
+        # one matrix broadcast over the stack, as EC-DQN's constraint block
+        single = with_layout(rng, (int(rng.integers(1, 10)), n), layout)
+        want = np.array([single @ q[i] for i in range(rows)])
+        assert np.matvec(single, q).tobytes() == want.tobytes()
 
 
 class TestFrozenExamples:
@@ -117,8 +168,7 @@ def test_inverse_updates_satisfy_secant(n, seed):
     for scheme in ("bfgs", "dfp"):
         new = update("inverse", scheme, c, s, y)
         # inverse-form secant: C'y = s
-        resid = np.linalg.norm(new @ y - s)
-        assert resid <= 1e-10 * (1 + np.linalg.norm(s))
+        assert np.linalg.norm(new @ y - s) <= secant_bound(new, y, s)
         assert np.max(np.abs(new - new.T)) <= 1e-12 * max(1, np.abs(new).max())
         assert np.linalg.eigvalsh(new)[0] > 0
 
@@ -132,8 +182,7 @@ def test_hessian_updates_satisfy_secant(n, seed):
     for scheme in ("bfgs", "dfp"):
         new = update("hessian", scheme, b, s, y)
         # direct-form secant: B's = y
-        resid = np.linalg.norm(new @ s - y)
-        assert resid <= 1e-10 * (1 + np.linalg.norm(y))
+        assert np.linalg.norm(new @ s - y) <= secant_bound(new, s, y)
         assert np.max(np.abs(new - new.T)) <= 1e-12 * max(1, np.abs(new).max())
         assert np.linalg.eigvalsh(new)[0] > 0
 
@@ -165,22 +214,29 @@ def test_updates_match_expanded_form_oracles(n, seed):
 @pytest.mark.parametrize("scheme", ["bfgs", "dfp"])
 def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatch):
     # every refresh of a whole DQN and EC-DQN run returns a bitwise
-    # symmetric stack, on rows whose pair was applied, skipped or repaired
-    seen = {}
+    # symmetric stack, on rows whose pair was applied, skipped or repaired;
+    # every estimate stack the solvers hold (initial, refreshed, repaired,
+    # and the one a KKT retry repairs) is C-contiguous, the layout on which
+    # np.matvec equals the per-agent product
+    seen, held = {}, []
 
-    def spy(module, name):
+    def spy(module, name, stacks):
         real = getattr(module, name)
         seen[name] = []
 
         def recorded(*args, **kwargs):
             out = real(*args, **kwargs)
             seen[name].append(out)
+            held.extend(stacks(args, out))
             return out
 
         monkeypatch.setattr(module, name, recorded)
 
-    spy(dqn, "refresh_inverse_batch")
-    spy(ecdqn, "refresh_hessian_batch")
+    spy(dqn, "init_dqn_states", lambda args, out: [out.c])
+    spy(dqn, "refresh_inverse_batch", lambda args, out: [out.estimates])
+    spy(ecdqn, "init_ecdqn_states", lambda args, out: [out.b])
+    # the first argument is the stack the KKT solves used, retries included
+    spy(ecdqn, "refresh_hessian_batch", lambda args, out: [args[0], out.estimates])
     dqn_run(
         qp_family(6, 5, (2.0, 20.0), 3),
         random_connected_graph(6, 0.9, 1),
@@ -191,12 +247,86 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
         random_connected_graph(5, 0.7, 2),
         EcRunConfig(scheme=scheme, alpha=1.0, eig_ceiling=1.5, max_iters=120, seed=1),
     )
-    for outs in seen.values():
+    # one round whose KKT solve fails on an indefinite estimate and is retried
+    graph = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
+    net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01).w)
+    prob = logreg_family(3, 4, 1e-2, 9, constraint=True)
+    state = ecdqn.init_ecdqn_states(prob, net, 1.0, seed=2)
+    b = state.b.copy()
+    b[1] = np.diag([-1.0, 1.0, 1.0, 1.0])
+    assert ecdqn.ecdqn_step(net, replace(state, b=b), prob, scheme).kkt_retries == 1
+    for name in ("refresh_inverse_batch", "refresh_hessian_batch"):
+        outs = seen[name]
         for out in outs:
             assert np.array_equal(out.estimates, out.estimates.transpose(0, 2, 1))
         assert sum(len(out.estimates) - out.skipped for out in outs) > 0
         assert sum(out.skipped for out in outs) > 0
         assert sum(out.repaired for out in outs) > 0
+    assert all(stack.flags.c_contiguous for stack in held)
+
+
+# the solvers' spectrum boxes: [1e-8, 1e3] for the inverse form, [1e-3, 1e3]
+# for the direct form
+BOX = {"inverse": (1e-8, 1e3), "hessian": (1e-3, 1e3)}
+
+# (estimate, pair) cases that leave the all-clear path of the refresh: a
+# skipped pair, an estimate above the Frobenius ceiling only, one that
+# fails only the Cholesky probe, and a non-finite one
+FLAGGED = [
+    (estimate, pair)
+    for estimate in ("spd", "large", "indefinite", "non-finite")
+    for pair in ("applied", "skipped")
+    if (estimate, pair) != ("spd", "applied")
+]
+
+
+def flagged_row(rng, n, estimate, pair):
+    if estimate == "large":
+        m = 10 * BOX["inverse"][1] * np.eye(n)
+    elif estimate == "indefinite":
+        m = np.diag([-1.0] * 3 + [1.0] * (n - 3))
+    else:
+        m = random_spd(rng, n)
+    if estimate == "non-finite":
+        m[0, 1] = m[1, 0] = np.nan
+    s, y = consistent_pair(rng, n)
+    return m, s, -s if pair == "skipped" else y
+
+
+@pytest.mark.parametrize("form", ["inverse", "hessian"])
+@pytest.mark.parametrize("scheme", ["bfgs", "dfp"])
+@pytest.mark.parametrize("cases", [[case] for case in FLAGGED] + [FLAGGED], ids=str)
+def test_all_clear_and_flagged_refresh_paths_agree(form, scheme, cases):
+    # a stack whose pairs all apply and whose estimates all pass the repair
+    # test takes the all-clear path; the same rows stacked with flagged ones
+    # take the index path and come out the same, bit for bit, and the
+    # flagged rows as they do alone; the counters add up
+    rng = np.random.default_rng(17)
+    n, k = 6, 5
+
+    def refresh(m, s, y):
+        return REFRESH[form](m, s, y, scheme, *BOX[form])
+
+    m = np.stack([random_spd(rng, n) for _ in range(k)])
+    s, y = (np.stack(col) for col in zip(*(consistent_pair(rng, n) for _ in range(k))))
+    clear = refresh(m, s, y)
+    assert clear.skipped == clear.repaired == 0
+    rows = [flagged_row(rng, n, *case) for case in cases]
+    alone = [refresh(*(part[None] for part in row)) for row in rows]
+    for (estimate, pair), out in zip(cases, alone):
+        assert out.repaired == (estimate != "spd")
+        # an indefinite estimate may also fail the update's own denominator
+        assert out.skipped == (pair == "skipped") or estimate == "indefinite"
+    both = refresh(*(np.concatenate([a, np.stack(b)]) for a, b in zip((m, s, y), zip(*rows))))
+    assert np.array_equal(both.estimates[:k], clear.estimates)
+    for got, out in zip(both.estimates[k:], alone):
+        assert np.array_equal(got, out.estimates[0])
+    assert both.skipped == sum(out.skipped for out in alone)
+    assert both.repaired == sum(out.repaired for out in alone)
+    # the counters reach run summaries, which JSON serializes
+    assert all(type(count) is int for out in (clear, both, *alone) for count in out[1:])
+    shift = 0.0 if form == "inverse" else 0.5 * BOX[form][0]
+    assert quasi_newton._repair_rows(clear.estimates, BOX[form][1], shift) is quasi_newton._NO_ROWS
 
 
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
