@@ -2,7 +2,9 @@
 
 Output locations default to the DQN_MESH_OUT environment variable when it
 is set.  Exit code 0 means every requested cell completed (converged or
-cleanly non-converged); 2 signals an aborted cell or a failed validation.
+cleanly non-converged); 2 signals an aborted cell, a failed validation or
+bad input (an unreadable file, an invalid value or a sweep config that
+does not construct), which is reported as one ``dqn-mesh: error:`` line.
 """
 
 from __future__ import annotations
@@ -114,7 +116,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
+    payload = json.loads(Path(args.config).read_text())
+    try:
+        config = ExperimentConfig(**payload)
+    except TypeError as exc:  # a missing, unknown or misplaced field
+        raise ValueError(f"bad sweep config {args.config}: {exc}") from exc
     out = _default_out(args.out)
     table, traces = run_experiment(config)
     emit_report(table, traces, out)
@@ -196,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -37,10 +37,11 @@ from typing import Callable
 import numpy as np
 
 from .problems import SeparableProblem, solve_reference
+from .quasi_newton import DEFAULT_FLOOR, pd_safeguard, refresh_inverse_batch
 # curvature_ok is not called here; it stays importable under this module
 # for instrumentation that looks the curvature test up by module-level name
-from .quasi_newton import curvature_ok, pd_safeguard, refresh_inverse_batch  # noqa: F401
-from .topology import CommGraph, MixingMatrix, metropolis_weights
+from .quasi_newton import curvature_ok  # noqa: F401
+from .topology import CommGraph, metropolis_weights
 
 __all__ = [
     "DqnState",
@@ -60,6 +61,9 @@ __all__ = [
 ]
 
 BYTES_PER_SCALAR = 8
+
+# every inverse-Hessian estimate starts at this multiple of the identity
+C0_SCALE = 0.1
 
 # iterates beyond this magnitude cannot recover and will overflow within a
 # few rounds; cut them off as diverged before they poison the arithmetic
@@ -127,8 +131,6 @@ class SyncNetwork:
     round: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.w, MixingMatrix):
-            self.w = self.w.w
         self.w = np.asarray(self.w, dtype=float)
         if self.w.shape != (self.graph.n_agents, self.graph.n_agents):
             raise ValueError("weight matrix does not match the graph")
@@ -244,19 +246,15 @@ class RunTrace:
 class RunConfig:
     """Knobs shared by the distributed solvers.
 
-    alpha may be a number or "auto"; auto caps the fixed step at 90% of
-    the contraction-based bound computed by safe_step_size.
+    alpha may be a number or "auto"; auto takes 90% of the
+    contraction-based bound computed by safe_step_size, capped at 1.
     """
 
     scheme: str = "bfgs"
     alpha: float | str = "auto"
-    alpha_cap: float = 1.0
-    c0_scale: float = 0.1
     gamma: float = 1e3
-    eig_floor: float = 1e-8
     max_iters: int = 1000
     rse_tol: float = 1e-10
-    epsilon: float = 0.01
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -296,7 +294,7 @@ def _resolve_alpha(
     if smoothness is None:
         raise ValueError("auto step size needs smoothness bounds on every local objective")
     bound = safe_step_size(contraction, smoothness, config.gamma, problem.dim, problem.n_agents)
-    return min(config.alpha_cap, 0.9 * bound)
+    return min(1.0, 0.9 * bound)
 
 
 def initial_iterates(
@@ -315,14 +313,13 @@ def init_dqn_states(
     problem: SeparableProblem,
     network: SyncNetwork,
     alpha: float | np.ndarray,
-    c0_scale: float = 0.1,
     gamma: float = 1e3,
     seed: int = 0,
     x0: np.ndarray | None = None,
 ) -> DqnState:
     """Draw initial iterates and warm-start the tracker and directions.
 
-    v starts at the local gradient, the inverse estimate at c0_scale
+    v starts at the local gradient, the inverse estimate at C0_SCALE
     times the identity, and the mixed direction z is formed once from
     d = -C v.  This setup exchange is not metered; the ledger counts
     iteration rounds only.
@@ -331,7 +328,7 @@ def init_dqn_states(
     x = initial_iterates(problem, np.random.default_rng(seed), x0)
     alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
     grads = problem.gradients(x)
-    c = np.broadcast_to(c0_scale * np.eye(n), (n_agents, n, n)).copy()
+    c = np.broadcast_to(C0_SCALE * np.eye(n), (n_agents, n, n)).copy()
     d = -np.matvec(c, grads)
     z = network.mix(d, account=False)
     return DqnState(
@@ -359,7 +356,6 @@ def dqn_step(
     state: DqnState,
     problem: SeparableProblem,
     scheme: str = "bfgs",
-    eig_floor: float = 1e-8,
 ) -> DqnState:
     """One synchronous round: mix iterates, track gradients, refresh the
     curvature estimates, then mix descent directions.
@@ -376,7 +372,7 @@ def dqn_step(
     # repairs go through this module's pd_safeguard name, so a wrapper
     # installed on it sees every batch of them
     refresh = refresh_inverse_batch(
-        state.c, new_x - state.x, new_v - state.v, scheme, eig_floor, state.gamma,
+        state.c, new_x - state.x, new_v - state.v, scheme, DEFAULT_FLOOR, state.gamma,
         safeguard=pd_safeguard,
     )
     new_d = -np.matvec(refresh.estimates, new_v)
@@ -573,16 +569,14 @@ def dqn_run(
     relative error drops below the tolerance or the round budget runs out.
     """
     start = time.perf_counter()
-    weights = metropolis_weights(graph, config.epsilon)
+    weights = metropolis_weights(graph)
     network = SyncNetwork(graph=graph, w=weights.w)
     rec = _Recorder(problem, _ensure_reference(problem), track_z=True)
     alpha = _resolve_alpha(config, problem, weights.contraction)
-    state = init_dqn_states(
-        problem, network, alpha, config.c0_scale, config.gamma, config.seed, x0
-    )
+    state = init_dqn_states(problem, network, alpha, config.gamma, config.seed, x0)
     state, flags = run_rounds(
         state,
-        lambda st: dqn_step(network, st, problem, config.scheme, config.eig_floor),
+        lambda st: dqn_step(network, st, problem, config.scheme),
         lambda st: rec.record(st.x, st.v, st.last_gradient, network.sent_bytes, z=st.z),
         config.rse_tol,
         config.max_iters,
@@ -614,7 +608,7 @@ def diging_atc_run(
     this is plain gradient descent.
     """
     start = time.perf_counter()
-    weights = metropolis_weights(graph, config.epsilon)
+    weights = metropolis_weights(graph)
     network = SyncNetwork(graph=graph, w=weights.w)
     rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
     alpha = _resolve_alpha(config, problem, weights.contraction)

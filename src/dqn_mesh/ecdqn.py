@@ -46,6 +46,11 @@ __all__ = [
     "ecdqn_run",
 ]
 
+# the eigenvalues of every initial Hessian estimate are uniform in this range
+B0_SPECTRUM = (0.5, 2.0)
+# a run stalls after this many rounds in a row with every move <= stall_tol
+STALL_ROUNDS = 10
+
 
 class KktFactorizationError(RuntimeError):
     """A block of the saddle-point system could not be factorized."""
@@ -195,15 +200,12 @@ class EcRunConfig:
 
     scheme: str = "bfgs"
     alpha: float | str = 1.0
-    b0_spectrum: tuple[float, float] = (0.5, 2.0)
     fusion: bool = True
     eig_floor: float = 1e-3
     eig_ceiling: float = 1e3
     max_iters: int = 1000
     rse_tol: float = 1e-8
     stall_tol: float = 1e-14
-    stall_rounds: int = 10
-    epsilon: float = 0.01
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -225,23 +227,19 @@ def init_ecdqn_states(
     problem: SeparableProblem,
     network: SyncNetwork,
     alpha: float | np.ndarray,
-    b0_spectrum: tuple[float, float] = (0.5, 2.0),
     seed: int = 0,
     x0: np.ndarray | None = None,
 ) -> EcDqnState:
     """Draw initial iterates and random well-conditioned Hessian estimates.
 
     Every agent gets an independent symmetric positive definite estimate
-    with eigenvalues uniform in b0_spectrum, conjugated by a random
+    with eigenvalues uniform in B0_SPECTRUM, conjugated by a random
     orthogonal basis; the same seed reproduces the same states.
     """
     if problem.constraint is None:
         raise ValueError("constrained method needs a problem with a constraint")
     n, n_agents = problem.dim, problem.n_agents
     m = problem.constraint[0].shape[0]
-    lo, hi = b0_spectrum
-    if not 0 < lo <= hi:
-        raise ValueError("b0_spectrum bounds must be positive and ordered")
     rng = np.random.default_rng(seed)
     # iterates first, then the estimates, from the same stream
     x = initial_iterates(problem, rng, x0)
@@ -249,7 +247,7 @@ def init_ecdqn_states(
     b = np.empty((n_agents, n, n))
     for i in range(n_agents):
         q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        vals = rng.uniform(lo, hi, size=n)
+        vals = rng.uniform(*B0_SPECTRUM, size=n)
         b0 = (q_mat * vals) @ q_mat.T
         b[i] = 0.5 * (b0 + b0.T)
     grads = problem.gradients(x)
@@ -347,11 +345,11 @@ def ecdqn_run(
     start = time.perf_counter()
     if problem.constraint is None:
         raise ValueError("constrained method needs a problem with a constraint")
-    weights = metropolis_weights(graph, config.epsilon)
+    weights = metropolis_weights(graph)
     network = SyncNetwork(graph=graph, w=weights.w)
     rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
     alpha = _resolve_alpha(config)
-    state = init_ecdqn_states(problem, network, alpha, config.b0_spectrum, config.seed, x0)
+    state = init_ecdqn_states(problem, network, alpha, config.seed, x0)
     a_mat, b_vec = problem.constraint
 
     def record(st: EcDqnState) -> float:
@@ -385,7 +383,7 @@ def ecdqn_run(
         config.rse_tol,
         config.max_iters,
         config.stall_tol,
-        config.stall_rounds,
+        STALL_ROUNDS,
     )
     return rec.build(
         f"ecdqn-{config.scheme}",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Callable
 
@@ -45,7 +46,8 @@ ALL_ALGOS = DQN_ALGOS + ("diging-atc",) + EC_ALGOS
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one sweep."""
+    """Declarative description of one sweep; alpha is a positive fixed
+    step, "auto" or "golden" (tuned per cell by golden-section search)."""
 
     family: str
     algos: tuple[str, ...]
@@ -59,7 +61,6 @@ class ExperimentConfig:
     alpha: float | str = "golden"
     max_iters: int = 1000
     rse_tol: float = 1e-10
-    epsilon: float = 0.01
     fusion: bool = True
     golden_bracket: tuple[float, float] = (1e-4, 2.0)
     golden_probes: int = 12
@@ -70,6 +71,8 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in ALL_ALGOS:
                 raise ValueError(f"unknown algorithm {algo!r}")
+        if not (self.alpha in ("auto", "golden") or isinstance(self.alpha, Real) and self.alpha > 0):
+            raise ValueError(f"alpha must be a positive number, 'auto' or 'golden', not {self.alpha!r}")
         object.__setattr__(self, "algos", tuple(self.algos))
         object.__setattr__(self, "kappas", tuple(float(k) for k in self.kappas))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -79,21 +82,6 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "golden_bracket", tuple(float(a) for a in self.golden_bracket)
             )
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("algos", "kappas", "seeds", "cond_range", "golden_bracket"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        kwargs = dict(payload)
-        for key in ("algos", "kappas", "seeds", "cond_range", "golden_bracket"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -172,13 +160,12 @@ def run_algo(
     alpha: float | str,
     max_iters: int = 1000,
     rse_tol: float = 1e-10,
-    epsilon: float = 0.01,
     seed: int = 0,
     fusion: bool = True,
     x0: np.ndarray | None = None,
 ) -> RunTrace:
     """Dispatch one run by algorithm name."""
-    knobs = dict(alpha=alpha, max_iters=max_iters, rse_tol=rse_tol, epsilon=epsilon, seed=seed)
+    knobs = dict(alpha=alpha, max_iters=max_iters, rse_tol=rse_tol, seed=seed)
     if algo in DQN_ALGOS:
         return dqn_run(problem, graph, RunConfig(scheme=algo.split("-")[1], **knobs), x0)
     if algo == "diging-atc":
@@ -274,7 +261,6 @@ def run_experiment(
                         alpha=alpha,
                         max_iters=config.max_iters,
                         rse_tol=config.rse_tol,
-                        epsilon=config.epsilon,
                         seed=seed,
                         fusion=config.fusion,
                     )

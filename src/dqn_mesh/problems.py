@@ -322,18 +322,12 @@ def _bp_local(data: BasisPursuitLocalData) -> LocalObjective:
 _STACKS = {"qp": _QpStack, "logreg": _LogRegStack, "basis-pursuit": _BpStack}
 
 
-def _local_hessian(data, x: np.ndarray) -> np.ndarray:
-    """Exact local Hessian (smooth part only for basis pursuit)."""
-    if isinstance(data, QpLocalData):
-        return data.p
-    if isinstance(data, LogRegLocalData):
-        z = data.labels * (data.features @ x)
-        sig = _expit(z)
-        w = sig * (1.0 - sig)
-        return data.reg * np.eye(x.size) + (data.features.T * w) @ data.features
-    if isinstance(data, BasisPursuitLocalData):
-        return data.a.T @ data.a
-    raise TypeError(f"no Hessian rule for {type(data).__name__}")
+def _local_hessian(data: LogRegLocalData, x: np.ndarray) -> np.ndarray:
+    """Exact local Hessian of a logistic-regression objective."""
+    z = data.labels * (data.features @ x)
+    sig = _expit(z)
+    w = sig * (1.0 - sig)
+    return data.reg * np.eye(x.size) + (data.features.T * w) @ data.features
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,7 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         prob.reference_solution = np.linalg.solve(p, -lin)
         single = CommGraph(1, ())
         net = SyncNetwork(graph=single, w=metropolis_weights(single, 0.01).w)
-        state = init_dqn_states(prob, net, alpha=0.5, c0_scale=0.1, seed=9)
+        state = init_dqn_states(prob, net, alpha=0.5, seed=9)
         xs = [state.x[0].copy()]
         for _ in range(50):
             state = dqn_step(net, state, prob, scheme="bfgs")

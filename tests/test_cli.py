@@ -255,3 +255,38 @@ class TestValidateCommand:
         )
         assert rc == 2
         assert "violation" in capsys.readouterr().err
+
+
+def assert_input_error(rc, capsys, *words):
+    """Bad input exits 2 with one ``dqn-mesh: error:`` line and no traceback."""
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dqn-mesh: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
+class TestBadInput:
+    def test_qp_without_cond_range(self, tmp_path, capsys):
+        rc = main(["generate", "--family", "qp", "--out-dir", str(tmp_path)])
+        assert_input_error(rc, capsys, "cond_range")
+
+    def test_missing_problem_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        rc = main(
+            ["run", "--algo", "dqn-bfgs", "--problem", str(missing), "--graph", str(missing)]
+        )
+        assert_input_error(rc, capsys, "missing.json")
+
+    def test_sweep_config_with_removed_field(self, tmp_path, capsys):
+        cfg_path = write_sweep_config(tmp_path, epsilon=0.01)
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert_input_error(rc, capsys, "epsilon")
+        assert not (tmp_path / "r").exists()
+
+    def test_sweep_config_with_bad_alpha(self, tmp_path, capsys):
+        cfg_path = write_sweep_config(tmp_path, alpha="gold")
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert_input_error(rc, capsys, "alpha")
+        assert not (tmp_path / "r").exists()

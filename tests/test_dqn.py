@@ -88,11 +88,6 @@ class TestSyncNetwork:
         with pytest.raises(ValueError, match="does not match the graph"):
             SyncNetwork(graph=TRIANGLE, w=np.eye(2))
 
-    def test_accepts_mixing_matrix_wrapper(self):
-        weights = metropolis_weights(TRIANGLE, 0.01)
-        net = SyncNetwork(graph=TRIANGLE, w=weights)
-        assert np.array_equal(net.w, weights.w)
-
 
 class TestByteLedger:
     def test_quasi_newton_rounds_cost_24_n_deg(self):
@@ -231,7 +226,7 @@ class TestSingleAgent:
     def test_matches_centralized_quasi_newton(self, scheme):
         prob = single_agent_quadratic(5, 3)
         net = make_network(SINGLE)
-        state = init_dqn_states(prob, net, alpha=0.5, c0_scale=0.1, seed=9)
+        state = init_dqn_states(prob, net, alpha=0.5, seed=9)
         xs = [state.x[0].copy()]
         for _ in range(50):
             state = dqn_step(net, state, prob, scheme=scheme)

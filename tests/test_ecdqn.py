@@ -303,7 +303,7 @@ class TestInit:
     def test_estimate_spectrum_in_requested_band(self):
         prob = constrained_quadratic(3, 5, 2, 1)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, 1.0, b0_spectrum=(0.5, 2.0), seed=3)
+        state = init_ecdqn_states(prob, net, 1.0, seed=3)
         assert state.b.shape == (3, 5, 5)
         for b in state.b:
             vals = np.linalg.eigvalsh(b)
@@ -319,14 +319,6 @@ class TestInit:
             assert np.allclose(state.v[i], prob.locals[i].gradient(state.x[i]))
         assert np.array_equal(state.beta, np.zeros((3, 2)))
         assert np.array_equal(state.delta_x, np.zeros((3, 4)))
-
-    def test_rejects_bad_spectrum(self):
-        prob = constrained_quadratic(3, 4, 1, 0)
-        net = make_network(TRIANGLE)
-        with pytest.raises(ValueError, match="b0_spectrum"):
-            init_ecdqn_states(prob, net, 1.0, b0_spectrum=(2.0, 0.5))
-        with pytest.raises(ValueError, match="b0_spectrum"):
-            init_ecdqn_states(prob, net, 1.0, b0_spectrum=(0.0, 1.0))
 
     def test_seed_reproducibility(self):
         prob = constrained_quadratic(3, 4, 1, 0)

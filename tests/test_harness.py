@@ -1,6 +1,7 @@
 """Tests for sweep orchestration, tuning, reporting, and validation."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,8 +34,17 @@ class TestExperimentConfig:
             seeds=(0, 1, 2),
             alpha=0.3,
         )
-        payload = json.loads(json.dumps(cfg.to_dict()))
-        assert ExperimentConfig.from_dict(payload) == cfg
+        payload = json.loads(json.dumps(asdict(cfg)))
+        assert ExperimentConfig(**payload) == cfg
+
+    @pytest.mark.parametrize("alpha", ["gold", -0.1, 0.0, None, "0.3"])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be"):
+            ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", ["auto", "golden", 0.3, 2])
+    def test_accepts_step_forms(self, alpha):
+        assert ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha).alpha == alpha
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):

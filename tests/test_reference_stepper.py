@@ -17,6 +17,7 @@ from dataclasses import replace
 
 from dqn_mesh import ecdqn
 from dqn_mesh.dqn import (
+    C0_SCALE,
     DivergedError,
     RunConfig,
     SyncNetwork,
@@ -24,9 +25,16 @@ from dqn_mesh.dqn import (
     diging_atc_run,
     dqn_run,
 )
-from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run, ecdqn_step, init_ecdqn_states
+from dqn_mesh.ecdqn import (
+    B0_SPECTRUM,
+    STALL_ROUNDS,
+    EcRunConfig,
+    ecdqn_run,
+    ecdqn_step,
+    init_ecdqn_states,
+)
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
-from dqn_mesh.quasi_newton import refresh_hessian_batch, refresh_inverse_batch
+from dqn_mesh.quasi_newton import DEFAULT_FLOOR, refresh_hessian_batch, refresh_inverse_batch
 from dqn_mesh.topology import metropolis_weights, random_connected_graph
 from oracle import (
     DIRECT,
@@ -111,12 +119,12 @@ class Log:
 
 def reference_dqn(problem, graph, cfg):
     n_agents, n = problem.n_agents, problem.dim
-    w = metropolis_weights(graph, cfg.epsilon).w
+    w = metropolis_weights(graph).w
     log = Log(problem, 3, graph.degrees())
     x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
     v = g.copy()
-    c = [cfg.c0_scale * np.eye(n) for _ in range(n_agents)]
+    c = [C0_SCALE * np.eye(n) for _ in range(n_agents)]
     z = w @ np.stack([-(c[i] @ v[i]) for i in range(n_agents)])
     worst = log.record(x, v, g, z)
     for _ in range(cfg.max_iters):
@@ -134,7 +142,7 @@ def reference_dqn(problem, graph, cfg):
         d = []
         for i in range(n_agents):
             c[i], skipped, repaired = refresh_inverse(
-                c[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, cfg.eig_floor, cfg.gamma
+                c[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, DEFAULT_FLOOR, cfg.gamma
             )
             log.skipped += skipped
             log.repaired += repaired
@@ -147,7 +155,7 @@ def reference_dqn(problem, graph, cfg):
 
 def reference_diging(problem, graph, cfg):
     n_agents, n = problem.n_agents, problem.dim
-    w = metropolis_weights(graph, cfg.epsilon).w
+    w = metropolis_weights(graph).w
     log = Log(problem, 2, graph.degrees())
     x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
@@ -197,14 +205,14 @@ def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
 def reference_ecdqn(problem, graph, cfg):
     n_agents, n = problem.n_agents, problem.dim
     a_mat, b_vec = problem.constraint
-    w = metropolis_weights(graph, cfg.epsilon).w
+    w = metropolis_weights(graph).w
     log = Log(problem, 3 if cfg.fusion else 2, graph.degrees())
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n_agents, n))
     b = []
     for _ in range(n_agents):
         q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        b0 = (q_mat * rng.uniform(*cfg.b0_spectrum, size=n)) @ q_mat.T
+        b0 = (q_mat * rng.uniform(*B0_SPECTRUM, size=n)) @ q_mat.T
         b.append(0.5 * (b0 + b0.T))
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
     v = g.copy()
@@ -244,7 +252,7 @@ def reference_ecdqn(problem, graph, cfg):
         x, v, g = new_x, new_v, new_g
         worst = record(x, v, g, beta)
         stall_run = stall_run + 1 if move <= cfg.stall_tol else 0
-        if stall_run >= cfg.stall_rounds:
+        if stall_run >= STALL_ROUNDS:
             # a round that meets the tolerance is a convergence, not a stall
             log.stalled = worst > cfg.rse_tol
             break
