@@ -52,7 +52,6 @@ def _parse_alpha(text: str) -> float | str:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     out = _default_out(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cond = _parse_cond(args.cond) if args.cond else None
     config = ExperimentConfig(
         family=args.family,
@@ -67,6 +66,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if not args.no_reference:
         solve_reference(problem)
     graph = random_connected_graph(args.agents, args.kappa, args.seed)
+    out.mkdir(parents=True, exist_ok=True)
     problem_path = out / args.problem_out
     graph_path = out / args.graph_out
     save_problem(problem, problem_path)

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Real
 from pathlib import Path
 from typing import Callable
 
@@ -77,12 +78,11 @@ def _blown_up(arr: np.ndarray) -> bool:
 
 
 class DivergedError(RuntimeError):
-    """Iterates left the representable range; carries the failing round
-    and, optionally, the state whose counters cover that round's work."""
+    """Iterates left the representable range; optionally carries the state
+    whose counters cover the failing round's work."""
 
-    def __init__(self, round_index: int, state=None):
-        super().__init__(f"non-finite iterate at round {round_index}")
-        self.round_index = round_index
+    def __init__(self, state=None):
+        super().__init__("non-finite iterate")
         self.state = state
 
 
@@ -90,11 +90,11 @@ class DivergedError(RuntimeError):
 class DqnState:
     """Every agent's variables for the unconstrained method, stacked.
 
-    Row i of x, v, z, d and last_gradient (each N x n), slice i of the
-    inverse-Hessian estimates c (N x n x n) and alpha[i] belong to agent i.
-    gamma is the eigenvalue ceiling of every estimate.  skipped_pairs and
-    safeguard_repairs count, over the rounds taken so far, curvature pairs
-    left unapplied and estimates whose spectrum was repaired.
+    Row i of x, v, z, d and last_gradient (each N x n) and slice i of the
+    inverse-Hessian estimates c (N x n x n) belong to agent i.
+    skipped_pairs and safeguard_repairs count, over the rounds taken so
+    far, curvature pairs left unapplied and estimates whose spectrum was
+    repaired.
     """
 
     x: np.ndarray
@@ -102,9 +102,7 @@ class DqnState:
     z: np.ndarray
     d: np.ndarray
     c: np.ndarray
-    alpha: np.ndarray
     last_gradient: np.ndarray
-    gamma: float
     skipped_pairs: int = 0
     safeguard_repairs: int = 0
 
@@ -112,12 +110,10 @@ class DqnState:
 @dataclass(frozen=True)
 class DigingState:
     """Every agent's variables for the first-order baseline, stacked:
-    iterates x, gradient trackers v and last local gradients (each N x n)
-    and step sizes alpha (N,)."""
+    iterates x, gradient trackers v and last local gradients (each N x n)."""
 
     x: np.ndarray
     v: np.ndarray
-    alpha: np.ndarray
     last_gradient: np.ndarray
 
 
@@ -128,7 +124,6 @@ class SyncNetwork:
     graph: CommGraph
     w: np.ndarray
     sent_bytes: np.ndarray = field(init=False)
-    round: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.w = np.asarray(self.w, dtype=float)
@@ -244,10 +239,12 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the distributed solvers.
+    """Knobs shared by the distributed solvers, the only holder of a
+    run's constants: the steps read them from here.
 
-    alpha may be a number or "auto"; auto takes 90% of the
-    contraction-based bound computed by safe_step_size, capped at 1.
+    alpha may be a positive number or "auto"; auto takes 90% of the
+    contraction-based bound computed by safe_step_size, capped at 1.  A
+    run resolves it once, and its steps see the number.
     """
 
     scheme: str = "bfgs"
@@ -260,8 +257,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("bfgs", "dfp"):
             raise ValueError(f"unknown quasi-Newton scheme {self.scheme!r}")
-        if isinstance(self.alpha, str) and self.alpha != "auto":
-            raise ValueError("alpha must be a number or 'auto'")
+        if not (self.alpha == "auto" or isinstance(self.alpha, Real) and self.alpha > 0):
+            raise ValueError(f"alpha must be a positive number or 'auto', not {self.alpha!r}")
 
 
 def safe_step_size(
@@ -287,8 +284,6 @@ def _resolve_alpha(
     config: RunConfig, problem: SeparableProblem, contraction: float
 ) -> float:
     if not isinstance(config.alpha, str):
-        if config.alpha <= 0:
-            raise ValueError("alpha must be positive")
         return float(config.alpha)
     smoothness = problem.smoothness()
     if smoothness is None:
@@ -312,8 +307,6 @@ def initial_iterates(
 def init_dqn_states(
     problem: SeparableProblem,
     network: SyncNetwork,
-    alpha: float | np.ndarray,
-    gamma: float = 1e3,
     seed: int = 0,
     x0: np.ndarray | None = None,
 ) -> DqnState:
@@ -326,14 +319,11 @@ def init_dqn_states(
     """
     n, n_agents = problem.dim, problem.n_agents
     x = initial_iterates(problem, np.random.default_rng(seed), x0)
-    alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
     grads = problem.gradients(x)
     c = np.broadcast_to(C0_SCALE * np.eye(n), (n_agents, n, n)).copy()
     d = -np.matvec(c, grads)
     z = network.mix(d, account=False)
-    return DqnState(
-        x=x, v=grads.copy(), z=z, d=d, c=c, alpha=alphas, last_gradient=grads, gamma=gamma
-    )
+    return DqnState(x=x, v=grads.copy(), z=z, d=d, c=c, last_gradient=grads)
 
 
 def track_gradient(
@@ -355,56 +345,53 @@ def dqn_step(
     network: SyncNetwork,
     state: DqnState,
     problem: SeparableProblem,
-    scheme: str = "bfgs",
+    config: RunConfig,
 ) -> DqnState:
     """One synchronous round: mix iterates, track gradients, refresh the
-    curvature estimates, then mix descent directions.
+    curvature estimates, then mix descent directions.  config.alpha must
+    be a number.
 
     Three payloads cross every edge, so the ledger adds 24 * dim * degree
     bytes per agent.
     """
-    new_x = network.mix(state.x + state.alpha[:, None] * state.z)
+    new_x = network.mix(state.x + config.alpha * state.z)
     if _blown_up(new_x):
-        raise DivergedError(network.round + 1)
+        raise DivergedError()
     new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
-        raise DivergedError(network.round + 1)
+        raise DivergedError()
     # repairs go through this module's pd_safeguard name, so a wrapper
     # installed on it sees every batch of them
     refresh = refresh_inverse_batch(
-        state.c, new_x - state.x, new_v - state.v, scheme, DEFAULT_FLOOR, state.gamma,
+        state.c, new_x - state.x, new_v - state.v, config.scheme, DEFAULT_FLOOR, config.gamma,
         safeguard=pd_safeguard,
     )
     new_d = -np.matvec(refresh.estimates, new_v)
     new_z = network.mix(new_d)
-    network.round += 1
     return DqnState(
         x=new_x,
         v=new_v,
         z=new_z,
         d=new_d,
         c=refresh.estimates,
-        alpha=state.alpha,
         last_gradient=new_g,
-        gamma=state.gamma,
         skipped_pairs=state.skipped_pairs + refresh.skipped,
         safeguard_repairs=state.safeguard_repairs + refresh.repaired,
     )
 
 
 def diging_step(
-    network: SyncNetwork, state: DigingState, problem: SeparableProblem
+    network: SyncNetwork, state: DigingState, problem: SeparableProblem, config: RunConfig
 ) -> DigingState:
     """One round of the first-order baseline: x' = W (x - alpha v), then
     the tracker update.  Two payloads cross every edge."""
-    new_x = network.mix(state.x - state.alpha[:, None] * state.v)
+    new_x = network.mix(state.x - config.alpha * state.v)
     if _blown_up(new_x):
-        raise DivergedError(network.round + 1)
+        raise DivergedError()
     new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
-        raise DivergedError(network.round + 1)
-    network.round += 1
-    return DigingState(x=new_x, v=new_v, alpha=state.alpha, last_gradient=new_g)
+        raise DivergedError()
+    return DigingState(x=new_x, v=new_v, last_gradient=new_g)
 
 
 def run_rounds(
@@ -572,18 +559,18 @@ def dqn_run(
     weights = metropolis_weights(graph)
     network = SyncNetwork(graph=graph, w=weights.w)
     rec = _Recorder(problem, _ensure_reference(problem), track_z=True)
-    alpha = _resolve_alpha(config, problem, weights.contraction)
-    state = init_dqn_states(problem, network, alpha, config.gamma, config.seed, x0)
+    config = replace(config, alpha=_resolve_alpha(config, problem, weights.contraction))
+    state = init_dqn_states(problem, network, config.seed, x0)
     state, flags = run_rounds(
         state,
-        lambda st: dqn_step(network, st, problem, config.scheme),
+        lambda st: dqn_step(network, st, problem, config),
         lambda st: rec.record(st.x, st.v, st.last_gradient, network.sent_bytes, z=st.z),
         config.rse_tol,
         config.max_iters,
     )
     return rec.build(
         f"dqn-{config.scheme}",
-        alpha,
+        config.alpha,
         state,
         start,
         scheme=config.scheme,
@@ -611,17 +598,15 @@ def diging_atc_run(
     weights = metropolis_weights(graph)
     network = SyncNetwork(graph=graph, w=weights.w)
     rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
-    alpha = _resolve_alpha(config, problem, weights.contraction)
+    config = replace(config, alpha=_resolve_alpha(config, problem, weights.contraction))
     x = initial_iterates(problem, np.random.default_rng(config.seed), x0)
     grads = problem.gradients(x)
-    state = DigingState(
-        x=x, v=grads.copy(), alpha=np.full(problem.n_agents, alpha), last_gradient=grads
-    )
+    state = DigingState(x=x, v=grads.copy(), last_gradient=grads)
     state, flags = run_rounds(
         state,
-        lambda st: diging_step(network, st, problem),
+        lambda st: diging_step(network, st, problem, config),
         lambda st: rec.record(st.x, st.v, st.last_gradient, network.sent_bytes),
         config.rse_tol,
         config.max_iters,
     )
-    return rec.build("diging-atc", alpha, state, start, rse_tol=config.rse_tol, **flags)
+    return rec.build("diging-atc", config.alpha, state, start, rse_tol=config.rse_tol, **flags)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .dqn import (
     track_gradient,
 )
 from .problems import SeparableProblem
-from .quasi_newton import cholesky_rows, pd_safeguard, refresh_hessian_batch
+from .quasi_newton import cholesky_ok, pd_safeguard, refresh_hessian_batch
 from .quasi_newton import curvature_ok  # noqa: F401  (see the note in dqn.py)
 from .topology import CommGraph, metropolis_weights
 
@@ -101,7 +102,7 @@ def _kkt_rows(b, a, rhs_stat, rhs_prim):
     # the Cholesky factorizations only test definiteness; each block is
     # solved by one LU, with its failed rows swapped for the identity so
     # that the stacked solve cannot raise on them
-    ok = cholesky_rows(b)[1]
+    ok = cholesky_ok(b)
     failure = np.where(ok, 0, 1)
     # the right-hand sides are stacked (n, k) matrices: an (N, n) stack of
     # vectors would be one (N, n) matrix to numpy 2 and N vectors to 1.x
@@ -111,7 +112,7 @@ def _kkt_rows(b, a, rhs_stat, rhs_prim):
     # the rank test reads the symmetric part of A B^-1 A'; the solve uses
     # the product as computed, which keeps A delta_x - w at rounding level
     schur = a @ binv_at
-    ok = cholesky_rows(0.5 * (schur + schur.transpose(0, 2, 1)))[1]
+    ok = cholesky_ok(0.5 * (schur + schur.transpose(0, 2, 1)))
     failure[(failure == 0) & ~ok] = 2
     beta = np.linalg.solve(_identity_where(~ok, schur), a @ binv_u - w)
     delta_x = binv_u - binv_at @ beta
@@ -167,11 +168,11 @@ class EcDqnState:
     """Every agent's variables for the constrained method, stacked.
 
     Row i of x, v, delta_x, d and last_gradient (each N x n), of the
-    multipliers beta (N x m), slice i of the Hessian estimates b
-    (N x n x n) and alpha[i] belong to agent i.  The counters cover the
-    rounds taken so far: curvature pairs left unapplied, spectrum repairs
-    (refresh fallbacks and repairs before a KKT retry), and saddle-point
-    solves retried.
+    multipliers beta (N x m) and slice i of the Hessian estimates b
+    (N x n x n) belong to agent i.  The counters cover the rounds taken
+    so far: curvature pairs left unapplied, spectrum repairs (refresh
+    fallbacks and repairs before a KKT retry), and saddle-point solves
+    retried.
     """
 
     x: np.ndarray
@@ -180,7 +181,6 @@ class EcDqnState:
     beta: np.ndarray
     delta_x: np.ndarray
     d: np.ndarray
-    alpha: np.ndarray
     last_gradient: np.ndarray
     skipped_pairs: int = 0
     safeguard_repairs: int = 0
@@ -189,13 +189,16 @@ class EcDqnState:
 
 @dataclass(frozen=True)
 class EcRunConfig:
-    """Knobs for the constrained solver.
+    """Knobs for the constrained solver, the only holder of a run's
+    constants: the steps read them from here.
 
-    alpha "auto" falls back to the full saddle-point step (1.0); there is
-    no contraction-based bound for this method.  The Hessian estimates are
-    kept within [eig_floor, eig_ceiling]; the floor is the reciprocal of
-    the usual curvature cap, which keeps the saddle-point solves stable
-    while consensus noise still contaminates the curvature pairs.
+    alpha is a positive number or "auto"; "auto" falls back to the full
+    saddle-point step (1.0), as there is no contraction-based bound for
+    this method.  A run resolves it once, and its steps see the number.
+    The Hessian estimates are kept within [eig_floor, eig_ceiling]; the
+    floor is the reciprocal of the usual curvature cap, which keeps the
+    saddle-point solves stable while consensus noise still contaminates
+    the curvature pairs.
     """
 
     scheme: str = "bfgs"
@@ -211,22 +214,17 @@ class EcRunConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("bfgs", "dfp"):
             raise ValueError(f"unknown quasi-Newton scheme {self.scheme!r}")
-        if isinstance(self.alpha, str) and self.alpha != "auto":
-            raise ValueError("alpha must be a number or 'auto'")
+        if not (self.alpha == "auto" or isinstance(self.alpha, Real) and self.alpha > 0):
+            raise ValueError(f"alpha must be a positive number or 'auto', not {self.alpha!r}")
 
 
 def _resolve_alpha(config: EcRunConfig) -> float:
-    if isinstance(config.alpha, str):
-        return 1.0
-    if config.alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return float(config.alpha)
+    return 1.0 if isinstance(config.alpha, str) else float(config.alpha)
 
 
 def init_ecdqn_states(
     problem: SeparableProblem,
     network: SyncNetwork,
-    alpha: float | np.ndarray,
     seed: int = 0,
     x0: np.ndarray | None = None,
 ) -> EcDqnState:
@@ -243,7 +241,6 @@ def init_ecdqn_states(
     rng = np.random.default_rng(seed)
     # iterates first, then the estimates, from the same stream
     x = initial_iterates(problem, rng, x0)
-    alphas = np.array(np.broadcast_to(np.asarray(alpha, dtype=float), (n_agents,)))
     b = np.empty((n_agents, n, n))
     for i in range(n_agents):
         q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -258,7 +255,6 @@ def init_ecdqn_states(
         beta=np.zeros((n_agents, m)),
         delta_x=np.zeros((n_agents, n)),
         d=np.zeros((n_agents, n)),
-        alpha=alphas,
         last_gradient=grads,
     )
 
@@ -267,12 +263,10 @@ def ecdqn_step(
     network: SyncNetwork,
     state: EcDqnState,
     problem: SeparableProblem,
-    scheme: str = "bfgs",
-    eig_floor: float = 1e-3,
-    eig_ceiling: float = 1e3,
-    fusion: bool = True,
+    config: EcRunConfig,
 ) -> EcDqnState:
-    """One synchronous round of the constrained method.
+    """One synchronous round of the constrained method; config.alpha must
+    be a number.
 
     Order within the round: local saddle-point solves, direction fusion,
     iterate mixing, gradient tracking, Hessian refresh.  Three payloads
@@ -295,26 +289,27 @@ def ecdqn_step(
         )
         b_kkt = state.b.copy()
         # through this module's pd_safeguard name, as in the refresh below
-        b_kkt[failed] = pd_safeguard(b_kkt[failed], floor=eig_floor, ceiling=eig_ceiling)
+        b_kkt[failed] = pd_safeguard(
+            b_kkt[failed], floor=config.eig_floor, ceiling=config.eig_ceiling
+        )
         delta_x[failed], beta[failed], ok = kkt_solve_batch(
             b_kkt[failed], a_mat, state.v[failed], r_prim[failed]
         )
         if not ok.all():
-            raise DivergedError(network.round + 1, state)
-    d = network.mix(delta_x) if fusion else delta_x
+            raise DivergedError(state)
+    d = network.mix(delta_x) if config.fusion else delta_x
 
-    new_x = network.mix(state.x + state.alpha[:, None] * d)
+    new_x = network.mix(state.x + config.alpha * d)
     if _blown_up(new_x):
-        raise DivergedError(network.round + 1, state)
+        raise DivergedError(state)
     new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
-        raise DivergedError(network.round + 1, state)
+        raise DivergedError(state)
     # repairs go through this module's pd_safeguard name, as in dqn_step
     refresh = refresh_hessian_batch(
-        b_kkt, new_x - state.x, new_v - state.v, scheme, eig_floor, eig_ceiling,
-        safeguard=pd_safeguard,
+        b_kkt, new_x - state.x, new_v - state.v, config.scheme, config.eig_floor,
+        config.eig_ceiling, safeguard=pd_safeguard,
     )
-    network.round += 1
     return EcDqnState(
         x=new_x,
         v=new_v,
@@ -322,7 +317,6 @@ def ecdqn_step(
         beta=beta,
         delta_x=delta_x,
         d=d,
-        alpha=state.alpha,
         last_gradient=new_g,
         skipped_pairs=state.skipped_pairs + refresh.skipped,
         safeguard_repairs=state.safeguard_repairs + refresh.repaired,
@@ -348,8 +342,8 @@ def ecdqn_run(
     weights = metropolis_weights(graph)
     network = SyncNetwork(graph=graph, w=weights.w)
     rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
-    alpha = _resolve_alpha(config)
-    state = init_ecdqn_states(problem, network, alpha, config.seed, x0)
+    config = replace(config, alpha=_resolve_alpha(config))
+    state = init_ecdqn_states(problem, network, config.seed, x0)
     a_mat, b_vec = problem.constraint
 
     def record(st: EcDqnState) -> float:
@@ -365,20 +359,9 @@ def ecdqn_run(
             beta=np.sqrt(np.vecdot(st.beta, st.beta)),
         )
 
-    def step(st: EcDqnState) -> EcDqnState:
-        return ecdqn_step(
-            network,
-            st,
-            problem,
-            config.scheme,
-            config.eig_floor,
-            config.eig_ceiling,
-            config.fusion,
-        )
-
     state, flags = run_rounds(
         state,
-        step,
+        lambda st: ecdqn_step(network, st, problem, config),
         record,
         config.rse_tol,
         config.max_iters,
@@ -387,7 +370,7 @@ def ecdqn_run(
     )
     return rec.build(
         f"ecdqn-{config.scheme}",
-        alpha,
+        config.alpha,
         state,
         start,
         scheme=config.scheme,

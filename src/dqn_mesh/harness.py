@@ -78,10 +78,10 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.cond_range is not None:
             object.__setattr__(self, "cond_range", tuple(float(c) for c in self.cond_range))
-        if self.golden_bracket is not None:
-            object.__setattr__(
-                self, "golden_bracket", tuple(float(a) for a in self.golden_bracket)
-            )
+        lo, hi = map(float, self.golden_bracket)
+        if not 0 < lo < hi:
+            raise ValueError(f"golden_bracket needs 0 < lo < hi, not {self.golden_bracket!r}")
+        object.__setattr__(self, "golden_bracket", (lo, hi))
 
 
 @dataclass(frozen=True)

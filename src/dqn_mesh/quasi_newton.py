@@ -26,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "curvature_ok",
-    "cholesky_rows",
+    "cholesky_ok",
     "pd_safeguard",
     "BatchRefresh",
     "refresh_inverse_batch",
@@ -70,26 +70,22 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def cholesky_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of a stack m (N, n, n) and the mask of the rows
-    that have one.
+def cholesky_ok(m: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a stack m (N, n, n) that have a Cholesky factor.
 
     One batched call; only when it fails are the rows factorized one at a
-    time, to find the failing ones.  Their factors are set to the
-    identity, so that solves against the stack still go through.
+    time, to find the failing ones.
     """
+    ok = np.ones(len(m), dtype=bool)
     try:
-        return np.linalg.cholesky(m), np.ones(len(m), dtype=bool)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        chol = np.broadcast_to(_eye(m.shape[-1]), m.shape).copy()
-        ok = np.zeros(len(m), dtype=bool)
         for i in range(len(m)):
             try:
-                chol[i] = np.linalg.cholesky(m[i])
-                ok[i] = True
+                np.linalg.cholesky(m[i])
             except np.linalg.LinAlgError:
-                pass
-        return chol, ok
+                ok[i] = False
+    return ok
 
 
 # Both kernels take m (N, n, n), p and q (N, n) and r = q'p (N,), and return
@@ -213,7 +209,7 @@ def _repair_rows(m: np.ndarray, ceiling: float, shift: float) -> np.ndarray:
     try:
         np.linalg.cholesky(probe)
     except np.linalg.LinAlgError:
-        fine[np.flatnonzero(fine)] = cholesky_rows(probe)[1]
+        fine[np.flatnonzero(fine)] = cholesky_ok(probe)
         clear = False
     return _NO_ROWS if clear else np.flatnonzero(~fine)
 

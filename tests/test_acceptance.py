@@ -318,10 +318,10 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         prob.reference_solution = np.linalg.solve(p, -lin)
         single = CommGraph(1, ())
         net = SyncNetwork(graph=single, w=metropolis_weights(single, 0.01).w)
-        state = init_dqn_states(prob, net, alpha=0.5, seed=9)
+        state = init_dqn_states(prob, net, seed=9)
         xs = [state.x[0].copy()]
         for _ in range(50):
-            state = dqn_step(net, state, prob, scheme="bfgs")
+            state = dqn_step(net, state, prob, RunConfig(scheme="bfgs", alpha=0.5))
             xs.append(state.x[0].copy())
         x = np.random.default_rng(9).standard_normal(dim)
         g = p @ x + lin
@@ -361,7 +361,7 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         prob3 = qp_family(3, 4, (2.0, 10.0), 6)
         triangle = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
         net3 = SyncNetwork(graph=triangle, w=metropolis_weights(triangle, 0.01).w)
-        state3 = init_dqn_states(prob3, net3, alpha=0.3, seed=4)
+        state3 = init_dqn_states(prob3, net3, seed=4)
         big_w = np.kron(net3.w, np.eye(4))
         xf = state3.x.ravel()
         vf = state3.v.ravel()
@@ -386,7 +386,7 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
                 d_new[sl] = -(cs[i] @ v_new[sl])
             zf = big_w @ d_new
             xf, vf, gf = x_new, v_new, g_new
-            state3 = dqn_step(net3, state3, prob3, scheme="bfgs")
+            state3 = dqn_step(net3, state3, prob3, RunConfig(scheme="bfgs", alpha=0.3))
         assert np.allclose(state3.x.ravel(), xf, atol=1e-12, rtol=0.0)
         assert np.allclose(state3.v.ravel(), vf, atol=1e-12, rtol=0.0)
         assert np.allclose(state3.z.ravel(), zf, atol=1e-12, rtol=0.0)

@@ -269,8 +269,9 @@ def assert_input_error(rc, capsys, *words):
 
 class TestBadInput:
     def test_qp_without_cond_range(self, tmp_path, capsys):
-        rc = main(["generate", "--family", "qp", "--out-dir", str(tmp_path)])
+        rc = main(["generate", "--family", "qp", "--out-dir", str(tmp_path / "bad")])
         assert_input_error(rc, capsys, "cond_range")
+        assert not (tmp_path / "bad").exists()
 
     def test_missing_problem_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

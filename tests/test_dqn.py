@@ -122,7 +122,7 @@ class TestInit:
     def test_tracker_starts_at_local_gradients(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, alpha=0.3, seed=5)
+        state = init_dqn_states(prob, net, seed=5)
         assert state.c.shape == (3, prob.dim, prob.dim)
         for i in range(3):
             g = prob.locals[i].gradient(state.x[i])
@@ -134,27 +134,21 @@ class TestInit:
     def test_direction_mix_is_unmetered(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, alpha=0.3)
+        state = init_dqn_states(prob, net)
         assert np.allclose(state.z, net.w @ state.d)
         assert net.sent_bytes.tolist() == [0, 0, 0]
-
-    def test_per_agent_step_sizes(self):
-        prob = quadratic_problem()
-        net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, alpha=np.array([0.1, 0.2, 0.3]))
-        assert state.alpha.tolist() == [0.1, 0.2, 0.3]
 
     def test_rejects_bad_x0(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
         with pytest.raises(ValueError, match="one row per agent"):
-            init_dqn_states(prob, net, 0.3, x0=np.zeros((2, prob.dim)))
+            init_dqn_states(prob, net, x0=np.zeros((2, prob.dim)))
 
     def test_x0_override(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
         x0 = np.full((3, prob.dim), 2.0)
-        state = init_dqn_states(prob, net, 0.3, x0=x0)
+        state = init_dqn_states(prob, net, x0=x0)
         assert np.array_equal(state.x, x0)
 
 
@@ -169,9 +163,9 @@ class TestTracking:
         prob = qp_family(4, 4, (2.0, 8.0), seed)
         graph = random_connected_graph(4, 0.7, seed)
         net = make_network(graph)
-        state = init_dqn_states(prob, net, alpha=0.2, seed=seed)
+        state = init_dqn_states(prob, net, seed=seed)
         for _ in range(rounds):
-            state = dqn_step(net, state, prob)
+            state = dqn_step(net, state, prob, RunConfig(alpha=0.2))
         v_bar = state.v.mean(axis=0)
         g_bar = state.last_gradient.mean(axis=0)
         assert np.linalg.norm(v_bar - g_bar) <= 1e-10 * (1.0 + np.linalg.norm(g_bar))
@@ -179,7 +173,7 @@ class TestTracking:
     def test_track_gradient_returns_fresh_gradients(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, alpha=0.3)
+        state = init_dqn_states(prob, net)
         new_x = state.x * 0.5
         new_v, new_g = track_gradient(net, state, new_x, prob)
         for i in range(3):
@@ -226,10 +220,10 @@ class TestSingleAgent:
     def test_matches_centralized_quasi_newton(self, scheme):
         prob = single_agent_quadratic(5, 3)
         net = make_network(SINGLE)
-        state = init_dqn_states(prob, net, alpha=0.5, seed=9)
+        state = init_dqn_states(prob, net, seed=9)
         xs = [state.x[0].copy()]
         for _ in range(50):
-            state = dqn_step(net, state, prob, scheme=scheme)
+            state = dqn_step(net, state, prob, RunConfig(scheme=scheme, alpha=0.5))
             xs.append(state.x[0].copy())
         oracle = centralized_qn_oracle(prob, 0.5, 0.1, scheme, 50, seed=9)
         assert np.allclose(np.stack(xs), oracle, atol=1e-12, rtol=0.0)
@@ -294,10 +288,10 @@ class TestJointFormOracle:
     def test_two_rounds_match_stacked_recursion(self):
         prob = quadratic_problem(n_agents=3, dim=4, seed=6)
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, alpha=0.3, seed=4)
+        state = init_dqn_states(prob, net, seed=4)
         ox, ov, oz = kron_joint_oracle(prob, net.w, state, 0.3, rounds=2)
         for _ in range(2):
-            state = dqn_step(net, state, prob, scheme="bfgs")
+            state = dqn_step(net, state, prob, RunConfig(scheme="bfgs", alpha=0.3))
         assert np.allclose(state.x.ravel(), ox, atol=1e-12, rtol=0.0)
         assert np.allclose(state.v.ravel(), ov, atol=1e-12, rtol=0.0)
         assert np.allclose(state.z.ravel(), oz, atol=1e-12, rtol=0.0)
@@ -346,14 +340,13 @@ class TestRunBehavior:
         # a NaN anywhere counts, and the limit itself still counts as finite
         assert _blown_up(np.array(values, dtype=float)) is blown
 
-    def test_diverged_error_carries_round(self):
+    def test_huge_step_raises_diverged_error(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, alpha=1e20)
-        with pytest.raises(DivergedError) as err:
+        state = init_dqn_states(prob, net)
+        with pytest.raises(DivergedError):
             for _ in range(50):
-                state = dqn_step(net, state, prob)
-        assert err.value.round_index >= 1
+                state = dqn_step(net, state, prob, RunConfig(alpha=1e20))
 
     def test_convergence_on_well_conditioned_quadratic(self):
         prob = quadratic_problem(n_agents=4, dim=4, seed=2)
@@ -440,10 +433,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="'auto'"):
             RunConfig(alpha="fast")
 
-    def test_rejects_nonpositive_alpha_at_resolve(self):
-        prob = quadratic_problem()
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            dqn_run(prob, TRIANGLE, RunConfig(alpha=-0.1, max_iters=1))
+    @pytest.mark.parametrize("alpha", [0, -1.0, -0.1])
+    def test_rejects_nonpositive_alpha(self, alpha):
+        with pytest.raises(ValueError, match="positive number"):
+            RunConfig(alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +480,10 @@ class TestRunTrace:
         assert d["wall_time_ms"] >= 0.0
         # recount the skipped pairs with the per-pair curvature test
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, alpha=0.3)
+        state = init_dqn_states(prob, net)
         skipped = 0
         for _ in range(4):
-            new = dqn_step(net, state, prob)
+            new = dqn_step(net, state, prob, RunConfig(alpha=0.3))
             skipped += sum(
                 not curvature_ok(new.x[i] - state.x[i], new.v[i] - state.v[i])
                 for i in range(3)

@@ -298,12 +298,12 @@ class TestInit:
         unconstrained = SeparableProblem(locals=prob.locals, family="custom")
         net = make_network(TRIANGLE)
         with pytest.raises(ValueError, match="constraint"):
-            init_ecdqn_states(unconstrained, net, 1.0)
+            init_ecdqn_states(unconstrained, net)
 
     def test_estimate_spectrum_in_requested_band(self):
         prob = constrained_quadratic(3, 5, 2, 1)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, 1.0, seed=3)
+        state = init_ecdqn_states(prob, net, seed=3)
         assert state.b.shape == (3, 5, 5)
         for b in state.b:
             vals = np.linalg.eigvalsh(b)
@@ -314,7 +314,7 @@ class TestInit:
     def test_tracker_and_multiplier_start(self):
         prob = constrained_quadratic(3, 4, 2, 2)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, 1.0, seed=0)
+        state = init_ecdqn_states(prob, net, seed=0)
         for i in range(3):
             assert np.allclose(state.v[i], prob.locals[i].gradient(state.x[i]))
         assert np.array_equal(state.beta, np.zeros((3, 2)))
@@ -323,8 +323,8 @@ class TestInit:
     def test_seed_reproducibility(self):
         prob = constrained_quadratic(3, 4, 1, 0)
         net = make_network(TRIANGLE)
-        a = init_ecdqn_states(prob, net, 1.0, seed=11)
-        b = init_ecdqn_states(prob, net, 1.0, seed=11)
+        a = init_ecdqn_states(prob, net, seed=11)
+        b = init_ecdqn_states(prob, net, seed=11)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.b, b.b)
 
@@ -351,10 +351,9 @@ class TestSingleAgentNewton:
             beta=np.zeros((1, 2)),
             delta_x=np.zeros((1, 5)),
             d=np.zeros((1, 5)),
-            alpha=np.ones(1),
             last_gradient=g0[None, :].copy(),
         )
-        state = ecdqn_step(net, state, prob)
+        state = ecdqn_step(net, state, prob, EcRunConfig())
         x1 = state.x[0]
         assert np.linalg.norm(x1 - prob.reference_solution) <= 1e-10
         assert np.linalg.norm(a @ x1 - b) <= 1e-10
@@ -382,15 +381,15 @@ class TestLedgerAndFusion:
     def test_fusion_mixes_directions(self):
         prob = constrained_quadratic(3, 4, 1, 2)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, 1.0, seed=1)
-        stepped = ecdqn_step(net, state, prob, fusion=True)
+        state = init_ecdqn_states(prob, net, seed=1)
+        stepped = ecdqn_step(net, state, prob, EcRunConfig(fusion=True))
         assert np.allclose(stepped.d, net.w @ stepped.delta_x)
 
     def test_no_fusion_keeps_local_directions(self):
         prob = constrained_quadratic(3, 4, 1, 2)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, 1.0, seed=1)
-        stepped = ecdqn_step(net, state, prob, fusion=False)
+        state = init_ecdqn_states(prob, net, seed=1)
+        stepped = ecdqn_step(net, state, prob, EcRunConfig(fusion=False))
         assert np.array_equal(stepped.d, stepped.delta_x)
 
 
@@ -402,10 +401,11 @@ class TestSpectrumBox:
     def test_tiny_eigenvalue_is_repaired(self):
         prob = constrained_quadratic(3, 4, 1, 9)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, 1.0, seed=2)
+        state = init_ecdqn_states(prob, net, seed=2)
         b = state.b.copy()
         b[1] = np.diag([1e-9, 1.0, 1.0, 1.0])
-        stepped = ecdqn_step(net, replace(state, b=b), prob, eig_floor=1e-3, eig_ceiling=1e3)
+        box = EcRunConfig(eig_floor=1e-3, eig_ceiling=1e3)
+        stepped = ecdqn_step(net, replace(state, b=b), prob, box)
         assert stepped.safeguard_repairs >= 1
         for b in stepped.b:
             vals = np.linalg.eigvalsh(b)
@@ -415,10 +415,11 @@ class TestSpectrumBox:
     def test_indefinite_estimate_is_repaired_before_kkt_retry(self):
         prob = constrained_quadratic(3, 4, 1, 9)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, 1.0, seed=2)
+        state = init_ecdqn_states(prob, net, seed=2)
         b = state.b.copy()
         b[1] = np.diag([-1.0, 1.0, 1.0, 1.0])
-        stepped = ecdqn_step(net, replace(state, b=b), prob, eig_floor=1e-3, eig_ceiling=1e3)
+        box = EcRunConfig(eig_floor=1e-3, eig_ceiling=1e3)
+        stepped = ecdqn_step(net, replace(state, b=b), prob, box)
         assert stepped.kkt_retries == 1
         assert stepped.safeguard_repairs >= 1
         assert np.linalg.eigvalsh(stepped.b[1])[0] > 0.49e-3
@@ -428,9 +429,10 @@ class TestSpectrumBox:
         solve_reference(prob)
         graph = random_connected_graph(4, 0.7, 1)
         net = make_network(graph)
-        state = init_ecdqn_states(prob, net, 0.5, seed=4)
+        state = init_ecdqn_states(prob, net, seed=4)
+        config = EcRunConfig(scheme="dfp", alpha=0.5)
         for _ in range(15):
-            state = ecdqn_step(net, state, prob, scheme="dfp")
+            state = ecdqn_step(net, state, prob, config)
             for b in state.b:
                 vals = np.linalg.eigvalsh(b)
                 assert vals[0] > 0.49e-3
@@ -501,9 +503,8 @@ class TestEcRun:
         assert trace.alpha == 1.0
 
     def test_rejects_nonpositive_alpha(self):
-        prob = constrained_quadratic(3, 4, 1, 5)
         with pytest.raises(ValueError, match="positive"):
-            ecdqn_run(prob, TRIANGLE, EcRunConfig(alpha=-1.0, max_iters=2))
+            EcRunConfig(alpha=-1.0)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):

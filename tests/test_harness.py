@@ -46,6 +46,11 @@ class TestExperimentConfig:
     def test_accepts_step_forms(self, alpha):
         assert ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha).alpha == alpha
 
+    @pytest.mark.parametrize("bracket", [(2.0, 1e-4), (0.0, 1.0), (-1.0, 1.0), (0.5, 0.5)])
+    def test_rejects_bad_golden_bracket(self, bracket):
+        with pytest.raises(ValueError, match="golden_bracket"):
+            ExperimentConfig(family="qp", algos=("dqn-bfgs",), golden_bracket=bracket)
+
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             ExperimentConfig(family="svm", algos=("dqn-bfgs",))

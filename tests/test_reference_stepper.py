@@ -396,15 +396,19 @@ def test_ecdqn_run_matches_reference(case):
     }[outcome]
 
 
+# the configuration of the single EC-DQN rounds below
+EC_STEP = EcRunConfig(alpha=0.5)
+
+
 def ec_step_setup(bad_agent_b):
     """A three-round-old EC-DQN state on a five-agent logistic problem
     whose agent 2 then gets the estimate bad_agent_b."""
     prob = logreg_family(5, 4, 1e-2, 3, constraint=True)
     graph = random_connected_graph(5, 0.7, 1)
     net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01).w)
-    state = init_ecdqn_states(prob, net, 0.5, seed=2)
+    state = init_ecdqn_states(prob, net, seed=2)
     for _ in range(3):
-        state = ecdqn_step(net, state, prob)
+        state = ecdqn_step(net, state, prob, EC_STEP)
     b = state.b.copy()
     b[2] = bad_agent_b
     return prob, net, replace(state, b=b)
@@ -418,7 +422,8 @@ def assert_step_matches_reference(prob, net, state, floor=1e-3, ceiling=1e3):
     b = list(state.b)
     a_mat, b_vec = prob.constraint
     dx, beta = reference_kkt_round(b, a_mat, b_vec, state.x, state.v, floor, ceiling, log)
-    stepped = ecdqn_step(net, state, prob, eig_floor=floor, eig_ceiling=ceiling)
+    config = replace(EC_STEP, eig_floor=floor, eig_ceiling=ceiling)
+    stepped = ecdqn_step(net, state, prob, config)
     assert np.array_equal(stepped.delta_x, dx)
     assert np.array_equal(stepped.beta, beta)
     for i in range(prob.n_agents):
@@ -457,8 +462,7 @@ def test_ecdqn_step_diverges_when_the_retry_fails(monkeypatch):
     # a repair that changes nothing leaves the retry to fail as well
     monkeypatch.setattr(ecdqn, "pd_safeguard", lambda m, floor, ceiling: m)
     with pytest.raises(DivergedError) as err:
-        ecdqn_step(net, state, prob)
-    assert err.value.round_index == net.round + 1 == 4
+        ecdqn_step(net, state, prob, EC_STEP)
     # the error carries the state with the round's retry and repair counted
     counted = err.value.state
     assert counted.kkt_retries - state.kkt_retries == 1

@@ -26,6 +26,11 @@ def conditioning_study():
     return load_script("conditioning_study")
 
 
+@pytest.fixture(scope="module")
+def trace_digest():
+    return load_script("trace_digest")
+
+
 def test_run_sweeps_writes_reports_and_prints_tables(run_sweeps, tmp_path, capsys):
     argv = ["--families", "qp", "logreg", "--kappas", "0.8", "--seeds", "1",
             "--max-iters", "30", "--out", str(tmp_path)]
@@ -59,3 +64,17 @@ def test_conditioning_study_writes_band_table(conditioning_study, tmp_path, caps
 def test_conditioning_study_rejects_bad_band(conditioning_study):
     with pytest.raises(SystemExit):
         conditioning_study.main(["--bands", "0.5:10"])
+
+
+def test_trace_digest_is_reproducible_and_covers_every_algorithm(trace_digest, capsys):
+    outputs = []
+    for _ in range(2):
+        assert trace_digest.main(["--seeds", "1", "--max-iters", "5"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    # one seed: nine qp runs, twelve constrained runs and the report
+    assert len(lines) == 22 and lines[-1].startswith("golden-report ")
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
+    for algo in ("dqn-bfgs", "dqn-dfp", "diging-atc", "ecdqn-bfgs", "ecdqn-dfp"):
+        assert any(f" {algo} " in line for line in lines)
