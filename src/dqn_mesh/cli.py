@@ -15,16 +15,14 @@ import os
 import sys
 from pathlib import Path
 
-from .dqn import RunTrace
 from .harness import (
     ALL_ALGOS,
     ExperimentConfig,
     SummaryTable,
     emit_report,
     make_problem,
-    run_algo,
+    run_cell,
     run_experiment,
-    tune_step_size,
     validate_run,
 )
 from .problems import load_problem, save_problem, solve_reference
@@ -78,25 +76,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     graph = load_graph(args.graph)
-    alpha = _parse_alpha(args.alpha)
-
-    def run(alpha: float | str) -> RunTrace:
-        return run_algo(
-            args.algo,
-            problem,
-            graph,
-            alpha=alpha,
-            max_iters=args.max_iters,
-            rse_tol=args.tol,
-            seed=args.seed,
-            fusion=not args.no_fusion,
-        )
-
+    config = ExperimentConfig(
+        family=problem.family, algos=(args.algo,), n_agents=problem.n_agents, dim=problem.dim,
+        alpha=_parse_alpha(args.alpha), max_iters=args.max_iters, rse_tol=args.tol,
+        fusion=not args.no_fusion,
+    )
     try:
-        if alpha == "golden":
-            _, trace = tune_step_size(run, rse_tol=args.tol, max_iters=args.max_iters)
-        else:
-            trace = run(alpha)
+        trace = run_cell(config, args.algo, problem, graph, args.seed)
     except Exception as exc:  # aborted cell
         print(f"run aborted: {exc}", file=sys.stderr)
         return 2
@@ -143,7 +129,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     payload = json.loads((Path(args.dir) / "summary.json").read_text())
-    SummaryTable.from_dict(payload["table"]).print_table()
+    SummaryTable.from_dict(payload.get("table", {})).print_table()
     return 0
 
 

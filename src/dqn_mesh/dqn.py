@@ -5,9 +5,11 @@ stochastic weight matrix, tracks the network-average gradient with a
 correction term, refreshes a local inverse-Hessian estimate from the
 step/tracker differences, and mixes the resulting descent directions.
 A first-order gradient-tracking baseline shares the same engine so that
-iteration and communication costs are directly comparable, and every
-method, the constrained one included, runs through the same round loop
-(run_rounds).
+iteration and communication costs are directly comparable.  Every
+method, the constrained one included, is one call of the same run driver
+(run_rounds), which builds the weights, network and recorder, resolves
+the step size, runs the round loop and assembles the trace; a method
+says only its name, start state, step and, for EC-DQN, its stall rule.
 
 Communication is metered exactly: one mixed payload of dimension n costs
 every agent 8 * n * degree bytes (double precision, one copy per
@@ -78,10 +80,10 @@ def _blown_up(arr: np.ndarray) -> bool:
 
 
 class DivergedError(RuntimeError):
-    """Iterates left the representable range; optionally carries the state
-    whose counters cover the failing round's work."""
+    """Iterates left the representable range; carries the state the run
+    ends on, whose counters cover the failing round's work."""
 
-    def __init__(self, state=None):
+    def __init__(self, state):
         super().__init__("non-finite iterate")
         self.state = state
 
@@ -280,11 +282,7 @@ def safe_step_size(
     return (1.0 - contraction) / (2.0 * contraction**3 * smoothness * q)
 
 
-def _resolve_alpha(
-    config: RunConfig, problem: SeparableProblem, contraction: float
-) -> float:
-    if not isinstance(config.alpha, str):
-        return float(config.alpha)
+def _auto_alpha(problem: SeparableProblem, config: RunConfig, contraction: float) -> float:
     smoothness = problem.smoothness()
     if smoothness is None:
         raise ValueError("auto step size needs smoothness bounds on every local objective")
@@ -356,10 +354,10 @@ def dqn_step(
     """
     new_x = network.mix(state.x + config.alpha * state.z)
     if _blown_up(new_x):
-        raise DivergedError()
+        raise DivergedError(state)
     new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
-        raise DivergedError()
+        raise DivergedError(state)
     # repairs go through this module's pd_safeguard name, so a wrapper
     # installed on it sees every batch of them
     refresh = refresh_inverse_batch(
@@ -387,112 +385,119 @@ def diging_step(
     the tracker update.  Two payloads cross every edge."""
     new_x = network.mix(state.x - config.alpha * state.v)
     if _blown_up(new_x):
-        raise DivergedError()
+        raise DivergedError(state)
     new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
-        raise DivergedError()
+        raise DivergedError(state)
     return DigingState(x=new_x, v=new_v, last_gradient=new_g)
 
 
 def run_rounds(
-    state,
-    step: Callable,
-    record: Callable,
-    rse_tol: float,
-    max_iters: int,
-    stall_tol: float = 0.0,
-    stall_rounds: int | None = None,
-) -> tuple:
-    """The round loop of every solver: record round zero, then step and
-    record until the worst relative error (what record returns) meets
-    rse_tol, a step raises DivergedError or max_iters rounds are spent;
-    the state a DivergedError carries replaces the last one.
-    With stall_rounds set, a run whose iterates all moved at most
-    stall_tol for stall_rounds rounds in a row stops as stalled, unless
-    that round also met rse_tol.  Returns the last state and its flags.
+    algo: str, problem: SeparableProblem, graph: CommGraph, config, start: Callable,
+    step: Callable, auto_alpha: Callable, stall_rounds: int | None = None,
+) -> RunTrace:
+    """The run driver of every solver: one run of algo, as its trace.
+
+    Builds the Metropolis weights and the metered network, resolves
+    config.alpha ("auto" becomes auto_alpha(problem, config,
+    contraction)) and records start(network) as round zero.  Then it
+    steps, step(network, state, problem, config), and records until the
+    worst agent's relative error meets config.rse_tol, a step raises
+    DivergedError (whose state the run ends on) or config.max_iters
+    rounds are spent, or, with stall_rounds set, every iterate moved at
+    most config.stall_tol for stall_rounds rounds in a row (stalled).
+    Callers pass the step found under its module-level name when they
+    run, so a wrapper installed on that name sees every round.
     """
-    flags = dict(converged=record(state) <= rse_tol, diverged=False, stalled=False)
+    started = time.perf_counter()
+    weights = metropolis_weights(graph)
+    network = SyncNetwork(graph=graph, w=weights.w)
+    if isinstance(config.alpha, str):
+        config = replace(config, alpha=auto_alpha(problem, config, weights.contraction))
+    config = replace(config, alpha=float(config.alpha))
+    state = start(network)
+    rec = _Recorder(problem, state)
+    converged = rec.record(state, network.sent_bytes) <= config.rse_tol
+    flags = dict(converged=converged, diverged=False, stalled=False)
     stall_run = 0
-    for _ in range(0 if flags["converged"] else max_iters):
+    for _ in range(0 if flags["converged"] else config.max_iters):
         x_prev = state.x
         try:
-            state = step(state)
+            state = step(network, state, problem, config)
         except DivergedError as err:
             flags["diverged"] = True
-            if err.state is not None:
-                state = err.state
+            state = err.state
             break
-        if record(state) <= rse_tol:
+        if rec.record(state, network.sent_bytes) <= config.rse_tol:
             flags["converged"] = True
             break
         if stall_rounds is not None:
             move = float(np.max(np.linalg.norm(state.x - x_prev, axis=1)))
-            stall_run = stall_run + 1 if move <= stall_tol else 0
+            stall_run = stall_run + 1 if move <= config.stall_tol else 0
             if stall_run >= stall_rounds:
                 flags["stalled"] = True
                 break
-    return state, flags
+    return rec.build(algo, config, state, started, flags)
 
 
 class _Recorder:
-    """Accumulates per-round trace rows.
+    """Accumulates per-round trace rows read off the states.
 
     A round's record computes what the stopping rule needs, every agent's
-    relative error, and copies x, v, the gradients (and z) into a block of
-    rounds.  A full block, and the partial one at build, is reduced in one
-    stacked pass: the means, consensus norms, mean-gradient norm, tracking
-    residual and, in one ``objective_values`` call, the objective at each
-    round's mean iterate.  Every column equals its textbook form bit for
-    bit: a mean is ``np.add.reduce`` over the agents divided by N, as
-    ``.mean(axis=0)`` computes it, and a norm reduces through ``np.vecdot``,
-    as ``np.linalg.norm`` reduces through ``ddot``.
+    relative error, and copies x, v, the gradients (and z, where the
+    state has it) into a block of rounds.  A full block, and the partial
+    one at build, is reduced in one stacked pass: the means, consensus
+    norms, mean-gradient norm, tracking residual and, in one
+    ``objective_values`` call, the objective at each round's mean
+    iterate.  Every column equals its textbook form bit for bit: a mean
+    is ``np.add.reduce`` over the agents divided by N, as ``.mean(axis=0)``
+    computes it, and a norm reduces through ``np.vecdot``, as
+    ``np.linalg.norm`` reduces through ``ddot``.  A state with multipliers
+    (beta) adds per-agent feasibility and multiplier-norm columns.  A
+    problem without a reference solution gets one solved first.
     """
 
     BLOCK = 32
 
-    def __init__(self, problem: SeparableProblem, x_star: np.ndarray, track_z: bool):
+    def __init__(self, problem: SeparableProblem, state):
+        if problem.reference_solution is None:
+            solve_reference(problem)
         self.problem = problem
-        self.x_star = x_star
-        self.star_norm = float(np.linalg.norm(x_star))
-        self.track_z = track_z
+        self.x_star = problem.reference_solution
+        self.star_norm = float(np.linalg.norm(self.x_star))
+        self.track_z = hasattr(state, "z")
+        self.constraint = problem.constraint if hasattr(state, "beta") else None
         # one slot per round: x, v, gradients and, when tracked, z
-        self.block = np.empty((self.BLOCK, 4 if track_z else 3, problem.n_agents, problem.dim))
+        self.block = np.empty((self.BLOCK, 4 if self.track_z else 3, problem.n_agents, problem.dim))
         self.filled = 0
         self.rse: list[np.ndarray] = []
         self.bytes: list[np.ndarray] = []
         self.columns: dict[str, list[np.ndarray]] = {}
-        self.feas: list[np.ndarray] | None = None
-        self.beta: list[np.ndarray] | None = None
+        self.feas: list[np.ndarray] = []
+        self.beta: list[np.ndarray] = []
 
-    def record(
-        self,
-        x: np.ndarray,
-        v: np.ndarray,
-        grads: np.ndarray,
-        bytes_sent: np.ndarray,
-        z: np.ndarray | None = None,
-        feas: np.ndarray | None = None,
-        beta: np.ndarray | None = None,
-    ) -> float:
+    def record(self, state, bytes_sent: np.ndarray) -> float:
         """Record one round; returns the worst agent's relative error."""
-        err = x - self.x_star
+        err = state.x - self.x_star
         rse = np.sqrt(np.add.reduce(err * err, axis=1))
         if self.star_norm != 0.0:
             rse /= self.star_norm
         self.rse.append(rse)
         slot = self.block[self.filled]
-        slot[0], slot[1], slot[2] = x, v, grads
+        slot[0], slot[1], slot[2] = state.x, state.v, state.last_gradient
         if self.track_z:
-            slot[3] = z
+            slot[3] = state.z
         self.filled += 1
         if self.filled == self.BLOCK:
             self._reduce_block()
         self.bytes.append(bytes_sent.copy())
-        if feas is not None:
-            if self.feas is None:
-                self.feas, self.beta = [], []
-            self.feas.append(feas)
-            self.beta.append(beta)
+        if self.constraint is not None:
+            # feasibility as np.linalg.norm(gap, axis=1) computes it, each
+            # multiplier norm as np.linalg.norm of its row
+            a_mat, b_vec = self.constraint
+            gap = state.x @ a_mat.T - b_vec
+            self.feas.append(np.sqrt(np.add.reduce(gap * gap, axis=1)))
+            self.beta.append(np.sqrt(np.vecdot(state.beta, state.beta)))
         return float(rse.max())
 
     def _reduce_block(self) -> None:
@@ -519,31 +524,33 @@ class _Recorder:
             self.columns.setdefault(name, []).append(col)
         self.filled = 0
 
-    def build(self, algo: str, alpha: float, state, start: float, **fields) -> RunTrace:
-        """The finished trace: x_final from state, wall time since start."""
+    def build(self, algo: str, config, state, started: float, flags: dict) -> RunTrace:
+        """The finished trace: x_final and the counters from the last
+        state, wall time since started.  A state without curvature
+        counters (the first-order baseline's) leaves them and the scheme
+        None."""
         self._reduce_block()
-        rounds = len(self.rse) - 1
+        names = ("skipped_pairs", "safeguard_repairs", "kkt_retries")
+        counters = {name: getattr(state, name, None) for name in names}
         return RunTrace(
             algo=algo,
             n_agents=self.problem.n_agents,
             dim=self.problem.dim,
-            alpha=alpha,
+            alpha=config.alpha,
             rse=np.stack(self.rse),
             **{name: np.concatenate(parts) for name, parts in self.columns.items()},
             bytes_sent=np.stack(self.bytes),
-            feasibility=None if self.feas is None else np.stack(self.feas),
-            beta_norm=None if self.beta is None else np.stack(self.beta),
-            rounds=rounds,
+            feasibility=np.stack(self.feas) if self.feas else None,
+            beta_norm=np.stack(self.beta) if self.beta else None,
+            rounds=len(self.rse) - 1,
             x_final=state.x.copy(),
-            wall_time_ms=(time.perf_counter() - start) * 1e3,
-            **fields,
+            wall_time_ms=(time.perf_counter() - started) * 1e3,
+            scheme=None if counters["skipped_pairs"] is None else config.scheme,
+            fusion=getattr(config, "fusion", None),
+            rse_tol=config.rse_tol,
+            **counters,
+            **flags,
         )
-
-
-def _ensure_reference(problem: SeparableProblem) -> np.ndarray:
-    if problem.reference_solution is None:
-        solve_reference(problem)
-    return problem.reference_solution
 
 
 def dqn_run(
@@ -555,30 +562,16 @@ def dqn_run(
     """Run the distributed quasi-Newton method until the worst agent's
     relative error drops below the tolerance or the round budget runs out.
     """
-    start = time.perf_counter()
-    weights = metropolis_weights(graph)
-    network = SyncNetwork(graph=graph, w=weights.w)
-    rec = _Recorder(problem, _ensure_reference(problem), track_z=True)
-    config = replace(config, alpha=_resolve_alpha(config, problem, weights.contraction))
-    state = init_dqn_states(problem, network, config.seed, x0)
-    state, flags = run_rounds(
-        state,
-        lambda st: dqn_step(network, st, problem, config),
-        lambda st: rec.record(st.x, st.v, st.last_gradient, network.sent_bytes, z=st.z),
-        config.rse_tol,
-        config.max_iters,
+    return run_rounds(
+        f"dqn-{config.scheme}", problem, graph, config,
+        lambda network: init_dqn_states(problem, network, config.seed, x0), dqn_step, _auto_alpha,
     )
-    return rec.build(
-        f"dqn-{config.scheme}",
-        config.alpha,
-        state,
-        start,
-        scheme=config.scheme,
-        rse_tol=config.rse_tol,
-        skipped_pairs=state.skipped_pairs,
-        safeguard_repairs=state.safeguard_repairs,
-        **flags,
-    )
+
+
+def _diging_start(problem: SeparableProblem, seed: int, x0: np.ndarray | None) -> DigingState:
+    x = initial_iterates(problem, np.random.default_rng(seed), x0)
+    grads = problem.gradients(x)
+    return DigingState(x=x, v=grads.copy(), last_gradient=grads)
 
 
 def diging_atc_run(
@@ -594,19 +587,7 @@ def diging_atc_run(
     the ledger adds 16 * dim * degree bytes per agent.  With one agent
     this is plain gradient descent.
     """
-    start = time.perf_counter()
-    weights = metropolis_weights(graph)
-    network = SyncNetwork(graph=graph, w=weights.w)
-    rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
-    config = replace(config, alpha=_resolve_alpha(config, problem, weights.contraction))
-    x = initial_iterates(problem, np.random.default_rng(config.seed), x0)
-    grads = problem.gradients(x)
-    state = DigingState(x=x, v=grads.copy(), last_gradient=grads)
-    state, flags = run_rounds(
-        state,
-        lambda st: diging_step(network, st, problem, config),
-        lambda st: rec.record(st.x, st.v, st.last_gradient, network.sent_bytes),
-        config.rse_tol,
-        config.max_iters,
+    return run_rounds(
+        "diging-atc", problem, graph, config,
+        lambda network: _diging_start(problem, config.seed, x0), diging_step, _auto_alpha,
     )
-    return rec.build("diging-atc", config.alpha, state, start, rse_tol=config.rse_tol, **flags)

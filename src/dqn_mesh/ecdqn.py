@@ -5,16 +5,15 @@ system coupling its tracked gradient with the shared constraint residual.
 The resulting primal directions are optionally fused (mixed) before the
 iterate update; multipliers are recomputed fresh every round and never
 mixed.  Gradient tracking and the byte ledger reuse the unconstrained
-engine, and runs go through its round loop.  The agents' variables are
-held stacked; every round solves all saddle-point systems in one batched
-call (block elimination, one LU solve per block), repairs and
-re-solves only the agents whose solve failed in a second one, and
-refreshes the Hessian estimates in another.
+engine, and a run is one call of its run driver (run_rounds).  The
+agents' variables are held stacked; every round solves all saddle-point
+systems in one batched call (block elimination, one LU solve per block),
+repairs and re-solves only the agents whose solve failed in a second
+one, and refreshes the Hessian estimates in another.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from numbers import Real
 
@@ -24,8 +23,6 @@ from .dqn import (
     DivergedError,
     SyncNetwork,
     _blown_up,
-    _Recorder,
-    _ensure_reference,
     initial_iterates,
     run_rounds,
     track_gradient,
@@ -33,7 +30,10 @@ from .dqn import (
 from .problems import SeparableProblem
 from .quasi_newton import cholesky_ok, pd_safeguard, refresh_hessian_batch
 from .quasi_newton import curvature_ok  # noqa: F401  (see the note in dqn.py)
-from .topology import CommGraph, metropolis_weights
+from .topology import CommGraph
+# metropolis_weights is not called here (run_rounds builds the weights); it
+# stays importable for instrumentation that looks it up by module-level name
+from .topology import metropolis_weights  # noqa: F401
 
 __all__ = [
     "EcDqnState",
@@ -218,15 +218,8 @@ class EcRunConfig:
             raise ValueError(f"alpha must be a positive number or 'auto', not {self.alpha!r}")
 
 
-def _resolve_alpha(config: EcRunConfig) -> float:
-    return 1.0 if isinstance(config.alpha, str) else float(config.alpha)
-
-
 def init_ecdqn_states(
-    problem: SeparableProblem,
-    network: SyncNetwork,
-    seed: int = 0,
-    x0: np.ndarray | None = None,
+    problem: SeparableProblem, seed: int = 0, x0: np.ndarray | None = None
 ) -> EcDqnState:
     """Draw initial iterates and random well-conditioned Hessian estimates.
 
@@ -336,48 +329,9 @@ def ecdqn_run(
     The trace gains per-agent feasibility and multiplier-norm columns on
     top of the shared record layout.
     """
-    start = time.perf_counter()
-    if problem.constraint is None:
-        raise ValueError("constrained method needs a problem with a constraint")
-    weights = metropolis_weights(graph)
-    network = SyncNetwork(graph=graph, w=weights.w)
-    rec = _Recorder(problem, _ensure_reference(problem), track_z=False)
-    config = replace(config, alpha=_resolve_alpha(config))
-    state = init_ecdqn_states(problem, network, config.seed, x0)
-    a_mat, b_vec = problem.constraint
-
-    def record(st: EcDqnState) -> float:
-        # feasibility as np.linalg.norm(gap, axis=1) computes it, each
-        # multiplier norm as np.linalg.norm of its row
-        gap = st.x @ a_mat.T - b_vec
-        return rec.record(
-            st.x,
-            st.v,
-            st.last_gradient,
-            network.sent_bytes,
-            feas=np.sqrt(np.add.reduce(gap * gap, axis=1)),
-            beta=np.sqrt(np.vecdot(st.beta, st.beta)),
-        )
-
-    state, flags = run_rounds(
-        state,
-        lambda st: ecdqn_step(network, st, problem, config),
-        record,
-        config.rse_tol,
-        config.max_iters,
-        config.stall_tol,
+    return run_rounds(
+        f"ecdqn-{config.scheme}", problem, graph, config,
+        lambda network: init_ecdqn_states(problem, config.seed, x0), ecdqn_step,
+        lambda *_: 1.0,  # no contraction bound here: "auto" is the full step
         STALL_ROUNDS,
-    )
-    return rec.build(
-        f"ecdqn-{config.scheme}",
-        config.alpha,
-        state,
-        start,
-        scheme=config.scheme,
-        fusion=config.fusion,
-        rse_tol=config.rse_tol,
-        skipped_pairs=state.skipped_pairs,
-        safeguard_repairs=state.safeguard_repairs,
-        kkt_retries=state.kkt_retries,
-        **flags,
     )

@@ -34,6 +34,7 @@ __all__ = [
     "SummaryTable",
     "run_algo",
     "tune_step_size",
+    "run_cell",
     "run_experiment",
     "emit_report",
     "validate_run",
@@ -82,6 +83,8 @@ class ExperimentConfig:
         if not 0 < lo < hi:
             raise ValueError(f"golden_bracket needs 0 < lo < hi, not {self.golden_bracket!r}")
         object.__setattr__(self, "golden_bracket", (lo, hi))
+        if self.golden_probes < 2:
+            raise ValueError(f"golden_probes must be at least 2, not {self.golden_probes!r}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,8 @@ class SummaryTable:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SummaryTable":
+        if "rows" not in payload:
+            raise ValueError("summary table has no 'rows' field")
         return cls(rows=[SummaryRow(**r) for r in payload["rows"]])
 
     def total_aborted(self) -> int:
@@ -197,11 +202,15 @@ def tune_step_size(
     Works on the exponent of the step size over the bracket; each probe
     is a full run.  Non-converged probes are scored by how far their
     final error stayed above the tolerance, so the search degrades
-    smoothly when nothing in the bracket converges.
+    smoothly when nothing in the bracket converges.  Exponents are keyed
+    to 12 decimals, and the search stops early once every key left in the
+    interval has been probed.
     """
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
+    if probes < 2:
+        raise ValueError(f"probes must be at least 2, not {probes!r}")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log10(lo), math.log10(hi)
     cache: dict[float, tuple[float, RunTrace]] = {}
@@ -220,14 +229,41 @@ def tune_step_size(
     while len(cache) < probes:
         if probe(c) <= probe(d):
             b, d = d, c
-            c = b - invphi * (b - a)
-            probe(c)
+            c = new = b - invphi * (b - a)
         else:
             a, c = c, d
-            d = a + invphi * (b - a)
-            probe(d)
+            d = new = a + invphi * (b - a)
+        if round(new, 12) in cache:
+            # stop once every 12-decimal key in [a, b] is probed: no point
+            # left in the interval can start a new run
+            first = round(a, 12)
+            keys = (round(first + i * 1e-12, 12) for i in range(round((b - first) * 1e12) + 1))
+            if all(key in cache for key in keys):
+                break
+        probe(new)
     best_t = min(cache, key=lambda t: (cache[t][0], t))
     return 10.0**best_t, cache[best_t][1]
+
+
+def run_cell(
+    config: ExperimentConfig, algo: str, problem: SeparableProblem, graph: CommGraph, seed: int
+) -> RunTrace:
+    """One cell: algo on problem over graph at config.alpha or, when that
+    is "golden", at the step golden-section search finds in
+    config.golden_bracket; returns the trace of the run at that step."""
+
+    def run(alpha: float | str) -> RunTrace:
+        return run_algo(
+            algo, problem, graph, alpha, max_iters=config.max_iters, rse_tol=config.rse_tol,
+            seed=seed, fusion=config.fusion,
+        )
+
+    if config.alpha != "golden":
+        return run(config.alpha)
+    # tune_step_size is looked up here at call time, so a wrapper installed on
+    # it sees every cell's probes
+    bracket, probes = config.golden_bracket, config.golden_probes
+    return tune_step_size(run, bracket, probes, config.rse_tol, config.max_iters)[1]
 
 
 def run_experiment(
@@ -252,31 +288,8 @@ def run_experiment(
                     aborted[(algo, kappa)] = aborted.get((algo, kappa), 0) + 1
                 continue
             for algo in config.algos:
-
-                def run(alpha: float | str) -> RunTrace:
-                    return run_algo(
-                        algo,
-                        problem,
-                        graph,
-                        alpha=alpha,
-                        max_iters=config.max_iters,
-                        rse_tol=config.rse_tol,
-                        seed=seed,
-                        fusion=config.fusion,
-                    )
-
                 try:
-                    if config.alpha == "golden":
-                        _, trace = tune_step_size(
-                            run,
-                            bracket=config.golden_bracket,
-                            probes=config.golden_probes,
-                            rse_tol=config.rse_tol,
-                            max_iters=config.max_iters,
-                        )
-                    else:
-                        trace = run(config.alpha)
-                    traces[(algo, kappa, seed)] = trace
+                    traces[(algo, kappa, seed)] = run_cell(config, algo, problem, graph, seed)
                 except Exception:
                     aborted[(algo, kappa)] = aborted.get((algo, kappa), 0) + 1
     rows = []
@@ -356,6 +369,9 @@ def validate_run(
     """
     violations: list[str] = []
     summary = json.loads(Path(summary_path).read_text())
+    for name in ("algo", "dim", "n_agents", "rounds"):
+        if name not in summary:
+            raise ValueError(f"summary {summary_path} has no {name!r} field")
     graph = load_graph(graph_path)
     deg = graph.degrees()
     algo = summary["algo"]

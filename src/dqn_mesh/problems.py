@@ -806,26 +806,29 @@ def save_problem(problem: SeparableProblem, path: str | Path) -> None:
 
 def load_problem(path: str | Path) -> SeparableProblem:
     payload = json.loads(Path(path).read_text())
-    family = payload["family"]
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown problem family {family!r}")
-    record, builder = _FAMILIES[family]
-    # a field with a default may be absent from the file
-    data = [
-        record(**{
-            f.name: _decode(entry[f.name] if f.default is MISSING else entry.get(f.name, f.default))
-            for f in fields(record)
-        })
-        for entry in payload["locals"]
-    ]
-    cons = payload.get("constraint")
-    return SeparableProblem(
-        locals=[builder(d) for d in data],
-        constraint=None if cons is None else (_decode(cons["a"]), _decode(cons["b"])),
-        reference_solution=_decode(payload.get("reference_solution")),
-        family=family,
-        local_data=data,
-        xi=payload.get("xi"),
-        seed=payload.get("seed"),
-        achieved_cond=payload.get("achieved_cond"),
-    )
+    try:
+        family = payload["family"]
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown problem family {family!r}")
+        record, builder = _FAMILIES[family]
+        # a field with a default may be absent from the file
+        data = [
+            record(**{
+                f.name: _decode(entry[f.name] if f.default is MISSING else entry.get(f.name, f.default))
+                for f in fields(record)
+            })
+            for entry in payload["locals"]
+        ]
+        cons = payload.get("constraint")
+        return SeparableProblem(
+            locals=[builder(d) for d in data],
+            constraint=None if cons is None else (_decode(cons["a"]), _decode(cons["b"])),
+            reference_solution=_decode(payload.get("reference_solution")),
+            family=family,
+            local_data=data,
+            xi=payload.get("xi"),
+            seed=payload.get("seed"),
+            achieved_cond=payload.get("achieved_cond"),
+        )
+    except KeyError as exc:  # a field the file lacks
+        raise ValueError(f"problem file {path} has no {exc} field") from exc

@@ -213,8 +213,11 @@ def save_graph(graph: CommGraph, path: str | Path) -> None:
 
 def load_graph(path: str | Path) -> CommGraph:
     payload = json.loads(Path(path).read_text())
-    return CommGraph(
-        n_agents=int(payload["n_agents"]),
-        edges=tuple((int(i), int(j)) for i, j in payload["edges"]),
-        seed=payload.get("seed"),
-    )
+    try:
+        return CommGraph(
+            n_agents=int(payload["n_agents"]),
+            edges=tuple((int(i), int(j)) for i, j in payload["edges"]),
+            seed=payload.get("seed"),
+        )
+    except KeyError as exc:  # a field the file lacks
+        raise ValueError(f"graph file {path} has no {exc} field") from exc

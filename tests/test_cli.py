@@ -3,6 +3,7 @@
 import json
 
 from dqn_mesh.cli import main
+from dqn_mesh.harness import ExperimentConfig, run_experiment
 from dqn_mesh.problems import load_problem
 
 
@@ -124,6 +125,35 @@ class TestRun:
         )
         assert rc == 2
         assert "run aborted" in capsys.readouterr().err
+
+    def test_golden_run_matches_its_sweep_cell(self, tmp_path):
+        # run and sweep run a cell through the same code, so the same cell
+        # writes the same trace
+        problem_path, graph_path = generate_pair(tmp_path)
+        trace_path = tmp_path / "trace.csv"
+        rc = main(
+            [
+                "run",
+                "--algo",
+                "dqn-bfgs",
+                "--problem",
+                str(problem_path),
+                "--graph",
+                str(graph_path),
+                "--alpha",
+                "golden",
+                "--trace-out",
+                str(trace_path),
+            ]
+        )
+        assert rc == 0
+        config = ExperimentConfig(
+            family="qp", algos=("dqn-bfgs",), n_agents=4, dim=4, cond_range=(2.0, 10.0),
+            kappas=(0.9,), seeds=(0,),
+        )
+        _, traces = run_experiment(config)
+        traces[("dqn-bfgs", 0.9, 0)].to_csv(tmp_path / "cell.csv")
+        assert trace_path.read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
     def test_iteration_cap_still_exits_zero(self, tmp_path, capsys):
         # a clean non-converged run is a valid result, not a failure
@@ -291,3 +321,43 @@ class TestBadInput:
         rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert_input_error(rc, capsys, "alpha")
         assert not (tmp_path / "r").exists()
+
+    def test_problem_file_without_fields(self, tmp_path, capsys):
+        _, graph_path = generate_pair(tmp_path)
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        rc = main(
+            ["run", "--algo", "dqn-bfgs", "--problem", str(empty), "--graph", str(graph_path)]
+        )
+        assert_input_error(rc, capsys, "empty.json", "'family'")
+
+    def test_graph_file_without_agent_count(self, tmp_path, capsys):
+        problem_path, graph_path = generate_pair(tmp_path)
+        graph = json.loads(graph_path.read_text())
+        del graph["n_agents"]
+        graph_path.write_text(json.dumps(graph))
+        args = ["--problem", str(problem_path), "--graph", str(graph_path)]
+        rc = main(["run", "--algo", "dqn-bfgs", *args])
+        assert_input_error(rc, capsys, "graph.json", "'n_agents'")
+
+    def test_summary_without_dim(self, tmp_path, capsys):
+        _, graph_path = generate_pair(tmp_path)
+        summary_path = tmp_path / "summary.json"
+        summary_path.write_text(json.dumps({"algo": "dqn-bfgs", "n_agents": 4, "rounds": 3}))
+        rc = main(
+            [
+                "validate",
+                "--trace",
+                str(tmp_path / "trace.csv"),
+                "--summary",
+                str(summary_path),
+                "--graph",
+                str(graph_path),
+            ]
+        )
+        assert_input_error(rc, capsys, "'dim'")
+
+    def test_report_without_rows(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text(json.dumps({"table": {}, "runs": {}}))
+        rc = main(["report", "--dir", str(tmp_path)])
+        assert_input_error(rc, capsys, "'rows'")

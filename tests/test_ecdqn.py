@@ -296,14 +296,12 @@ class TestInit:
     def test_requires_constraint(self):
         prob = constrained_quadratic(3, 4, 1, 0)
         unconstrained = SeparableProblem(locals=prob.locals, family="custom")
-        net = make_network(TRIANGLE)
         with pytest.raises(ValueError, match="constraint"):
-            init_ecdqn_states(unconstrained, net)
+            init_ecdqn_states(unconstrained)
 
     def test_estimate_spectrum_in_requested_band(self):
         prob = constrained_quadratic(3, 5, 2, 1)
-        net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, seed=3)
+        state = init_ecdqn_states(prob, seed=3)
         assert state.b.shape == (3, 5, 5)
         for b in state.b:
             vals = np.linalg.eigvalsh(b)
@@ -313,8 +311,7 @@ class TestInit:
 
     def test_tracker_and_multiplier_start(self):
         prob = constrained_quadratic(3, 4, 2, 2)
-        net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, seed=0)
+        state = init_ecdqn_states(prob, seed=0)
         for i in range(3):
             assert np.allclose(state.v[i], prob.locals[i].gradient(state.x[i]))
         assert np.array_equal(state.beta, np.zeros((3, 2)))
@@ -322,9 +319,8 @@ class TestInit:
 
     def test_seed_reproducibility(self):
         prob = constrained_quadratic(3, 4, 1, 0)
-        net = make_network(TRIANGLE)
-        a = init_ecdqn_states(prob, net, seed=11)
-        b = init_ecdqn_states(prob, net, seed=11)
+        a = init_ecdqn_states(prob, seed=11)
+        b = init_ecdqn_states(prob, seed=11)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.b, b.b)
 
@@ -381,14 +377,14 @@ class TestLedgerAndFusion:
     def test_fusion_mixes_directions(self):
         prob = constrained_quadratic(3, 4, 1, 2)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, seed=1)
+        state = init_ecdqn_states(prob, seed=1)
         stepped = ecdqn_step(net, state, prob, EcRunConfig(fusion=True))
         assert np.allclose(stepped.d, net.w @ stepped.delta_x)
 
     def test_no_fusion_keeps_local_directions(self):
         prob = constrained_quadratic(3, 4, 1, 2)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, seed=1)
+        state = init_ecdqn_states(prob, seed=1)
         stepped = ecdqn_step(net, state, prob, EcRunConfig(fusion=False))
         assert np.array_equal(stepped.d, stepped.delta_x)
 
@@ -401,7 +397,7 @@ class TestSpectrumBox:
     def test_tiny_eigenvalue_is_repaired(self):
         prob = constrained_quadratic(3, 4, 1, 9)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, seed=2)
+        state = init_ecdqn_states(prob, seed=2)
         b = state.b.copy()
         b[1] = np.diag([1e-9, 1.0, 1.0, 1.0])
         box = EcRunConfig(eig_floor=1e-3, eig_ceiling=1e3)
@@ -415,7 +411,7 @@ class TestSpectrumBox:
     def test_indefinite_estimate_is_repaired_before_kkt_retry(self):
         prob = constrained_quadratic(3, 4, 1, 9)
         net = make_network(TRIANGLE)
-        state = init_ecdqn_states(prob, net, seed=2)
+        state = init_ecdqn_states(prob, seed=2)
         b = state.b.copy()
         b[1] = np.diag([-1.0, 1.0, 1.0, 1.0])
         box = EcRunConfig(eig_floor=1e-3, eig_ceiling=1e3)
@@ -429,7 +425,7 @@ class TestSpectrumBox:
         solve_reference(prob)
         graph = random_connected_graph(4, 0.7, 1)
         net = make_network(graph)
-        state = init_ecdqn_states(prob, net, seed=4)
+        state = init_ecdqn_states(prob, seed=4)
         config = EcRunConfig(scheme="dfp", alpha=0.5)
         for _ in range(15):
             state = ecdqn_step(net, state, prob, config)

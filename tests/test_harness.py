@@ -51,6 +51,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="golden_bracket"):
             ExperimentConfig(family="qp", algos=("dqn-bfgs",), golden_bracket=bracket)
 
+    @pytest.mark.parametrize("probes", [1, 0, -3])
+    def test_rejects_too_few_golden_probes(self, probes):
+        with pytest.raises(ValueError, match="golden_probes"):
+            ExperimentConfig(family="qp", algos=("dqn-bfgs",), golden_probes=probes)
+
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             ExperimentConfig(family="svm", algos=("dqn-bfgs",))
@@ -161,6 +166,24 @@ class TestTuneStepSize:
             tune_step_size(lambda a: None, bracket=(0.0, 1.0))
         with pytest.raises(ValueError, match="bracket"):
             tune_step_size(lambda a: None, bracket=(2.0, 1.0))
+
+    @pytest.mark.parametrize("probes", [1, 0, -3])
+    def test_rejects_too_few_probes(self, probes):
+        with pytest.raises(ValueError, match="probes"):
+            tune_step_size(lambda a: None, probes=probes)
+
+    @pytest.mark.parametrize("bracket", [(1e-4, 2.0), (1.0, 1.0 + 1e-13)])
+    def test_returns_once_the_interval_is_exhausted(self, bracket):
+        # keys are exponents to 12 decimals: the default bracket holds 60
+        # distinct probes, and a bracket narrower than a key holds one
+        calls = []
+
+        def run_fn(alpha):
+            calls.append(alpha)
+            return fake_trace(False, 1, 1.0 + abs(np.log10(alpha) + 1.0), alpha)
+
+        tune_step_size(run_fn, bracket=bracket, probes=80)
+        assert len(calls) == len(set(calls)) <= 60
 
     def test_probe_budget_and_memoization(self):
         calls = []

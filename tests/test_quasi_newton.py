@@ -251,7 +251,7 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
     graph = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
     net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01).w)
     prob = logreg_family(3, 4, 1e-2, 9, constraint=True)
-    state = ecdqn.init_ecdqn_states(prob, net, seed=2)
+    state = ecdqn.init_ecdqn_states(prob, seed=2)
     b = state.b.copy()
     b[1] = np.diag([-1.0, 1.0, 1.0, 1.0])
     stepped = ecdqn.ecdqn_step(net, replace(state, b=b), prob, EcRunConfig(scheme=scheme))

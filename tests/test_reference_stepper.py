@@ -406,7 +406,7 @@ def ec_step_setup(bad_agent_b):
     prob = logreg_family(5, 4, 1e-2, 3, constraint=True)
     graph = random_connected_graph(5, 0.7, 1)
     net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01).w)
-    state = init_ecdqn_states(prob, net, seed=2)
+    state = init_ecdqn_states(prob, seed=2)
     for _ in range(3):
         state = ecdqn_step(net, state, prob, EC_STEP)
     b = state.b.copy()
