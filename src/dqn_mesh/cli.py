@@ -25,7 +25,7 @@ from .harness import (
     run_experiment,
     validate_run,
 )
-from .problems import load_problem, save_problem, solve_reference
+from .problems import FAMILIES, load_problem, save_problem, solve_reference
 from .topology import load_graph, random_connected_graph, save_graph
 
 ENV_OUT = "DQN_MESH_OUT"
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a problem and graph pair")
-    gen.add_argument("--family", choices=("qp", "logreg", "basis-pursuit"), required=True)
+    gen.add_argument("--family", choices=FAMILIES, required=True)
     gen.add_argument("--agents", type=int, default=10)
     gen.add_argument("--dim", type=int, default=10)
     gen.add_argument("--cond", type=str, default=None, help="condition range lo:hi")

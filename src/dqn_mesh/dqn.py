@@ -18,12 +18,11 @@ baseline two.
 
 The agents' variables are held stacked, one row (or one n x n slice) per
 agent, and every round refreshes all curvature estimates in one batched
-call, spectrum repairs included.  Generator-built problems (quadratics,
-logistic regression, basis pursuit) evaluate every local gradient in one
-stacked call; custom problems call each agent's gradient in turn.  A
-round records only what its stopping rule reads, every agent's relative
-error; the other trace columns are computed in one stacked pass per
-block of rounds, the objective at the mean iterates in one
+call, spectrum repairs included.  Every problem (quadratics, logistic
+regression, basis pursuit) evaluates all local gradients in one stacked
+call.  A round records only what its stopping rule reads, every agent's
+relative error; the other trace columns are computed in one stacked pass
+per block of rounds, the objective at the mean iterates in one
 ``objective_values`` call per block rather than once per round.  Runs
 are single-threaded.
 """
@@ -283,10 +282,9 @@ def safe_step_size(
 
 
 def _auto_alpha(problem: SeparableProblem, config: RunConfig, contraction: float) -> float:
-    smoothness = problem.smoothness()
-    if smoothness is None:
-        raise ValueError("auto step size needs smoothness bounds on every local objective")
-    bound = safe_step_size(contraction, smoothness, config.gamma, problem.dim, problem.n_agents)
+    bound = safe_step_size(
+        contraction, problem.smoothness(), config.gamma, problem.dim, problem.n_agents
+    )
     return min(1.0, 0.9 * bound)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .dqn import RunConfig, RunTrace, diging_atc_run, dqn_run
 from .ecdqn import EcRunConfig, ecdqn_run
 from .problems import (
+    FAMILIES,
     SeparableProblem,
     basis_pursuit_family,
     logreg_family,
@@ -67,7 +68,7 @@ class ExperimentConfig:
     golden_probes: int = 12
 
     def __post_init__(self) -> None:
-        if self.family not in ("qp", "logreg", "basis-pursuit"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for algo in self.algos:
             if algo not in ALL_ALGOS:
@@ -167,17 +168,16 @@ def run_algo(
     rse_tol: float = 1e-10,
     seed: int = 0,
     fusion: bool = True,
-    x0: np.ndarray | None = None,
 ) -> RunTrace:
     """Dispatch one run by algorithm name."""
     knobs = dict(alpha=alpha, max_iters=max_iters, rse_tol=rse_tol, seed=seed)
     if algo in DQN_ALGOS:
-        return dqn_run(problem, graph, RunConfig(scheme=algo.split("-")[1], **knobs), x0)
+        return dqn_run(problem, graph, RunConfig(scheme=algo.split("-")[1], **knobs))
     if algo == "diging-atc":
-        return diging_atc_run(problem, graph, RunConfig(**knobs), x0)
+        return diging_atc_run(problem, graph, RunConfig(**knobs))
     if algo in EC_ALGOS:
         ec_cfg = EcRunConfig(scheme=algo.split("-")[1], fusion=fusion, **knobs)
-        return ecdqn_run(problem, graph, ec_cfg, x0)
+        return ecdqn_run(problem, graph, ec_cfg)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 

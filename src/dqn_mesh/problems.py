@@ -14,13 +14,11 @@ distributed runs can report the relative error of every agent's iterate.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .quasi_newton import DEFAULT_FLOOR, refresh_inverse_batch
 
 __all__ = [
     "LocalObjective",
@@ -28,6 +26,7 @@ __all__ = [
     "QpLocalData",
     "LogRegLocalData",
     "BasisPursuitLocalData",
+    "FAMILIES",
     "qp_family",
     "logreg_family",
     "basis_pursuit_family",
@@ -39,7 +38,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LocalObjective:
-    """One agent's objective: a value callable, its gradient, and metadata.
+    """One agent's objective: value and gradient closures built from its
+    family record (the one-agent case of the family's stacked kernels),
+    its smoothness bound, and whether it is smooth.
 
     For nonsmooth objectives the gradient callable returns a subgradient
     and ``smooth`` is False; finite-difference checks then avoid kinks.
@@ -48,7 +49,7 @@ class LocalObjective:
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    smoothness_bound: float | None = None
+    smoothness_bound: float
     smooth: bool = True
 
 
@@ -56,28 +57,30 @@ class LocalObjective:
 class SeparableProblem:
     """A mean-of-locals objective with an optional equality constraint.
 
-    local_data, when given, holds one generator record per local
-    objective.  A ``qp``, ``logreg`` or ``basis-pursuit`` problem with
-    local_data evaluates ``gradients``, ``mean_gradient``,
-    ``objective_value`` and ``objective_values`` from a stack of every
-    agent's data built out of it at construction (for logistic regression
-    and basis pursuit a ragged one: every agent needs at least one data
-    row); later edits to ``locals`` (wrapped closures included) do not
-    reach those methods.  Other problems call each agent's closures.
+    A problem is its family (``qp``, ``logreg`` or ``basis-pursuit``) and
+    one record of that family per agent, ``local_data``.  ``gradients``,
+    ``mean_gradient``, ``objective_value`` and ``objective_values``
+    evaluate every agent at once from a stack of the records built at
+    construction (for logistic regression and basis pursuit a ragged one:
+    every agent needs at least one data row).  ``locals`` holds each
+    agent's ``LocalObjective``, derived from its record; later edits to
+    ``locals`` (wrapped closures included) do not reach those methods.
     """
 
-    locals: list[LocalObjective]
+    family: str
+    local_data: list
     constraint: tuple[np.ndarray, np.ndarray] | None = None
     reference_solution: np.ndarray | None = None
-    family: str = "custom"
-    local_data: list | None = None
     xi: float | None = None
     seed: int | None = None
     achieved_cond: float | None = None
+    locals: list[LocalObjective] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.locals:
+        family = _family(self.family)
+        if not self.local_data:
             raise ValueError("need at least one local objective")
+        self.locals = [family.local(d) for d in self.local_data]
         dims = {loc.dim for loc in self.locals}
         if len(dims) != 1:
             raise ValueError("all local objectives must share one dimension")
@@ -92,12 +95,7 @@ class SeparableProblem:
             if np.linalg.matrix_rank(a) < a.shape[0]:
                 raise ValueError("constraint matrix must have full row rank")
             self.constraint = (a, b)
-        if self.local_data is not None and len(self.local_data) != len(self.locals):
-            raise ValueError("need one local_data entry per local objective")
-        # generator-built problems are evaluated for every agent at once
-        self._stack = None
-        if self.local_data is not None and self.family in _STACKS:
-            self._stack = _STACKS[self.family].of(self.local_data)
+        self._stack = family.stack.of(self.local_data)
 
     @property
     def n_agents(self) -> int:
@@ -112,32 +110,23 @@ class SeparableProblem:
         return float(self.objective_values(np.asarray(x, dtype=float)[None])[0])
 
     def objective_values(self, points: np.ndarray) -> np.ndarray:
-        """objective_value at every row of a stack of points (R, n).  A
-        generator-built problem evaluates every (point, agent) pair in one
-        stacked call; other problems call every closure at every point."""
-        if self._stack is not None:
-            values = self._stack.values(points).tolist()
-        else:
-            values = [[loc.value(x) for loc in self.locals] for x in points]
+        """objective_value at every row of a stack of points (R, n), every
+        (point, agent) pair evaluated in one stacked call."""
+        values = self._stack.values(points).tolist()
         return np.array([sum(row) / self.n_agents for row in values], dtype=float)
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
         """Every agent's local gradient at its own row of x (N, n), stacked."""
-        if self._stack is not None:
-            return self._stack.gradients(x)
-        return np.stack([loc.gradient(xi) for loc, xi in zip(self.locals, x)])
+        return self._stack.gradients(x)
 
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         """Mean of the local gradients at x, summed in agent order."""
         grads = self.gradients(np.broadcast_to(x, (self.n_agents, self.dim)))
         return np.add.reduce(grads, axis=0) / self.n_agents
 
-    def smoothness(self) -> float | None:
-        """Smoothness bound for the mean objective, if every local has one."""
-        bounds = [loc.smoothness_bound for loc in self.locals]
-        if any(b is None for b in bounds):
-            return None
-        return float(np.mean(bounds))
+    def smoothness(self) -> float:
+        """Smoothness bound for the mean objective: the mean local bound."""
+        return float(np.mean([loc.smoothness_bound for loc in self.locals]))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +307,6 @@ def _bp_local(data: BasisPursuitLocalData) -> LocalObjective:
     return _one_agent(_BpStack.of([data]), data.a.shape[1], smoothness_bound=bound, smooth=False)
 
 
-# generator family -> the stack its local_data evaluates through
-_STACKS = {"qp": _QpStack, "logreg": _LogRegStack, "basis-pursuit": _BpStack}
-
-
 def _local_hessian(data: LogRegLocalData, x: np.ndarray) -> np.ndarray:
     """Exact local Hessian of a logistic-regression objective."""
     z = data.labels * (data.features @ x)
@@ -409,39 +394,48 @@ def qp_family(
             break
     rows = [rng.standard_normal((int(m), dim)) for m in counts]
     rhs = [rng.standard_normal(int(m)) for m in counts]
-
-    p_total = np.zeros((dim, dim))
-    for a in rows:
-        p_total += a.T @ a
-    m_fac = _conditioning_transform(p_total, cond_range, rng)
-    rows = [a @ m_fac for a in rows]
-
-    p_locals = [a.T @ a for a in rows]
-    p_total = sum(p_locals)
-    scale = n_agents / float(np.linalg.eigvalsh(p_total)[-1])
-    rows = [np.sqrt(scale) * a for a in rows]
-    rhs = [np.sqrt(scale) * b for b in rhs]
+    rows, root = _shape_rows(rows, n_agents, cond_range, rng)
+    rhs = [root * b for b in rhs]
 
     data = []
     for a, b in zip(rows, rhs):
         p = a.T @ a
         data.append(QpLocalData(p=0.5 * (p + p.T), q=-(a.T @ b), a=a, b=b))
-    achieved = _aggregate_cond([d.p for d in data])
-    lo, hi = cond_range
-    if not lo * (1 - 1e-6) <= achieved <= hi * (1 + 1e-6):
-        raise RuntimeError(f"conditioning landed at {achieved}, outside [{lo}, {hi}]")
-    return SeparableProblem(
-        locals=[_qp_local(d) for d in data],
-        family="qp",
-        local_data=data,
-        seed=seed,
-        achieved_cond=achieved,
-    )
+    achieved = _aggregate_cond([d.p for d in data], cond_range)
+    return SeparableProblem("qp", data, seed=seed, achieved_cond=achieved)
 
 
-def _aggregate_cond(mats: list[np.ndarray]) -> float:
+def _gram_sum(rows: list[np.ndarray]) -> np.ndarray:
+    return sum(a.T @ a for a in rows)
+
+
+def _shape_rows(
+    rows: list[np.ndarray],
+    n_agents: int,
+    cond_range: tuple[float, float] | None,
+    rng: np.random.Generator,
+) -> tuple[list[np.ndarray], float]:
+    """Reshape the agents' row blocks a_i: condition the aggregate Gram
+    matrix sum a_i'a_i into cond_range (when given), then rescale every
+    block so that the mean of the a_i'a_i has largest eigenvalue 1.
+    Returns the blocks and the factor the rescale multiplied them by."""
+    if cond_range is not None:
+        m_fac = _conditioning_transform(_gram_sum(rows), cond_range, rng)
+        rows = [a @ m_fac for a in rows]
+    root = np.sqrt(n_agents / float(np.linalg.eigvalsh(_gram_sum(rows))[-1]))
+    return [root * a for a in rows], root
+
+
+def _aggregate_cond(mats: list[np.ndarray], cond_range: tuple[float, float] | None) -> float:
+    """Condition number of sum(mats), checked against the cond_range that
+    conditioning control aimed at, when there is one."""
     vals = np.linalg.eigvalsh(sum(mats))
-    return float(vals[-1] / vals[0])
+    achieved = float(vals[-1] / vals[0])
+    if cond_range is not None:
+        lo, hi = cond_range
+        if not lo * (1 - 1e-6) <= achieved <= hi * (1 + 1e-6):
+            raise RuntimeError(f"conditioning landed at {achieved}, outside [{lo}, {hi}]")
+    return achieved
 
 
 def logreg_family(
@@ -471,14 +465,7 @@ def logreg_family(
         labels = np.where(margin >= 0, 1.0, -1.0)
         data.append(LogRegLocalData(features=feats, labels=labels, reg=xi / n_agents))
     cons = _resolve_constraint(constraint, rng, dim)
-    return SeparableProblem(
-        locals=[_logreg_local(d) for d in data],
-        constraint=cons,
-        family="logreg",
-        local_data=data,
-        xi=xi,
-        seed=seed,
-    )
+    return SeparableProblem("logreg", data, constraint=cons, xi=xi, seed=seed)
 
 
 def basis_pursuit_family(
@@ -506,6 +493,8 @@ def basis_pursuit_family(
         raise ValueError("basis pursuit requires an equality constraint")
     if xi < 0:
         raise ValueError("xi must be nonnegative")
+    if cond_range is not None and dim < 2:
+        raise ValueError("conditioning control needs dim >= 2")
     rng = np.random.default_rng(seed)
     p_lo = max(1, dim // 5)
     if n_agents * (dim - 1) < dim + 2:
@@ -516,21 +505,9 @@ def basis_pursuit_family(
         counts = rng.integers(p_lo, dim, size=n_agents)
         if counts.sum() >= dim + 2:
             break
-    rows = [rng.standard_normal((int(m), dim)) for m in counts]
-
-    if cond_range is not None:
-        if dim < 2:
-            raise ValueError("conditioning control needs dim >= 2")
-        p_total = np.zeros((dim, dim))
-        for a in rows:
-            p_total += a.T @ a
-        m_fac = _conditioning_transform(p_total, cond_range, rng)
-        rows = [a @ m_fac for a in rows]
-    p_total = np.zeros((dim, dim))
-    for a in rows:
-        p_total += a.T @ a
-    scale = n_agents / float(np.linalg.eigvalsh(p_total)[-1])
-    rows = [np.sqrt(scale) * a for a in rows]
+    rows, _ = _shape_rows(
+        [rng.standard_normal((int(m), dim)) for m in counts], n_agents, cond_range, rng
+    )
 
     signal = rng.standard_normal(dim)
     rhs = [a @ signal + 0.1 * rng.standard_normal(a.shape[0]) for a in rows]
@@ -541,19 +518,9 @@ def basis_pursuit_family(
         if np.linalg.matrix_rank(d.a) >= dim:
             raise RuntimeError("local block unexpectedly reached full rank")
     cons = _resolve_constraint(constraint, rng, dim)
-    achieved = _aggregate_cond([d.a.T @ d.a for d in data])
-    if cond_range is not None:
-        lo, hi = cond_range
-        if not lo * (1 - 1e-6) <= achieved <= hi * (1 + 1e-6):
-            raise RuntimeError(f"conditioning landed at {achieved}, outside [{lo}, {hi}]")
+    achieved = _aggregate_cond([d.a.T @ d.a for d in data], cond_range)
     return SeparableProblem(
-        locals=[_bp_local(d) for d in data],
-        constraint=cons,
-        family="basis-pursuit",
-        local_data=data,
-        xi=xi,
-        seed=seed,
-        achieved_cond=achieved,
+        "basis-pursuit", data, constraint=cons, xi=xi, seed=seed, achieved_cond=achieved
     )
 
 
@@ -566,26 +533,16 @@ class ReferenceSolveError(RuntimeError):
 
 
 def solve_reference(problem: SeparableProblem, tol: float = 1e-12) -> np.ndarray:
-    """Compute and cache a centralized solution of the problem.
+    """Compute and cache a centralized solution of the problem with its
+    family's solver.
 
-    Quadratic families reduce to (KKT) linear solves.  Smooth families use
+    Quadratics reduce to (KKT) linear solves.  Logistic regression uses
     damped Newton iterations on the stationarity conditions.  The
     l1-regularized family is solved by an operator-splitting pass that
     identifies the active sign pattern, followed by a linear polish step
     and an exact optimality certificate.
     """
-    if problem.family == "qp" and problem.local_data is not None:
-        x = _solve_qp(problem, tol)
-    elif problem.family == "logreg" and problem.local_data is not None:
-        x = _solve_smooth_newton(problem, tol)
-    elif problem.family == "basis-pursuit" and problem.local_data is not None:
-        x = _solve_basis_pursuit(problem, tol)
-    elif problem.constraint is None:
-        x = _solve_generic_qn(problem, tol)
-    else:
-        raise ReferenceSolveError(
-            f"no reference solver for constrained family {problem.family!r}"
-        )
+    x = _FAMILIES[problem.family].solve(problem, tol)
     problem.reference_solution = x
     return x
 
@@ -732,45 +689,33 @@ def _bp_polish(p, q, xi_total, f, e, x_rough):
     return None
 
 
-def _solve_generic_qn(problem: SeparableProblem, tol: float, max_iters: int = 5000) -> np.ndarray:
-    """Centralized quasi-Newton fallback for unconstrained smooth problems."""
-    n = problem.dim
-    x = np.zeros(n)
-    c = np.eye(n)
-    g = problem.mean_gradient(x)
-    for _ in range(max_iters):
-        if np.linalg.norm(g) <= tol:
-            return x
-        step = -(c @ g)
-        t = 1.0
-        base = problem.objective_value(x)
-        while t > 1e-14 and problem.objective_value(x + t * step) > base + 1e-4 * t * (g @ step):
-            t *= 0.5
-        x_new = x + t * step
-        g_new = problem.mean_gradient(x_new)
-        # the solvers' BFGS refresh on a stack of one, with no ceiling
-        c_new = refresh_inverse_batch(
-            c[None], (x_new - x)[None], (g_new - g)[None], "bfgs", DEFAULT_FLOOR, np.inf
-        ).estimates[0]
-        if np.array_equal(x_new, x) and np.array_equal(c_new, c):
-            # a fixed point: x, g and C would repeat for every iteration left
-            break
-        x, g, c = x_new, g_new, c_new
-    if np.linalg.norm(g) <= 10 * tol:
-        return x
-    raise ReferenceSolveError("quasi-Newton fallback failed to reach the tolerance")
+# ---------------------------------------------------------------------------
+# the family table
+
+
+class _Family(NamedTuple):
+    record: type  # one agent's data, stored as one JSON object per agent
+    stack: type  # every agent's data, evaluated at once
+    local: Callable  # record -> that agent's LocalObjective
+    solve: Callable  # (problem, tol) -> reference solution
+
+
+_FAMILIES = {
+    "qp": _Family(QpLocalData, _QpStack, _qp_local, _solve_qp),
+    "logreg": _Family(LogRegLocalData, _LogRegStack, _logreg_local, _solve_smooth_newton),
+    "basis-pursuit": _Family(BasisPursuitLocalData, _BpStack, _bp_local, _solve_basis_pursuit),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown problem family {name!r}")
+    return _FAMILIES[name]
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-# family -> (local-data record, builder of its local objective); a record
-# is stored as one JSON object per agent, keyed by the record's fields
-_FAMILIES = {
-    "qp": (QpLocalData, _qp_local),
-    "logreg": (LogRegLocalData, _logreg_local),
-    "basis-pursuit": (BasisPursuitLocalData, _bp_local),
-}
 
 
 def _encode(value):
@@ -784,8 +729,6 @@ def _decode(value):
 
 
 def save_problem(problem: SeparableProblem, path: str | Path) -> None:
-    if problem.local_data is None or problem.family not in _FAMILIES:
-        raise ValueError("only generator-built problems can be serialized")
     payload = {
         "family": problem.family,
         "n_agents": problem.n_agents,
@@ -806,11 +749,11 @@ def save_problem(problem: SeparableProblem, path: str | Path) -> None:
 
 def load_problem(path: str | Path) -> SeparableProblem:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"problem file {path} does not hold a JSON object")
     try:
         family = payload["family"]
-        if family not in _FAMILIES:
-            raise ValueError(f"unknown problem family {family!r}")
-        record, builder = _FAMILIES[family]
+        record = _family(family).record
         # a field with a default may be absent from the file
         data = [
             record(**{
@@ -821,14 +764,15 @@ def load_problem(path: str | Path) -> SeparableProblem:
         ]
         cons = payload.get("constraint")
         return SeparableProblem(
-            locals=[builder(d) for d in data],
+            family,
+            data,
             constraint=None if cons is None else (_decode(cons["a"]), _decode(cons["b"])),
             reference_solution=_decode(payload.get("reference_solution")),
-            family=family,
-            local_data=data,
             xi=payload.get("xi"),
             seed=payload.get("seed"),
             achieved_cond=payload.get("achieved_cond"),
         )
     except KeyError as exc:  # a field the file lacks
         raise ValueError(f"problem file {path} has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:  # a field of the wrong shape or value
+        raise ValueError(f"problem file {path}: {exc}") from exc

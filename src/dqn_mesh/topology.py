@@ -213,6 +213,8 @@ def save_graph(graph: CommGraph, path: str | Path) -> None:
 
 def load_graph(path: str | Path) -> CommGraph:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"graph file {path} does not hold a JSON object")
     try:
         return CommGraph(
             n_agents=int(payload["n_agents"]),
@@ -221,3 +223,5 @@ def load_graph(path: str | Path) -> CommGraph:
         )
     except KeyError as exc:  # a field the file lacks
         raise ValueError(f"graph file {path} has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:  # a field of the wrong shape or value
+        raise ValueError(f"graph file {path}: {exc}") from exc

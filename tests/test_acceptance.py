@@ -16,7 +16,7 @@ from dqn_mesh.dqn import RunConfig, SyncNetwork, dqn_run, dqn_step, diging_atc_r
 from dqn_mesh.ecdqn import EcRunConfig, KktSystem, ecdqn_run, kkt_solve
 from dqn_mesh.harness import ExperimentConfig, emit_report, run_algo, run_experiment, tune_step_size
 from dqn_mesh.problems import (
-    LocalObjective,
+    QpLocalData,
     SeparableProblem,
     basis_pursuit_family,
     logreg_family,
@@ -308,13 +308,7 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         q_mat, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         p = (q_mat * rng.uniform(0.5, 2.0, size=dim)) @ q_mat.T
         lin = rng.standard_normal(dim)
-        loc = LocalObjective(
-            dim=dim,
-            value=lambda x: float(0.5 * x @ p @ x + lin @ x),
-            gradient=lambda x: p @ x + lin,
-            smoothness_bound=float(np.linalg.eigvalsh(p)[-1]),
-        )
-        prob = SeparableProblem(locals=[loc], family="custom")
+        prob = SeparableProblem("qp", [QpLocalData(p=p, q=lin)])
         prob.reference_solution = np.linalg.solve(p, -lin)
         single = CommGraph(1, ())
         net = SyncNetwork(graph=single, w=metropolis_weights(single, 0.01).w)

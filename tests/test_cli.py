@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from dqn_mesh.cli import main
 from dqn_mesh.harness import ExperimentConfig, run_experiment
 from dqn_mesh.problems import load_problem
@@ -339,6 +341,30 @@ class TestBadInput:
         args = ["--problem", str(problem_path), "--graph", str(graph_path)]
         rc = main(["run", "--algo", "dqn-bfgs", *args])
         assert_input_error(rc, capsys, "graph.json", "'n_agents'")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '"qp"', '{"family": "qp", "locals": [[1, 2]]}', '{"family": "qp", "locals": 3}'],
+        ids=["list", "string", "list-entry", "number-locals"],
+    )
+    def test_problem_file_of_another_shape(self, tmp_path, capsys, text):
+        _, graph_path = generate_pair(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["run", "--algo", "dqn-bfgs", "--problem", str(bad), "--graph", str(graph_path)])
+        assert_input_error(rc, capsys, "problem file", "bad.json")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[]", '{"n_agents": 4, "edges": [5]}', '{"n_agents": 4, "edges": [[0, 1, 2]]}'],
+        ids=["list", "number-edge", "triple-edge"],
+    )
+    def test_graph_file_of_another_shape(self, tmp_path, capsys, text):
+        problem_path, _ = generate_pair(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["run", "--algo", "dqn-bfgs", "--problem", str(problem_path), "--graph", str(bad)])
+        assert_input_error(rc, capsys, "graph file", "bad.json")
 
     def test_summary_without_dim(self, tmp_path, capsys):
         _, graph_path = generate_pair(tmp_path)

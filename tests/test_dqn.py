@@ -18,7 +18,7 @@ from dqn_mesh.dqn import (
     safe_step_size,
     track_gradient,
 )
-from dqn_mesh.problems import LocalObjective, SeparableProblem, qp_family, solve_reference
+from dqn_mesh.problems import QpLocalData, SeparableProblem, qp_family, solve_reference
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
 from oracle import curvature_ok
 
@@ -42,13 +42,7 @@ def single_agent_quadratic(dim, seed):
     q_mat, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     p = (q_mat * rng.uniform(0.5, 2.0, size=dim)) @ q_mat.T
     lin = rng.standard_normal(dim)
-    loc = LocalObjective(
-        dim=dim,
-        value=lambda x: float(0.5 * x @ p @ x + lin @ x),
-        gradient=lambda x: p @ x + lin,
-        smoothness_bound=float(np.linalg.eigvalsh(p)[-1]),
-    )
-    prob = SeparableProblem(locals=[loc], family="custom")
+    prob = SeparableProblem("qp", [QpLocalData(p=p, q=lin)])
     prob.reference_solution = np.linalg.solve(p, -lin)
     return prob
 
@@ -361,16 +355,7 @@ class TestRunBehavior:
         assert np.allclose(final_rse, trace.rse[trace.rounds])
 
     def test_zero_reference_falls_back_to_absolute_error(self):
-        locs = [
-            LocalObjective(
-                dim=3,
-                value=lambda x: float(0.5 * x @ x),
-                gradient=lambda x: x.copy(),
-                smoothness_bound=1.0,
-            )
-            for _ in range(3)
-        ]
-        prob = SeparableProblem(locals=locs, family="custom")
+        prob = SeparableProblem("qp", [QpLocalData(p=np.eye(3), q=np.zeros(3))] * 3)
         solve_reference(prob)
         assert np.linalg.norm(prob.reference_solution) == 0.0
         net_seed = 7

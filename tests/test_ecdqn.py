@@ -20,7 +20,7 @@ from dqn_mesh.ecdqn import (
     kkt_solve_batch,
 )
 from dqn_mesh.problems import (
-    LocalObjective,
+    QpLocalData,
     SeparableProblem,
     logreg_family,
     solve_reference,
@@ -51,19 +51,8 @@ def constrained_quadratic(n_agents, dim, m, seed):
     q_mat, _ = np.linalg.qr(raw.T)
     a = q_mat[:, :m].T
     b = a @ rng.standard_normal(dim)
-
-    def make_local(p, q):
-        return LocalObjective(
-            dim=dim,
-            value=lambda x, p=p, q=q: float(0.5 * x @ p @ x + q @ x),
-            gradient=lambda x, p=p, q=q: p @ x + q,
-            smoothness_bound=float(np.linalg.eigvalsh(p)[-1]),
-        )
-
     prob = SeparableProblem(
-        locals=[make_local(p, q) for p, q in zip(ps, qs)],
-        constraint=(a, b),
-        family="custom",
+        "qp", [QpLocalData(p=p, q=q) for p, q in zip(ps, qs)], constraint=(a, b)
     )
     p_bar = sum(ps) / n_agents
     q_bar = sum(qs) / n_agents
@@ -295,7 +284,7 @@ class TestKktSolve:
 class TestInit:
     def test_requires_constraint(self):
         prob = constrained_quadratic(3, 4, 1, 0)
-        unconstrained = SeparableProblem(locals=prob.locals, family="custom")
+        unconstrained = SeparableProblem("qp", prob.local_data)
         with pytest.raises(ValueError, match="constraint"):
             init_ecdqn_states(unconstrained)
 
@@ -466,9 +455,7 @@ class TestEcRun:
 
     def test_requires_constraint(self):
         prob = constrained_quadratic(3, 4, 1, 0)
-        unconstrained = SeparableProblem(
-            locals=prob.locals, family="custom", local_data=None
-        )
+        unconstrained = SeparableProblem("qp", prob.local_data)
         unconstrained.reference_solution = np.zeros(4)
         with pytest.raises(ValueError, match="constraint"):
             ecdqn_run(unconstrained, TRIANGLE, EcRunConfig(max_iters=2))

@@ -1,7 +1,6 @@
 """Tests for the benchmark problem generators and reference solvers."""
 
 import json
-import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,10 +10,8 @@ from hypothesis import strategies as st
 
 from dqn_mesh.problems import (
     BasisPursuitLocalData,
-    LocalObjective,
     LogRegLocalData,
     QpLocalData,
-    ReferenceSolveError,
     SeparableProblem,
     basis_pursuit_family,
     load_problem,
@@ -123,55 +120,59 @@ class TestGradients:
 
 
 def tiny_quadratic(dim, scale=1.0):
-    p = scale * np.eye(dim)
-
-    def value(x):
-        return float(0.5 * x @ p @ x)
-
-    def gradient(x):
-        return p @ x
-
-    return LocalObjective(dim=dim, value=value, gradient=gradient, smoothness_bound=scale)
+    """The record of 0.5 * scale * ||x||^2."""
+    return QpLocalData(p=scale * np.eye(dim), q=np.zeros(dim))
 
 
 class TestSeparableProblem:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            SeparableProblem(locals=[])
+            SeparableProblem("qp", [])
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="share one dimension"):
-            SeparableProblem(locals=[tiny_quadratic(2), tiny_quadratic(3)])
+            SeparableProblem("qp", [tiny_quadratic(2), tiny_quadratic(3)])
 
     def test_rejects_bad_constraint_shapes(self):
-        locs = [tiny_quadratic(4)]
+        data = [tiny_quadratic(4)]
         with pytest.raises(ValueError, match="shapes"):
-            SeparableProblem(locals=locs, constraint=(np.ones((1, 3)), np.ones(1)))
+            SeparableProblem("qp", data, constraint=(np.ones((1, 3)), np.ones(1)))
         with pytest.raises(ValueError, match="shapes"):
-            SeparableProblem(locals=locs, constraint=(np.ones((1, 4)), np.ones(2)))
+            SeparableProblem("qp", data, constraint=(np.ones((1, 4)), np.ones(2)))
 
     def test_rejects_rank_deficient_constraint(self):
         a = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="full row rank"):
-            SeparableProblem(locals=[tiny_quadratic(3)], constraint=(a, np.zeros(2)))
+            SeparableProblem("qp", [tiny_quadratic(3)], constraint=(a, np.zeros(2)))
 
     def test_rejects_overdetermined_constraint(self):
         a = np.vstack([np.eye(2), np.ones((1, 2))])
         with pytest.raises(ValueError, match="more constraints"):
-            SeparableProblem(locals=[tiny_quadratic(2)], constraint=(a, np.zeros(3)))
+            SeparableProblem("qp", [tiny_quadratic(2)], constraint=(a, np.zeros(3)))
 
     def test_mean_aggregation(self):
-        prob = SeparableProblem(locals=[tiny_quadratic(3, 1.0), tiny_quadratic(3, 3.0)])
+        prob = SeparableProblem("qp", [tiny_quadratic(3, 1.0), tiny_quadratic(3, 3.0)])
         x = np.array([1.0, 2.0, -1.0])
         # means of 0.5||x||^2 and 1.5||x||^2
         assert prob.objective_value(x) == pytest.approx(6.0)
         assert np.allclose(prob.mean_gradient(x), 2.0 * x)
         assert prob.smoothness() == pytest.approx(2.0)
 
-    def test_smoothness_none_when_any_bound_missing(self):
-        loc = LocalObjective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
-        prob = SeparableProblem(locals=[tiny_quadratic(2), loc])
-        assert prob.smoothness() is None
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: qp_family(4, 5, (2.0, 20.0), 3),
+            lambda: logreg_family(4, 5, 1e-2, 3),
+            lambda: basis_pursuit_family(4, 5, 1e-2, 3),
+        ],
+        ids=["qp", "logreg", "basis-pursuit"],
+    )
+    def test_smoothness_is_the_mean_record_bound(self, make):
+        # every family's record carries a bound, so smoothness() is a number
+        prob = make()
+        bounds = [loc.smoothness_bound for loc in prob.locals]
+        assert all(np.isfinite(b) and b > 0.0 for b in bounds)
+        assert prob.smoothness() == float(np.mean(bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +233,7 @@ class TestQpFamily:
         f[0, 0] = 1.0
         f[1, 3] = 1.0
         e = np.array([0.5, -0.25])
-        prob = SeparableProblem(
-            locals=base.locals,
-            constraint=(f, e),
-            family="qp",
-            local_data=base.local_data,
-        )
+        prob = SeparableProblem("qp", base.local_data, constraint=(f, e))
         x = solve_reference(prob)
         assert np.linalg.norm(f @ x - e) <= 1e-10
         g = prob.mean_gradient(x)
@@ -278,9 +274,7 @@ class TestStackedQuadratics:
         base = qp_family(dim + 2 + extra, dim, (2.0, 20.0), seed)
         # a prefix of the agents, down to a single one, is a qp problem too
         k = min(keep, base.n_agents)
-        prob = SeparableProblem(
-            locals=base.locals[:k], family="qp", local_data=base.local_data[:k]
-        )
+        prob = SeparableProblem("qp", base.local_data[:k])
         assert_stacked_quadratics_exact(prob, np.random.default_rng(seed))
 
     def test_loaded_problem_matches_closures_exactly(self, tmp_path):
@@ -292,31 +286,20 @@ class TestStackedQuadratics:
         assert np.array_equal(back.gradients(x_rows), prob.gradients(x_rows))
 
     def test_rejects_local_data_of_another_length(self):
+        # locals is derived from local_data, so the two cannot disagree
         base = qp_family(5, 3, (2.0, 20.0), 0)
-        with pytest.raises(ValueError, match="one local_data entry per local"):
-            SeparableProblem(locals=base.locals, family="qp", local_data=base.local_data[:4])
+        with pytest.raises(TypeError, match="locals"):
+            SeparableProblem("qp", base.local_data[:4], locals=base.locals)
+        assert len(SeparableProblem("qp", base.local_data[:4]).locals) == 4
 
-    def test_custom_problem_calls_its_closures(self):
-        calls = {"value": 0, "gradient": 0}
-
-        def counted(dim, scale):
-            loc = tiny_quadratic(dim, scale)
-
-            def value(x):
-                calls["value"] += 1
-                return loc.value(x)
-
-            def gradient(x):
-                calls["gradient"] += 1
-                return loc.gradient(x)
-
-            return LocalObjective(dim=dim, value=value, gradient=gradient)
-
-        prob = SeparableProblem(locals=[counted(3, 1.0), counted(3, 2.0)], family="custom")
-        x_rows = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(prob.gradients(x_rows), [[0.0, 1.0, 2.0], [6.0, 8.0, 10.0]])
-        assert prob.objective_value(np.ones(3)) == pytest.approx(2.25)
-        assert calls == {"value": 2, "gradient": 2}
+    def test_edited_locals_do_not_reach_the_stack(self):
+        prob = qp_family(5, 2, (2.0, 20.0), 8)
+        x_rows = np.random.default_rng(6).standard_normal((5, 2))
+        grads = prob.gradients(x_rows)
+        values = prob.objective_values(x_rows)
+        prob.locals[0] = replace(prob.locals[0], value=lambda x: 0.0, gradient=np.zeros_like)
+        assert np.array_equal(prob.gradients(x_rows), grads)
+        assert np.array_equal(prob.objective_values(x_rows), values)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +364,7 @@ class TestStackedRows:
     @pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
     def test_one_agent_problem(self, family):
         base = ROW_FAMILIES[family](3)
-        prob = SeparableProblem(
-            locals=base.locals[:1], family=family, local_data=base.local_data[:1]
-        )
+        prob = SeparableProblem(family, base.local_data[:1])
         rng = np.random.default_rng(3)
         x = rng.standard_normal(prob.dim)
         assert_stacked_rows_exact(prob, x[None], rng.standard_normal((4, prob.dim)), x)
@@ -421,9 +402,7 @@ class TestStackedRows:
         base = logreg_family(3, 4, 1e-2, 0)
         empty = LogRegLocalData(features=np.zeros((0, 4)), labels=np.zeros(0), reg=0.0)
         with pytest.raises(ValueError, match="at least one data row"):
-            SeparableProblem(
-                locals=base.locals, family="logreg", local_data=base.local_data[:2] + [empty]
-            )
+            SeparableProblem("logreg", base.local_data[:2] + [empty])
 
 
 # ---------------------------------------------------------------------------
@@ -568,32 +547,10 @@ class TestBasisPursuitFamily:
 
 
 # ---------------------------------------------------------------------------
-# reference dispatch and fallbacks
+# reference dispatch
 
 
 class TestSolveReference:
-    def test_generic_fallback_for_custom_smooth(self):
-        locs = [tiny_quadratic(4, 1.0), tiny_quadratic(4, 2.0)]
-        prob = SeparableProblem(locals=locs, family="custom")
-        x = solve_reference(prob)
-        assert np.linalg.norm(prob.mean_gradient(x)) <= 1e-10
-
-    @pytest.mark.parametrize("seed", [6, 9])
-    def test_generic_fallback_gives_up_at_a_fixed_point(self, seed):
-        # the line search shrinks the step to nothing by iteration 25, after
-        # which every iteration would repeat the same x, gradient and estimate
-        prob = SeparableProblem(locals=qp_family(6, 6, (5, 50), seed).locals, family="custom")
-        start = time.perf_counter()
-        with pytest.raises(ReferenceSolveError, match="quasi-Newton fallback failed"):
-            solve_reference(prob)
-        assert time.perf_counter() - start < 1.0
-
-    def test_generic_fallback_certifies_a_fixed_point_within_its_slack(self):
-        # this fixed point misses tol but meets the 10 * tol post-loop check
-        prob = SeparableProblem(locals=qp_family(6, 6, (5, 50), 1).locals, family="custom")
-        x = solve_reference(prob, tol=1e-12)
-        assert 1e-12 < np.linalg.norm(prob.mean_gradient(x)) <= 1e-11
-
     def test_objective_values_match_one_point_at_a_time(self):
         rng = np.random.default_rng(4)
         points = rng.standard_normal((7, 5))
@@ -606,12 +563,10 @@ class TestSolveReference:
             assert prob.objective_values(points).tolist() == expected
 
     def test_constrained_custom_rejected(self):
+        # a problem is one of the families; there is no closure-built "custom"
         f = np.eye(1, 3)
-        prob = SeparableProblem(
-            locals=[tiny_quadratic(3)], constraint=(f, np.zeros(1)), family="custom"
-        )
-        with pytest.raises(ReferenceSolveError, match="no reference solver"):
-            solve_reference(prob)
+        with pytest.raises(ValueError, match="unknown problem family 'custom'"):
+            SeparableProblem("custom", [tiny_quadratic(3)], constraint=(f, np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +634,15 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         assert all(d.a is None and d.b is None for d in load_problem(path).local_data)
 
-    def test_rejects_handmade_problem(self, tmp_path):
-        prob = SeparableProblem(locals=[tiny_quadratic(2)], family="custom")
-        with pytest.raises(ValueError, match="generator-built"):
-            save_problem(prob, tmp_path / "nope.json")
+    def test_handmade_problem_round_trips(self, tmp_path):
+        prob = SeparableProblem("qp", [tiny_quadratic(2, 1.0), tiny_quadratic(2, 3.0)])
+        save_problem(prob, tmp_path / "handmade.json")
+        back = load_problem(tmp_path / "handmade.json")
+        assert back.family == "qp" and back.seed is None
+        for da, db in zip(prob.local_data, back.local_data):
+            assert np.array_equal(db.p, da.p) and np.array_equal(db.q, da.q)
+        x = np.array([1.0, -2.0])
+        assert back.objective_value(x) == prob.objective_value(x)
 
     def test_rejects_unknown_family_on_load(self, tmp_path):
         path = tmp_path / "weird.json"
