@@ -4,12 +4,19 @@ leaves every trace as it was, bit for bit.
 Each run's hash covers its trace CSV, its ``summary_dict`` without
 ``wall_time_ms`` and the bytes of ``x_final``.  The grid, for every seed:
 
-- dqn-bfgs, dqn-dfp and diging-atc at alpha 0.1, "auto" and a diverging
-  5.0 on ``qp_family(10, 10, (2, 30), seed)``;
+- dqn-bfgs, dqn-dfp and diging-atc at alpha 0.1, a slow 0.02 and a
+  diverging 5.0 on ``qp_family(10, 10, (2, 30), seed)``;
 - ecdqn-bfgs and ecdqn-dfp, fused and unfused, on
   ``logreg_family(8, 6, 1e-2, seed, constraint=True)`` at alpha 0.3 and
   a diverging 50.0, and on ``basis_pursuit_family(8, 10, 2e-3, seed)``
   at alpha 0.1.
+
+Then one short run per algorithm at paper scale, 50 agents in dimension
+24 on a graph of connectivity 0.3, seed 0, at most PAPER_ITERS rounds:
+dqn-bfgs, dqn-dfp and diging-atc on ``qp_family(50, 24, (30, 30), 0)``
+and fused ecdqn-bfgs and ecdqn-dfp on ``logreg_family(50, 24, 1e-2, 0,
+constraint=True)``, each at the step the benchmark uses for it.  A
+stack reshaped at this size changes these lines first.
 
 A last line hashes every file of one golden-section ``emit_report``
 directory (qp, dqn-bfgs and diging-atc, 6 probes, the first two seeds)
@@ -37,6 +44,7 @@ from dqn_mesh.topology import random_connected_graph
 KAPPA = 0.6
 QP_ALGOS = ("dqn-bfgs", "dqn-dfp", "diging-atc")
 EC_ALGOS = ("ecdqn-bfgs", "ecdqn-dfp")
+PAPER_ITERS = 100
 
 
 def grid(seed: int):
@@ -44,7 +52,7 @@ def grid(seed: int):
     qp = qp_family(10, 10, (2.0, 30.0), seed)
     qp_graph = random_connected_graph(10, KAPPA, seed)
     for algo in QP_ALGOS:
-        for alpha in (0.1, "auto", 5.0):
+        for alpha in (0.1, 0.02, 5.0):
             yield f"qp {algo} {alpha} s{seed}", algo, qp, qp_graph, alpha, True, 1e-10
     ec_graph = random_connected_graph(8, KAPPA, seed)
     logreg = logreg_family(8, 6, 1e-2, seed, constraint=True)
@@ -55,6 +63,17 @@ def grid(seed: int):
                 for alpha in alphas:
                     label = f"{family} {algo} {'fused' if fusion else 'unfused'} {alpha} s{seed}"
                     yield label, algo, problem, ec_graph, alpha, fusion, 1e-8
+
+
+def paper_grid():
+    """(label, algo, problem, graph, alpha, fusion, rse_tol) at paper scale."""
+    graph = random_connected_graph(50, 0.3, 0)
+    qp = qp_family(50, 24, (30.0, 30.0), 0)
+    for algo, alpha in (("dqn-bfgs", 0.15), ("dqn-dfp", 1.3), ("diging-atc", 0.8)):
+        yield f"paper qp {algo} {alpha} s0", algo, qp, graph, alpha, True, 1e-10
+    logreg = logreg_family(50, 24, 1e-2, 0, constraint=True)
+    for algo, alpha in (("ecdqn-bfgs", 0.15), ("ecdqn-dfp", 0.25)):
+        yield f"paper logreg {algo} fused {alpha} s0", algo, logreg, graph, alpha, True, 1e-8
 
 
 def run_digest(trace, scratch: Path) -> str:
@@ -96,13 +115,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
-        for seed in range(args.seeds):
-            for label, algo, problem, graph, alpha, fusion, rse_tol in grid(seed):
-                trace = run_algo(
-                    algo, problem, graph, alpha, max_iters=args.max_iters,
-                    rse_tol=rse_tol, seed=seed, fusion=fusion,
-                )
-                print(f"{label} {run_digest(trace, scratch)}")
+        runs = [(spec, seed, args.max_iters) for seed in range(args.seeds) for spec in grid(seed)]
+        runs += [(spec, 0, min(args.max_iters, PAPER_ITERS)) for spec in paper_grid()]
+        for (label, algo, problem, graph, alpha, fusion, rse_tol), seed, max_iters in runs:
+            trace = run_algo(
+                algo, problem, graph, alpha, max_iters=max_iters,
+                rse_tol=rse_tol, seed=seed, fusion=fusion,
+            )
+            print(f"{label} {run_digest(trace, scratch)}")
         seeds = tuple(range(min(2, args.seeds)))
         print(f"golden-report {report_digest(seeds, args.max_iters, scratch)}")
     return 0

@@ -43,9 +43,12 @@ def _parse_cond(text: str) -> tuple[float, float]:
 
 
 def _parse_alpha(text: str) -> float | str:
-    if text in ("auto", "golden"):
+    if text == "golden":
         return text
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--alpha must be a positive number or 'golden', not {text!r}") from None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -159,7 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algo", choices=ALL_ALGOS, required=True)
     run.add_argument("--problem", type=str, required=True)
     run.add_argument("--graph", type=str, required=True)
-    run.add_argument("--alpha", type=str, default="auto", help="step size, 'auto', or 'golden'")
+    run.add_argument(
+        "--alpha", type=str, default="golden",
+        help="fixed step size, or 'golden' to tune one by golden-section search (default)",
+    )
     run.add_argument("--max-iters", type=int, default=1000)
     run.add_argument("--tol", type=float, default=1e-10)
     run.add_argument("--seed", type=int, default=0)

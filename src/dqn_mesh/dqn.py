@@ -7,9 +7,10 @@ step/tracker differences, and mixes the resulting descent directions.
 A first-order gradient-tracking baseline shares the same engine so that
 iteration and communication costs are directly comparable.  Every
 method, the constrained one included, is one call of the same run driver
-(run_rounds), which builds the weights, network and recorder, resolves
-the step size, runs the round loop and assembles the trace; a method
-says only its name, start state, step and, for EC-DQN, its stall rule.
+(run_rounds), which builds the weights, network and recorder, runs the
+round loop and assembles the trace; a method says only its name, start
+state, step and, for EC-DQN, its stall rule.  The step size is a fixed
+positive number from the run config.
 
 Communication is metered exactly: one mixed payload of dimension n costs
 every agent 8 * n * degree bytes (double precision, one copy per
@@ -29,7 +30,6 @@ are single-threaded.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from numbers import Real
@@ -59,7 +59,6 @@ __all__ = [
     "run_rounds",
     "dqn_run",
     "diging_atc_run",
-    "safe_step_size",
 ]
 
 BYTES_PER_SCALAR = 8
@@ -241,15 +240,12 @@ class RunTrace:
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs shared by the distributed solvers, the only holder of a
-    run's constants: the steps read them from here.
-
-    alpha may be a positive number or "auto"; auto takes 90% of the
-    contraction-based bound computed by safe_step_size, capped at 1.  A
-    run resolves it once, and its steps see the number.
+    run's constants: the steps read them from here.  alpha, the fixed
+    step size, is a positive number and has no default.
     """
 
+    alpha: float
     scheme: str = "bfgs"
-    alpha: float | str = "auto"
     gamma: float = 1e3
     max_iters: int = 1000
     rse_tol: float = 1e-10
@@ -258,34 +254,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("bfgs", "dfp"):
             raise ValueError(f"unknown quasi-Newton scheme {self.scheme!r}")
-        if not (self.alpha == "auto" or isinstance(self.alpha, Real) and self.alpha > 0):
-            raise ValueError(f"alpha must be a positive number or 'auto', not {self.alpha!r}")
-
-
-def safe_step_size(
-    contraction: float, smoothness: float, gamma: float, dim: int, n_agents: int
-) -> float:
-    """Largest fixed step with a convergence guarantee for the given mesh.
-
-    Evaluates (1 - c) / (2 c^3 L q) with q = gamma * sqrt(min(dim,
-    n_agents)).  A fully mixing network (contraction zero) returns
-    infinity: any step a centralized method tolerates is safe.
-    """
-    if not 0.0 <= contraction < 1.0:
-        raise ValueError("contraction must lie in [0, 1)")
-    if smoothness <= 0 or gamma <= 0:
-        raise ValueError("smoothness and gamma must be positive")
-    if contraction == 0.0:
-        return math.inf
-    q = gamma * math.sqrt(min(dim, n_agents))
-    return (1.0 - contraction) / (2.0 * contraction**3 * smoothness * q)
-
-
-def _auto_alpha(problem: SeparableProblem, config: RunConfig, contraction: float) -> float:
-    bound = safe_step_size(
-        contraction, problem.smoothness(), config.gamma, problem.dim, problem.n_agents
-    )
-    return min(1.0, 0.9 * bound)
+        if not (isinstance(self.alpha, Real) and self.alpha > 0):
+            raise ValueError(f"alpha must be a positive number, not {self.alpha!r}")
 
 
 def initial_iterates(
@@ -344,8 +314,7 @@ def dqn_step(
     config: RunConfig,
 ) -> DqnState:
     """One synchronous round: mix iterates, track gradients, refresh the
-    curvature estimates, then mix descent directions.  config.alpha must
-    be a number.
+    curvature estimates, then mix descent directions.
 
     Three payloads cross every edge, so the ledger adds 24 * dim * degree
     bytes per agent.
@@ -392,26 +361,23 @@ def diging_step(
 
 def run_rounds(
     algo: str, problem: SeparableProblem, graph: CommGraph, config, start: Callable,
-    step: Callable, auto_alpha: Callable, stall_rounds: int | None = None,
+    step: Callable, stall_rounds: int | None = None,
 ) -> RunTrace:
     """The run driver of every solver: one run of algo, as its trace.
 
-    Builds the Metropolis weights and the metered network, resolves
-    config.alpha ("auto" becomes auto_alpha(problem, config,
-    contraction)) and records start(network) as round zero.  Then it
-    steps, step(network, state, problem, config), and records until the
-    worst agent's relative error meets config.rse_tol, a step raises
-    DivergedError (whose state the run ends on) or config.max_iters
-    rounds are spent, or, with stall_rounds set, every iterate moved at
-    most config.stall_tol for stall_rounds rounds in a row (stalled).
+    Builds the Metropolis weights and the metered network, takes
+    config.alpha as a float and records start(network) as round zero.
+    Then it steps, step(network, state, problem, config), and records
+    until the worst agent's relative error meets config.rse_tol, a step
+    raises DivergedError (whose state the run ends on) or
+    config.max_iters rounds are spent, or, with stall_rounds set, every
+    iterate moved at most config.stall_tol for stall_rounds rounds in a
+    row (stalled).
     Callers pass the step found under its module-level name when they
     run, so a wrapper installed on that name sees every round.
     """
     started = time.perf_counter()
-    weights = metropolis_weights(graph)
-    network = SyncNetwork(graph=graph, w=weights.w)
-    if isinstance(config.alpha, str):
-        config = replace(config, alpha=auto_alpha(problem, config, weights.contraction))
+    network = SyncNetwork(graph=graph, w=metropolis_weights(graph))
     config = replace(config, alpha=float(config.alpha))
     state = start(network)
     rec = _Recorder(problem, state)
@@ -554,7 +520,7 @@ class _Recorder:
 def dqn_run(
     problem: SeparableProblem,
     graph: CommGraph,
-    config: RunConfig = RunConfig(),
+    config: RunConfig,
     x0: np.ndarray | None = None,
 ) -> RunTrace:
     """Run the distributed quasi-Newton method until the worst agent's
@@ -562,7 +528,7 @@ def dqn_run(
     """
     return run_rounds(
         f"dqn-{config.scheme}", problem, graph, config,
-        lambda network: init_dqn_states(problem, network, config.seed, x0), dqn_step, _auto_alpha,
+        lambda network: init_dqn_states(problem, network, config.seed, x0), dqn_step,
     )
 
 
@@ -575,7 +541,7 @@ def _diging_start(problem: SeparableProblem, seed: int, x0: np.ndarray | None) -
 def diging_atc_run(
     problem: SeparableProblem,
     graph: CommGraph,
-    config: RunConfig = RunConfig(alpha=0.01),
+    config: RunConfig,
     x0: np.ndarray | None = None,
 ) -> RunTrace:
     """First-order gradient-tracking baseline (adapt-then-combine form).
@@ -587,5 +553,5 @@ def diging_atc_run(
     """
     return run_rounds(
         "diging-atc", problem, graph, config,
-        lambda network: _diging_start(problem, config.seed, x0), diging_step, _auto_alpha,
+        lambda network: _diging_start(problem, config.seed, x0), diging_step,
     )

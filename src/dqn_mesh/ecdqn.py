@@ -9,7 +9,9 @@ engine, and a run is one call of its run driver (run_rounds).  The
 agents' variables are held stacked; every round solves all saddle-point
 systems in one batched call (block elimination, one LU solve per block),
 repairs and re-solves only the agents whose solve failed in a second
-one, and refreshes the Hessian estimates in another.
+one, and refreshes the Hessian estimates in another.  The step size is
+a fixed positive number from the run config, the full step 1.0 unless
+a caller sets another.
 """
 
 from __future__ import annotations
@@ -192,17 +194,15 @@ class EcRunConfig:
     """Knobs for the constrained solver, the only holder of a run's
     constants: the steps read them from here.
 
-    alpha is a positive number or "auto"; "auto" falls back to the full
-    saddle-point step (1.0), as there is no contraction-based bound for
-    this method.  A run resolves it once, and its steps see the number.
-    The Hessian estimates are kept within [eig_floor, eig_ceiling]; the
-    floor is the reciprocal of the usual curvature cap, which keeps the
-    saddle-point solves stable while consensus noise still contaminates
-    the curvature pairs.
+    alpha, the fixed step size, is a positive number; the default 1.0
+    takes the full saddle-point step.  The Hessian estimates are kept
+    within [eig_floor, eig_ceiling]; the floor is the reciprocal of the
+    usual curvature cap, which keeps the saddle-point solves stable while
+    consensus noise still contaminates the curvature pairs.
     """
 
     scheme: str = "bfgs"
-    alpha: float | str = 1.0
+    alpha: float = 1.0
     fusion: bool = True
     eig_floor: float = 1e-3
     eig_ceiling: float = 1e3
@@ -214,8 +214,8 @@ class EcRunConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("bfgs", "dfp"):
             raise ValueError(f"unknown quasi-Newton scheme {self.scheme!r}")
-        if not (self.alpha == "auto" or isinstance(self.alpha, Real) and self.alpha > 0):
-            raise ValueError(f"alpha must be a positive number or 'auto', not {self.alpha!r}")
+        if not (isinstance(self.alpha, Real) and self.alpha > 0):
+            raise ValueError(f"alpha must be a positive number, not {self.alpha!r}")
 
 
 def init_ecdqn_states(
@@ -258,8 +258,7 @@ def ecdqn_step(
     problem: SeparableProblem,
     config: EcRunConfig,
 ) -> EcDqnState:
-    """One synchronous round of the constrained method; config.alpha must
-    be a number.
+    """One synchronous round of the constrained method.
 
     Order within the round: local saddle-point solves, direction fusion,
     iterate mixing, gradient tracking, Hessian refresh.  Three payloads
@@ -331,7 +330,5 @@ def ecdqn_run(
     """
     return run_rounds(
         f"ecdqn-{config.scheme}", problem, graph, config,
-        lambda network: init_ecdqn_states(problem, config.seed, x0), ecdqn_step,
-        lambda *_: 1.0,  # no contraction bound here: "auto" is the full step
-        STALL_ROUNDS,
+        lambda network: init_ecdqn_states(problem, config.seed, x0), ecdqn_step, STALL_ROUNDS,
     )

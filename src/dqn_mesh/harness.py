@@ -49,7 +49,8 @@ ALL_ALGOS = DQN_ALGOS + ("diging-atc",) + EC_ALGOS
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one sweep; alpha is a positive fixed
-    step, "auto" or "golden" (tuned per cell by golden-section search)."""
+    step or "golden" (tuned per cell by golden-section search, which needs
+    a positive rse_tol)."""
 
     family: str
     algos: tuple[str, ...]
@@ -73,8 +74,10 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in ALL_ALGOS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if not (self.alpha in ("auto", "golden") or isinstance(self.alpha, Real) and self.alpha > 0):
-            raise ValueError(f"alpha must be a positive number, 'auto' or 'golden', not {self.alpha!r}")
+        if not (self.alpha == "golden" or isinstance(self.alpha, Real) and self.alpha > 0):
+            raise ValueError(f"alpha must be a positive number or 'golden', not {self.alpha!r}")
+        if self.alpha == "golden" and not self.rse_tol > 0:
+            raise ValueError(f"golden-section tuning needs rse_tol > 0, not {self.rse_tol!r}")
         object.__setattr__(self, "algos", tuple(self.algos))
         object.__setattr__(self, "kappas", tuple(float(k) for k in self.kappas))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -163,7 +166,7 @@ def run_algo(
     algo: str,
     problem: SeparableProblem,
     graph: CommGraph,
-    alpha: float | str,
+    alpha: float,
     max_iters: int = 1000,
     rse_tol: float = 1e-10,
     seed: int = 0,
@@ -202,8 +205,9 @@ def tune_step_size(
     Works on the exponent of the step size over the bracket; each probe
     is a full run.  Non-converged probes are scored by how far their
     final error stayed above the tolerance, so the search degrades
-    smoothly when nothing in the bracket converges.  Exponents are keyed
-    to 12 decimals, and the search stops early once every key left in the
+    smoothly when nothing in the bracket converges; that score is relative
+    to rse_tol, which must be positive.  Exponents are keyed to 12
+    decimals, and the search stops early once every key left in the
     interval has been probed.
     """
     lo, hi = bracket
@@ -211,6 +215,8 @@ def tune_step_size(
         raise ValueError("bracket must satisfy 0 < lo < hi")
     if probes < 2:
         raise ValueError(f"probes must be at least 2, not {probes!r}")
+    if not rse_tol > 0:
+        raise ValueError(f"rse_tol must be positive, not {rse_tol!r}")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log10(lo), math.log10(hi)
     cache: dict[float, tuple[float, RunTrace]] = {}
@@ -252,7 +258,7 @@ def run_cell(
     is "golden", at the step golden-section search finds in
     config.golden_bracket; returns the trace of the run at that step."""
 
-    def run(alpha: float | str) -> RunTrace:
+    def run(alpha: float) -> RunTrace:
         return run_algo(
             algo, problem, graph, alpha, max_iters=config.max_iters, rse_tol=config.rse_tol,
             seed=seed, fusion=config.fusion,

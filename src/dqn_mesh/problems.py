@@ -40,7 +40,7 @@ __all__ = [
 class LocalObjective:
     """One agent's objective: value and gradient closures built from its
     family record (the one-agent case of the family's stacked kernels),
-    its smoothness bound, and whether it is smooth.
+    and whether it is smooth.
 
     For nonsmooth objectives the gradient callable returns a subgradient
     and ``smooth`` is False; finite-difference checks then avoid kinks.
@@ -49,7 +49,6 @@ class LocalObjective:
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    smoothness_bound: float
     smooth: bool = True
 
 
@@ -123,10 +122,6 @@ class SeparableProblem:
         """Mean of the local gradients at x, summed in agent order."""
         grads = self.gradients(np.broadcast_to(x, (self.n_agents, self.dim)))
         return np.add.reduce(grads, axis=0) / self.n_agents
-
-    def smoothness(self) -> float:
-        """Smoothness bound for the mean objective: the mean local bound."""
-        return float(np.mean([loc.smoothness_bound for loc in self.locals]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +274,7 @@ class _BpStack(_RowStack):
         return 0.5 * self.segment_sums(r * r) + l1
 
 
-def _one_agent(stack, dim: int, **meta) -> LocalObjective:
+def _one_agent(stack, dim: int, smooth: bool = True) -> LocalObjective:
     """One agent's closures: its stack of one, called on a single point."""
 
     def value(x: np.ndarray) -> float:
@@ -288,23 +283,19 @@ def _one_agent(stack, dim: int, **meta) -> LocalObjective:
     def gradient(x: np.ndarray) -> np.ndarray:
         return stack.gradients(x[None])[0]
 
-    return LocalObjective(dim=dim, value=value, gradient=gradient, **meta)
+    return LocalObjective(dim=dim, value=value, gradient=gradient, smooth=smooth)
 
 
 def _qp_local(data: QpLocalData) -> LocalObjective:
-    bound = float(np.linalg.eigvalsh(data.p)[-1])
-    return _one_agent(_QpStack(data.p[None], data.q[None]), data.q.size, smoothness_bound=bound)
+    return _one_agent(_QpStack(data.p[None], data.q[None]), data.q.size)
 
 
 def _logreg_local(data: LogRegLocalData) -> LocalObjective:
-    feats = data.features
-    bound = data.reg + 0.25 * float(np.linalg.eigvalsh(feats.T @ feats)[-1])
-    return _one_agent(_LogRegStack.of([data]), feats.shape[1], smoothness_bound=bound)
+    return _one_agent(_LogRegStack.of([data]), data.features.shape[1])
 
 
 def _bp_local(data: BasisPursuitLocalData) -> LocalObjective:
-    bound = float(np.linalg.eigvalsh(data.a.T @ data.a)[-1])
-    return _one_agent(_BpStack.of([data]), data.a.shape[1], smoothness_bound=bound, smooth=False)
+    return _one_agent(_BpStack.of([data]), data.a.shape[1], smooth=False)
 
 
 def _local_hessian(data: LogRegLocalData, x: np.ndarray) -> np.ndarray:
@@ -722,10 +713,15 @@ def _encode(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _decode(value):
-    if isinstance(value, list):
-        return np.array(value, dtype=float)
-    return None if value is None else float(value)
+def _decode(value, name: str):
+    """A field read from a problem file: lists become float arrays, other
+    values floats; None stays None.  A non-finite number is rejected."""
+    if value is None:
+        return None
+    out = np.array(value, dtype=float) if isinstance(value, list) else float(value)
+    if not np.isfinite(out).all():
+        raise ValueError(f"field {name!r} holds a non-finite number")
+    return out
 
 
 def save_problem(problem: SeparableProblem, path: str | Path) -> None:
@@ -757,7 +753,9 @@ def load_problem(path: str | Path) -> SeparableProblem:
         # a field with a default may be absent from the file
         data = [
             record(**{
-                f.name: _decode(entry[f.name] if f.default is MISSING else entry.get(f.name, f.default))
+                f.name: _decode(
+                    entry[f.name] if f.default is MISSING else entry.get(f.name, f.default), f.name
+                )
                 for f in fields(record)
             })
             for entry in payload["locals"]
@@ -766,8 +764,10 @@ def load_problem(path: str | Path) -> SeparableProblem:
         return SeparableProblem(
             family,
             data,
-            constraint=None if cons is None else (_decode(cons["a"]), _decode(cons["b"])),
-            reference_solution=_decode(payload.get("reference_solution")),
+            constraint=None if cons is None else (
+                _decode(cons["a"], "constraint a"), _decode(cons["b"], "constraint b")
+            ),
+            reference_solution=_decode(payload.get("reference_solution"), "reference_solution"),
             xi=payload.get("xi"),
             seed=payload.get("seed"),
             achieved_cond=payload.get("achieved_cond"),

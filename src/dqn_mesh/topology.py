@@ -1,27 +1,22 @@
-"""Communication graphs and consensus mixing matrices.
+"""Communication graphs and their consensus mixing weights.
 
 Agents exchange state only along the edges of an undirected connected
 graph.  Mixing uses symmetric Metropolis weights, which are doubly
-stochastic by construction.  The contraction factor of a mixing matrix
-(largest singular value after removing the averaging component) governs
-how fast disagreement between agents decays under repeated mixing.
+stochastic and nonnegative by construction.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "CommGraph",
-    "MixingMatrix",
     "random_connected_graph",
-    "connectivity_ratio",
     "metropolis_weights",
-    "spectral_contraction",
     "load_graph",
     "save_graph",
 ]
@@ -73,11 +68,6 @@ class CommGraph:
         root = find(0)
         return all(find(a) == root for a in range(self.n_agents))
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Agents adjacent to ``i``, excluding ``i`` itself."""
-        out = [b for a, b in self.edges if a == i] + [a for a, b in self.edges if b == i]
-        return tuple(sorted(out))
-
     def degrees(self) -> np.ndarray:
         """Degree of every agent, self excluded."""
         deg = np.zeros(self.n_agents, dtype=np.int64)
@@ -85,32 +75,6 @@ class CommGraph:
             deg[i] += 1
             deg[j] += 1
         return deg
-
-
-@dataclass(frozen=True)
-class MixingMatrix:
-    """Symmetric doubly stochastic weights plus their contraction factor."""
-
-    w: np.ndarray
-    contraction: float = field(default=float("nan"))
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("mixing matrix must be square")
-        n = w.shape[0]
-        ones = np.ones(n)
-        if np.max(np.abs(w @ ones - ones)) > 1e-12 or np.max(np.abs(ones @ w - ones)) > 1e-12:
-            raise ValueError("mixing matrix must be doubly stochastic within 1e-12")
-        if np.min(w) < 0:
-            raise ValueError("mixing matrix entries must be nonnegative")
-        object.__setattr__(self, "w", w)
-        if np.isnan(self.contraction):
-            object.__setattr__(self, "contraction", spectral_contraction(w))
-
-    @property
-    def n_agents(self) -> int:
-        return self.w.shape[0]
 
 
 def random_connected_graph(n_agents: int, kappa_target: float, seed: int) -> CommGraph:
@@ -161,14 +125,8 @@ def random_connected_graph(n_agents: int, kappa_target: float, seed: int) -> Com
     return CommGraph(n_agents=n_agents, edges=tuple(sorted(edges)), seed=seed)
 
 
-def connectivity_ratio(graph: CommGraph) -> float:
-    """Fraction of all agent pairs that share an edge."""
-    total_pairs = graph.n_agents * (graph.n_agents - 1) / 2
-    return len(graph.edges) / total_pairs
-
-
-def metropolis_weights(graph: CommGraph, epsilon: float = 0.01) -> MixingMatrix:
-    """Build Metropolis mixing weights for a graph.
+def metropolis_weights(graph: CommGraph, epsilon: float = 0.01) -> np.ndarray:
+    """Metropolis mixing weights for a graph, as an (N, N) array.
 
     Each edge (i, j) gets weight 1 / (max(deg_i, deg_j) + epsilon) and the
     diagonal absorbs the remainder so every row sums to one.  Symmetry of
@@ -191,15 +149,7 @@ def metropolis_weights(graph: CommGraph, epsilon: float = 0.01) -> MixingMatrix:
         w[j, i] = wij
     for i in range(n):
         w[i, i] = 1.0 - np.sum(w[i]) + w[i, i]
-    return MixingMatrix(w=w)
-
-
-def spectral_contraction(w: np.ndarray) -> float:
-    """Largest singular value of ``w`` minus the uniform averaging matrix."""
-    w = np.asarray(w, dtype=float)
-    n = w.shape[0]
-    dev = w - np.full((n, n), 1.0 / n)
-    return float(np.linalg.svd(dev, compute_uv=False)[0])
+    return w
 
 
 def save_graph(graph: CommGraph, path: str | Path) -> None:

@@ -6,8 +6,11 @@ in inverse and direct form (Nocedal & Wright, *Numerical Optimization*,
 section 6.1), the curvature test, the spectrum clamp and a saddle-point
 solve by block elimination.  The stacked code in ``dqn_mesh`` must
 reproduce these bit for bit; the product forms of two updates are kept
-as a cross-check to rounding.
+as a cross-check to rounding.  At the end, the paper's fixed-step bound
+with the contraction factor and smoothness bounds it reads.
 """
+
+import math
 
 import numpy as np
 
@@ -147,3 +150,52 @@ def reference_kkt_solve(b_mat, a_mat, rhs_stat, rhs_prim):
     if not np.linalg.norm(np.concatenate([res_stat, res_prim])) <= 1e-10 * scale:
         raise KktError("saddle-point solve residual too large")
     return delta_x, beta
+
+
+# The paper's fixed-step bound and what it reads: the contraction factor of
+# the mixing matrix and the smoothness of the mean objective, the mean of
+# the agents' one-agent bounds.  No solver computes these; the tests use
+# them to pick a step the convergence theorem covers.
+
+
+def spectral_contraction(w):
+    """Largest singular value of ``w`` minus the uniform averaging matrix."""
+    w = np.asarray(w, dtype=float)
+    n = w.shape[0]
+    dev = w - np.full((n, n), 1.0 / n)
+    return float(np.linalg.svd(dev, compute_uv=False)[0])
+
+
+def safe_step_size(contraction, smoothness, gamma, dim, n_agents):
+    """Largest fixed step with a convergence guarantee for the given mesh.
+
+    Evaluates (1 - c) / (2 c^3 L q) with q = gamma * sqrt(min(dim,
+    n_agents)).  A fully mixing network (contraction zero) returns
+    infinity: any step a centralized method tolerates is safe.
+    """
+    if not 0.0 <= contraction < 1.0:
+        raise ValueError("contraction must lie in [0, 1)")
+    if smoothness <= 0 or gamma <= 0:
+        raise ValueError("smoothness and gamma must be positive")
+    if contraction == 0.0:
+        return math.inf
+    q = gamma * math.sqrt(min(dim, n_agents))
+    return (1.0 - contraction) / (2.0 * contraction**3 * smoothness * q)
+
+
+def smoothness_bound(family, record):
+    """One agent's smoothness bound from its family record: the largest
+    eigenvalue of P (quadratics), the ridge share plus a quarter of the
+    largest eigenvalue of F'F (logistic regression), or the largest
+    eigenvalue of A'A, the bound of the smooth part (basis pursuit)."""
+    if family == "qp":
+        return float(np.linalg.eigvalsh(record.p)[-1])
+    if family == "logreg":
+        feats = record.features
+        return record.reg + 0.25 * float(np.linalg.eigvalsh(feats.T @ feats)[-1])
+    return float(np.linalg.eigvalsh(record.a.T @ record.a)[-1])
+
+
+def mean_smoothness(problem):
+    """Smoothness bound of the mean objective: the mean one-agent bound."""
+    return float(np.mean([smoothness_bound(problem.family, d) for d in problem.local_data]))

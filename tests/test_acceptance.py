@@ -24,13 +24,15 @@ from dqn_mesh.problems import (
     solve_reference,
 )
 from dqn_mesh.quasi_newton import refresh_hessian_batch, refresh_inverse_batch
-from dqn_mesh.topology import (
-    CommGraph,
-    metropolis_weights,
-    random_connected_graph,
+from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
+from oracle import (
+    DIRECT,
+    INVERSE,
+    PRODUCT_RTOL,
+    bfgs_inverse_product,
+    dfp_hessian_product,
     spectral_contraction,
 )
-from oracle import DIRECT, INVERSE, PRODUCT_RTOL, bfgs_inverse_product, dfp_hessian_product
 
 
 def _report(lines, num, name, body):
@@ -57,7 +59,7 @@ def test_criterion_1_mixing_matrix_suite(criterion_report):
             # keep the edge target at or above the spanning-tree minimum
             kappa = min(1.0, max(kappa, (2.0 * n - 1.0) / (n * (n - 1.0))))
             graph = random_connected_graph(n, kappa, int(rng.integers(0, 2**31)))
-            w = metropolis_weights(graph, 0.01).w
+            w = metropolis_weights(graph, 0.01)
             ones = np.ones(n)
             assert np.max(np.abs(w @ ones - ones)) <= 1e-12
             assert np.max(np.abs(w.T @ ones - ones)) <= 1e-12
@@ -311,7 +313,7 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         prob = SeparableProblem("qp", [QpLocalData(p=p, q=lin)])
         prob.reference_solution = np.linalg.solve(p, -lin)
         single = CommGraph(1, ())
-        net = SyncNetwork(graph=single, w=metropolis_weights(single, 0.01).w)
+        net = SyncNetwork(graph=single, w=metropolis_weights(single, 0.01))
         state = init_dqn_states(prob, net, seed=9)
         xs = [state.x[0].copy()]
         for _ in range(50):
@@ -354,7 +356,7 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         # three agents, two rounds, against the stacked Kronecker recursion
         prob3 = qp_family(3, 4, (2.0, 10.0), 6)
         triangle = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
-        net3 = SyncNetwork(graph=triangle, w=metropolis_weights(triangle, 0.01).w)
+        net3 = SyncNetwork(graph=triangle, w=metropolis_weights(triangle, 0.01))
         state3 = init_dqn_states(prob3, net3, seed=4)
         big_w = np.kron(net3.w, np.eye(4))
         xf = state3.x.ravel()

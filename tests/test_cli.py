@@ -157,6 +157,35 @@ class TestRun:
         traces[("dqn-bfgs", 0.9, 0)].to_csv(tmp_path / "cell.csv")
         assert trace_path.read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
+    def test_default_alpha_is_golden(self, tmp_path):
+        # without --alpha a run tunes its step, as a sweep cell does by default
+        problem_path, graph_path = generate_pair(tmp_path)
+        trace_path = tmp_path / "trace.csv"
+        rc = main(
+            [
+                "run",
+                "--algo",
+                "diging-atc",
+                "--problem",
+                str(problem_path),
+                "--graph",
+                str(graph_path),
+                "--max-iters",
+                "100",
+                "--trace-out",
+                str(trace_path),
+            ]
+        )
+        assert rc == 0
+        config = ExperimentConfig(
+            family="qp", algos=("diging-atc",), n_agents=4, dim=4, cond_range=(2.0, 10.0),
+            kappas=(0.9,), seeds=(0,), max_iters=100,
+        )
+        assert config.alpha == "golden"
+        _, traces = run_experiment(config)
+        traces[("diging-atc", 0.9, 0)].to_csv(tmp_path / "cell.csv")
+        assert trace_path.read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
     def test_iteration_cap_still_exits_zero(self, tmp_path, capsys):
         # a clean non-converged run is a valid result, not a failure
         problem_path, graph_path = generate_pair(tmp_path)
@@ -323,6 +352,55 @@ class TestBadInput:
         rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert_input_error(rc, capsys, "alpha")
         assert not (tmp_path / "r").exists()
+
+    def test_auto_alpha(self, tmp_path, capsys):
+        problem_path, graph_path = generate_pair(tmp_path)
+        args = ["--problem", str(problem_path), "--graph", str(graph_path)]
+        args += ["--trace-out", str(tmp_path / "trace.csv")]
+        rc = main(["run", "--algo", "dqn-bfgs", *args, "--alpha", "auto"])
+        assert_input_error(rc, capsys, "--alpha", "'auto'")
+
+    @pytest.mark.parametrize("alpha", [["--alpha", "golden"], []], ids=["golden", "default"])
+    def test_golden_with_zero_tolerance(self, tmp_path, capsys, alpha):
+        # the golden-section score is relative to the tolerance
+        problem_path, graph_path = generate_pair(tmp_path)
+        args = ["--problem", str(problem_path), "--graph", str(graph_path)]
+        args += ["--trace-out", str(tmp_path / "trace.csv")]
+        rc = main(["run", "--algo", "dqn-bfgs", *args, *alpha, "--tol", "0"])
+        assert_input_error(rc, capsys, "rse_tol")
+
+    def test_sweep_config_golden_with_zero_tolerance(self, tmp_path, capsys):
+        cfg_path = write_sweep_config(tmp_path, alpha="golden", rse_tol=0.0)
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert_input_error(rc, capsys, "rse_tol")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "family, path, value, field",
+        [
+            ("qp", ("locals", 1, "q", 2), float("nan"), "'q'"),
+            ("qp", ("locals", 1, "q", 2), float("inf"), "'q'"),
+            ("qp", ("reference_solution", 0), float("-inf"), "'reference_solution'"),
+            ("logreg", ("constraint", "b", 0), float("nan"), "'constraint b'"),
+        ],
+        ids=["nan-record", "inf-record", "inf-reference", "nan-constraint"],
+    )
+    def test_problem_file_with_non_finite_number(
+        self, tmp_path, capsys, family, path, value, field
+    ):
+        extra = ["--constrained"] if family == "logreg" else []
+        problem_path, graph_path = generate_pair(tmp_path, family, extra)
+        payload = json.loads(problem_path.read_text())
+        *parents, last = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        problem_path.write_text(json.dumps(payload))
+        args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.3"]
+        args += ["--trace-out", str(tmp_path / "trace.csv")]
+        rc = main(["run", "--algo", "dqn-bfgs", *args])
+        assert_input_error(rc, capsys, "problem file", "problem.json", "non-finite", field)
 
     def test_problem_file_without_fields(self, tmp_path, capsys):
         _, graph_path = generate_pair(tmp_path)

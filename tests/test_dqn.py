@@ -15,12 +15,11 @@ from dqn_mesh.dqn import (
     dqn_run,
     dqn_step,
     init_dqn_states,
-    safe_step_size,
     track_gradient,
 )
 from dqn_mesh.problems import QpLocalData, SeparableProblem, qp_family, solve_reference
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
-from oracle import curvature_ok
+from oracle import curvature_ok, mean_smoothness, safe_step_size, spectral_contraction
 
 TRIANGLE = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
 PATH3 = CommGraph(3, ((0, 1), (1, 2)))
@@ -28,7 +27,7 @@ SINGLE = CommGraph(1, ())
 
 
 def make_network(graph, epsilon=0.01):
-    return SyncNetwork(graph=graph, w=metropolis_weights(graph, epsilon).w)
+    return SyncNetwork(graph=graph, w=metropolis_weights(graph, epsilon))
 
 
 def quadratic_problem(n_agents=3, dim=4, seed=0):
@@ -397,11 +396,16 @@ class TestSafeStepSize:
             safe_step_size(0.5, 0.0, 1e3, 4, 4)
 
     def test_auto_alpha_makes_steady_progress(self):
-        # the guaranteed step is very conservative, so check contraction of
-        # the error rather than full convergence inside the round budget
+        # 90% of the guaranteed step, capped at 1, with RunConfig's default
+        # gamma; the guaranteed step is very conservative, so check
+        # contraction of the error rather than full convergence inside the
+        # round budget
         prob = quadratic_problem(n_agents=4, dim=4, seed=0)
         graph = random_connected_graph(4, 1.0, 0)
-        trace = dqn_run(prob, graph, RunConfig(alpha="auto", max_iters=2000, rse_tol=1e-8))
+        contraction = spectral_contraction(metropolis_weights(graph))
+        bound = safe_step_size(contraction, mean_smoothness(prob), 1e3, prob.dim, prob.n_agents)
+        alpha = min(1.0, 0.9 * bound)
+        trace = dqn_run(prob, graph, RunConfig(alpha=alpha, max_iters=2000, rse_tol=1e-8))
         assert 0 < trace.alpha <= 1.0
         assert not trace.diverged
         worst0 = float(np.max(trace.rse[0]))
@@ -412,11 +416,20 @@ class TestSafeStepSize:
 class TestRunConfig:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown quasi-Newton scheme"):
-            RunConfig(scheme="sr1")
+            RunConfig(alpha=0.1, scheme="sr1")
 
     def test_rejects_alpha_typo(self):
-        with pytest.raises(ValueError, match="'auto'"):
+        with pytest.raises(ValueError, match="positive number"):
             RunConfig(alpha="fast")
+
+    def test_rejects_auto_alpha(self):
+        # a step size is a number: "auto" is no longer a form of alpha
+        with pytest.raises(ValueError, match="positive number"):
+            RunConfig(alpha="auto")
+
+    def test_alpha_is_required(self):
+        with pytest.raises(TypeError, match="alpha"):
+            RunConfig()
 
     @pytest.mark.parametrize("alpha", [0, -1.0, -0.1])
     def test_rejects_nonpositive_alpha(self, alpha):

@@ -33,7 +33,7 @@ SINGLE = CommGraph(1, ())
 
 
 def make_network(graph, epsilon=0.01):
-    return SyncNetwork(graph=graph, w=metropolis_weights(graph, epsilon).w)
+    return SyncNetwork(graph=graph, w=metropolis_weights(graph, epsilon))
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):
@@ -480,10 +480,15 @@ class TestEcRun:
         trace = ecdqn_run(prob, TRIANGLE, EcRunConfig(alpha=1e6, max_iters=100))
         assert trace.diverged and not trace.converged
 
-    def test_auto_alpha_means_unit_step(self):
+    def test_default_alpha_is_unit_step(self):
         prob = constrained_quadratic(3, 4, 1, 5)
-        trace = ecdqn_run(prob, TRIANGLE, EcRunConfig(alpha="auto", max_iters=2, rse_tol=0.0))
+        trace = ecdqn_run(prob, TRIANGLE, EcRunConfig(max_iters=2, rse_tol=0.0))
         assert trace.alpha == 1.0
+
+    def test_rejects_auto_alpha(self):
+        # a step size is a number: "auto" is no longer a form of alpha
+        with pytest.raises(ValueError, match="positive number"):
+            EcRunConfig(alpha="auto")
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError, match="positive"):

@@ -37,14 +37,25 @@ class TestExperimentConfig:
         payload = json.loads(json.dumps(asdict(cfg)))
         assert ExperimentConfig(**payload) == cfg
 
-    @pytest.mark.parametrize("alpha", ["gold", -0.1, 0.0, None, "0.3"])
+    @pytest.mark.parametrize("alpha", ["gold", -0.1, 0.0, None, "0.3", "auto"])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be"):
             ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha)
 
-    @pytest.mark.parametrize("alpha", ["auto", "golden", 0.3, 2])
+    @pytest.mark.parametrize("alpha", ["golden", 0.3, 2])
     def test_accepts_step_forms(self, alpha):
         assert ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha).alpha == alpha
+
+    @pytest.mark.parametrize("rse_tol", [0.0, -1e-8])
+    def test_golden_rejects_nonpositive_tolerance(self, rse_tol):
+        # the golden-section score divides by rse_tol
+        with pytest.raises(ValueError, match="rse_tol"):
+            ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha="golden", rse_tol=rse_tol)
+
+    def test_fixed_step_accepts_zero_tolerance(self):
+        # a fixed-step run with rse_tol 0 runs its whole round budget
+        cfg = ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=0.3, rse_tol=0.0)
+        assert cfg.rse_tol == 0.0
 
     @pytest.mark.parametrize("bracket", [(2.0, 1e-4), (0.0, 1.0), (-1.0, 1.0), (0.5, 0.5)])
     def test_rejects_bad_golden_bracket(self, bracket):
@@ -171,6 +182,13 @@ class TestTuneStepSize:
     def test_rejects_too_few_probes(self, probes):
         with pytest.raises(ValueError, match="probes"):
             tune_step_size(lambda a: None, probes=probes)
+
+    @pytest.mark.parametrize("rse_tol", [0.0, -1e-8])
+    def test_rejects_nonpositive_tolerance(self, rse_tol):
+        calls = []
+        with pytest.raises(ValueError, match="rse_tol"):
+            tune_step_size(calls.append, rse_tol=rse_tol)
+        assert calls == []
 
     @pytest.mark.parametrize("bracket", [(1e-4, 2.0), (1.0, 1.0 + 1e-13)])
     def test_returns_once_the_interval_is_exhausted(self, bracket):

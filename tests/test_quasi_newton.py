@@ -249,7 +249,7 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
     )
     # one round whose KKT solve fails on an indefinite estimate and is retried
     graph = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
-    net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01).w)
+    net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01))
     prob = logreg_family(3, 4, 1e-2, 9, constraint=True)
     state = ecdqn.init_ecdqn_states(prob, seed=2)
     b = state.b.copy()

@@ -119,7 +119,7 @@ class Log:
 
 def reference_dqn(problem, graph, cfg):
     n_agents, n = problem.n_agents, problem.dim
-    w = metropolis_weights(graph).w
+    w = metropolis_weights(graph)
     log = Log(problem, 3, graph.degrees())
     x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
@@ -155,7 +155,7 @@ def reference_dqn(problem, graph, cfg):
 
 def reference_diging(problem, graph, cfg):
     n_agents, n = problem.n_agents, problem.dim
-    w = metropolis_weights(graph).w
+    w = metropolis_weights(graph)
     log = Log(problem, 2, graph.degrees())
     x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
@@ -205,7 +205,7 @@ def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
 def reference_ecdqn(problem, graph, cfg):
     n_agents, n = problem.n_agents, problem.dim
     a_mat, b_vec = problem.constraint
-    w = metropolis_weights(graph).w
+    w = metropolis_weights(graph)
     log = Log(problem, 3 if cfg.fusion else 2, graph.degrees())
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n_agents, n))
@@ -405,7 +405,7 @@ def ec_step_setup(bad_agent_b):
     whose agent 2 then gets the estimate bad_agent_b."""
     prob = logreg_family(5, 4, 1e-2, 3, constraint=True)
     graph = random_connected_graph(5, 0.7, 1)
-    net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01).w)
+    net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01))
     state = init_ecdqn_states(prob, seed=2)
     for _ in range(3):
         state = ecdqn_step(net, state, prob, EC_STEP)

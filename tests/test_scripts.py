@@ -73,8 +73,10 @@ def test_trace_digest_is_reproducible_and_covers_every_algorithm(trace_digest, c
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    # one seed: nine qp runs, twelve constrained runs and the report
-    assert len(lines) == 22 and lines[-1].startswith("golden-report ")
+    # one seed: nine qp runs, twelve constrained runs, five paper-scale
+    # runs and the report
+    assert len(lines) == 27 and lines[-1].startswith("golden-report ")
+    assert sum(line.startswith("paper ") for line in lines) == 5
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
     for algo in ("dqn-bfgs", "dqn-dfp", "diging-atc", "ecdqn-bfgs", "ecdqn-dfp"):
         assert any(f" {algo} " in line for line in lines)
