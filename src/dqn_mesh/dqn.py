@@ -10,7 +10,9 @@ method, the constrained one included, is one call of the same run driver
 (run_rounds), which builds the weights, network and recorder, runs the
 round loop and assembles the trace; a method says only its name, start
 state, step and, for EC-DQN, its stall rule.  The step size is a fixed
-positive number from the run config.
+finite positive number from the run config; the values no caller sets,
+such as the curvature ceiling GAMMA, are module constants read at call
+time.  The unconstrained methods reject a problem with a constraint.
 
 Communication is metered exactly: one mixed payload of dimension n costs
 every agent 8 * n * degree bytes (double precision, one copy per
@@ -30,6 +32,7 @@ are single-threaded.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from numbers import Real
@@ -66,6 +69,10 @@ BYTES_PER_SCALAR = 8
 # every inverse-Hessian estimate starts at this multiple of the identity
 C0_SCALE = 0.1
 
+# an inverse-Hessian estimate whose Frobenius norm exceeds this ceiling is
+# clamped into [DEFAULT_FLOOR, GAMMA]
+GAMMA = 1e3
+
 # iterates beyond this magnitude cannot recover and will overflow within a
 # few rounds; cut them off as diverged before they poison the arithmetic
 DIVERGENCE_LIMIT = 1e50
@@ -90,8 +97,9 @@ class DivergedError(RuntimeError):
 class DqnState:
     """Every agent's variables for the unconstrained method, stacked.
 
-    Row i of x, v, z, d and last_gradient (each N x n) and slice i of the
-    inverse-Hessian estimates c (N x n x n) belong to agent i.
+    Row i of x, v, the mixed directions z and last_gradient (each N x n)
+    and slice i of the inverse-Hessian estimates c (N x n x n) belong to
+    agent i.
     skipped_pairs and safeguard_repairs count, over the rounds taken so
     far, curvature pairs left unapplied and estimates whose spectrum was
     repaired.
@@ -100,7 +108,6 @@ class DqnState:
     x: np.ndarray
     v: np.ndarray
     z: np.ndarray
-    d: np.ndarray
     c: np.ndarray
     last_gradient: np.ndarray
     skipped_pairs: int = 0
@@ -237,59 +244,58 @@ class RunTrace:
         }
 
 
+def _valid_step(alpha) -> bool:
+    """True when alpha is a finite positive number, the one form of a step."""
+    return isinstance(alpha, Real) and 0 < alpha < math.inf
+
+
+def _check_run_config(config) -> None:
+    """Both run configs' checks: a known scheme and a valid step."""
+    if config.scheme not in ("bfgs", "dfp"):
+        raise ValueError(f"unknown quasi-Newton scheme {config.scheme!r}")
+    if not _valid_step(config.alpha):
+        raise ValueError(f"alpha must be a finite positive number, not {config.alpha!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the distributed solvers, the only holder of a
-    run's constants: the steps read them from here.  alpha, the fixed
-    step size, is a positive number and has no default.
+    """Knobs shared by the distributed solvers, the values a caller sets:
+    the steps read them from here.  alpha, the fixed step size, is a
+    finite positive number and has no default.
     """
 
     alpha: float
     scheme: str = "bfgs"
-    gamma: float = 1e3
     max_iters: int = 1000
     rse_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("bfgs", "dfp"):
-            raise ValueError(f"unknown quasi-Newton scheme {self.scheme!r}")
-        if not (isinstance(self.alpha, Real) and self.alpha > 0):
-            raise ValueError(f"alpha must be a positive number, not {self.alpha!r}")
+        _check_run_config(self)
 
 
-def initial_iterates(
-    problem: SeparableProblem, rng: np.random.Generator, x0: np.ndarray | None
-) -> np.ndarray:
-    """A C-ordered copy of x0, or one standard-normal row per agent drawn
-    from rng (which stays untouched when x0 is given)."""
-    shape = (problem.n_agents, problem.dim)
-    x = rng.standard_normal(shape) if x0 is None else np.array(x0, dtype=float, order="C")
-    if x.shape != shape:
-        raise ValueError("x0 must have one row per agent")
-    return x
+def _unconstrained_start(problem: SeparableProblem, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One standard-normal row per agent drawn from seed, and the local
+    gradients there; a problem with a constraint is rejected."""
+    if problem.constraint is not None:
+        raise ValueError("unconstrained method cannot honor the problem's constraint")
+    x = np.random.default_rng(seed).standard_normal((problem.n_agents, problem.dim))
+    return x, problem.gradients(x)
 
 
-def init_dqn_states(
-    problem: SeparableProblem,
-    network: SyncNetwork,
-    seed: int = 0,
-    x0: np.ndarray | None = None,
-) -> DqnState:
+def init_dqn_states(problem: SeparableProblem, network: SyncNetwork, seed: int = 0) -> DqnState:
     """Draw initial iterates and warm-start the tracker and directions.
 
     v starts at the local gradient, the inverse estimate at C0_SCALE
     times the identity, and the mixed direction z is formed once from
-    d = -C v.  This setup exchange is not metered; the ledger counts
+    -C v.  This setup exchange is not metered; the ledger counts
     iteration rounds only.
     """
     n, n_agents = problem.dim, problem.n_agents
-    x = initial_iterates(problem, np.random.default_rng(seed), x0)
-    grads = problem.gradients(x)
+    x, grads = _unconstrained_start(problem, seed)
     c = np.broadcast_to(C0_SCALE * np.eye(n), (n_agents, n, n)).copy()
-    d = -np.matvec(c, grads)
-    z = network.mix(d, account=False)
-    return DqnState(x=x, v=grads.copy(), z=z, d=d, c=c, last_gradient=grads)
+    z = network.mix(-np.matvec(c, grads), account=False)
+    return DqnState(x=x, v=grads.copy(), z=z, c=c, last_gradient=grads)
 
 
 def track_gradient(
@@ -328,16 +334,13 @@ def dqn_step(
     # repairs go through this module's pd_safeguard name, so a wrapper
     # installed on it sees every batch of them
     refresh = refresh_inverse_batch(
-        state.c, new_x - state.x, new_v - state.v, config.scheme, DEFAULT_FLOOR, config.gamma,
+        state.c, new_x - state.x, new_v - state.v, config.scheme, DEFAULT_FLOOR, GAMMA,
         safeguard=pd_safeguard,
     )
-    new_d = -np.matvec(refresh.estimates, new_v)
-    new_z = network.mix(new_d)
     return DqnState(
         x=new_x,
         v=new_v,
-        z=new_z,
-        d=new_d,
+        z=network.mix(-np.matvec(refresh.estimates, new_v)),
         c=refresh.estimates,
         last_gradient=new_g,
         skipped_pairs=state.skipped_pairs + refresh.skipped,
@@ -361,7 +364,7 @@ def diging_step(
 
 def run_rounds(
     algo: str, problem: SeparableProblem, graph: CommGraph, config, start: Callable,
-    step: Callable, stall_rounds: int | None = None,
+    step: Callable, stall: tuple[int, float] | None = None,
 ) -> RunTrace:
     """The run driver of every solver: one run of algo, as its trace.
 
@@ -370,9 +373,9 @@ def run_rounds(
     Then it steps, step(network, state, problem, config), and records
     until the worst agent's relative error meets config.rse_tol, a step
     raises DivergedError (whose state the run ends on) or
-    config.max_iters rounds are spent, or, with stall_rounds set, every
-    iterate moved at most config.stall_tol for stall_rounds rounds in a
-    row (stalled).
+    config.max_iters rounds are spent, or, with stall = (rounds, tol)
+    set, every iterate moved at most tol for that many rounds in a row
+    (stalled).
     Callers pass the step found under its module-level name when they
     run, so a wrapper installed on that name sees every round.
     """
@@ -395,10 +398,10 @@ def run_rounds(
         if rec.record(state, network.sent_bytes) <= config.rse_tol:
             flags["converged"] = True
             break
-        if stall_rounds is not None:
+        if stall is not None:
             move = float(np.max(np.linalg.norm(state.x - x_prev, axis=1)))
-            stall_run = stall_run + 1 if move <= config.stall_tol else 0
-            if stall_run >= stall_rounds:
+            stall_run = stall_run + 1 if move <= stall[1] else 0
+            if stall_run >= stall[0]:
                 flags["stalled"] = True
                 break
     return rec.build(algo, config, state, started, flags)
@@ -517,33 +520,22 @@ class _Recorder:
         )
 
 
-def dqn_run(
-    problem: SeparableProblem,
-    graph: CommGraph,
-    config: RunConfig,
-    x0: np.ndarray | None = None,
-) -> RunTrace:
+def dqn_run(problem: SeparableProblem, graph: CommGraph, config: RunConfig) -> RunTrace:
     """Run the distributed quasi-Newton method until the worst agent's
     relative error drops below the tolerance or the round budget runs out.
     """
     return run_rounds(
         f"dqn-{config.scheme}", problem, graph, config,
-        lambda network: init_dqn_states(problem, network, config.seed, x0), dqn_step,
+        lambda network: init_dqn_states(problem, network, config.seed), dqn_step,
     )
 
 
-def _diging_start(problem: SeparableProblem, seed: int, x0: np.ndarray | None) -> DigingState:
-    x = initial_iterates(problem, np.random.default_rng(seed), x0)
-    grads = problem.gradients(x)
+def _diging_start(problem: SeparableProblem, seed: int) -> DigingState:
+    x, grads = _unconstrained_start(problem, seed)
     return DigingState(x=x, v=grads.copy(), last_gradient=grads)
 
 
-def diging_atc_run(
-    problem: SeparableProblem,
-    graph: CommGraph,
-    config: RunConfig,
-    x0: np.ndarray | None = None,
-) -> RunTrace:
+def diging_atc_run(problem: SeparableProblem, graph: CommGraph, config: RunConfig) -> RunTrace:
     """First-order gradient-tracking baseline (adapt-then-combine form).
 
     x' = W (x - alpha y), y' = W (y + g(x') - g(x)), with y warm-started
@@ -553,5 +545,5 @@ def diging_atc_run(
     """
     return run_rounds(
         "diging-atc", problem, graph, config,
-        lambda network: _diging_start(problem, config.seed, x0), diging_step,
+        lambda network: _diging_start(problem, config.seed), diging_step,
     )

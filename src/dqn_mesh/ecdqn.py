@@ -10,14 +10,15 @@ agents' variables are held stacked; every round solves all saddle-point
 systems in one batched call (block elimination, one LU solve per block),
 repairs and re-solves only the agents whose solve failed in a second
 one, and refreshes the Hessian estimates in another.  The step size is
-a fixed positive number from the run config, the full step 1.0 unless
-a caller sets another.
+a fixed finite positive number from the run config, the full step 1.0
+unless a caller sets another.  The spectrum box of the Hessian estimates
+and the stall rule are module constants, which the step and the run
+read when they run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Real
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .dqn import (
     DivergedError,
     SyncNetwork,
     _blown_up,
-    initial_iterates,
+    _check_run_config,
     run_rounds,
     track_gradient,
 )
@@ -51,8 +52,16 @@ __all__ = [
 
 # the eigenvalues of every initial Hessian estimate are uniform in this range
 B0_SPECTRUM = (0.5, 2.0)
-# a run stalls after this many rounds in a row with every move <= stall_tol
+# every Hessian estimate is kept within [EIG_FLOOR, EIG_CEILING]; the floor
+# is the reciprocal of the DQN curvature ceiling, which keeps the
+# saddle-point solves stable while consensus noise still contaminates the
+# curvature pairs
+EIG_FLOOR = 1e-3
+EIG_CEILING = 1e3
+# a run stalls after STALL_ROUNDS rounds in a row in which every iterate
+# moved at most STALL_TOL
 STALL_ROUNDS = 10
+STALL_TOL = 1e-14
 
 
 class KktFactorizationError(RuntimeError):
@@ -169,20 +178,17 @@ def kkt_solve(system: KktSystem) -> tuple[np.ndarray, np.ndarray]:
 class EcDqnState:
     """Every agent's variables for the constrained method, stacked.
 
-    Row i of x, v, delta_x, d and last_gradient (each N x n), of the
-    multipliers beta (N x m) and slice i of the Hessian estimates b
-    (N x n x n) belong to agent i.  The counters cover the rounds taken
-    so far: curvature pairs left unapplied, spectrum repairs (refresh
-    fallbacks and repairs before a KKT retry), and saddle-point solves
-    retried.
+    Row i of x, v and last_gradient (each N x n), of the multipliers beta
+    (N x m) and slice i of the Hessian estimates b (N x n x n) belong to
+    agent i.  The counters cover the rounds taken so far: curvature pairs
+    left unapplied, spectrum repairs (refresh fallbacks and repairs before
+    a KKT retry), and saddle-point solves retried.
     """
 
     x: np.ndarray
     v: np.ndarray
     b: np.ndarray
     beta: np.ndarray
-    delta_x: np.ndarray
-    d: np.ndarray
     last_gradient: np.ndarray
     skipped_pairs: int = 0
     safeguard_repairs: int = 0
@@ -191,36 +197,23 @@ class EcDqnState:
 
 @dataclass(frozen=True)
 class EcRunConfig:
-    """Knobs for the constrained solver, the only holder of a run's
-    constants: the steps read them from here.
-
-    alpha, the fixed step size, is a positive number; the default 1.0
-    takes the full saddle-point step.  The Hessian estimates are kept
-    within [eig_floor, eig_ceiling]; the floor is the reciprocal of the
-    usual curvature cap, which keeps the saddle-point solves stable while
-    consensus noise still contaminates the curvature pairs.
+    """Knobs for the constrained solver, the values a caller sets: the
+    steps read them from here.  alpha, the fixed step size, is a finite
+    positive number; the default 1.0 takes the full saddle-point step.
     """
 
     scheme: str = "bfgs"
     alpha: float = 1.0
     fusion: bool = True
-    eig_floor: float = 1e-3
-    eig_ceiling: float = 1e3
     max_iters: int = 1000
     rse_tol: float = 1e-8
-    stall_tol: float = 1e-14
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("bfgs", "dfp"):
-            raise ValueError(f"unknown quasi-Newton scheme {self.scheme!r}")
-        if not (isinstance(self.alpha, Real) and self.alpha > 0):
-            raise ValueError(f"alpha must be a positive number, not {self.alpha!r}")
+        _check_run_config(self)
 
 
-def init_ecdqn_states(
-    problem: SeparableProblem, seed: int = 0, x0: np.ndarray | None = None
-) -> EcDqnState:
+def init_ecdqn_states(problem: SeparableProblem, seed: int = 0) -> EcDqnState:
     """Draw initial iterates and random well-conditioned Hessian estimates.
 
     Every agent gets an independent symmetric positive definite estimate
@@ -233,7 +226,7 @@ def init_ecdqn_states(
     m = problem.constraint[0].shape[0]
     rng = np.random.default_rng(seed)
     # iterates first, then the estimates, from the same stream
-    x = initial_iterates(problem, rng, x0)
+    x = rng.standard_normal((n_agents, n))
     b = np.empty((n_agents, n, n))
     for i in range(n_agents):
         q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -246,8 +239,6 @@ def init_ecdqn_states(
         v=grads.copy(),
         b=b,
         beta=np.zeros((n_agents, m)),
-        delta_x=np.zeros((n_agents, n)),
-        d=np.zeros((n_agents, n)),
         last_gradient=grads,
     )
 
@@ -281,9 +272,7 @@ def ecdqn_step(
         )
         b_kkt = state.b.copy()
         # through this module's pd_safeguard name, as in the refresh below
-        b_kkt[failed] = pd_safeguard(
-            b_kkt[failed], floor=config.eig_floor, ceiling=config.eig_ceiling
-        )
+        b_kkt[failed] = pd_safeguard(b_kkt[failed], floor=EIG_FLOOR, ceiling=EIG_CEILING)
         delta_x[failed], beta[failed], ok = kkt_solve_batch(
             b_kkt[failed], a_mat, state.v[failed], r_prim[failed]
         )
@@ -299,16 +288,14 @@ def ecdqn_step(
         raise DivergedError(state)
     # repairs go through this module's pd_safeguard name, as in dqn_step
     refresh = refresh_hessian_batch(
-        b_kkt, new_x - state.x, new_v - state.v, config.scheme, config.eig_floor,
-        config.eig_ceiling, safeguard=pd_safeguard,
+        b_kkt, new_x - state.x, new_v - state.v, config.scheme, EIG_FLOOR, EIG_CEILING,
+        safeguard=pd_safeguard,
     )
     return EcDqnState(
         x=new_x,
         v=new_v,
         b=refresh.estimates,
         beta=beta,
-        delta_x=delta_x,
-        d=d,
         last_gradient=new_g,
         skipped_pairs=state.skipped_pairs + refresh.skipped,
         safeguard_repairs=state.safeguard_repairs + refresh.repaired,
@@ -317,10 +304,7 @@ def ecdqn_step(
 
 
 def ecdqn_run(
-    problem: SeparableProblem,
-    graph: CommGraph,
-    config: EcRunConfig = EcRunConfig(),
-    x0: np.ndarray | None = None,
+    problem: SeparableProblem, graph: CommGraph, config: EcRunConfig = EcRunConfig()
 ) -> "RunTrace":
     """Run the constrained method until every agent's relative error meets
     the tolerance, the primal directions stagnate, or the budget runs out.
@@ -330,5 +314,6 @@ def ecdqn_run(
     """
     return run_rounds(
         f"ecdqn-{config.scheme}", problem, graph, config,
-        lambda network: init_ecdqn_states(problem, config.seed, x0), ecdqn_step, STALL_ROUNDS,
+        lambda network: init_ecdqn_states(problem, config.seed), ecdqn_step,
+        stall=(STALL_ROUNDS, STALL_TOL),
     )

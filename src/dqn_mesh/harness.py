@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .dqn import RunConfig, RunTrace, diging_atc_run, dqn_run
+from .dqn import RunConfig, RunTrace, _valid_step, diging_atc_run, dqn_run
 from .ecdqn import EcRunConfig, ecdqn_run
 from .problems import (
     FAMILIES,
@@ -48,9 +47,9 @@ ALL_ALGOS = DQN_ALGOS + ("diging-atc",) + EC_ALGOS
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one sweep; alpha is a positive fixed
-    step or "golden" (tuned per cell by golden-section search, which needs
-    a positive rse_tol)."""
+    """Declarative description of one sweep; alpha is a finite positive
+    fixed step or "golden" (tuned per cell by golden-section search, which
+    needs a positive rse_tol).  The qp family has no constrained form."""
 
     family: str
     algos: tuple[str, ...]
@@ -74,8 +73,12 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in ALL_ALGOS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if not (self.alpha == "golden" or isinstance(self.alpha, Real) and self.alpha > 0):
-            raise ValueError(f"alpha must be a positive number or 'golden', not {self.alpha!r}")
+        if self.family == "qp" and self.constrained:
+            raise ValueError("the qp family has no constrained form")
+        if not (self.alpha == "golden" or _valid_step(self.alpha)):
+            raise ValueError(
+                f"alpha must be a finite positive number or 'golden', not {self.alpha!r}"
+            )
         if self.alpha == "golden" and not self.rse_tol > 0:
             raise ValueError(f"golden-section tuning needs rse_tol > 0, not {self.rse_tol!r}")
         object.__setattr__(self, "algos", tuple(self.algos))
@@ -367,15 +370,20 @@ _PAYLOADS_PER_ROUND = {"dqn-bfgs": 3, "dqn-dfp": 3, "diging-atc": 2, "ecdqn-bfgs
 def validate_run(
     trace_path: str | Path, summary_path: str | Path, graph_path: str | Path
 ) -> list[str]:
-    """Re-check a finished run's ledger arithmetic and tracker identity.
+    """Re-check a finished run's ledger arithmetic and tracker identity,
+    and its summary's final error and convergence claim against the trace.
 
     Returns a list of violation messages; empty means the trace passes.
     Only the first row that breaks the ledger is reported, and only the
     rows before it lend their mean-gradient norm to the tracker bound.
+    When the trace has every row, its last round's rse cells must have
+    the summary's final_rse_max as their maximum exactly (both are the
+    repr of one float) and, when the summary has an rse_tol, the run is
+    converged exactly when that maximum meets it.
     """
     violations: list[str] = []
     summary = json.loads(Path(summary_path).read_text())
-    for name in ("algo", "dim", "n_agents", "rounds"):
+    for name in ("algo", "dim", "n_agents", "rounds", "final_rse_max"):
         if name not in summary:
             raise ValueError(f"summary {summary_path} has no {name!r} field")
     graph = load_graph(graph_path)
@@ -431,7 +439,15 @@ def validate_run(
                 f"round {k}: tracker deviates from the mean gradient by {res:.3e} > {bound:.3e}"
             )
             break
-    if summary.get("converged") and summary.get("rse_tol") is not None:
-        if summary["final_rse_max"] > summary["rse_tol"]:
-            violations.append("summary claims convergence above its own tolerance")
+    rse_tol, final, converged = map(summary.get, ("rse_tol", "final_rse_max", "converged"))
+    if converged and rse_tol is not None and final > rse_tol:
+        violations.append("summary claims convergence above its own tolerance")
+    if lines and len(lines) == (rounds + 1) * n_agents:
+        rse_col = names.index("rse")
+        worst = max(float(line.split(",")[rse_col]) for line in lines[-n_agents:])
+        if final != worst:
+            violations.append(f"final_rse_max {final!r} != the trace's last-round maximum {worst!r}")
+        if rse_tol is not None and converged != (worst <= rse_tol):
+            violations.append(f"converged {converged!r} disagrees with the trace's last-round "
+                              f"maximum {worst!r} against rse_tol {rse_tol!r}")
     return violations

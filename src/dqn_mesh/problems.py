@@ -523,7 +523,11 @@ class ReferenceSolveError(RuntimeError):
     """Raised when no solver can certify a reference solution."""
 
 
-def solve_reference(problem: SeparableProblem, tol: float = 1e-12) -> np.ndarray:
+# the Newton solves stop once their stationarity residual is this small
+REFERENCE_TOL = 1e-12
+
+
+def solve_reference(problem: SeparableProblem) -> np.ndarray:
     """Compute and cache a centralized solution of the problem with its
     family's solver.
 
@@ -533,12 +537,12 @@ def solve_reference(problem: SeparableProblem, tol: float = 1e-12) -> np.ndarray
     identifies the active sign pattern, followed by a linear polish step
     and an exact optimality certificate.
     """
-    x = _FAMILIES[problem.family].solve(problem, tol)
+    x = _FAMILIES[problem.family].solve(problem)
     problem.reference_solution = x
     return x
 
 
-def _solve_qp(problem: SeparableProblem, tol: float) -> np.ndarray:
+def _solve_qp(problem: SeparableProblem) -> np.ndarray:
     p = sum(d.p for d in problem.local_data)
     q = sum(d.q for d in problem.local_data)
     if problem.constraint is None:
@@ -560,9 +564,9 @@ def _mean_hessian(problem: SeparableProblem, x: np.ndarray) -> np.ndarray:
     return h / problem.n_agents
 
 
-def _solve_smooth_newton(problem: SeparableProblem, tol: float) -> np.ndarray:
+def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
     """Damped Newton on the (possibly constrained) stationarity system."""
-    n = problem.dim
+    n, tol = problem.dim, REFERENCE_TOL
     if problem.constraint is None:
         x = np.zeros(n)
         for _ in range(200):
@@ -611,7 +615,7 @@ def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _solve_basis_pursuit(problem: SeparableProblem, tol: float) -> np.ndarray:
+def _solve_basis_pursuit(problem: SeparableProblem) -> np.ndarray:
     p = sum(d.a.T @ d.a for d in problem.local_data)
     q = -sum(d.a.T @ d.b for d in problem.local_data)
     xi_total = problem.n_agents * problem.local_data[0].l1
@@ -688,7 +692,7 @@ class _Family(NamedTuple):
     record: type  # one agent's data, stored as one JSON object per agent
     stack: type  # every agent's data, evaluated at once
     local: Callable  # record -> that agent's LocalObjective
-    solve: Callable  # (problem, tol) -> reference solution
+    solve: Callable  # problem -> reference solution
 
 
 _FAMILIES = {

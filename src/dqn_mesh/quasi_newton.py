@@ -14,7 +14,9 @@ and ``refresh_hessian_batch``.  Row i of every result equals the same call
 on row i alone, and the same update written for one pair, bit for bit:
 every dot product and norm is an ``np.vecdot`` and every matrix-vector
 product an ``np.matvec``, which reduce in the same order as the per-pair
-``y @ s`` and ``m @ q`` on C-contiguous stacks.
+``y @ s`` and ``m @ q`` on C-contiguous stacks.  The curvature threshold
+CURVATURE_RTOL and the DQN eigenvalue floor DEFAULT_FLOOR are module
+constants; the spectrum box of a refresh is passed by its solver.
 """
 
 from __future__ import annotations
@@ -47,19 +49,20 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def curvature_ok(s: np.ndarray, y: np.ndarray, rtol: float = CURVATURE_RTOL) -> np.ndarray:
+def curvature_ok(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mask of the pairs (s[i], y[i]) whose y's is strictly positive and
-    safely so relative to |y||s|.
+    at least CURVATURE_RTOL * |y||s|.
 
     The strict test matters for zero pairs (s = 0 or y = 0), where the
     relative bound is itself zero and an update would divide by y's = 0.
     """
-    return _curvature_mask(np.vecdot(y, s), s, y, rtol)
+    return _curvature_mask(np.vecdot(y, s), s, y)
 
 
-def _curvature_mask(ys, s, y, rtol=CURVATURE_RTOL):
+def _curvature_mask(ys, s, y):
     """``curvature_ok`` given the pairs' y's."""
-    return (ys > 0.0) & (ys >= rtol * np.sqrt(np.vecdot(y, y)) * np.sqrt(np.vecdot(s, s)))
+    bound = CURVATURE_RTOL * np.sqrt(np.vecdot(y, y)) * np.sqrt(np.vecdot(s, s))
+    return (ys > 0.0) & (ys >= bound)
 
 
 @lru_cache(maxsize=8)

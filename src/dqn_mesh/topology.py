@@ -2,7 +2,8 @@
 
 Agents exchange state only along the edges of an undirected connected
 graph.  Mixing uses symmetric Metropolis weights, which are doubly
-stochastic and nonnegative by construction.
+stochastic and nonnegative by construction; their regularizer is the
+module constant METROPOLIS_EPSILON, read when the weights are built.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ __all__ = [
     "load_graph",
     "save_graph",
 ]
+
+# the Metropolis regularizer, which keeps every diagonal weight positive
+METROPOLIS_EPSILON = 0.01
 
 
 @dataclass(frozen=True)
@@ -125,26 +129,18 @@ def random_connected_graph(n_agents: int, kappa_target: float, seed: int) -> Com
     return CommGraph(n_agents=n_agents, edges=tuple(sorted(edges)), seed=seed)
 
 
-def metropolis_weights(graph: CommGraph, epsilon: float = 0.01) -> np.ndarray:
+def metropolis_weights(graph: CommGraph) -> np.ndarray:
     """Metropolis mixing weights for a graph, as an (N, N) array.
 
-    Each edge (i, j) gets weight 1 / (max(deg_i, deg_j) + epsilon) and the
-    diagonal absorbs the remainder so every row sums to one.  Symmetry of
-    the edge weights makes the matrix doubly stochastic.
-
-    Parameters
-    ----------
-    graph : CommGraph
-    epsilon : float
-        Positive regularizer keeping the diagonal strictly positive.
+    Each edge (i, j) gets weight 1 / (max(deg_i, deg_j) + METROPOLIS_EPSILON)
+    and the diagonal absorbs the remainder so every row sums to one.
+    Symmetry of the edge weights makes the matrix doubly stochastic.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     n = graph.n_agents
     deg = graph.degrees()
     w = np.zeros((n, n))
     for i, j in graph.edges:
-        wij = 1.0 / (max(deg[i], deg[j]) + epsilon)
+        wij = 1.0 / (max(deg[i], deg[j]) + METROPOLIS_EPSILON)
         w[i, j] = wij
         w[j, i] = wij
     for i in range(n):

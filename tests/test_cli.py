@@ -128,6 +128,18 @@ class TestRun:
         assert rc == 2
         assert "run aborted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["dqn-bfgs", "diging-atc"])
+    def test_unconstrained_algorithm_on_constrained_pair_exits_two(self, tmp_path, capsys, algo):
+        # the unconstrained methods would ignore the constraint and chase
+        # the constrained optimum to the iteration cap
+        problem_path, graph_path = generate_pair(tmp_path, "logreg", ["--constrained"])
+        args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.3"]
+        rc = main(["run", "--algo", algo, *args, "--trace-out", str(tmp_path / "trace.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "run aborted" in err and "constraint" in err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_golden_run_matches_its_sweep_cell(self, tmp_path):
         # run and sweep run a cell through the same code, so the same cell
         # writes the same trace
@@ -317,6 +329,25 @@ class TestValidateCommand:
         assert rc == 2
         assert "violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edits", [{"converged": False}, {"final_rse_max": 1e-12}], ids=["converged", "final-rse"]
+    )
+    def test_summary_edited_against_its_trace(self, tmp_path, capsys, edits):
+        problem_path, graph_path = generate_pair(tmp_path)
+        trace_path = tmp_path / "trace.csv"
+        args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.3"]
+        main(["run", "--algo", "dqn-bfgs", *args, "--tol", "1e-8", "--trace-out", str(trace_path)])
+        summary_path = trace_path.with_suffix(".json")
+        payload = json.loads(summary_path.read_text())
+        assert payload["converged"] is True
+        payload.update(edits)
+        summary_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        args = ["--trace", str(trace_path), "--summary", str(summary_path)]
+        rc = main(["validate", *args, "--graph", str(graph_path)])
+        assert rc == 2
+        assert "last-round maximum" in capsys.readouterr().err
+
 
 def assert_input_error(rc, capsys, *words):
     """Bad input exits 2 with one ``dqn-mesh: error:`` line and no traceback."""
@@ -352,6 +383,22 @@ class TestBadInput:
         rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert_input_error(rc, capsys, "alpha")
         assert not (tmp_path / "r").exists()
+
+    def test_infinite_alpha(self, tmp_path, capsys):
+        problem_path, graph_path = generate_pair(tmp_path)
+        args = ["--problem", str(problem_path), "--graph", str(graph_path)]
+        args += ["--trace-out", str(tmp_path / "trace.csv")]
+        rc = main(["run", "--algo", "dqn-bfgs", *args, "--alpha", "inf"])
+        assert_input_error(rc, capsys, "finite positive number", "inf")
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_constrained_qp(self, tmp_path, capsys):
+        # the qp generator draws no constraint, so it would write none
+        out = tmp_path / "bad"
+        rc = main(["generate", "--family", "qp", "--cond", "2:10", "--constrained",
+                   "--out-dir", str(out)])
+        assert_input_error(rc, capsys, "qp family has no constrained form")
+        assert not out.exists()
 
     def test_auto_alpha(self, tmp_path, capsys):
         problem_path, graph_path = generate_pair(tmp_path)
@@ -460,6 +507,21 @@ class TestBadInput:
             ]
         )
         assert_input_error(rc, capsys, "'dim'")
+
+    def test_summary_without_final_rse_max(self, tmp_path, capsys):
+        # validation compares the summary's final error with its trace
+        problem_path, graph_path = generate_pair(tmp_path)
+        trace_path = tmp_path / "trace.csv"
+        args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.3"]
+        main(["run", "--algo", "dqn-bfgs", *args, "--tol", "1e-8", "--trace-out", str(trace_path)])
+        summary_path = trace_path.with_suffix(".json")
+        payload = json.loads(summary_path.read_text())
+        del payload["final_rse_max"]
+        summary_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        args = ["--trace", str(trace_path), "--summary", str(summary_path)]
+        rc = main(["validate", *args, "--graph", str(graph_path)])
+        assert_input_error(rc, capsys, "'final_rse_max'")
 
     def test_report_without_rows(self, tmp_path, capsys):
         (tmp_path / "summary.json").write_text(json.dumps({"table": {}, "runs": {}}))

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqn_mesh.dqn import (
+    C0_SCALE,
     DIVERGENCE_LIMIT,
+    GAMMA,
     DivergedError,
     _blown_up,
     RunConfig,
@@ -17,7 +19,13 @@ from dqn_mesh.dqn import (
     init_dqn_states,
     track_gradient,
 )
-from dqn_mesh.problems import QpLocalData, SeparableProblem, qp_family, solve_reference
+from dqn_mesh.problems import (
+    QpLocalData,
+    SeparableProblem,
+    logreg_family,
+    qp_family,
+    solve_reference,
+)
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
 from oracle import curvature_ok, mean_smoothness, safe_step_size, spectral_contraction
 
@@ -26,8 +34,8 @@ PATH3 = CommGraph(3, ((0, 1), (1, 2)))
 SINGLE = CommGraph(1, ())
 
 
-def make_network(graph, epsilon=0.01):
-    return SyncNetwork(graph=graph, w=metropolis_weights(graph, epsilon))
+def make_network(graph):
+    return SyncNetwork(graph=graph, w=metropolis_weights(graph))
 
 
 def quadratic_problem(n_agents=3, dim=4, seed=0):
@@ -122,27 +130,19 @@ class TestInit:
             assert np.allclose(state.v[i], g)
             assert np.allclose(state.last_gradient[i], g)
             assert np.allclose(state.c[i], 0.1 * np.eye(prob.dim))
-            assert np.allclose(state.d[i], -0.1 * g)
 
     def test_direction_mix_is_unmetered(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
         state = init_dqn_states(prob, net)
-        assert np.allclose(state.z, net.w @ state.d)
+        # the initial directions are -C0_SCALE times the local gradients
+        assert np.allclose(state.z, net.w @ (-C0_SCALE * state.last_gradient))
         assert net.sent_bytes.tolist() == [0, 0, 0]
 
-    def test_rejects_bad_x0(self):
-        prob = quadratic_problem()
-        net = make_network(TRIANGLE)
-        with pytest.raises(ValueError, match="one row per agent"):
-            init_dqn_states(prob, net, x0=np.zeros((2, prob.dim)))
-
-    def test_x0_override(self):
-        prob = quadratic_problem()
-        net = make_network(TRIANGLE)
-        x0 = np.full((3, prob.dim), 2.0)
-        state = init_dqn_states(prob, net, x0=x0)
-        assert np.array_equal(state.x, x0)
+    def test_rejects_constrained_problem(self):
+        prob = logreg_family(3, 4, 1e-2, 0, constraint=True)
+        with pytest.raises(ValueError, match="constraint"):
+            init_dqn_states(prob, make_network(TRIANGLE))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +308,14 @@ class TestRunBehavior:
         assert trace.diverged and not trace.converged
 
     @pytest.mark.parametrize("run", [dqn_run, diging_atc_run])
-    def test_runs_reject_bad_x0(self, run):
-        prob = qp_family(5, 3, (2.0, 10.0), 0)
+    def test_runs_reject_constrained_problem(self, run):
+        # the unconstrained methods would ignore the constraint while the
+        # reference is the constrained optimum
+        prob = logreg_family(5, 3, 1e-2, 0, constraint=True)
+        solve_reference(prob)
         graph = random_connected_graph(5, 0.8, 0)
-        with pytest.raises(ValueError, match="one row per agent"):
-            run(prob, graph, RunConfig(alpha=0.1, max_iters=0), x0=np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="constraint"):
+            run(prob, graph, RunConfig(alpha=0.3, max_iters=0))
 
     @pytest.mark.parametrize(
         "values, blown",
@@ -396,14 +399,14 @@ class TestSafeStepSize:
             safe_step_size(0.5, 0.0, 1e3, 4, 4)
 
     def test_auto_alpha_makes_steady_progress(self):
-        # 90% of the guaranteed step, capped at 1, with RunConfig's default
-        # gamma; the guaranteed step is very conservative, so check
+        # 90% of the guaranteed step, capped at 1, with the curvature
+        # ceiling GAMMA; the guaranteed step is very conservative, so check
         # contraction of the error rather than full convergence inside the
         # round budget
         prob = quadratic_problem(n_agents=4, dim=4, seed=0)
         graph = random_connected_graph(4, 1.0, 0)
         contraction = spectral_contraction(metropolis_weights(graph))
-        bound = safe_step_size(contraction, mean_smoothness(prob), 1e3, prob.dim, prob.n_agents)
+        bound = safe_step_size(contraction, mean_smoothness(prob), GAMMA, prob.dim, prob.n_agents)
         alpha = min(1.0, 0.9 * bound)
         trace = dqn_run(prob, graph, RunConfig(alpha=alpha, max_iters=2000, rse_tol=1e-8))
         assert 0 < trace.alpha <= 1.0
@@ -434,6 +437,12 @@ class TestRunConfig:
     @pytest.mark.parametrize("alpha", [0, -1.0, -0.1])
     def test_rejects_nonpositive_alpha(self, alpha):
         with pytest.raises(ValueError, match="positive number"):
+            RunConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [np.inf, float("nan")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        # an infinite step makes every mixed iterate non-finite in round one
+        with pytest.raises(ValueError, match="finite positive number"):
             RunConfig(alpha=alpha)
 
 

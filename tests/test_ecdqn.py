@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqn_mesh.dqn import SyncNetwork
+from dqn_mesh import ecdqn
+from dqn_mesh.dqn import SyncNetwork, run_rounds
 from dqn_mesh.ecdqn import (
+    STALL_ROUNDS,
     EcDqnState,
     EcRunConfig,
     KktFactorizationError,
@@ -32,8 +34,18 @@ TRIANGLE = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
 SINGLE = CommGraph(1, ())
 
 
-def make_network(graph, epsilon=0.01):
-    return SyncNetwork(graph=graph, w=metropolis_weights(graph, epsilon))
+def make_network(graph):
+    return SyncNetwork(graph=graph, w=metropolis_weights(graph))
+
+
+def kkt_directions(prob, state):
+    """Every agent's primal direction from its own reference saddle-point
+    solve, as the solver's round computes it."""
+    a, b = prob.constraint
+    return np.stack([
+        reference_kkt_solve(state.b[i], a, state.v[i], a @ state.x[i] - b)[0]
+        for i in range(prob.n_agents)
+    ])
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):
@@ -304,7 +316,6 @@ class TestInit:
         for i in range(3):
             assert np.allclose(state.v[i], prob.locals[i].gradient(state.x[i]))
         assert np.array_equal(state.beta, np.zeros((3, 2)))
-        assert np.array_equal(state.delta_x, np.zeros((3, 4)))
 
     def test_seed_reproducibility(self):
         prob = constrained_quadratic(3, 4, 1, 0)
@@ -334,8 +345,6 @@ class TestSingleAgentNewton:
             v=g0[None, :].copy(),
             b=0.5 * (p + p.T)[None, :, :],
             beta=np.zeros((1, 2)),
-            delta_x=np.zeros((1, 5)),
-            d=np.zeros((1, 5)),
             last_gradient=g0[None, :].copy(),
         )
         state = ecdqn_step(net, state, prob, EcRunConfig())
@@ -368,28 +377,37 @@ class TestLedgerAndFusion:
         net = make_network(TRIANGLE)
         state = init_ecdqn_states(prob, seed=1)
         stepped = ecdqn_step(net, state, prob, EcRunConfig(fusion=True))
-        assert np.allclose(stepped.d, net.w @ stepped.delta_x)
+        dx = kkt_directions(prob, state)
+        assert np.array_equal(stepped.x, net.w @ (state.x + 1.0 * (net.w @ dx)))
 
     def test_no_fusion_keeps_local_directions(self):
         prob = constrained_quadratic(3, 4, 1, 2)
         net = make_network(TRIANGLE)
         state = init_ecdqn_states(prob, seed=1)
         stepped = ecdqn_step(net, state, prob, EcRunConfig(fusion=False))
-        assert np.array_equal(stepped.d, stepped.delta_x)
+        dx = kkt_directions(prob, state)
+        assert np.array_equal(stepped.x, net.w @ (state.x + 1.0 * dx))
 
 
 # ---------------------------------------------------------------------------
-# estimate spectrum stays inside the configured box
+# estimate spectrum stays inside the box [EIG_FLOOR, EIG_CEILING]
+
+
+def box_config(monkeypatch):
+    """The run config of a round whose spectrum box is [1e-3, 1e3]."""
+    monkeypatch.setattr(ecdqn, "EIG_FLOOR", 1e-3)
+    monkeypatch.setattr(ecdqn, "EIG_CEILING", 1e3)
+    return EcRunConfig()
 
 
 class TestSpectrumBox:
-    def test_tiny_eigenvalue_is_repaired(self):
+    def test_tiny_eigenvalue_is_repaired(self, monkeypatch):
         prob = constrained_quadratic(3, 4, 1, 9)
         net = make_network(TRIANGLE)
         state = init_ecdqn_states(prob, seed=2)
         b = state.b.copy()
         b[1] = np.diag([1e-9, 1.0, 1.0, 1.0])
-        box = EcRunConfig(eig_floor=1e-3, eig_ceiling=1e3)
+        box = box_config(monkeypatch)
         stepped = ecdqn_step(net, replace(state, b=b), prob, box)
         assert stepped.safeguard_repairs >= 1
         for b in stepped.b:
@@ -397,13 +415,13 @@ class TestSpectrumBox:
             assert vals[0] > 0.49e-3
             assert vals[-1] <= 1e3 * (1 + 1e-12)
 
-    def test_indefinite_estimate_is_repaired_before_kkt_retry(self):
+    def test_indefinite_estimate_is_repaired_before_kkt_retry(self, monkeypatch):
         prob = constrained_quadratic(3, 4, 1, 9)
         net = make_network(TRIANGLE)
         state = init_ecdqn_states(prob, seed=2)
         b = state.b.copy()
         b[1] = np.diag([-1.0, 1.0, 1.0, 1.0])
-        box = EcRunConfig(eig_floor=1e-3, eig_ceiling=1e3)
+        box = box_config(monkeypatch)
         stepped = ecdqn_step(net, replace(state, b=b), prob, box)
         assert stepped.kkt_retries == 1
         assert stepped.safeguard_repairs >= 1
@@ -465,11 +483,15 @@ class TestEcRun:
         # detector must end it instead of burning the whole budget
         prob = constrained_quadratic(1, 4, 1, 3)
         x0 = np.tile(prob.reference_solution + 1e-8, (1, 1))
-        trace = ecdqn_run(
-            prob,
-            SINGLE,
-            EcRunConfig(max_iters=200, rse_tol=1e-300, stall_tol=1e-12),
-            x0=x0,
+
+        def start(network):
+            # the seeded estimates, started next to the optimum
+            g0 = prob.gradients(x0)
+            return replace(init_ecdqn_states(prob), x=x0, v=g0.copy(), last_gradient=g0)
+
+        trace = run_rounds(
+            "ecdqn-bfgs", prob, SINGLE, EcRunConfig(max_iters=200, rse_tol=1e-300), start,
+            ecdqn_step, stall=(STALL_ROUNDS, 1e-12),
         )
         assert trace.stalled
         assert not trace.converged
@@ -493,6 +515,11 @@ class TestEcRun:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError, match="positive"):
             EcRunConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha", [np.inf, float("nan")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite positive number"):
+            EcRunConfig(alpha=alpha)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):

@@ -42,6 +42,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="alpha must be"):
             ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite positive number"):
+            ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha)
+
+    def test_rejects_constrained_qp(self):
+        # the qp generator draws no constraint
+        with pytest.raises(ValueError, match="qp family has no constrained form"):
+            ExperimentConfig(
+                family="qp", algos=("dqn-bfgs",), cond_range=(2.0, 10.0), constrained=True
+            )
+
     @pytest.mark.parametrize("alpha", ["golden", 0.3, 2])
     def test_accepts_step_forms(self, alpha):
         assert ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha).alpha == alpha
@@ -444,6 +456,38 @@ class TestValidateRun:
         summary_path.write_text(json.dumps(payload))
         violations = validate_run(trace_path, summary_path, graph_path)
         assert any("convergence" in v for v in violations)
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"final_rse_max": 1e-9},
+            {"converged": False},
+            {"rse_tol": 1e-12, "final_rse_max": 1e-13},
+        ],
+        ids=["final-rse", "converged-flag", "tighter-tolerance"],
+    )
+    def test_detects_summary_that_disagrees_with_its_trace(self, finished_run, edits):
+        # each edit leaves the summary consistent with itself; only the
+        # trace's last-round errors give it away
+        _, trace_path, summary_path, graph_path = finished_run
+        payload = json.loads(summary_path.read_text())
+        payload.update(edits)
+        summary_path.write_text(json.dumps(payload))
+        violations = validate_run(trace_path, summary_path, graph_path)
+        assert violations and all("trace's last-round maximum" in v for v in violations)
+
+    def test_non_converged_run_passes(self, tmp_path):
+        # a run that hits its round cap claims no convergence, and its
+        # summary still matches its trace
+        prob = qp_family(4, 4, (2.0, 10.0), 0)
+        graph = random_connected_graph(4, 0.9, 0)
+        trace = dqn_run(prob, graph, RunConfig(alpha=0.3, max_iters=5, rse_tol=1e-8))
+        assert not trace.converged
+        trace.to_csv(tmp_path / "trace.csv")
+        (tmp_path / "summary.json").write_text(json.dumps(trace.summary_dict()))
+        save_graph(graph, tmp_path / "graph.json")
+        args = (tmp_path / "trace.csv", tmp_path / "summary.json", tmp_path / "graph.json")
+        assert validate_run(*args) == []
 
     def test_unknown_algorithm_reported(self, finished_run):
         _, trace_path, summary_path, graph_path = finished_run

@@ -237,19 +237,23 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
     spy(ecdqn, "init_ecdqn_states", lambda args, out: [out.b])
     # the first argument is the stack the KKT solves used, retries included
     spy(ecdqn, "refresh_hessian_batch", lambda args, out: [args[0], out.estimates])
-    dqn_run(
-        qp_family(6, 5, (2.0, 20.0), 3),
-        random_connected_graph(6, 0.9, 1),
-        RunConfig(scheme=scheme, alpha=0.8, gamma=0.5, max_iters=200, rse_tol=1e-10, seed=2),
-    )
-    ecdqn_run(
-        logreg_family(5, 5, 1e-2, 4, constraint=True),
-        random_connected_graph(5, 0.7, 2),
-        EcRunConfig(scheme=scheme, alpha=1.0, eig_ceiling=1.5, max_iters=120, seed=1),
-    )
+    with monkeypatch.context() as m:
+        m.setattr(dqn, "GAMMA", 0.5)
+        dqn_run(
+            qp_family(6, 5, (2.0, 20.0), 3),
+            random_connected_graph(6, 0.9, 1),
+            RunConfig(scheme=scheme, alpha=0.8, max_iters=200, rse_tol=1e-10, seed=2),
+        )
+    with monkeypatch.context() as m:
+        m.setattr(ecdqn, "EIG_CEILING", 1.5)
+        ecdqn_run(
+            logreg_family(5, 5, 1e-2, 4, constraint=True),
+            random_connected_graph(5, 0.7, 2),
+            EcRunConfig(scheme=scheme, alpha=1.0, max_iters=120, seed=1),
+        )
     # one round whose KKT solve fails on an indefinite estimate and is retried
     graph = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
-    net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01))
+    net = SyncNetwork(graph=graph, w=metropolis_weights(graph))
     prob = logreg_family(3, 4, 1e-2, 9, constraint=True)
     state = ecdqn.init_ecdqn_states(prob, seed=2)
     b = state.b.copy()

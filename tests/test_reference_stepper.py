@@ -15,7 +15,7 @@ import pytest
 
 from dataclasses import replace
 
-from dqn_mesh import ecdqn
+from dqn_mesh import dqn, ecdqn
 from dqn_mesh.dqn import (
     C0_SCALE,
     DivergedError,
@@ -142,7 +142,7 @@ def reference_dqn(problem, graph, cfg):
         d = []
         for i in range(n_agents):
             c[i], skipped, repaired = refresh_inverse(
-                c[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, DEFAULT_FLOOR, cfg.gamma
+                c[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, DEFAULT_FLOOR, dqn.GAMMA
             )
             log.skipped += skipped
             log.repaired += repaired
@@ -205,6 +205,7 @@ def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
 def reference_ecdqn(problem, graph, cfg):
     n_agents, n = problem.n_agents, problem.dim
     a_mat, b_vec = problem.constraint
+    floor, ceiling = ecdqn.EIG_FLOOR, ecdqn.EIG_CEILING
     w = metropolis_weights(graph)
     log = Log(problem, 3 if cfg.fusion else 2, graph.degrees())
     rng = np.random.default_rng(cfg.seed)
@@ -227,7 +228,7 @@ def reference_ecdqn(problem, graph, cfg):
     for _ in range(cfg.max_iters):
         if worst <= cfg.rse_tol:
             break
-        sols = reference_kkt_round(b, a_mat, b_vec, x, v, cfg.eig_floor, cfg.eig_ceiling, log)
+        sols = reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log)
         if sols is None:
             log.diverged = True
             return log, x
@@ -244,14 +245,14 @@ def reference_ecdqn(problem, graph, cfg):
             break
         for i in range(n_agents):
             b[i], skipped, repaired = refresh_hessian(
-                b[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, cfg.eig_floor, cfg.eig_ceiling
+                b[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, floor, ceiling
             )
             log.skipped += skipped
             log.repaired += repaired
         move = float(np.max(np.linalg.norm(new_x - x, axis=1)))
         x, v, g = new_x, new_v, new_g
         worst = record(x, v, g, beta)
-        stall_run = stall_run + 1 if move <= cfg.stall_tol else 0
+        stall_run = stall_run + 1 if move <= ecdqn.STALL_TOL else 0
         if stall_run >= STALL_ROUNDS:
             # a round that meets the tolerance is a convergence, not a stall
             log.stalled = worst > cfg.rse_tol
@@ -298,12 +299,13 @@ DQN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(DQN_CASES))
-def test_dqn_run_matches_reference(case):
+def test_dqn_run_matches_reference(case, monkeypatch):
     scheme, alpha, gamma, outcome = DQN_CASES[case]
+    monkeypatch.setattr(dqn, "GAMMA", gamma)
     prob = qp_family(6, 5, (2.0, 20.0), 3)
     solve_reference(prob)
     graph = random_connected_graph(6, 0.9, 1)
-    cfg = RunConfig(scheme=scheme, alpha=alpha, gamma=gamma, max_iters=200, rse_tol=1e-10, seed=2)
+    cfg = RunConfig(scheme=scheme, alpha=alpha, max_iters=200, rse_tol=1e-10, seed=2)
     trace = dqn_run(prob, graph, cfg)
     log, x_final = reference_dqn(prob, graph, cfg)
     assert_trace_matches(trace, log, x_final, cfg.rse_tol)
@@ -357,29 +359,36 @@ def ec_config(**kwargs):
 
 # retries need an estimate that fails its saddle-point solve: a wide
 # spectrum box and a unit step get there on these seeds
-RETRY = dict(scheme="dfp", alpha=1.0, eig_floor=1e-6, eig_ceiling=1e6, max_iters=150)
+RETRY = dict(scheme="dfp", alpha=1.0, max_iters=150)
+RETRY_BOX = {"EIG_FLOOR": 1e-6, "EIG_CEILING": 1e6}
 
 EC_CASES = {
-    # name: (problem seed, graph seed, config, expected outcome)
-    "bfgs": (4, 2, ec_config(scheme="bfgs", alpha=0.3), "converged"),
-    "dfp": (4, 2, ec_config(scheme="dfp", alpha=0.3), "converged"),
-    "dfp-unfused": (4, 2, ec_config(scheme="dfp", alpha=0.5, fusion=False), "converged"),
-    "bfgs-safeguard": (4, 2, ec_config(scheme="bfgs", alpha=1.0, eig_ceiling=1.5), "repaired"),
-    "dfp-diverges": (4, 2, ec_config(scheme="dfp", alpha=1e6), "diverged"),
-    "bfgs-stalls": (4, 2, ec_config(scheme="bfgs", alpha=0.3, stall_tol=1e-3), "stalled"),
+    # name: (problem seed, graph seed, config, ecdqn constants, expected outcome)
+    "bfgs": (4, 2, ec_config(scheme="bfgs", alpha=0.3), {}, "converged"),
+    "dfp": (4, 2, ec_config(scheme="dfp", alpha=0.3), {}, "converged"),
+    "dfp-unfused": (4, 2, ec_config(scheme="dfp", alpha=0.5, fusion=False), {}, "converged"),
+    "bfgs-safeguard": (
+        4, 2, ec_config(scheme="bfgs", alpha=1.0), {"EIG_CEILING": 1.5}, "repaired"
+    ),
+    "dfp-diverges": (4, 2, ec_config(scheme="dfp", alpha=1e6), {}, "diverged"),
+    "bfgs-stalls": (4, 2, ec_config(scheme="bfgs", alpha=0.3), {"STALL_TOL": 1e-3}, "stalled"),
     # converges at round 89 after one retry
-    "dfp-retry": (85, 85, ec_config(**RETRY, seed=85), "retried"),
+    "dfp-retry": (85, 85, ec_config(**RETRY, seed=85), RETRY_BOX, "retried"),
     # runs all 150 rounds, two retries on the way
-    "dfp-unfused-retry": (24, 24, ec_config(**RETRY, fusion=False, seed=24), "retried"),
+    "dfp-unfused-retry": (
+        24, 24, ec_config(**RETRY, fusion=False, seed=24), RETRY_BOX, "retried"
+    ),
     # its one retry, in round 23, fails and ends the run; the summary still
     # counts that retry and its repair
-    "dfp-retry-fails": (8, 8, ec_config(**RETRY, seed=8), "retry-failed"),
+    "dfp-retry-fails": (8, 8, ec_config(**RETRY, seed=8), RETRY_BOX, "retry-failed"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EC_CASES))
-def test_ecdqn_run_matches_reference(case):
-    prob_seed, graph_seed, cfg, outcome = EC_CASES[case]
+def test_ecdqn_run_matches_reference(case, monkeypatch):
+    prob_seed, graph_seed, cfg, constants, outcome = EC_CASES[case]
+    for name, value in constants.items():
+        monkeypatch.setattr(ecdqn, name, value)
     prob = logreg_family(5, 5, 1e-2, prob_seed, constraint=True)
     solve_reference(prob)
     graph = random_connected_graph(5, 0.7, graph_seed)
@@ -405,7 +414,7 @@ def ec_step_setup(bad_agent_b):
     whose agent 2 then gets the estimate bad_agent_b."""
     prob = logreg_family(5, 4, 1e-2, 3, constraint=True)
     graph = random_connected_graph(5, 0.7, 1)
-    net = SyncNetwork(graph=graph, w=metropolis_weights(graph, 0.01))
+    net = SyncNetwork(graph=graph, w=metropolis_weights(graph))
     state = init_ecdqn_states(prob, seed=2)
     for _ in range(3):
         state = ecdqn_step(net, state, prob, EC_STEP)
@@ -414,7 +423,7 @@ def ec_step_setup(bad_agent_b):
     return prob, net, replace(state, b=b)
 
 
-def assert_step_matches_reference(prob, net, state, floor=1e-3, ceiling=1e3):
+def assert_step_matches_reference(monkeypatch, prob, net, state, floor=1e-3, ceiling=1e3):
     """One solver round against the saddle-point solves and Hessian
     refresh done agent by agent; the pairs come from the solver's iterates
     and trackers."""
@@ -422,9 +431,11 @@ def assert_step_matches_reference(prob, net, state, floor=1e-3, ceiling=1e3):
     b = list(state.b)
     a_mat, b_vec = prob.constraint
     dx, beta = reference_kkt_round(b, a_mat, b_vec, state.x, state.v, floor, ceiling, log)
-    config = replace(EC_STEP, eig_floor=floor, eig_ceiling=ceiling)
-    stepped = ecdqn_step(net, state, prob, config)
-    assert np.array_equal(stepped.delta_x, dx)
+    monkeypatch.setattr(ecdqn, "EIG_FLOOR", floor)
+    monkeypatch.setattr(ecdqn, "EIG_CEILING", ceiling)
+    stepped = ecdqn_step(net, state, prob, EC_STEP)
+    # the fused step x' = W (x + alpha W dx) carries the directions
+    assert np.array_equal(stepped.x, net.w @ (state.x + EC_STEP.alpha * (net.w @ dx)))
     assert np.array_equal(stepped.beta, beta)
     for i in range(prob.n_agents):
         b[i], skipped, repaired = refresh_hessian(
@@ -438,12 +449,12 @@ def assert_step_matches_reference(prob, net, state, floor=1e-3, ceiling=1e3):
     assert stepped.skipped_pairs - state.skipped_pairs == log.skipped
 
 
-def test_ecdqn_step_falls_back_on_indefinite_estimate():
+def test_ecdqn_step_falls_back_on_indefinite_estimate(monkeypatch):
     prob, net, state = ec_step_setup(np.diag([-1.0, 1.0, 1.0, 1.0]))
-    assert_step_matches_reference(prob, net, state)
+    assert_step_matches_reference(monkeypatch, prob, net, state)
 
 
-def test_ecdqn_step_falls_back_on_residual_failure():
+def test_ecdqn_step_falls_back_on_residual_failure(monkeypatch):
     # positive definite, so its Cholesky succeeds, but too ill-conditioned
     # for the solve to pass the residual check
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
@@ -454,7 +465,7 @@ def test_ecdqn_step_falls_back_on_residual_failure():
     a_mat, b_vec = prob.constraint
     with pytest.raises(KktError, match="residual"):
         reference_kkt_solve(bad, a_mat, state.v[2], a_mat @ state.x[2] - b_vec)
-    assert_step_matches_reference(prob, net, state)
+    assert_step_matches_reference(monkeypatch, prob, net, state)
 
 
 def test_ecdqn_step_diverges_when_the_retry_fails(monkeypatch):

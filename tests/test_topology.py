@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqn_mesh import topology
 from dqn_mesh.topology import (
     CommGraph,
     load_graph,
@@ -116,19 +117,22 @@ class TestRandomConnectedGraph:
 
 
 class TestMetropolisWeights:
-    def test_triangle_unit_epsilon(self):
+    def test_triangle_unit_epsilon(self, monkeypatch):
+        monkeypatch.setattr(topology, "METROPOLIS_EPSILON", 1.0)
         g = CommGraph(3, ((0, 1), (0, 2), (1, 2)))
-        w = metropolis_weights(g, epsilon=1.0)
+        w = metropolis_weights(g)
         assert np.allclose(w, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
-    def test_two_node_unit_epsilon(self):
+    def test_two_node_unit_epsilon(self, monkeypatch):
+        monkeypatch.setattr(topology, "METROPOLIS_EPSILON", 1.0)
         g = CommGraph(2, ((0, 1),))
-        w = metropolis_weights(g, epsilon=1.0)
+        w = metropolis_weights(g)
         assert np.allclose(w, np.full((2, 2), 0.5), atol=1e-15)
 
-    def test_star_unit_epsilon(self):
+    def test_star_unit_epsilon(self, monkeypatch):
+        monkeypatch.setattr(topology, "METROPOLIS_EPSILON", 1.0)
         g = CommGraph(4, ((0, 1), (0, 2), (0, 3)))
-        w = metropolis_weights(g, epsilon=1.0)
+        w = metropolis_weights(g)
         expect = np.array(
             [
                 [0.25, 0.25, 0.25, 0.25],
@@ -138,11 +142,6 @@ class TestMetropolisWeights:
             ]
         )
         assert np.allclose(w, expect, atol=1e-15)
-
-    def test_rejects_nonpositive_epsilon(self):
-        g = CommGraph(2, ((0, 1),))
-        with pytest.raises(ValueError, match="positive"):
-            metropolis_weights(g, epsilon=0.0)
 
     def test_zero_weight_off_edges(self):
         g = random_connected_graph(8, 0.4, 2)
