@@ -80,7 +80,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     graph = load_graph(args.graph)
     config = ExperimentConfig(
-        family=problem.family, algos=(args.algo,), n_agents=problem.n_agents, dim=problem.dim,
+        # constrained names what a generator draws; a loaded problem brings its
+        # own constraint, and basis pursuit has only the constrained form
+        family=problem.family, constrained=problem.family == "basis-pursuit",
+        algos=(args.algo,), n_agents=problem.n_agents, dim=problem.dim,
         alpha=_parse_alpha(args.alpha), max_iters=args.max_iters, rse_tol=args.tol,
         fusion=not args.no_fusion,
     )

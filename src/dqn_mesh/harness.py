@@ -49,7 +49,8 @@ ALL_ALGOS = DQN_ALGOS + ("diging-atc",) + EC_ALGOS
 class ExperimentConfig:
     """Declarative description of one sweep; alpha is a finite positive
     fixed step or "golden" (tuned per cell by golden-section search, which
-    needs a positive rse_tol).  The qp family has no constrained form."""
+    needs a positive rse_tol).  The qp family has no constrained form and
+    basis pursuit has only a constrained one."""
 
     family: str
     algos: tuple[str, ...]
@@ -75,6 +76,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {algo!r}")
         if self.family == "qp" and self.constrained:
             raise ValueError("the qp family has no constrained form")
+        if self.family == "basis-pursuit" and not self.constrained:
+            raise ValueError("basis pursuit has only a constrained form")
         if not (self.alpha == "golden" or _valid_step(self.alpha)):
             raise ValueError(
                 f"alpha must be a finite positive number or 'golden', not {self.alpha!r}"
@@ -154,15 +157,10 @@ def make_problem(config: ExperimentConfig, seed: int) -> SeparableProblem:
         if config.cond_range is None:
             raise ValueError("qp family needs cond_range")
         return qp_family(config.n_agents, config.dim, config.cond_range, seed)
-    if config.family == "logreg":
-        xi = 1e-2 if config.xi is None else config.xi
-        return logreg_family(
-            config.n_agents, config.dim, xi, seed, constraint=True if config.constrained else None
-        )
     xi = 1e-2 if config.xi is None else config.xi
-    return basis_pursuit_family(
-        config.n_agents, config.dim, xi, seed, constraint=True, cond_range=config.cond_range
-    )
+    if config.family == "logreg":
+        return logreg_family(config.n_agents, config.dim, xi, seed, constraint=config.constrained)
+    return basis_pursuit_family(config.n_agents, config.dim, xi, seed, cond_range=config.cond_range)
 
 
 def run_algo(

@@ -14,7 +14,7 @@ distributed runs can report the relative error of every agent's iterate.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -130,12 +130,10 @@ class SeparableProblem:
 
 @dataclass(frozen=True)
 class QpLocalData:
-    """Quadratic local objective 0.5 x'Px + q'x with generator internals."""
+    """Quadratic local objective 0.5 x'Px + q'x."""
 
     p: np.ndarray
     q: np.ndarray
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -321,15 +319,6 @@ def _draw_constraint(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np
     return f, f @ x_feas
 
 
-def _resolve_constraint(constraint, rng: np.random.Generator, dim: int):
-    if constraint is None or constraint is False:
-        return None
-    if constraint is True:
-        return _draw_constraint(rng, dim)
-    a, b = constraint
-    return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-
-
 def _conditioning_transform(
     p_total: np.ndarray, cond_range: tuple[float, float], rng: np.random.Generator
 ) -> np.ndarray:
@@ -391,7 +380,7 @@ def qp_family(
     data = []
     for a, b in zip(rows, rhs):
         p = a.T @ a
-        data.append(QpLocalData(p=0.5 * (p + p.T), q=-(a.T @ b), a=a, b=b))
+        data.append(QpLocalData(p=0.5 * (p + p.T), q=-(a.T @ b)))
     achieved = _aggregate_cond([d.p for d in data], cond_range)
     return SeparableProblem("qp", data, seed=seed, achieved_cond=achieved)
 
@@ -434,7 +423,7 @@ def logreg_family(
     dim: int,
     xi: float,
     seed: int,
-    constraint: bool | tuple[np.ndarray, np.ndarray] | None = None,
+    constraint: bool = False,
 ) -> SeparableProblem:
     """Binary logistic regression split across agents.
 
@@ -442,8 +431,12 @@ def logreg_family(
     planted separator with noisy margins.  The ridge term xi/2 ||x||^2 is
     split evenly, xi/(2 n_agents) per agent, so the aggregate matches the
     single ridge-regularized objective.  Pass constraint=True to attach a
-    random orthonormal equality constraint, or give (F, e) explicitly.
+    random orthonormal equality constraint drawn from the seed; a problem
+    under a given (F, e) is SeparableProblem("logreg", records,
+    constraint=(F, e)).
     """
+    if not isinstance(constraint, bool):
+        raise TypeError(f"constraint must be True or False, not {type(constraint).__name__}")
     if xi < 0:
         raise ValueError("xi must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -455,7 +448,7 @@ def logreg_family(
         margin = feats @ planted + 0.5 * rng.standard_normal(m)
         labels = np.where(margin >= 0, 1.0, -1.0)
         data.append(LogRegLocalData(features=feats, labels=labels, reg=xi / n_agents))
-    cons = _resolve_constraint(constraint, rng, dim)
+    cons = _draw_constraint(rng, dim) if constraint else None
     return SeparableProblem("logreg", data, constraint=cons, xi=xi, seed=seed)
 
 
@@ -464,7 +457,6 @@ def basis_pursuit_family(
     dim: int,
     xi: float,
     seed: int,
-    constraint: bool | tuple[np.ndarray, np.ndarray] = True,
     cond_range: tuple[float, float] | None = None,
 ) -> SeparableProblem:
     """l1-regularized least squares under a shared equality constraint.
@@ -476,12 +468,10 @@ def basis_pursuit_family(
     such zeros are generic for l1 problems (seed 2 at 10 agents, dim 20, xi
     2e-3 has one), and there the sign(0) = 0 subgradient can put a floor
     on the error a subgradient method attains.  The l1 weight xi is split
-    evenly across agents.  The constraint is mandatory; pass
-    True to draw one from the seed.  cond_range optionally reshapes the
+    evenly across agents.  The random orthonormal equality constraint is
+    always drawn from the seed.  cond_range optionally reshapes the
     aggregate Gram matrix exactly as in the quadratic family.
     """
-    if constraint is None or constraint is False:
-        raise ValueError("basis pursuit requires an equality constraint")
     if xi < 0:
         raise ValueError("xi must be nonnegative")
     if cond_range is not None and dim < 2:
@@ -508,7 +498,7 @@ def basis_pursuit_family(
     for d in data:
         if np.linalg.matrix_rank(d.a) >= dim:
             raise RuntimeError("local block unexpectedly reached full rank")
-    cons = _resolve_constraint(constraint, rng, dim)
+    cons = _draw_constraint(rng, dim)
     achieved = _aggregate_cond([d.a.T @ d.a for d in data], cond_range)
     return SeparableProblem(
         "basis-pursuit", data, constraint=cons, xi=xi, seed=seed, achieved_cond=achieved
@@ -531,27 +521,34 @@ def solve_reference(problem: SeparableProblem) -> np.ndarray:
     """Compute and cache a centralized solution of the problem with its
     family's solver.
 
-    Quadratics reduce to (KKT) linear solves.  Logistic regression uses
-    damped Newton iterations on the stationarity conditions.  The
-    l1-regularized family is solved by an operator-splitting pass that
-    identifies the active sign pattern, followed by a linear polish step
-    and an exact optimality certificate.
+    Every solver reads the constraint as (F, e), with zero rows when the
+    problem has none.  Quadratics reduce to one KKT linear solve.
+    Logistic regression uses damped Newton iterations on the KKT
+    stationarity system.  The l1-regularized family is solved by an
+    operator-splitting pass that identifies the active sign pattern,
+    followed by a linear polish step and an exact optimality certificate.
     """
     x = _FAMILIES[problem.family].solve(problem)
     problem.reference_solution = x
     return x
 
 
+def _constraint_rows(problem: SeparableProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The problem's constraint (F, e): (0, n) and (0,) when it has none."""
+    if problem.constraint is None:
+        return np.zeros((0, problem.dim)), np.zeros(0)
+    return problem.constraint
+
+
 def _solve_qp(problem: SeparableProblem) -> np.ndarray:
     p = sum(d.p for d in problem.local_data)
     q = sum(d.q for d in problem.local_data)
-    if problem.constraint is None:
-        return np.linalg.solve(p, -q)
-    return _equality_qp(p, q, *problem.constraint)
+    return _equality_qp(p, q, *_constraint_rows(problem))
 
 
 def _equality_qp(p, q, f, e):
-    """Minimizer of 0.5 x'Px + q'x subject to Fx = e, from its KKT system."""
+    """Minimizer of 0.5 x'Px + q'x subject to Fx = e, from its KKT system
+    (with no rows in F, the solve of P x = -q)."""
     m = f.shape[0]
     kkt = np.block([[p, f.T], [f, np.zeros((m, m))]])
     return np.linalg.solve(kkt, np.concatenate([-q, e]))[: q.size]
@@ -565,27 +562,12 @@ def _mean_hessian(problem: SeparableProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
-    """Damped Newton on the (possibly constrained) stationarity system."""
+    """Damped Newton on the stationarity system g(x) + F'beta = 0, Fx = e
+    from the least-norm point of Fx = e (the origin when F has no rows),
+    backtracking on the norm of that system's residual (infeasible-start
+    Newton)."""
     n, tol = problem.dim, REFERENCE_TOL
-    if problem.constraint is None:
-        x = np.zeros(n)
-        for _ in range(200):
-            g = problem.mean_gradient(x)
-            if np.linalg.norm(g) <= tol:
-                return x
-            h = _mean_hessian(problem, x)
-            step = np.linalg.solve(h, -g)
-            t = 1.0
-            base = problem.objective_value(x)
-            # backtracking keeps the early (far from quadratic) phase stable
-            while t > 1e-12 and problem.objective_value(x + t * step) > base + 1e-4 * t * (g @ step):
-                t *= 0.5
-            x = x + t * step
-        if np.linalg.norm(problem.mean_gradient(x)) <= 10 * tol:
-            return x
-        raise ReferenceSolveError("Newton iteration failed to reach the tolerance")
-
-    f, e = problem.constraint
+    f, e = _constraint_rows(problem)
     m = f.shape[0]
     x, *_ = np.linalg.lstsq(f, e, rcond=None)
     beta = np.zeros(m)
@@ -608,7 +590,7 @@ def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
         beta = beta + t * delta[n:]
     if np.linalg.norm(residual(x, beta)) <= 10 * tol:
         return x
-    raise ReferenceSolveError("constrained Newton failed to reach the tolerance")
+    raise ReferenceSolveError("Newton iteration failed to reach the tolerance")
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -754,14 +736,9 @@ def load_problem(path: str | Path) -> SeparableProblem:
     try:
         family = payload["family"]
         record = _family(family).record
-        # a field with a default may be absent from the file
+        # keys outside the record's fields are ignored
         data = [
-            record(**{
-                f.name: _decode(
-                    entry[f.name] if f.default is MISSING else entry.get(f.name, f.default), f.name
-                )
-                for f in fields(record)
-            })
+            record(**{f.name: _decode(entry[f.name], f.name) for f in fields(record)})
             for entry in payload["locals"]
         ]
         cons = payload.get("constraint")

@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dqn_mesh.cli import main
 from dqn_mesh.harness import ExperimentConfig, run_experiment
-from dqn_mesh.problems import load_problem
+from dqn_mesh.problems import REFERENCE_TOL, load_problem
 
 
 def generate_pair(tmp_path, family="qp", extra=()):
@@ -54,6 +55,14 @@ class TestGenerate:
         )
         prob = load_problem(problem_path)
         assert prob.constraint is not None
+
+    def test_unconstrained_logreg_at_default_size(self, tmp_path, capsys):
+        # this seed's unconstrained reference needs the residual-norm Newton
+        rc = main(["generate", "--family", "logreg", "--seed", "21", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        prob = load_problem(tmp_path / "problem.json")
+        assert prob.constraint is None
+        assert np.linalg.norm(prob.mean_gradient(prob.reference_solution)) <= 10 * REFERENCE_TOL
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "envout"
@@ -127,6 +136,15 @@ class TestRun:
         )
         assert rc == 2
         assert "run aborted" in capsys.readouterr().err
+
+    def test_basis_pursuit_pair_runs(self, tmp_path, capsys):
+        problem_path, graph_path = generate_pair(tmp_path, "basis-pursuit", ["--constrained"])
+        args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.1"]
+        trace_path = tmp_path / "trace.csv"
+        rc = main(["run", "--algo", "ecdqn-dfp", *args, "--max-iters", "20",
+                   "--trace-out", str(trace_path)])
+        assert rc == 0
+        assert json.loads(trace_path.with_suffix(".json").read_text())["algo"] == "ecdqn-dfp"
 
     @pytest.mark.parametrize("algo", ["dqn-bfgs", "diging-atc"])
     def test_unconstrained_algorithm_on_constrained_pair_exits_two(self, tmp_path, capsys, algo):
@@ -398,6 +416,13 @@ class TestBadInput:
         rc = main(["generate", "--family", "qp", "--cond", "2:10", "--constrained",
                    "--out-dir", str(out)])
         assert_input_error(rc, capsys, "qp family has no constrained form")
+        assert not out.exists()
+
+    def test_unconstrained_basis_pursuit(self, tmp_path, capsys):
+        # the basis-pursuit generator always draws a constraint
+        out = tmp_path / "bad"
+        rc = main(["generate", "--family", "basis-pursuit", "--out-dir", str(out)])
+        assert_input_error(rc, capsys, "basis pursuit has only a constrained form")
         assert not out.exists()
 
     def test_auto_alpha(self, tmp_path, capsys):

@@ -54,6 +54,11 @@ class TestExperimentConfig:
                 family="qp", algos=("dqn-bfgs",), cond_range=(2.0, 10.0), constrained=True
             )
 
+    def test_rejects_unconstrained_basis_pursuit(self):
+        # the basis-pursuit generator always draws a constraint
+        with pytest.raises(ValueError, match="basis pursuit has only a constrained form"):
+            ExperimentConfig(family="basis-pursuit", algos=("ecdqn-dfp",), n_agents=4, dim=8)
+
     @pytest.mark.parametrize("alpha", ["golden", 0.3, 2])
     def test_accepts_step_forms(self, alpha):
         assert ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha).alpha == alpha
@@ -127,9 +132,10 @@ class TestMakeProblem:
         cfg_free = ExperimentConfig(family="logreg", algos=("dqn-bfgs",), n_agents=4, dim=6)
         assert make_problem(cfg_free, 0).constraint is None
 
-    def test_basis_pursuit_always_constrained(self):
+    def test_basis_pursuit_draws_constraint(self):
         cfg = ExperimentConfig(
-            family="basis-pursuit", algos=("ecdqn-dfp",), n_agents=4, dim=8, xi=1e-2
+            family="basis-pursuit", algos=("ecdqn-dfp",), n_agents=4, dim=8, xi=1e-2,
+            constrained=True,
         )
         assert make_problem(cfg, 0).constraint is not None
 
