@@ -3,8 +3,10 @@
 Output locations default to the DQN_MESH_OUT environment variable when it
 is set.  Exit code 0 means every requested cell completed (converged or
 cleanly non-converged); 2 signals an aborted cell, a failed validation or
-bad input (an unreadable file, an invalid value or a sweep config that
-does not construct), which is reported as one ``dqn-mesh: error:`` line.
+bad input (an unreadable file, an invalid value, a sweep config that
+does not construct or a generated problem whose reference solution
+cannot be certified), which is reported as one ``dqn-mesh: error:``
+line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .harness import (
     run_experiment,
     validate_run,
 )
-from .problems import FAMILIES, load_problem, save_problem, solve_reference
+from .problems import FAMILIES, ReferenceSolveError, load_problem, save_problem, solve_reference
 from .topology import load_graph, random_connected_graph, save_graph
 
 ENV_OUT = "DQN_MESH_OUT"
@@ -56,7 +58,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     cond = _parse_cond(args.cond) if args.cond else None
     config = ExperimentConfig(
         family=args.family,
-        algos=("dqn-bfgs",),
+        algos=(),
         n_agents=args.agents,
         dim=args.dim,
         cond_range=cond,
@@ -199,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ReferenceSolveError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,7 +50,8 @@ class ExperimentConfig:
     """Declarative description of one sweep; alpha is a finite positive
     fixed step or "golden" (tuned per cell by golden-section search, which
     needs a positive rse_tol).  The qp family has no constrained form and
-    basis pursuit has only a constrained one."""
+    basis pursuit has only a constrained one, and only the EC-DQN methods
+    run on a constrained family."""
 
     family: str
     algos: tuple[str, ...]
@@ -78,6 +79,10 @@ class ExperimentConfig:
             raise ValueError("the qp family has no constrained form")
         if self.family == "basis-pursuit" and not self.constrained:
             raise ValueError("basis pursuit has only a constrained form")
+        unconstrained = ", ".join(algo for algo in self.algos if algo not in EC_ALGOS)
+        if self.constrained and unconstrained:
+            raise ValueError(f"{unconstrained} cannot honor the constraint of the constrained "
+                             f"{self.family} family; only {' and '.join(EC_ALGOS)} run on it")
         if not (self.alpha == "golden" or _valid_step(self.alpha)):
             raise ValueError(
                 f"alpha must be a finite positive number or 'golden', not {self.alpha!r}"

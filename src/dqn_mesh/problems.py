@@ -510,7 +510,19 @@ def basis_pursuit_family(
 
 
 class ReferenceSolveError(RuntimeError):
-    """Raised when no solver can certify a reference solution."""
+    """Raised when no solver can certify a reference solution; the message
+    names the problem and the reason."""
+
+
+def _no_reference(problem: SeparableProblem, reason: str) -> ReferenceSolveError:
+    """The error for a problem whose reference cannot be certified."""
+    seed = "" if problem.seed is None else f", seed {problem.seed}"
+    kind = "constrained " if problem.constraint is not None else ""
+    text = (f"no reference solution for the {kind}{problem.family} problem "
+            f"({problem.n_agents} agents, dim {problem.dim}{seed}): {reason}")
+    if problem.family == "logreg" and problem.xi == 0:
+        text += "; unregularized logistic regression has no minimizer on separable data"
+    return ReferenceSolveError(text)
 
 
 # the Newton solves stop once their stationarity residual is this small
@@ -581,7 +593,10 @@ def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
             return x
         h = _mean_hessian(problem, x)
         kkt = np.block([[h, f.T], [f, np.zeros((m, m))]])
-        delta = np.linalg.solve(kkt, -r)
+        try:
+            delta = np.linalg.solve(kkt, -r)
+        except np.linalg.LinAlgError:
+            raise _no_reference(problem, "the Newton system is singular") from None
         t = 1.0
         base = np.linalg.norm(r)
         while t > 1e-12 and np.linalg.norm(residual(x + t * delta[:n], beta + t * delta[n:])) > (1 - 1e-4 * t) * base:
@@ -590,7 +605,7 @@ def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
         beta = beta + t * delta[n:]
     if np.linalg.norm(residual(x, beta)) <= 10 * tol:
         return x
-    raise ReferenceSolveError("Newton iteration failed to reach the tolerance")
+    raise _no_reference(problem, "the Newton iteration failed to reach the tolerance")
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -609,7 +624,7 @@ def _solve_basis_pursuit(problem: SeparableProblem) -> np.ndarray:
         polished = _bp_polish(p, q, xi_total, f, e, x)
         if polished is not None:
             return polished
-    raise ReferenceSolveError("sign pattern of the l1 solution did not stabilize")
+    raise _no_reference(problem, "the sign pattern of the l1 solution did not stabilize")
 
 
 def _bp_admm(p, q, xi_total, f, e, iters):

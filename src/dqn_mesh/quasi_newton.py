@@ -1,16 +1,16 @@
-"""Curvature-pair updates for stacked Hessian and inverse-Hessian estimates.
+"""Curvature-pair updates for stacked inverse-Hessian estimates.
 
-Both update families come in an inverse form (estimate of the inverse
-Hessian, used by the unconstrained method) and a direct form (estimate of
-the Hessian itself, used inside saddle-point solves).  Every accepted
-update preserves symmetry and positive definiteness and satisfies the
-secant equation for its pair.
+Both update families, BFGS and DFP, come in their inverse form: the
+estimate is of the inverse Hessian, which both solvers carry (the
+constrained one solves its saddle-point systems with it by block
+elimination).  Every accepted update preserves symmetry and positive
+definiteness and satisfies the secant equation C'y = s for its pair.
 
 Every kernel here is written once, for stacks: the curvature test, two
-dual O(n^2) update kernels (Nocedal & Wright, *Numerical Optimization*,
+O(n^2) update kernels (Nocedal & Wright, *Numerical Optimization*,
 section 6.1), the Cholesky probe and the spectrum clamp.  The solvers
-refresh every agent's estimate at once through ``refresh_inverse_batch``
-and ``refresh_hessian_batch``.  Row i of every result equals the same call
+refresh every agent's estimate at once through ``refresh_inverse_batch``,
+the one refresh path.  Row i of every result equals the same call
 on row i alone, and the same update written for one pair, bit for bit:
 every dot product and norm is an ``np.vecdot`` and every matrix-vector
 product an ``np.matvec``, which reduce in the same order as the per-pair
@@ -21,7 +21,6 @@ constants; the spectrum box of a refresh is passed by its solver.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "pd_safeguard",
     "BatchRefresh",
     "refresh_inverse_batch",
-    "refresh_hessian_batch",
 ]
 
 # pairs with y's <= 0 carry no usable curvature information; anything below
@@ -63,14 +61,6 @@ def _curvature_mask(ys, s, y):
     """``curvature_ok`` given the pairs' y's."""
     bound = CURVATURE_RTOL * np.sqrt(np.vecdot(y, y)) * np.sqrt(np.vecdot(s, s))
     return (ys > 0.0) & (ys >= bound)
-
-
-@lru_cache(maxsize=8)
-def _eye(n: int) -> np.ndarray:
-    """The n x n identity, shared and read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 def cholesky_ok(m: np.ndarray) -> np.ndarray:
@@ -108,7 +98,7 @@ def _product_rows(m, p, q, r):
     """M' = (I - pq'/r) M (I - qp'/r) + pp'/r, expanded: with w = Mq,
     M' = M + (Q + Q') where Q = pa' and a = ((1 + q'w/r)/2 p - w)/r.
 
-    BFGS inverse as (C, s, y), DFP direct as (B, y, s)."""
+    The BFGS inverse update as (C, s, y)."""
     w = np.matvec(m, q)
     k = 1.0 + np.vecdot(q, w) / r
     a = (0.5 * k[:, None] * p - w) / r[:, None]
@@ -121,7 +111,7 @@ def _product_rows(m, p, q, r):
 def _rank_two_rows(m, p, q, r):
     """M' = M - ww'/(q'w) + pp'/r with w = Mq.
 
-    DFP inverse as (C, s, y), BFGS direct as (B, y, s)."""
+    The DFP inverse update as (C, s, y)."""
     w = np.matvec(m, q)
     denom = np.vecdot(q, w)
     new = _outer(w, w)
@@ -159,10 +149,8 @@ def pd_safeguard(matrix: np.ndarray, floor: float = DEFAULT_FLOOR, ceiling: floa
 # ---------------------------------------------------------------------------
 # stacked refresh: one call updates every agent's estimate
 
-# scheme -> kernel; the inverse forms take the pair as (p, q) = (s, y) and
-# the direct forms, their duals, as (y, s)
+# scheme -> kernel, which takes the pair as (p, q) = (s, y)
 _INVERSE_ROWS = {"bfgs": _product_rows, "dfp": _rank_two_rows}
-_HESSIAN_ROWS = {"bfgs": _rank_two_rows, "dfp": _product_rows}
 
 
 class BatchRefresh(NamedTuple):
@@ -174,7 +162,7 @@ class BatchRefresh(NamedTuple):
     repaired: int
 
 
-def _apply_pairs(m, s, y, rows_update, direct):
+def _apply_pairs(m, s, y, rows_update):
     """Masked rank-two update; returns (estimates, number applied).
 
     A pair is applied only where ``curvature_ok`` passes and the update's
@@ -187,7 +175,7 @@ def _apply_pairs(m, s, y, rows_update, direct):
     ok = _curvature_mask(ys, s, y)
     if not np.count_nonzero(ok):
         return m.copy(), 0
-    new, valid = rows_update(m, *((y, s) if direct else (s, y)), ys)
+    new, valid = rows_update(m, s, y, ys)
     if valid is not None:
         ok &= valid
     applied = int(np.count_nonzero(ok))
@@ -196,36 +184,23 @@ def _apply_pairs(m, s, y, rows_update, direct):
     return new, applied
 
 
-def _repair_rows(m: np.ndarray, ceiling: float, shift: float) -> np.ndarray:
+def _repair_rows(m: np.ndarray, ceiling: float) -> np.ndarray:
     """Indices of the estimates that are non-finite, above the Frobenius
-    ceiling, or fail a Cholesky probe of ``m - shift * I``; no index array
-    is built when none is.  One norm test does the first two: a non-finite
-    entry makes the norm fail ``norm <= limit`` for any finite limit (a
-    norm that overflows counts as non-finite)."""
+    ceiling, or fail a Cholesky probe; no index array is built when none
+    is.  One norm test does the first two: a non-finite entry makes the
+    norm fail ``norm <= limit`` for any finite limit (a norm that
+    overflows counts as non-finite)."""
     n_rows, n = m.shape[0], m.shape[1]
     flat = m.reshape(n_rows, n * n)
     fine = np.sqrt(np.vecdot(flat, flat)) <= min(ceiling, _FLOAT_MAX)
     clear = np.count_nonzero(fine) == n_rows
     probe = m if clear else m[fine]
-    if shift:
-        probe = probe - shift * _eye(n)
     try:
         np.linalg.cholesky(probe)
     except np.linalg.LinAlgError:
         fine[np.flatnonzero(fine)] = cholesky_ok(probe)
         clear = False
     return _NO_ROWS if clear else np.flatnonzero(~fine)
-
-
-def _refresh_batch(m, s, y, rows_update, direct, floor, ceiling, shift, safeguard):
-    # a row may divide by zero or overflow: it is then restored or repaired
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out, applied = _apply_pairs(m, s, y, rows_update, direct)
-        bad = _repair_rows(out, ceiling, shift)
-    if bad.size:
-        flagged = out[bad]
-        out[bad] = safeguard(np.where(np.isfinite(flagged), flagged, 0.0), floor=floor, ceiling=ceiling)
-    return BatchRefresh(out, len(m) - applied, bad.size)
 
 
 def refresh_inverse_batch(
@@ -241,31 +216,22 @@ def refresh_inverse_batch(
     pairs (s[i], y[i]) by the BFGS or DFP inverse update.
 
     Pairs failing ``curvature_ok`` are skipped, and so is a DFP pair whose
-    y'Cy is not positive.  The estimates that are then non-finite, have
-    Frobenius norm above gamma, or fail a Cholesky probe are clamped into
-    [floor, gamma] by one ``safeguard`` call on their stack; the solvers
-    pass their own module-level ``pd_safeguard`` name so that a wrapper
-    installed on it sees each batch of repairs.
+    y'Cy is not positive.  Every refreshed estimate is then tested: it is
+    flagged when it is non-finite, when its Frobenius norm exceeds gamma,
+    or when it has no Cholesky factor.  The flagged estimates (their
+    non-finite entries zeroed) have their spectrum clamped into
+    [floor, gamma] by one ``safeguard`` call on their stack.  So every
+    estimate returned is positive definite with its largest eigenvalue at
+    most gamma; a flagged one may already have had its spectrum inside the
+    box, since the Frobenius norm can exceed the largest eigenvalue.  The
+    solvers pass their own module-level ``pd_safeguard`` name so that a
+    wrapper installed on it sees each batch of repairs.
     """
-    return _refresh_batch(c, s, y, _INVERSE_ROWS[scheme], False, floor, gamma, 0.0, safeguard)
-
-
-def refresh_hessian_batch(
-    b: np.ndarray,
-    s: np.ndarray,
-    y: np.ndarray,
-    scheme: str,
-    floor: float,
-    ceiling: float,
-    safeguard: Callable[..., np.ndarray] = pd_safeguard,
-) -> BatchRefresh:
-    """Refresh stacked direct Hessian estimates b (N, n, n) by the BFGS
-    or DFP direct update (a BFGS pair with s'Bs not positive is skipped).
-
-    As ``refresh_inverse_batch``, but the probe is shifted by half the
-    floor, so estimates clamped exactly at the floor pass untouched, and
-    the spectrum box is [floor, ceiling].
-    """
-    return _refresh_batch(
-        b, s, y, _HESSIAN_ROWS[scheme], True, floor, ceiling, 0.5 * floor, safeguard
-    )
+    # a row may divide by zero or overflow: it is then restored or repaired
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out, applied = _apply_pairs(c, s, y, _INVERSE_ROWS[scheme])
+        bad = _repair_rows(out, gamma)
+    if bad.size:
+        flagged = out[bad]
+        out[bad] = safeguard(np.where(np.isfinite(flagged), flagged, 0.0), floor=floor, ceiling=gamma)
+    return BatchRefresh(out, len(c) - applied, bad.size)

@@ -4,10 +4,12 @@ One curvature pair, one estimate, one saddle-point system at a time, in
 plain 2-D numpy and independent of ``dqn_mesh``: the BFGS and DFP updates
 in inverse and direct form (Nocedal & Wright, *Numerical Optimization*,
 section 6.1), the curvature test, the spectrum clamp and a saddle-point
-solve by block elimination.  The stacked code in ``dqn_mesh`` must
-reproduce these bit for bit; the product forms of two updates are kept
-as a cross-check to rounding.  At the end, the paper's fixed-step bound
-with the contraction factor and smoothness bounds it reads.
+solve by block elimination, given the Hessian estimate B or its inverse
+H.  The stacked code in ``dqn_mesh`` carries inverse estimates and must
+reproduce the inverse forms bit for bit; the direct forms, and the
+product forms of two updates, are kept as cross-checks to rounding.  At
+the end, the paper's fixed-step bound with the contraction factor and
+smoothness bounds it reads.
 """
 
 import math
@@ -150,6 +152,57 @@ def reference_kkt_solve(b_mat, a_mat, rhs_stat, rhs_prim):
     if not np.linalg.norm(np.concatenate([res_stat, res_prim])) <= 1e-10 * scale:
         raise KktError("saddle-point solve residual too large")
     return delta_x, beta
+
+
+def reference_kkt_solve_inverse(h_mat, a_mat, rhs_stat, rhs_prim):
+    """The same system given by the inverse estimate H = B^-1, [[H^-1,
+    A'], [A, 0]] [dx; beta] = -[r_stat; r_prim], by block elimination in
+    inverse form, written for a single agent: one product gives
+    H [u | A'], a Cholesky factorization of the symmetric part of the
+    Schur complement S = A H A' tests its rank, one LU solve of S (which
+    may still find S exactly singular) gives the multipliers
+    beta = S^-1 (A H u - w), dx = H u - H A' beta, then the residual check
+    on [S beta - (A H u - w); A dx - w] against 1e-10 (1 + |[u; w]|).  No
+    n x n matrix is factorized."""
+    u = -rhs_stat
+    w = -rhs_prim
+    h_rhs = h_mat @ np.column_stack([u, a_mat.T])
+    h_u, h_at = h_rhs[:, 0], h_rhs[:, 1:]
+    schur = a_mat @ h_at
+    schur_rhs = a_mat @ h_u - w
+    try:
+        np.linalg.cholesky(0.5 * (schur + schur.T))
+        beta = np.linalg.solve(schur, schur_rhs)
+    except np.linalg.LinAlgError as exc:
+        raise KktError("constraint block A H A' is not positive definite") from exc
+    delta_x = h_u - h_at @ beta
+
+    scale = 1.0 + float(np.linalg.norm(np.concatenate([u, w])))
+    res = np.concatenate([schur @ beta - schur_rhs, a_mat @ delta_x - w])
+    if not np.linalg.norm(res) <= 1e-10 * scale:
+        raise KktError("saddle-point solve residual too large")
+    return delta_x, beta
+
+
+# Two inverse estimates on which a saddle-point solve fails, for a
+# constraint block A with orthonormal rows.
+
+
+def reflection(a_row):
+    """The symmetric indefinite I - 2 pp' with p = a_row / |a_row|: its
+    Schur block a_row H a_row' is -|a_row|^2, so it has no Cholesky factor."""
+    p = a_row / np.linalg.norm(a_row)
+    return np.eye(p.size) - 2.0 * np.outer(p, p)
+
+
+def ill_conditioned_schur(a):
+    """A positive definite H whose Schur block S = A H A' has its smallest
+    eigenvalue near 1e-14: the identity with almost all of its curvature
+    along a mix of A's first two rows removed.  S passes its Cholesky
+    test, but the solve with S fails the residual check."""
+    p = (a[0] + a[1]) / np.sqrt(2.0)
+    h = np.eye(a.shape[1]) - (1.0 - 1e-14) * np.outer(p, p)
+    return 0.5 * (h + h.T)
 
 
 # The paper's fixed-step bound and what it reads: the contraction factor of

@@ -23,7 +23,7 @@ from dqn_mesh.problems import (
     qp_family,
     solve_reference,
 )
-from dqn_mesh.quasi_newton import refresh_hessian_batch, refresh_inverse_batch
+from dqn_mesh.quasi_newton import refresh_inverse_batch
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
 from oracle import (
     DIRECT,
@@ -82,15 +82,14 @@ def test_criterion_2_quasi_newton_algebra(criterion_report):
             y = _random_spd(rng, n, 0.5, 3.0) @ s
             new = {}
             for scheme in ("bfgs", "dfp"):
-                for key, refresh, m0, per_pair in (
-                    (f"{scheme}_b", refresh_hessian_batch, b0, DIRECT[scheme]),
-                    (f"{scheme}_c", refresh_inverse_batch, c0, INVERSE[scheme]),
-                ):
-                    out = refresh(m0[None], s[None], y[None], scheme, 1e-8, np.inf)
-                    assert out.skipped == out.repaired == 0
-                    new[key] = out.estimates[0]
-                    # the batched update is the textbook per-pair one, bit for bit
-                    assert np.array_equal(new[key], per_pair(m0, s, y))
+                out = refresh_inverse_batch(c0[None], s[None], y[None], scheme, 1e-8, np.inf)
+                assert out.skipped == out.repaired == 0
+                new[f"{scheme}_c"] = out.estimates[0]
+                # the batched update is the textbook per-pair one, bit for bit
+                assert np.array_equal(new[f"{scheme}_c"], INVERSE[scheme](c0, s, y))
+                # the solvers carry inverse estimates only; the direct form
+                # is the per-pair oracle's
+                new[f"{scheme}_b"] = DIRECT[scheme](b0, s, y)
             # and the product forms agree with it to rounding
             for key, product, m0 in (
                 ("bfgs_c", bfgs_inverse_product, c0),
@@ -348,7 +347,7 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
             a = q[:, :m].T
             rs = rng.standard_normal(n)
             rp = rng.standard_normal(m)
-            dx, beta = kkt_solve(KktSystem(b=b, a=a, rhs_stat=rs, rhs_prim=rp))
+            dx, beta = kkt_solve(KktSystem(h=np.linalg.inv(b), a=a, rhs_stat=rs, rhs_prim=rp))
             scale = 1.0 + np.linalg.norm(np.concatenate([rs, rp]))
             assert np.linalg.norm(b @ dx + a.T @ beta + rs) <= 1e-10 * scale
             assert np.linalg.norm(a @ dx + rp) <= 1e-10 * scale

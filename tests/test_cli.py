@@ -425,6 +425,35 @@ class TestBadInput:
         assert_input_error(rc, capsys, "basis pursuit has only a constrained form")
         assert not out.exists()
 
+    def test_sweep_config_mixing_unconstrained_method_and_constrained_family(
+        self, tmp_path, capsys
+    ):
+        # rejected when the config is built, not counted as an aborted cell
+        # with no reason
+        cfg_path = write_sweep_config(
+            tmp_path, family="logreg", algos=["dqn-bfgs", "ecdqn-bfgs"], constrained=True,
+            cond_range=None,
+        )
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert_input_error(rc, capsys, "dqn-bfgs cannot honor the constraint")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("seed, reason", [
+        (5, "the Newton system is singular"),
+        (6, "the Newton iteration failed to reach the tolerance"),
+    ])
+    def test_reference_that_cannot_be_certified(self, tmp_path, capsys, seed, reason):
+        # an unregularized constrained logistic problem with 3 agents in
+        # dimension 40: its reference solve fails in two ways by seed
+        out = tmp_path / "bad"
+        rc = main(["generate", "--family", "logreg", "--agents", "3", "--dim", "40", "--xi", "0",
+                   "--constrained", "--seed", str(seed), "--out-dir", str(out)])
+        assert_input_error(
+            rc, capsys, "no reference solution for the constrained logreg problem",
+            f"seed {seed}", reason,
+        )
+        assert not out.exists()
+
     def test_auto_alpha(self, tmp_path, capsys):
         problem_path, graph_path = generate_pair(tmp_path)
         args = ["--problem", str(problem_path), "--graph", str(graph_path)]

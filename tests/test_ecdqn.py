@@ -28,10 +28,21 @@ from dqn_mesh.problems import (
     solve_reference,
 )
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
-from oracle import KktError, reference_kkt_solve
+from oracle import (
+    KktError,
+    ill_conditioned_schur,
+    reference_kkt_solve,
+    reference_kkt_solve_inverse,
+    reflection,
+)
 
 TRIANGLE = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
 SINGLE = CommGraph(1, ())
+
+# the saddle-point solve given H = inv(B) agrees with the one given B to
+# this relative tolerance; the largest relative gap on the (N, n, m)
+# grids of test_inverse_form_matches_direct_form_oracle is 7.6e-16
+KKT_FORM_RTOL = 1e-12
 
 
 def make_network(graph):
@@ -43,7 +54,7 @@ def kkt_directions(prob, state):
     solve, as the solver's round computes it."""
     a, b = prob.constraint
     return np.stack([
-        reference_kkt_solve(state.b[i], a, state.v[i], a @ state.x[i] - b)[0]
+        reference_kkt_solve_inverse(state.h[i], a, state.v[i], a @ state.x[i] - b)[0]
         for i in range(prob.n_agents)
     ])
 
@@ -82,13 +93,13 @@ class TestKktSystem:
     def test_rejects_inconsistent_blocks(self):
         with pytest.raises(ValueError, match="block shapes"):
             KktSystem(
-                b=np.eye(3), a=np.ones((1, 2)), rhs_stat=np.zeros(3), rhs_prim=np.zeros(1)
+                h=np.eye(3), a=np.ones((1, 2)), rhs_stat=np.zeros(3), rhs_prim=np.zeros(1)
             )
 
     def test_rejects_inconsistent_rhs(self):
         with pytest.raises(ValueError, match="right-hand-side"):
             KktSystem(
-                b=np.eye(2), a=np.ones((1, 2)), rhs_stat=np.zeros(2), rhs_prim=np.zeros(2)
+                h=np.eye(2), a=np.ones((1, 2)), rhs_stat=np.zeros(2), rhs_prim=np.zeros(2)
             )
 
 
@@ -97,7 +108,7 @@ class TestKktSolve:
         # identity Hessian, constraint x1 = fixed: the step restores
         # feasibility along the first axis and the multiplier balances it
         sys_ = KktSystem(
-            b=np.eye(2),
+            h=np.eye(2),
             a=np.array([[1.0, 0.0]]),
             rhs_stat=np.zeros(2),
             rhs_prim=np.array([1.0]),
@@ -109,7 +120,7 @@ class TestKktSolve:
     def test_frozen_mixed_residuals(self):
         # by hand: 2*dx + A'beta = -(2,0), dx2 = -3 => beta = 6, dx1 = -1
         sys_ = KktSystem(
-            b=2.0 * np.eye(2),
+            h=0.5 * np.eye(2),
             a=np.array([[0.0, 1.0]]),
             rhs_stat=np.array([2.0, 0.0]),
             rhs_prim=np.array([3.0]),
@@ -120,7 +131,7 @@ class TestKktSolve:
 
     def test_zero_residuals_give_zero_step(self):
         sys_ = KktSystem(
-            b=np.diag([2.0, 3.0]),
+            h=np.diag([0.5, 1.0 / 3.0]),
             a=np.array([[1.0, 1.0]]),
             rhs_stat=np.zeros(2),
             rhs_prim=np.zeros(1),
@@ -143,26 +154,27 @@ class TestKktSolve:
         a = q[:, :m].T
         rs = rng.standard_normal(n)
         rp = rng.standard_normal(m)
-        dx, beta = kkt_solve(KktSystem(b=b, a=a, rhs_stat=rs, rhs_prim=rp))
+        dx, beta = kkt_solve(KktSystem(h=np.linalg.inv(b), a=a, rhs_stat=rs, rhs_prim=rp))
         full = np.block([[b, a.T], [a, np.zeros((m, m))]])
         sol = np.linalg.solve(full, np.concatenate([-rs, -rp]))
         scale = 1.0 + np.linalg.norm(sol)
         assert np.linalg.norm(dx - sol[:n]) <= 1e-8 * scale
         assert np.linalg.norm(beta - sol[n:]) <= 1e-8 * scale
 
-    def test_indefinite_hessian_rejected(self):
-        sys_ = KktSystem(
-            b=np.diag([1.0, -1.0]),
-            a=np.array([[1.0, 0.0]]),
-            rhs_stat=np.zeros(2),
-            rhs_prim=np.zeros(1),
-        )
-        with pytest.raises(KktFactorizationError, match="hessian block"):
-            kkt_solve(sys_)
+    def test_indefinite_schur_block_rejected(self):
+        # no n x n block is factorized: an indefinite estimate fails only
+        # where it makes the Schur block A H A' indefinite
+        h = np.diag([1.0, -1.0])
+        with pytest.raises(KktFactorizationError, match="constraint block"):
+            kkt_solve(KktSystem(h=h, a=np.array([[0.0, 1.0]]), rhs_stat=np.zeros(2),
+                                rhs_prim=np.zeros(1)))
+        dx, beta = kkt_solve(KktSystem(h=h, a=np.array([[1.0, 0.0]]), rhs_stat=np.zeros(2),
+                                       rhs_prim=np.zeros(1)))
+        assert np.array_equal(dx, np.zeros(2)) and np.array_equal(beta, np.zeros(1))
 
     def test_rank_deficient_constraint_rejected(self):
         sys_ = KktSystem(
-            b=np.eye(3),
+            h=np.eye(3),
             a=np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
             rhs_stat=np.zeros(3),
             rhs_prim=np.zeros(2),
@@ -184,43 +196,42 @@ class TestKktSolve:
             return real_solve(a, b)
 
         rng = np.random.default_rng(n_agents * 100 + n * 10 + m)
-        b = np.stack([random_spd(rng, n) for _ in range(n_agents)])
+        h = np.stack([random_spd(rng, n) for _ in range(n_agents)])
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         a = q[:, :m].T
         rs = rng.standard_normal((n_agents, n))
         rp = rng.standard_normal((n_agents, m))
-        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
         assert ok.all()
         monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
-        dx1, beta1, ok1 = kkt_solve_batch(b, a, rs, rp)
+        dx1, beta1, ok1 = kkt_solve_batch(h, a, rs, rp)
         assert np.array_equal(dx1, dx)
         assert np.array_equal(beta1, beta)
         assert ok1.all()
 
-    @pytest.mark.parametrize("stage", ["hessian", "residual"])
+    @pytest.mark.parametrize("stage", ["constraint block", "residual"])
     def test_batch_flags_only_the_failing_row(self, stage):
         rng = np.random.default_rng(8)
-        b = np.stack([random_spd(rng, 4) for _ in range(5)])
+        h = np.stack([random_spd(rng, 4) for _ in range(5)])
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         a = q[:, :2].T
         rs = rng.standard_normal((5, 4))
         rp = rng.standard_normal((5, 2))
-        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
         assert ok.all()
-        if stage == "hessian":
-            bad = np.diag([-1.0, 1.0, 1.0, 1.0])
+        if stage == "constraint block":
+            bad = reflection(a[0])
         else:
-            # positive definite, so its Cholesky succeeds, but too
-            # ill-conditioned for the solve to pass the residual check
-            q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
-            bad = (q * np.array([1.0, 1.0, 1.0, 1e-14])) @ q.T
-            bad = 0.5 * (bad + bad.T)
+            # positive definite, with a Schur block that passes its
+            # Cholesky test but is too ill-conditioned for the residual check
+            bad = ill_conditioned_schur(a)
+            np.linalg.cholesky(bad)
         with pytest.raises(KktError, match=stage):
-            reference_kkt_solve(bad, a, rs[2], rp[2])
+            reference_kkt_solve_inverse(bad, a, rs[2], rp[2])
         with pytest.raises(KktFactorizationError, match=stage):
-            kkt_solve(KktSystem(b=bad, a=a, rhs_stat=rs[2], rhs_prim=rp[2]))
-        b[2] = bad
-        dx_bad, beta_bad, ok = kkt_solve_batch(b, a, rs, rp)
+            kkt_solve(KktSystem(h=bad, a=a, rhs_stat=rs[2], rhs_prim=rp[2]))
+        h[2] = bad
+        dx_bad, beta_bad, ok = kkt_solve_batch(h, a, rs, rp)
         assert ok.tolist() == [True, True, False, True, True]
         # the other rows keep the all-good batch's bits
         assert np.array_equal(dx_bad[ok], dx[ok])
@@ -228,65 +239,114 @@ class TestKktSolve:
 
     def test_batch_rows_equal_the_oracle(self):
         rng = np.random.default_rng(11)
-        b = np.stack([random_spd(rng, 6, 0.01, 50.0) for _ in range(7)])
+        h = np.stack([random_spd(rng, 6, 0.01, 50.0) for _ in range(7)])
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         a = q[:, :3].T
         rs = rng.standard_normal((7, 6))
         rp = rng.standard_normal((7, 3))
-        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
         assert ok.all()
         for i in range(7):
-            dx_i, beta_i = reference_kkt_solve(b[i], a, rs[i], rp[i])
+            dx_i, beta_i = reference_kkt_solve_inverse(h[i], a, rs[i], rp[i])
             assert np.array_equal(dx[i], dx_i)
             assert np.array_equal(beta[i], beta_i)
 
+    @pytest.mark.parametrize("n_agents,n,m", [(10, 20, 5), (30, 20, 3), (50, 24, 4)])
+    def test_inverse_form_matches_direct_form_oracle(self, n_agents, n, m):
+        # the solve given H = inv(B) agrees with the textbook solve given B,
+        # which factorizes B, to KKT_FORM_RTOL relative to each result
+        rng = np.random.default_rng(n_agents + n + m)
+        b = np.stack([random_spd(rng, n, 0.5, 2.0) for _ in range(n_agents)])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = q[:, :m].T
+        rs = rng.standard_normal((n_agents, n))
+        rp = rng.standard_normal((n_agents, m))
+        dx, beta, ok = kkt_solve_batch(np.linalg.inv(b), a, rs, rp)
+        assert ok.all()
+        for i in range(n_agents):
+            dx_i, beta_i = reference_kkt_solve(b[i], a, rs[i], rp[i])
+            assert np.linalg.norm(dx[i] - dx_i) <= KKT_FORM_RTOL * np.linalg.norm(dx_i)
+            assert np.linalg.norm(beta[i] - beta_i) <= KKT_FORM_RTOL * np.linalg.norm(beta_i)
+
     def test_singular_row_is_flagged_without_raising(self):
         rng = np.random.default_rng(9)
-        b = np.stack([random_spd(rng, 4) for _ in range(5)])
+        h = np.stack([random_spd(rng, 4) for _ in range(5)])
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         a = q[:, :2].T
         rs = rng.standard_normal((5, 4))
         rp = rng.standard_normal((5, 2))
-        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
         assert ok.all()
-        b[3] = 0.0
+        h[3] = 0.0
+        # its Schur block is zero, which a stacked solve would raise on
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(b, rs[:, :, None])
-        dx_bad, beta_bad, ok = kkt_solve_batch(b, a, rs, rp)
+            np.linalg.solve(a @ h @ a.T, rp[:, :, None])
+        dx_bad, beta_bad, ok = kkt_solve_batch(h, a, rs, rp)
         assert ok.tolist() == [True, True, True, False, True]
         assert np.array_equal(dx_bad[ok], dx[ok])
         assert np.array_equal(beta_bad[ok], beta[ok])
-        with pytest.raises(KktFactorizationError, match="hessian block"):
-            kkt_solve(KktSystem(b=b[3], a=a, rhs_stat=rs[3], rhs_prim=rp[3]))
+        with pytest.raises(KktFactorizationError, match="constraint block"):
+            kkt_solve(KktSystem(h=h[3], a=a, rhs_stat=rs[3], rhs_prim=rp[3]))
 
     def test_non_finite_right_hand_side_is_flagged(self):
         # a NaN residual norm fails the residual check instead of passing it
-        b = np.stack([np.eye(3)] * 2)
+        h = np.stack([np.eye(3)] * 2)
         a = np.array([[1.0, 0.0, 0.0]])
         rs = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
         rp = np.zeros((2, 1))
-        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
         assert ok.tolist() == [False, True]
-        dx_1, beta_1 = kkt_solve(KktSystem(b=b[1], a=a, rhs_stat=rs[1], rhs_prim=rp[1]))
+        dx_1, beta_1 = kkt_solve(KktSystem(h=h[1], a=a, rhs_stat=rs[1], rhs_prim=rp[1]))
         assert np.array_equal(dx[1], dx_1) and np.array_equal(beta[1], beta_1)
         with pytest.raises(KktFactorizationError, match="residual"):
-            kkt_solve(KktSystem(b=b[0], a=a, rhs_stat=rs[0], rhs_prim=rp[0]))
+            kkt_solve(KktSystem(h=h[0], a=a, rhs_stat=rs[0], rhs_prim=rp[0]))
         with pytest.raises(KktError, match="residual"):
-            reference_kkt_solve(b[0], a, rs[0], rp[0])
+            reference_kkt_solve_inverse(h[0], a, rs[0], rp[0])
 
     def test_rank_deficient_constraint_flags_every_row(self):
         rng = np.random.default_rng(10)
-        b = np.stack([random_spd(rng, 4) for _ in range(4)])
+        h = np.stack([random_spd(rng, 4) for _ in range(4)])
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         # the second constraint row repeats the first
         a = np.stack([q[:, 0], q[:, 0], q[:, 1]])
         rs = rng.standard_normal((4, 4))
         rp = rng.standard_normal((4, 3))
-        dx, beta, ok = kkt_solve_batch(b, a, rs, rp)
+        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
         assert not ok.any()
         for i in range(4):
             with pytest.raises(KktFactorizationError, match="constraint block"):
-                kkt_solve(KktSystem(b=b[i], a=a, rhs_stat=rs[i], rhs_prim=rp[i]))
+                kkt_solve(KktSystem(h=h[i], a=a, rhs_stat=rs[i], rhs_prim=rp[i]))
+
+
+@pytest.mark.parametrize("retry", [False, True], ids=["clean", "retry"])
+def test_step_factorizes_only_m_by_m_blocks(monkeypatch, retry):
+    # no n x n block is factorized or solved: every matrix a round hands to
+    # np.linalg.solve or to the Cholesky probe is an m x m Schur block,
+    # in a retried round too
+    prob = logreg_family(5, 8, 1e-2, 3, constraint=True)
+    m = prob.constraint[0].shape[0]
+    assert m < prob.dim
+    net = make_network(random_connected_graph(5, 0.7, 1))
+    state = init_ecdqn_states(prob, seed=2)
+    if retry:
+        h = state.h.copy()
+        h[3] = reflection(prob.constraint[0][0])
+        state = replace(state, h=h)
+    shapes = []
+
+    def spy(fn):
+        def recorded(mat, *args):
+            shapes.append(np.shape(mat)[-2:])
+            return fn(mat, *args)
+
+        return recorded
+
+    monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
+    monkeypatch.setattr(ecdqn, "cholesky_ok", spy(ecdqn.cholesky_ok))
+    stepped = ecdqn_step(net, state, prob, EcRunConfig(alpha=0.5))
+    assert stepped.kkt_retries == int(retry)
+    assert len(shapes) == (4 if retry else 2)
+    assert set(shapes) == {(m, m)}
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +361,16 @@ class TestInit:
             init_ecdqn_states(unconstrained)
 
     def test_estimate_spectrum_in_requested_band(self):
+        # every H0 is the inverse of a B0 with its spectrum in B0_SPECTRUM
         prob = constrained_quadratic(3, 5, 2, 1)
         state = init_ecdqn_states(prob, seed=3)
-        assert state.b.shape == (3, 5, 5)
-        for b in state.b:
-            vals = np.linalg.eigvalsh(b)
-            assert vals[0] >= 0.5 * (1 - 1e-10)
-            assert vals[-1] <= 2.0 * (1 + 1e-10)
-            assert np.allclose(b, b.T)
+        assert state.h.shape == (3, 5, 5)
+        lo, hi = ecdqn.B0_SPECTRUM
+        for h in state.h:
+            vals = np.linalg.eigvalsh(h)
+            assert vals[0] >= (1 / hi) * (1 - 1e-10)
+            assert vals[-1] <= (1 / lo) * (1 + 1e-10)
+            assert np.array_equal(h, h.T)
 
     def test_tracker_and_multiplier_start(self):
         prob = constrained_quadratic(3, 4, 2, 2)
@@ -322,7 +384,7 @@ class TestInit:
         a = init_ecdqn_states(prob, seed=11)
         b = init_ecdqn_states(prob, seed=11)
         assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.b, b.b)
+        assert np.array_equal(a.h, b.h)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +405,7 @@ class TestSingleAgentNewton:
         state = EcDqnState(
             x=x0[None, :],
             v=g0[None, :].copy(),
-            b=0.5 * (p + p.T)[None, :, :],
+            h=np.linalg.inv(0.5 * (p + p.T))[None, :, :],
             beta=np.zeros((1, 2)),
             last_gradient=g0[None, :].copy(),
         )
@@ -390,7 +452,8 @@ class TestLedgerAndFusion:
 
 
 # ---------------------------------------------------------------------------
-# estimate spectrum stays inside the box [EIG_FLOOR, EIG_CEILING]
+# every inverse estimate stays positive definite with |H|_F <= EIG_CEILING,
+# so every B = H^-1 has its smallest eigenvalue at least EIG_FLOOR
 
 
 def box_config(monkeypatch):
@@ -400,32 +463,40 @@ def box_config(monkeypatch):
     return EcRunConfig()
 
 
+def assert_in_box(h):
+    """H is positive definite and its largest eigenvalue, 1 / lambda_min(B),
+    is at most the ceiling 1e3."""
+    vals = np.linalg.eigvalsh(h)
+    assert vals[0] > 0.0
+    assert vals[-1] <= 1e3 * (1 + 1e-12)
+
+
 class TestSpectrumBox:
     def test_tiny_eigenvalue_is_repaired(self, monkeypatch):
+        # B with eigenvalue 1e-9 is H with eigenvalue 1e9
         prob = constrained_quadratic(3, 4, 1, 9)
         net = make_network(TRIANGLE)
         state = init_ecdqn_states(prob, seed=2)
-        b = state.b.copy()
-        b[1] = np.diag([1e-9, 1.0, 1.0, 1.0])
+        h = state.h.copy()
+        h[1] = np.diag([1e9, 1.0, 1.0, 1.0])
         box = box_config(monkeypatch)
-        stepped = ecdqn_step(net, replace(state, b=b), prob, box)
+        stepped = ecdqn_step(net, replace(state, h=h), prob, box)
         assert stepped.safeguard_repairs >= 1
-        for b in stepped.b:
-            vals = np.linalg.eigvalsh(b)
-            assert vals[0] > 0.49e-3
-            assert vals[-1] <= 1e3 * (1 + 1e-12)
+        for h in stepped.h:
+            assert_in_box(h)
 
     def test_indefinite_estimate_is_repaired_before_kkt_retry(self, monkeypatch):
         prob = constrained_quadratic(3, 4, 1, 9)
         net = make_network(TRIANGLE)
         state = init_ecdqn_states(prob, seed=2)
-        b = state.b.copy()
-        b[1] = np.diag([-1.0, 1.0, 1.0, 1.0])
+        h = state.h.copy()
+        # indefinite, with a negative Schur block, so the solve fails
+        h[1] = reflection(prob.constraint[0][0])
         box = box_config(monkeypatch)
-        stepped = ecdqn_step(net, replace(state, b=b), prob, box)
+        stepped = ecdqn_step(net, replace(state, h=h), prob, box)
         assert stepped.kkt_retries == 1
         assert stepped.safeguard_repairs >= 1
-        assert np.linalg.eigvalsh(stepped.b[1])[0] > 0.49e-3
+        assert_in_box(stepped.h[1])
 
     def test_box_holds_over_many_rounds(self):
         prob = logreg_family(4, 6, 1e-2, 3, constraint=True)
@@ -436,10 +507,8 @@ class TestSpectrumBox:
         config = EcRunConfig(scheme="dfp", alpha=0.5)
         for _ in range(15):
             state = ecdqn_step(net, state, prob, config)
-            for b in state.b:
-                vals = np.linalg.eigvalsh(b)
-                assert vals[0] > 0.49e-3
-                assert vals[-1] <= 1e3 * (1 + 1e-12)
+            for h in state.h:
+                assert_in_box(h)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="basis pursuit has only a constrained form"):
             ExperimentConfig(family="basis-pursuit", algos=("ecdqn-dfp",), n_agents=4, dim=8)
 
+    @pytest.mark.parametrize("family", ["logreg", "basis-pursuit"])
+    @pytest.mark.parametrize("algo", ["dqn-bfgs", "dqn-dfp", "diging-atc"])
+    def test_rejects_unconstrained_method_on_constrained_family(self, family, algo):
+        # the unconstrained solvers reject a constrained problem, so such a
+        # cell could only abort
+        with pytest.raises(ValueError, match=f"{algo} cannot honor the constraint"):
+            ExperimentConfig(family=family, algos=("ecdqn-bfgs", algo), constrained=True)
+
     @pytest.mark.parametrize("alpha", ["golden", 0.3, 2])
     def test_accepts_step_forms(self, alpha):
         assert ExperimentConfig(family="qp", algos=("dqn-bfgs",), alpha=alpha).alpha == alpha

@@ -1,8 +1,10 @@
 """Curvature updates: secant equations, definiteness, duality, safeguards.
 
-The stacked kernels are checked against their algebra, against the
-per-pair textbook forms of ``oracle.py`` and, to rounding, against its
-product forms.
+The stacked inverse-form kernels are checked against their algebra,
+against the per-pair textbook forms of ``oracle.py`` and, to rounding,
+against its product forms.  The oracle's direct forms, which the
+direct-form cross-checks of the solvers use, are checked against their
+algebra and against the inverse forms.
 """
 
 from dataclasses import replace
@@ -19,15 +21,13 @@ from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run
 from dqn_mesh.problems import logreg_family, qp_family
 from dqn_mesh.quasi_newton import (
     CURVATURE_RTOL,
+    DEFAULT_FLOOR,
     cholesky_ok,
     curvature_ok,
     pd_safeguard,
-    refresh_hessian_batch,
     refresh_inverse_batch,
 )
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
-
-REFRESH = {"inverse": refresh_inverse_batch, "hessian": refresh_hessian_batch}
 
 
 def random_spd(rng, n, lo=0.2, hi=5.0):
@@ -67,8 +67,11 @@ def secant_bound(new, q, p):
 
 
 def update(form, scheme, m, s, y):
-    """One estimate refreshed by the batched update; no spectrum box."""
-    out = REFRESH[form](m[None], s[None], y[None], scheme, 1e-8, np.inf)
+    """One estimate updated with no spectrum box: an inverse estimate by
+    the batched refresh, a Hessian estimate by the oracle's direct form."""
+    if form == "hessian":
+        return oracle.DIRECT[scheme](m, s, y)
+    out = refresh_inverse_batch(m[None], s[None], y[None], scheme, 1e-8, np.inf)
     assert out.repaired == 0
     return out.estimates[0]
 
@@ -139,7 +142,7 @@ class TestFrozenExamples:
     def test_identity_pair_is_fixed_point(self):
         # s = y and C = I: every scheme returns the identity
         s = np.array([1.0, 0.0])
-        for form in REFRESH:
+        for form in ("inverse", "hessian"):
             for scheme in ("bfgs", "dfp"):
                 assert np.allclose(update(form, scheme, np.eye(2), s, s), np.eye(2))
 
@@ -152,11 +155,10 @@ class TestCurvatureRejection:
         for update_one in (*oracle.INVERSE.values(), *oracle.DIRECT.values()):
             with pytest.raises(oracle.CurvatureError):
                 update_one(np.eye(2), s, y)
-        for refresh in REFRESH.values():
-            for scheme in ("bfgs", "dfp"):
-                out = refresh(np.eye(2)[None], s[None], y[None], scheme, 1e-8, np.inf)
-                assert out.skipped == 1 and out.repaired == 0
-                assert np.array_equal(out.estimates[0], np.eye(2))
+        for scheme in ("bfgs", "dfp"):
+            out = refresh_inverse_batch(np.eye(2)[None], s[None], y[None], scheme, 1e-8, np.inf)
+            assert out.skipped == 1 and out.repaired == 0
+            assert np.array_equal(out.estimates[0], np.eye(2))
 
 
 @given(n=st.integers(2, 20), seed=st.integers(0, 2**31 - 1))
@@ -190,18 +192,18 @@ def test_hessian_updates_satisfy_secant(n, seed):
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_updates_match_expanded_form_oracles(n, seed):
-    # every update equals its per-pair form bit for bit and keeps a
-    # symmetric estimate exactly symmetric; the two with a product form
-    # agree with it to oracle.PRODUCT_RTOL of the largest entry
+    # every batched update equals its per-pair form bit for bit, and every
+    # update keeps a symmetric estimate exactly symmetric; the two with a
+    # product form agree with it to oracle.PRODUCT_RTOL of the largest entry
     rng = np.random.default_rng(seed)
     m = random_spd(rng, n)
     m = 0.5 * (m + m.T)
     s, y = good_pair(rng, n)
-    for form, per_pair in (("inverse", oracle.INVERSE), ("hessian", oracle.DIRECT)):
-        for scheme in ("bfgs", "dfp"):
-            got = update(form, scheme, m, s, y)
-            assert np.array_equal(got, per_pair[scheme](m, s, y))
-            assert np.array_equal(got, got.T)
+    for scheme in ("bfgs", "dfp"):
+        got = update("inverse", scheme, m, s, y)
+        assert np.array_equal(got, oracle.INVERSE[scheme](m, s, y))
+        for estimate in (got, update("hessian", scheme, m, s, y)):
+            assert np.array_equal(estimate, estimate.T)
     for form, scheme, product in (
         ("inverse", "bfgs", oracle.bfgs_inverse_product),
         ("hessian", "dfp", oracle.dfp_hessian_product),
@@ -222,11 +224,11 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
 
     def spy(module, name, stacks):
         real = getattr(module, name)
-        seen[name] = []
+        calls = seen[module.__name__, name] = []
 
         def recorded(*args, **kwargs):
             out = real(*args, **kwargs)
-            seen[name].append(out)
+            calls.append(out)
             held.extend(stacks(args, out))
             return out
 
@@ -234,9 +236,9 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
 
     spy(dqn, "init_dqn_states", lambda args, out: [out.c])
     spy(dqn, "refresh_inverse_batch", lambda args, out: [out.estimates])
-    spy(ecdqn, "init_ecdqn_states", lambda args, out: [out.b])
+    spy(ecdqn, "init_ecdqn_states", lambda args, out: [out.h])
     # the first argument is the stack the KKT solves used, retries included
-    spy(ecdqn, "refresh_hessian_batch", lambda args, out: [args[0], out.estimates])
+    spy(ecdqn, "refresh_inverse_batch", lambda args, out: [args[0], out.estimates])
     with monkeypatch.context() as m:
         m.setattr(dqn, "GAMMA", 0.5)
         dqn_run(
@@ -256,12 +258,12 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
     net = SyncNetwork(graph=graph, w=metropolis_weights(graph))
     prob = logreg_family(3, 4, 1e-2, 9, constraint=True)
     state = ecdqn.init_ecdqn_states(prob, seed=2)
-    b = state.b.copy()
-    b[1] = np.diag([-1.0, 1.0, 1.0, 1.0])
-    stepped = ecdqn.ecdqn_step(net, replace(state, b=b), prob, EcRunConfig(scheme=scheme))
+    h = state.h.copy()
+    h[1] = oracle.reflection(prob.constraint[0][0])
+    stepped = ecdqn.ecdqn_step(net, replace(state, h=h), prob, EcRunConfig(scheme=scheme))
     assert stepped.kkt_retries == 1
-    for name in ("refresh_inverse_batch", "refresh_hessian_batch"):
-        outs = seen[name]
+    for module in (dqn, ecdqn):
+        outs = seen[module.__name__, "refresh_inverse_batch"]
         for out in outs:
             assert np.array_equal(out.estimates, out.estimates.transpose(0, 2, 1))
         assert sum(len(out.estimates) - out.skipped for out in outs) > 0
@@ -270,9 +272,8 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
     assert all(stack.flags.c_contiguous for stack in held)
 
 
-# the solvers' spectrum boxes: [1e-8, 1e3] for the inverse form, [1e-3, 1e3]
-# for the direct form
-BOX = {"inverse": (1e-8, 1e3), "hessian": (1e-3, 1e3)}
+# the solvers' spectrum boxes, both for inverse estimates
+BOX = {"dqn": (DEFAULT_FLOOR, dqn.GAMMA), "ecdqn": (ecdqn.EIG_FLOOR, ecdqn.EIG_CEILING)}
 
 # (estimate, pair) cases that leave the all-clear path of the refresh: a
 # skipped pair, an estimate above the Frobenius ceiling only, one that
@@ -287,7 +288,7 @@ FLAGGED = [
 
 def flagged_row(rng, n, estimate, pair):
     if estimate == "large":
-        m = 10 * BOX["inverse"][1] * np.eye(n)
+        m = 10 * BOX["dqn"][1] * np.eye(n)
     elif estimate == "indefinite":
         m = np.diag([-1.0] * 3 + [1.0] * (n - 3))
     else:
@@ -298,10 +299,10 @@ def flagged_row(rng, n, estimate, pair):
     return m, s, -s if pair == "skipped" else y
 
 
-@pytest.mark.parametrize("form", ["inverse", "hessian"])
+@pytest.mark.parametrize("box", ["dqn", "ecdqn"])
 @pytest.mark.parametrize("scheme", ["bfgs", "dfp"])
 @pytest.mark.parametrize("cases", [[case] for case in FLAGGED] + [FLAGGED], ids=str)
-def test_all_clear_and_flagged_refresh_paths_agree(form, scheme, cases):
+def test_all_clear_and_flagged_refresh_paths_agree(box, scheme, cases):
     # a stack whose pairs all apply and whose estimates all pass the repair
     # test takes the all-clear path; the same rows stacked with flagged ones
     # take the index path and come out the same, bit for bit, and the
@@ -310,7 +311,7 @@ def test_all_clear_and_flagged_refresh_paths_agree(form, scheme, cases):
     n, k = 6, 5
 
     def refresh(m, s, y):
-        return REFRESH[form](m, s, y, scheme, *BOX[form])
+        return refresh_inverse_batch(m, s, y, scheme, *BOX[box])
 
     m = np.stack([random_spd(rng, n) for _ in range(k)])
     s, y = (np.stack(col) for col in zip(*(consistent_pair(rng, n) for _ in range(k))))
@@ -330,8 +331,7 @@ def test_all_clear_and_flagged_refresh_paths_agree(form, scheme, cases):
     assert both.repaired == sum(out.repaired for out in alone)
     # the counters reach run summaries, which JSON serializes
     assert all(type(count) is int for out in (clear, both, *alone) for count in out[1:])
-    shift = 0.0 if form == "inverse" else 0.5 * BOX[form][0]
-    assert quasi_newton._repair_rows(clear.estimates, BOX[form][1], shift) is quasi_newton._NO_ROWS
+    assert quasi_newton._repair_rows(clear.estimates, BOX[box][1]) is quasi_newton._NO_ROWS
 
 
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))

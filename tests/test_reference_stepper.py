@@ -7,7 +7,11 @@ method with its own loop and stopping rules; it shares no numerical code
 with the solvers.  The solvers hold the agents stacked,
 refresh every estimate and solve every saddle-point system in one batched
 call, and share one round loop; their traces and terminal flags must
-equal the reference's exactly, not just closely.
+equal the reference's exactly, not just closely.  EC-DQN's reference
+carries the inverse estimate H, as the solver does; the same stepper
+carrying the Hessian estimate B (direct-form updates, a shifted probe,
+the saddle-point solve that factorizes B) is kept as a cross-check that
+agrees with the solver to a stated tolerance where neither form repairs.
 """
 
 import numpy as np
@@ -34,7 +38,7 @@ from dqn_mesh.ecdqn import (
     init_ecdqn_states,
 )
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
-from dqn_mesh.quasi_newton import DEFAULT_FLOOR, refresh_hessian_batch, refresh_inverse_batch
+from dqn_mesh.quasi_newton import DEFAULT_FLOOR, refresh_inverse_batch
 from dqn_mesh.topology import metropolis_weights, random_connected_graph
 from oracle import (
     DIRECT,
@@ -43,6 +47,9 @@ from oracle import (
     KktError,
     curvature_ok,
     reference_kkt_solve,
+    ill_conditioned_schur,
+    reference_kkt_solve_inverse,
+    reflection,
     spectrum_clamp,
 )
 
@@ -178,22 +185,31 @@ def reference_diging(problem, graph, cfg):
     return log, x
 
 
-def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
-    """Every agent's saddle-point solve in turn; a failed solve repairs
-    that agent's estimate in the list b and retries once.  Returns
-    (dx, beta), or None when a retry fails too; every agent's solve and
-    retry of the round is counted either way."""
+# EC-DQN's estimate forms: the saddle-point solve, the refresh, and the
+# initial estimate from an orthogonal basis and the drawn B0 spectrum
+EC_FORMS = {
+    "inverse": (reference_kkt_solve_inverse, refresh_inverse, lambda q, vals: (q / vals) @ q.T),
+    "direct": (reference_kkt_solve, refresh_hessian, lambda q, vals: (q * vals) @ q.T),
+}
+
+
+def reference_kkt_round(m, a_mat, b_vec, x, v, floor, ceiling, log, form="inverse"):
+    """Every agent's saddle-point solve in turn, given its estimate in the
+    list m; a failed solve repairs that estimate and retries once.
+    Returns (dx, beta), or None when a retry fails too; every agent's
+    solve and retry of the round is counted either way."""
+    solve = EC_FORMS[form][0]
     dx, beta, lost = [], [], False
     for i in range(len(x)):
         r_prim = a_mat @ x[i] - b_vec
         try:
-            sol = reference_kkt_solve(b[i], a_mat, v[i], r_prim)
+            sol = solve(m[i], a_mat, v[i], r_prim)
         except KktError:
             log.retries += 1
             log.repaired += 1
-            b[i] = spectrum_clamp(b[i], floor, ceiling)
+            m[i] = spectrum_clamp(m[i], floor, ceiling)
             try:
-                sol = reference_kkt_solve(b[i], a_mat, v[i], r_prim)
+                sol = solve(m[i], a_mat, v[i], r_prim)
             except KktError:
                 lost = True
                 continue
@@ -202,19 +218,20 @@ def reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log):
     return None if lost else (np.stack(dx), np.stack(beta))
 
 
-def reference_ecdqn(problem, graph, cfg):
+def reference_ecdqn(problem, graph, cfg, form="inverse"):
     n_agents, n = problem.n_agents, problem.dim
     a_mat, b_vec = problem.constraint
     floor, ceiling = ecdqn.EIG_FLOOR, ecdqn.EIG_CEILING
+    _, refresh, start = EC_FORMS[form]
     w = metropolis_weights(graph)
     log = Log(problem, 3 if cfg.fusion else 2, graph.degrees())
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n_agents, n))
-    b = []
+    m = []
     for _ in range(n_agents):
         q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        b0 = (q_mat * rng.uniform(*B0_SPECTRUM, size=n)) @ q_mat.T
-        b.append(0.5 * (b0 + b0.T))
+        m0 = start(q_mat, rng.uniform(*B0_SPECTRUM, size=n))
+        m.append(0.5 * (m0 + m0.T))
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
     v = g.copy()
 
@@ -228,7 +245,7 @@ def reference_ecdqn(problem, graph, cfg):
     for _ in range(cfg.max_iters):
         if worst <= cfg.rse_tol:
             break
-        sols = reference_kkt_round(b, a_mat, b_vec, x, v, floor, ceiling, log)
+        sols = reference_kkt_round(m, a_mat, b_vec, x, v, floor, ceiling, log, form)
         if sols is None:
             log.diverged = True
             return log, x
@@ -244,8 +261,8 @@ def reference_ecdqn(problem, graph, cfg):
             log.diverged = True
             break
         for i in range(n_agents):
-            b[i], skipped, repaired = refresh_hessian(
-                b[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, floor, ceiling
+            m[i], skipped, repaired = refresh(
+                m[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, floor, ceiling
             )
             log.skipped += skipped
             log.repaired += repaired
@@ -357,9 +374,10 @@ def ec_config(**kwargs):
     return EcRunConfig(**{"max_iters": 120, "rse_tol": 1e-8, "seed": 1, **kwargs})
 
 
-# retries need an estimate that fails its saddle-point solve: a wide
-# spectrum box and a unit step get there on these seeds
-RETRY = dict(scheme="dfp", alpha=1.0, max_iters=150)
+# retries need an inverse estimate whose Schur block fails its solve: a
+# wide spectrum box and a long step get there with BFGS on these seeds
+# (with the solvers' own box no run of this grid retries)
+RETRY = dict(scheme="bfgs", max_iters=150)
 RETRY_BOX = {"EIG_FLOOR": 1e-6, "EIG_CEILING": 1e6}
 
 EC_CASES = {
@@ -372,15 +390,17 @@ EC_CASES = {
     ),
     "dfp-diverges": (4, 2, ec_config(scheme="dfp", alpha=1e6), {}, "diverged"),
     "bfgs-stalls": (4, 2, ec_config(scheme="bfgs", alpha=0.3), {"STALL_TOL": 1e-3}, "stalled"),
-    # converges at round 89 after one retry
-    "dfp-retry": (85, 85, ec_config(**RETRY, seed=85), RETRY_BOX, "retried"),
     # runs all 150 rounds, two retries on the way
-    "dfp-unfused-retry": (
-        24, 24, ec_config(**RETRY, fusion=False, seed=24), RETRY_BOX, "retried"
+    "bfgs-retry": (50, 50, ec_config(**RETRY, alpha=0.5, seed=50), RETRY_BOX, "retried"),
+    # runs all 150 rounds, one retry on the way
+    "bfgs-unfused-retry": (
+        27, 27, ec_config(**RETRY, alpha=1.0, fusion=False, seed=27), RETRY_BOX, "retried"
     ),
-    # its one retry, in round 23, fails and ends the run; the summary still
+    # its one retry, in round 50, fails and ends the run; the summary still
     # counts that retry and its repair
-    "dfp-retry-fails": (8, 8, ec_config(**RETRY, seed=8), RETRY_BOX, "retry-failed"),
+    "bfgs-retry-fails": (
+        92, 92, ec_config(**RETRY, alpha=0.5, seed=92), RETRY_BOX, "retry-failed"
+    ),
 }
 
 
@@ -405,32 +425,65 @@ def test_ecdqn_run_matches_reference(case, monkeypatch):
     }[outcome]
 
 
+# The stepper carrying the Hessian estimate B agrees with the solver, which
+# carries H = B^-1, to these tolerances on the cases below: the same
+# rounds and flags, every round's worst relative error within RSE_ATOL and
+# the final iterates within X_ATOL.  The largest gaps measured are 5.8e-8
+# (dfp-unfused, where the direct form makes 101 repairs and the inverse
+# form none) and 9.4e-11 (bfgs-stalls).
+DIRECT_FORM_RSE_ATOL = 1e-6
+DIRECT_FORM_X_ATOL = 1e-9
+
+
+@pytest.mark.parametrize("case", ["bfgs", "bfgs-stalls", "dfp", "dfp-unfused"])
+def test_ecdqn_run_agrees_with_direct_form_stepper(case, monkeypatch):
+    prob_seed, graph_seed, cfg, constants, _ = EC_CASES[case]
+    for name, value in constants.items():
+        monkeypatch.setattr(ecdqn, name, value)
+    prob = logreg_family(5, 5, 1e-2, prob_seed, constraint=True)
+    solve_reference(prob)
+    graph = random_connected_graph(5, 0.7, graph_seed)
+    trace = ecdqn_run(prob, graph, cfg)
+    log, x_final = reference_ecdqn(prob, graph, cfg, form="direct")
+    assert trace.rounds == len(log.rse) - 1
+    assert (trace.converged, trace.diverged, trace.stalled) == (
+        float(np.max(log.rse[-1])) <= cfg.rse_tol, log.diverged, log.stalled
+    )
+    assert np.max(np.abs(trace.rse - np.stack(log.rse))) <= DIRECT_FORM_RSE_ATOL
+    assert np.max(np.abs(trace.x_final - x_final)) <= DIRECT_FORM_X_ATOL
+
+
 # the configuration of the single EC-DQN rounds below
 EC_STEP = EcRunConfig(alpha=0.5)
 
 
-def ec_step_setup(bad_agent_b):
+def ec_step_setup(bad_agent_h):
     """A three-round-old EC-DQN state on a five-agent logistic problem
-    whose agent 2 then gets the estimate bad_agent_b."""
+    whose agent 2 then gets the inverse estimate bad_agent_h(A), built
+    from the constraint block A."""
     prob = logreg_family(5, 4, 1e-2, 3, constraint=True)
     graph = random_connected_graph(5, 0.7, 1)
     net = SyncNetwork(graph=graph, w=metropolis_weights(graph))
     state = init_ecdqn_states(prob, seed=2)
     for _ in range(3):
         state = ecdqn_step(net, state, prob, EC_STEP)
-    b = state.b.copy()
-    b[2] = bad_agent_b
-    return prob, net, replace(state, b=b)
+    h = state.h.copy()
+    h[2] = bad_agent_h(prob.constraint[0])
+    return prob, net, replace(state, h=h)
+
+
+def indefinite_schur(a_mat):
+    return reflection(a_mat[0])
 
 
 def assert_step_matches_reference(monkeypatch, prob, net, state, floor=1e-3, ceiling=1e3):
-    """One solver round against the saddle-point solves and Hessian
+    """One solver round against the saddle-point solves and curvature
     refresh done agent by agent; the pairs come from the solver's iterates
     and trackers."""
     log = Log(prob, 3, net.graph.degrees())
-    b = list(state.b)
+    h = list(state.h)
     a_mat, b_vec = prob.constraint
-    dx, beta = reference_kkt_round(b, a_mat, b_vec, state.x, state.v, floor, ceiling, log)
+    dx, beta = reference_kkt_round(h, a_mat, b_vec, state.x, state.v, floor, ceiling, log)
     monkeypatch.setattr(ecdqn, "EIG_FLOOR", floor)
     monkeypatch.setattr(ecdqn, "EIG_CEILING", ceiling)
     stepped = ecdqn_step(net, state, prob, EC_STEP)
@@ -438,38 +491,36 @@ def assert_step_matches_reference(monkeypatch, prob, net, state, floor=1e-3, cei
     assert np.array_equal(stepped.x, net.w @ (state.x + EC_STEP.alpha * (net.w @ dx)))
     assert np.array_equal(stepped.beta, beta)
     for i in range(prob.n_agents):
-        b[i], skipped, repaired = refresh_hessian(
-            b[i], stepped.x[i] - state.x[i], stepped.v[i] - state.v[i], "bfgs", floor, ceiling
+        h[i], skipped, repaired = refresh_inverse(
+            h[i], stepped.x[i] - state.x[i], stepped.v[i] - state.v[i], "bfgs", floor, ceiling
         )
         log.skipped += skipped
         log.repaired += repaired
-    assert np.array_equal(stepped.b, np.stack(b))
+    assert np.array_equal(stepped.h, np.stack(h))
     assert stepped.kkt_retries - state.kkt_retries == log.retries == 1
     assert stepped.safeguard_repairs - state.safeguard_repairs == log.repaired
     assert stepped.skipped_pairs - state.skipped_pairs == log.skipped
 
 
 def test_ecdqn_step_falls_back_on_indefinite_estimate(monkeypatch):
-    prob, net, state = ec_step_setup(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    prob, net, state = ec_step_setup(indefinite_schur)
     assert_step_matches_reference(monkeypatch, prob, net, state)
 
 
 def test_ecdqn_step_falls_back_on_residual_failure(monkeypatch):
-    # positive definite, so its Cholesky succeeds, but too ill-conditioned
-    # for the solve to pass the residual check
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
-    bad = (q * np.array([1.0, 1.0, 1.0, 1e-14])) @ q.T
-    bad = 0.5 * (bad + bad.T)
-    prob, net, state = ec_step_setup(bad)
+    # positive definite, and its Schur block passes its Cholesky test, but
+    # is too ill-conditioned for the solve to pass the residual check
+    prob, net, state = ec_step_setup(ill_conditioned_schur)
+    bad = state.h[2]
     np.linalg.cholesky(bad)
     a_mat, b_vec = prob.constraint
     with pytest.raises(KktError, match="residual"):
-        reference_kkt_solve(bad, a_mat, state.v[2], a_mat @ state.x[2] - b_vec)
+        reference_kkt_solve_inverse(bad, a_mat, state.v[2], a_mat @ state.x[2] - b_vec)
     assert_step_matches_reference(monkeypatch, prob, net, state)
 
 
 def test_ecdqn_step_diverges_when_the_retry_fails(monkeypatch):
-    prob, net, state = ec_step_setup(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    prob, net, state = ec_step_setup(indefinite_schur)
     # a repair that changes nothing leaves the retry to fail as well
     monkeypatch.setattr(ecdqn, "pd_safeguard", lambda m, floor, ceiling: m)
     with pytest.raises(DivergedError) as err:
@@ -478,7 +529,7 @@ def test_ecdqn_step_diverges_when_the_retry_fails(monkeypatch):
     counted = err.value.state
     assert counted.kkt_retries - state.kkt_retries == 1
     assert counted.safeguard_repairs - state.safeguard_repairs == 1
-    assert counted.x is state.x and counted.b is state.b
+    assert counted.x is state.x and counted.h is state.h
 
 
 def awkward_stack(rng, n):
@@ -502,12 +553,10 @@ def awkward_stack(rng, n):
 def test_batched_refresh_matches_per_pair(scheme):
     rng = np.random.default_rng(5)
     m, s, y = awkward_stack(rng, 4)
-    for batch, single, args in (
-        (refresh_inverse_batch, refresh_inverse, (1e-8, 50.0)),
-        (refresh_hessian_batch, refresh_hessian, (1e-3, 50.0)),
-    ):
-        out = batch(m, s, y, scheme, *args)
-        expected = [single(m[i], s[i], y[i], scheme, *args) for i in range(6)]
+    # at DQN's floor and at EC-DQN's
+    for args in ((1e-8, 50.0), (1e-3, 50.0)):
+        out = refresh_inverse_batch(m, s, y, scheme, *args)
+        expected = [refresh_inverse(m[i], s[i], y[i], scheme, *args) for i in range(6)]
         assert np.array_equal(out.estimates, np.stack([e[0] for e in expected]))
         assert out.skipped == sum(e[1] for e in expected) == 3
         assert out.repaired == sum(e[2] for e in expected) >= 2
