@@ -82,9 +82,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     graph = load_graph(args.graph)
     config = ExperimentConfig(
-        # constrained names what a generator draws; a loaded problem brings its
-        # own constraint, and basis pursuit has only the constrained form
-        family=problem.family, constrained=problem.family == "basis-pursuit",
+        # a loaded problem brings its own constraint, and the config's rules
+        # then say which methods run on it
+        family=problem.family, constrained=problem.constraint is not None,
         algos=(args.algo,), n_agents=problem.n_agents, dim=problem.dim,
         alpha=_parse_alpha(args.alpha), max_iters=args.max_iters, rse_tol=args.tol,
         fusion=not args.no_fusion,
@@ -120,6 +120,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     emit_report(table, traces, out)
     table.print_table()
     if table.total_aborted() > 0:
+        for reason in table.abort_reasons:
+            print(f"aborted cell {reason}", file=sys.stderr)
         print(f"{table.total_aborted()} aborted cells", file=sys.stderr)
         return 2
     return 0

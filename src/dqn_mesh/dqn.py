@@ -77,6 +77,10 @@ GAMMA = 1e3
 # few rounds; cut them off as diverged before they poison the arithmetic
 DIVERGENCE_LIMIT = 1e50
 
+# the trace writers format and write this many rounds at a time, so a
+# report holds one block of rows as text, not the whole file
+REPORT_BLOCK = 32
+
 
 def _blown_up(arr: np.ndarray) -> bool:
     """True when an entry is NaN or exceeds DIVERGENCE_LIMIT in magnitude;
@@ -198,27 +202,36 @@ class RunTrace:
     kkt_retries: int | None = None
 
     def to_csv(self, path: str | Path) -> None:
-        """Write one row per (round, agent) with the pinned column set."""
+        """Write one row per (round, agent) with the pinned column set.
+
+        The file is written REPORT_BLOCK rounds at a time, so the text held
+        at once is one block's rows, not the whole trace."""
         cols = "round,agent,rse,x_consensus_err,v_consensus_err,mean_grad_norm,objective,bytes_sent"
         extra = self.feasibility is not None
         if extra:
             cols += ",feasibility,beta_norm"
         n = self.rounds + 1
-
-        def floats(col: np.ndarray) -> list:
-            # one conversion per column; repr of a Python float is the CSV text
-            return np.asarray(col[:n], dtype=float).tolist()
-
         per_round = (self.x_consensus, self.v_consensus, self.mean_grad_norm, self.objective)
-        shared = [",".join(map(repr, vals)) for vals in zip(*map(floats, per_round))]
-        rse, sent = floats(self.rse), np.asarray(self.bytes_sent[:n], dtype=np.int64).tolist()
-        feas, beta = (floats(self.feasibility), floats(self.beta_norm)) if extra else (None, None)
-        lines = [cols]
-        for k in range(n):
-            for i in range(self.n_agents):
-                row = f"{k},{i},{rse[k][i]!r},{shared[k]},{sent[k][i]}"
-                lines.append(row + f",{feas[k][i]!r},{beta[k][i]!r}" if extra else row)
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            fh.write(cols + "\n")
+            for lo in range(0, n, REPORT_BLOCK):
+                block = slice(lo, min(lo + REPORT_BLOCK, n))
+
+                def floats(col: np.ndarray) -> list:
+                    # one conversion per column and block; repr of a Python
+                    # float is the CSV text
+                    return np.asarray(col[block], dtype=float).tolist()
+
+                shared = [",".join(map(repr, vals)) for vals in zip(*map(floats, per_round))]
+                rse = floats(self.rse)
+                sent = np.asarray(self.bytes_sent[block], dtype=np.int64).tolist()
+                feas, beta = (floats(self.feasibility), floats(self.beta_norm)) if extra else ((), ())
+                rows = []
+                for j, k in enumerate(range(block.start, block.stop)):
+                    for i in range(self.n_agents):
+                        row = f"{k},{i},{rse[j][i]!r},{shared[j]},{sent[j][i]}"
+                        rows.append(f"{row},{feas[j][i]!r},{beta[j][i]!r}\n" if extra else row + "\n")
+                fh.write("".join(rows))
 
     def summary_dict(self) -> dict:
         return {

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .dqn import RunConfig, RunTrace, _valid_step, diging_atc_run, dqn_run
+from .dqn import REPORT_BLOCK, RunConfig, RunTrace, _valid_step, diging_atc_run, dqn_run
 from .ecdqn import EcRunConfig, ecdqn_run
 from .problems import (
     FAMILIES,
@@ -50,8 +51,8 @@ class ExperimentConfig:
     """Declarative description of one sweep; alpha is a finite positive
     fixed step or "golden" (tuned per cell by golden-section search, which
     needs a positive rse_tol).  The qp family has no constrained form and
-    basis pursuit has only a constrained one, and only the EC-DQN methods
-    run on a constrained family."""
+    basis pursuit has only a constrained one; the EC-DQN methods run on a
+    constrained family and only they do."""
 
     family: str
     algos: tuple[str, ...]
@@ -83,6 +84,11 @@ class ExperimentConfig:
         if self.constrained and unconstrained:
             raise ValueError(f"{unconstrained} cannot honor the constraint of the constrained "
                              f"{self.family} family; only {' and '.join(EC_ALGOS)} run on it")
+        constrained_only = ", ".join(algo for algo in self.algos if algo in EC_ALGOS)
+        if not self.constrained and constrained_only:
+            others = ", ".join(algo for algo in ALL_ALGOS if algo not in EC_ALGOS)
+            raise ValueError(f"{constrained_only} cannot run on the unconstrained {self.family} "
+                             f"family, which has no constraint; only {others} run on it")
         if not (self.alpha == "golden" or _valid_step(self.alpha)):
             raise ValueError(
                 f"alpha must be a finite positive number or 'golden', not {self.alpha!r}"
@@ -125,7 +131,12 @@ class SummaryRow:
 
 @dataclass
 class SummaryTable:
+    """The rows of a sweep and, when it ran them, one line per aborted
+    cell naming the exception that aborted it.  The lines are not part of
+    the report: to_dict and from_dict carry the rows only."""
+
     rows: list[SummaryRow] = field(default_factory=list)
+    abort_reasons: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {"rows": [asdict(r) for r in self.rows]}
@@ -283,27 +294,33 @@ def run_experiment(
 ) -> tuple[SummaryTable, dict[tuple[str, float, int], RunTrace]]:
     """Execute every cell of the sweep and aggregate the outcomes.
 
-    Cells that raise are recorded as aborted and skipped in the
-    aggregates; everything else (including non-converged runs) counts
-    toward its cell's statistics.
+    Cells that raise are recorded as aborted, with the exception in the
+    table's abort_reasons, and skipped in the aggregates; everything else
+    (including non-converged runs) counts toward its cell's statistics.
     """
     traces: dict[tuple[str, float, int], RunTrace] = {}
     aborted: dict[tuple[str, float], int] = {}
+    reasons: list[str] = []
+
+    def abort(algos: tuple[str, ...], kappa: float, seed: int, exc: Exception) -> None:
+        for algo in algos:
+            aborted[(algo, kappa)] = aborted.get((algo, kappa), 0) + 1
+            reasons.append(f"{algo} kappa={kappa} seed={seed}: {type(exc).__name__}: {exc}")
+
     for kappa in config.kappas:
         for seed in config.seeds:
             graph = random_connected_graph(config.n_agents, kappa, seed)
             try:
                 problem = make_problem(config, seed)
                 solve_reference(problem)
-            except Exception:
-                for algo in config.algos:
-                    aborted[(algo, kappa)] = aborted.get((algo, kappa), 0) + 1
+            except Exception as exc:
+                abort(config.algos, kappa, seed, exc)
                 continue
             for algo in config.algos:
                 try:
                     traces[(algo, kappa, seed)] = run_cell(config, algo, problem, graph, seed)
-                except Exception:
-                    aborted[(algo, kappa)] = aborted.get((algo, kappa), 0) + 1
+                except Exception as exc:
+                    abort((algo,), kappa, seed, exc)
     rows = []
     for kappa in config.kappas:
         for algo in config.algos:
@@ -334,7 +351,7 @@ def run_experiment(
                     wall_ms_mean=float(np.mean(walls)) if good else None,
                 )
             )
-    return SummaryTable(rows=rows), traces
+    return SummaryTable(rows=rows, abort_reasons=reasons), traces
 
 
 def _trace_filename(algo: str, kappa: float, seed: int) -> str:
@@ -349,7 +366,9 @@ def emit_report(
     """Write summary JSON, one CSV per run, and a long-format CSV.
 
     All content except wall-time fields is reproducible byte for byte
-    from the same config.
+    from the same config.  The CSVs are written one trace and
+    REPORT_BLOCK rounds at a time, in sorted order, so the text held at
+    once is one block's rows.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -359,12 +378,42 @@ def emit_report(
         runs[f"{algo}_k{kappa}_s{seed}"] = trace.summary_dict()
     payload = {"table": table.to_dict(), "runs": runs}
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    lines = ["algo,kappa,seed,round,agent,rse"]
-    for (algo, kappa, seed), trace in sorted(traces.items()):
-        rse = np.asarray(trace.rse[: trace.rounds + 1], dtype=float).tolist()
-        for k, row in enumerate(rse):
-            lines.extend(f"{algo},{kappa},{seed},{k},{i},{r!r}" for i, r in enumerate(row))
-    (out / "long.csv").write_text("\n".join(lines) + "\n")
+    with open(out / "long.csv", "w") as fh:
+        fh.write("algo,kappa,seed,round,agent,rse\n")
+        for (algo, kappa, seed), trace in sorted(traces.items()):
+            n = trace.rounds + 1
+            for lo in range(0, n, REPORT_BLOCK):
+                rse = np.asarray(trace.rse[lo : min(lo + REPORT_BLOCK, n)], dtype=float).tolist()
+                fh.write("".join(
+                    f"{algo},{kappa},{seed},{k},{i},{r!r}\n"
+                    for k, row in enumerate(rse, lo) for i, r in enumerate(row)
+                ))
+
+
+def _trace_header(trace_path: str | Path) -> tuple[list[str], int, bool]:
+    """A trace's column names, the number of lines up to and including its
+    header (the first line that is not blank) and whether a row follows."""
+    with open(trace_path) as fh:
+        skip = 0
+        for line in fh:
+            skip += 1
+            if line != "\n":
+                return line.rstrip("\n").split(","), skip, any(row != "\n" for row in fh)
+    raise ValueError(f"trace {trace_path} has no header")
+
+
+def _trace_rows(trace_path: str | Path, skip: int, wanted: list[int]) -> dict[int, str]:
+    """The text of a trace's rows at the sorted indices wanted, counting
+    rows after the header's skip lines and not counting blank lines, read
+    in one pass that keeps only those rows."""
+    picked = {}
+    with open(trace_path) as fh:
+        rows = filter("\n".__ne__, islice(fh, skip, None))
+        at = 0
+        for j in wanted:
+            picked[j] = next(islice(rows, j - at, None))
+            at = j + 1
+    return picked
 
 
 _PAYLOADS_PER_ROUND = {"dqn-bfgs": 3, "dqn-dfp": 3, "diging-atc": 2, "ecdqn-bfgs": 3, "ecdqn-dfp": 3}
@@ -383,6 +432,11 @@ def validate_run(
     the summary's final_rse_max as their maximum exactly (both are the
     repr of one float) and, when the summary has an rse_tol, the run is
     converged exactly when that maximum meets it.
+
+    The trace is read a block at a time, never whole: numpy's reader
+    parses the round, agent and bytes_sent columns from the file a chunk
+    at a time, and one more pass keeps the text of only the rows whose
+    float cells are read.  Blank lines are skipped.
     """
     violations: list[str] = []
     summary = json.loads(Path(summary_path).read_text())
@@ -401,34 +455,37 @@ def validate_run(
     n_agents = int(summary["n_agents"])
     rounds = int(summary["rounds"])
 
-    header, *lines = [line for line in Path(trace_path).read_text().splitlines() if line]
-    names = header.split(",")
+    names, skip, has_rows = _trace_header(trace_path)
     cols = [names.index(name) for name in ("round", "agent", "bytes_sent")]
-    if lines:
+    if has_rows:
         rnd, agent, sent = np.loadtxt(
-            lines, dtype=np.int64, delimiter=",", usecols=cols, comments=None, ndmin=2
+            trace_path, dtype=np.int64, delimiter=",", usecols=cols, skiprows=skip,
+            comments=None, ndmin=2,
         ).T
     else:
         rnd = agent = sent = np.empty(0, dtype=np.int64)
-    if len(lines) != (rounds + 1) * n_agents:
-        violations.append(
-            f"expected {(rounds + 1) * n_agents} rows ({rounds} rounds), found {len(lines)}"
-        )
+    n_rows, expected_rows = len(rnd), (rounds + 1) * n_agents
+    if n_rows != expected_rows:
+        violations.append(f"expected {expected_rows} rows ({rounds} rounds), found {n_rows}")
     expected = payloads * 8 * dim * deg[agent] * rnd
     bad = np.flatnonzero(sent != expected)
-    stop = int(bad[0]) if bad.size else len(lines)
+    stop = int(bad[0]) if bad.size else n_rows
     if bad.size:
         violations.append(
             f"round {rnd[stop]} agent {agent[stop]}: ledger says {sent[stop]} bytes, "
             f"formula gives {expected[stop]}"
         )
-    # each round's mean-gradient norm from its last row before the first
-    # ledger violation; only those rows' text is parsed as floats
+    # the float cells read are each round's mean-gradient norm from its last
+    # row before the first ledger violation and, when the trace has every
+    # row, the last round's rse; only those rows' text is kept
     last_rounds, from_end = np.unique(rnd[:stop][::-1], return_index=True)
+    grad_rows = (stop - 1 - from_end).tolist()
+    complete = n_rows > 0 and n_rows == expected_rows
+    last_round = range(n_rows - n_agents, n_rows) if complete else range(0)
+    text = _trace_rows(trace_path, skip, sorted({*grad_rows, *last_round}))
     grad_col = names.index("mean_grad_norm")
     grad_norms = {
-        r: float(lines[stop - 1 - j].split(",")[grad_col])
-        for r, j in zip(last_rounds.tolist(), from_end.tolist())
+        r: float(text[j].split(",")[grad_col]) for r, j in zip(last_rounds.tolist(), grad_rows)
     }
     residuals = summary.get("tracking_residuals", [])
     if len(residuals) != rounds + 1:
@@ -445,9 +502,9 @@ def validate_run(
     rse_tol, final, converged = map(summary.get, ("rse_tol", "final_rse_max", "converged"))
     if converged and rse_tol is not None and final > rse_tol:
         violations.append("summary claims convergence above its own tolerance")
-    if lines and len(lines) == (rounds + 1) * n_agents:
+    if complete:
         rse_col = names.index("rse")
-        worst = max(float(line.split(",")[rse_col]) for line in lines[-n_agents:])
+        worst = max(float(text[j].split(",")[rse_col]) for j in last_round)
         if final != worst:
             violations.append(f"final_rse_max {final!r} != the trace's last-round maximum {worst!r}")
         if rse_tol is not None and converged != (worst <= rse_tol):

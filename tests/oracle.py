@@ -9,7 +9,8 @@ H.  The stacked code in ``dqn_mesh`` carries inverse estimates and must
 reproduce the inverse forms bit for bit; the direct forms, and the
 product forms of two updates, are kept as cross-checks to rounding.  At
 the end, the paper's fixed-step bound with the contraction factor and
-smoothness bounds it reads.
+smoothness bounds it reads, and the report text a trace's writers must
+produce byte for byte, formatted whole in memory.
 """
 
 import math
@@ -252,3 +253,40 @@ def smoothness_bound(family, record):
 def mean_smoothness(problem):
     """Smoothness bound of the mean objective: the mean one-agent bound."""
     return float(np.mean([smoothness_bound(problem.family, d) for d in problem.local_data]))
+
+
+# The report text, formatted whole in memory from a trace's arrays: one row
+# per (round, agent), the integer columns as ints and every float as its
+# repr.  The writers in dqn_mesh stream the same bytes a block at a time.
+
+TRACE_COLUMNS = (
+    "round,agent,rse,x_consensus_err,v_consensus_err,mean_grad_norm,objective,bytes_sent"
+)
+
+
+def trace_csv_text(trace):
+    """The text of ``trace.to_csv``: the pinned columns, plus feasibility
+    and beta_norm when the trace has them."""
+    extra = trace.feasibility is not None
+    lines = [TRACE_COLUMNS + (",feasibility,beta_norm" if extra else "")]
+    for k in range(trace.rounds + 1):
+        shared = ",".join(repr(float(col[k])) for col in (
+            trace.x_consensus, trace.v_consensus, trace.mean_grad_norm, trace.objective
+        ))
+        for i in range(trace.n_agents):
+            row = f"{k},{i},{float(trace.rse[k, i])!r},{shared},{int(trace.bytes_sent[k, i])}"
+            if extra:
+                row += f",{float(trace.feasibility[k, i])!r},{float(trace.beta_norm[k, i])!r}"
+            lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def long_csv_text(traces):
+    """The text of a sweep report's long.csv from its {(algo, kappa, seed):
+    trace} dict: every trace's rse cells, in sorted key order."""
+    lines = ["algo,kappa,seed,round,agent,rse"]
+    for (algo, kappa, seed), trace in sorted(traces.items()):
+        for k in range(trace.rounds + 1):
+            lines.extend(f"{algo},{kappa},{seed},{k},{i},{float(trace.rse[k, i])!r}"
+                         for i in range(trace.n_agents))
+    return "\n".join(lines) + "\n"

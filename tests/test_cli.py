@@ -134,8 +134,8 @@ class TestRun:
                 str(tmp_path / "trace.csv"),
             ]
         )
-        assert rc == 2
-        assert "run aborted" in capsys.readouterr().err
+        assert_input_error(rc, capsys, "ecdqn-bfgs cannot run on the unconstrained qp family")
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_basis_pursuit_pair_runs(self, tmp_path, capsys):
         problem_path, graph_path = generate_pair(tmp_path, "basis-pursuit", ["--constrained"])
@@ -146,16 +146,26 @@ class TestRun:
         assert rc == 0
         assert json.loads(trace_path.with_suffix(".json").read_text())["algo"] == "ecdqn-dfp"
 
+    def test_constrained_logreg_pair_runs(self, tmp_path):
+        # run reads the constraint off the loaded problem, so EC-DQN is
+        # accepted on a constrained logreg pair
+        problem_path, graph_path = generate_pair(tmp_path, "logreg", ["--constrained"])
+        args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.3"]
+        trace_path = tmp_path / "trace.csv"
+        rc = main(["run", "--algo", "ecdqn-bfgs", *args, "--max-iters", "20",
+                   "--trace-out", str(trace_path)])
+        assert rc == 0
+        assert json.loads(trace_path.with_suffix(".json").read_text())["algo"] == "ecdqn-bfgs"
+
     @pytest.mark.parametrize("algo", ["dqn-bfgs", "diging-atc"])
     def test_unconstrained_algorithm_on_constrained_pair_exits_two(self, tmp_path, capsys, algo):
         # the unconstrained methods would ignore the constraint and chase
-        # the constrained optimum to the iteration cap
+        # the constrained optimum to the iteration cap; the loaded problem's
+        # constraint rejects them when the run is configured
         problem_path, graph_path = generate_pair(tmp_path, "logreg", ["--constrained"])
         args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.3"]
         rc = main(["run", "--algo", algo, *args, "--trace-out", str(tmp_path / "trace.csv")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "run aborted" in err and "constraint" in err
+        assert_input_error(rc, capsys, f"{algo} cannot honor the constraint")
         assert not (tmp_path / "trace.csv").exists()
 
     def test_golden_run_matches_its_sweep_cell(self, tmp_path):
@@ -277,6 +287,25 @@ class TestSweepAndReport:
         rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "aborted" in capsys.readouterr().err
+
+    def test_sweep_says_why_a_cell_aborted(self, tmp_path, capsys):
+        # the seed-5 reference of this unregularized constrained logistic
+        # problem cannot be certified, so its one cell aborts
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "family": "logreg", "algos": ["ecdqn-bfgs"], "constrained": True, "n_agents": 3,
+            "dim": 40, "xi": 0.0, "seeds": [5], "kappas": [0.6], "alpha": 0.3,
+        }))
+        out_dir = tmp_path / "r"
+        rc = main(["sweep", "--config", str(path), "--out", str(out_dir)])
+        assert rc == 2
+        reason, count = capsys.readouterr().err.splitlines()
+        assert reason.startswith(
+            "aborted cell ecdqn-bfgs kappa=0.6 seed=5: ReferenceSolveError: no reference solution "
+            "for the constrained logreg problem (3 agents, dim 40, seed 5)"
+        )
+        assert count == "1 aborted cells"
+        assert "ReferenceSolveError" not in (out_dir / "summary.json").read_text()
 
     def test_report_prints_table(self, tmp_path, capsys):
         cfg_path = write_sweep_config(tmp_path)
@@ -436,6 +465,19 @@ class TestBadInput:
         )
         rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert_input_error(rc, capsys, "dqn-bfgs cannot honor the constraint")
+        assert not (tmp_path / "r").exists()
+
+    def test_sweep_config_pairing_constrained_method_with_unconstrained_family(
+        self, tmp_path, capsys
+    ):
+        # EC-DQN rejects an unconstrained problem, so the config is rejected
+        # when it is built rather than aborting every cell with no reason
+        cfg_path = write_sweep_config(
+            tmp_path, family="logreg", algos=["ecdqn-bfgs"], constrained=False, xi=0.0,
+            cond_range=None, kappas=[0.6],
+        )
+        rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert_input_error(rc, capsys, "ecdqn-bfgs cannot run on the unconstrained logreg family")
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("seed, reason", [

@@ -1,12 +1,14 @@
 """Tests for sweep orchestration, tuning, reporting, and validation."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from dqn_mesh.dqn import RunConfig, RunTrace, dqn_run
+from dqn_mesh.dqn import REPORT_BLOCK, RunConfig, RunTrace, diging_atc_run, dqn_run
+from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run
 from dqn_mesh.harness import (
     ExperimentConfig,
     SummaryRow,
@@ -20,6 +22,7 @@ from dqn_mesh.harness import (
 )
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
 from dqn_mesh.topology import random_connected_graph, save_graph
+from oracle import long_csv_text, trace_csv_text
 
 
 class TestExperimentConfig:
@@ -66,6 +69,14 @@ class TestExperimentConfig:
         # cell could only abort
         with pytest.raises(ValueError, match=f"{algo} cannot honor the constraint"):
             ExperimentConfig(family=family, algos=("ecdqn-bfgs", algo), constrained=True)
+
+    @pytest.mark.parametrize("family", ["qp", "logreg"])
+    @pytest.mark.parametrize("algo", ["ecdqn-bfgs", "ecdqn-dfp"])
+    def test_rejects_constrained_method_on_unconstrained_family(self, family, algo):
+        # EC-DQN rejects a problem without a constraint, so such a cell
+        # could only abort
+        with pytest.raises(ValueError, match=f"{algo} cannot run on the unconstrained {family}"):
+            ExperimentConfig(family=family, algos=("dqn-bfgs", algo), cond_range=(2.0, 10.0))
 
     @pytest.mark.parametrize("alpha", ["golden", 0.3, 2])
     def test_accepts_step_forms(self, alpha):
@@ -321,6 +332,28 @@ class TestRunExperiment:
             assert row.success_rate == 0.0
             assert row.rounds_mean is None
 
+    def test_abort_reasons_name_each_aborted_cell(self):
+        # an unregularized constrained logistic problem whose reference
+        # cannot be certified aborts its cell; the table says why, and the
+        # reason stays out of the report's dict
+        cfg = ExperimentConfig(
+            family="logreg", algos=("ecdqn-bfgs",), constrained=True, n_agents=3, dim=40,
+            xi=0.0, seeds=(5,), kappas=(0.6,), alpha=0.3,
+        )
+        table, traces = run_experiment(cfg)
+        assert traces == {} and table.total_aborted() == 1
+        [reason] = table.abort_reasons
+        assert reason.startswith("ecdqn-bfgs kappa=0.6 seed=5: ReferenceSolveError: "
+                                 "no reference solution for the constrained logreg problem")
+        assert set(table.to_dict()) == {"rows"}
+
+    def test_problem_abort_names_every_algorithm(self):
+        table, _ = run_experiment(small_sweep_config(cond_range=None, seeds=(0, 1)))
+        assert table.abort_reasons == [
+            f"{algo} kappa=0.9 seed={seed}: ValueError: qp family needs cond_range"
+            for seed in (0, 1) for algo in ("dqn-bfgs", "diging-atc")
+        ]
+
 
 # ---------------------------------------------------------------------------
 # reporting
@@ -367,6 +400,114 @@ class TestEmitReport:
         trace = next(iter(traces.values()))
         assert len(lines) == 1 + (trace.rounds + 1) * trace.n_agents
         assert lines[1].startswith("dqn-bfgs,0.9,0,0,0,")
+
+
+# ---------------------------------------------------------------------------
+# streamed report writers against the in-memory oracle
+
+
+def qp_run(run=dqn_run, **knobs):
+    prob = qp_family(4, 4, (2.0, 10.0), 0)
+    graph = random_connected_graph(4, 0.9, 0)
+    return run(prob, graph, RunConfig(**{"alpha": 0.3, "max_iters": 400, "rse_tol": 1e-8, **knobs}))
+
+
+def ec_run(fusion):
+    prob = logreg_family(4, 5, 1e-2, 3, constraint=True)
+    graph = random_connected_graph(4, 0.9, 3)
+    return ecdqn_run(prob, graph, EcRunConfig(alpha=0.3, max_iters=150, rse_tol=1e-12,
+                                              fusion=fusion))
+
+
+class TestStreamedReports:
+    @pytest.mark.parametrize("make", [
+        lambda: qp_run(),
+        lambda: qp_run(diging_atc_run),
+        lambda: ec_run(fusion=True),
+        lambda: ec_run(fusion=False),
+    ], ids=["dqn-bfgs", "diging-atc", "ecdqn-fused", "ecdqn-unfused"])
+    def test_to_csv_matches_the_oracle(self, tmp_path, make):
+        trace = make()
+        assert trace.rounds + 1 > REPORT_BLOCK
+        trace.to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == trace_csv_text(trace)
+
+    @pytest.mark.parametrize("records", [
+        REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1, 2 * REPORT_BLOCK,
+    ])
+    def test_to_csv_at_block_boundaries(self, tmp_path, records):
+        # a run capped at records - 1 rounds writes records rounds of rows
+        trace = qp_run(max_iters=records - 1, rse_tol=1e-300)
+        assert trace.rounds + 1 == records
+        trace.to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == trace_csv_text(trace)
+
+    def test_to_csv_of_a_run_converged_at_round_zero(self, tmp_path):
+        trace = qp_run(rse_tol=1e6)
+        assert trace.converged and trace.rounds == 0
+        trace.to_csv(tmp_path / "trace.csv")
+        text = (tmp_path / "trace.csv").read_text()
+        assert text == trace_csv_text(trace) and len(text.splitlines()) == 1 + trace.n_agents
+
+    def test_emit_report_matches_the_oracle(self, tmp_path):
+        table, traces = run_experiment(small_sweep_config(seeds=(0, 1)))
+        assert len(traces) == 4
+        emit_report(table, traces, tmp_path)
+        assert (tmp_path / "long.csv").read_text() == long_csv_text(traces)
+        for (algo, kappa, seed), trace in traces.items():
+            text = (tmp_path / f"trace_{algo}_k{kappa}_s{seed}.csv").read_text()
+            assert text == trace_csv_text(trace)
+
+
+def synthetic_run(tmp_path, rounds=800, n_agents=50, dim=24):
+    """A dqn-bfgs trace of made-up values whose ledger and summary pass
+    validation, with its graph and summary written next to it."""
+    rng = np.random.default_rng(0)
+    graph = random_connected_graph(n_agents, 0.3, 0)
+    k = np.arange(rounds + 1)
+    per_round = {name: rng.random(rounds + 1) for name in (
+        "x_consensus", "v_consensus", "mean_grad_norm", "objective"
+    )}
+    trace = RunTrace(
+        algo="dqn-bfgs", n_agents=n_agents, dim=dim, alpha=0.1,
+        rse=rng.random((rounds + 1, n_agents)) * 10.0 ** -rng.integers(0, 12, (rounds + 1, 1)),
+        bytes_sent=3 * 8 * dim * np.outer(k, graph.degrees()),
+        tracking_residual=np.zeros(rounds + 1), rounds=rounds, rse_tol=1e-10, **per_round,
+    )
+    save_graph(graph, tmp_path / "graph.json")
+    (tmp_path / "summary.json").write_text(json.dumps(trace.summary_dict()))
+    return trace, tmp_path / "trace.csv", tmp_path / "summary.json", tmp_path / "graph.json"
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReportMemory:
+    # the writers and the checker hold one block of rounds as text, so each
+    # peaks below the size of the file it writes or reads; holding the
+    # whole trace's text takes several times that
+
+    def test_to_csv_and_validate_run(self, tmp_path):
+        trace, *paths = synthetic_run(tmp_path)
+        _, write_peak = traced_peak(trace.to_csv, paths[0])
+        size = paths[0].stat().st_size
+        assert paths[0].read_text() == trace_csv_text(trace)
+        violations, check_peak = traced_peak(validate_run, *paths)
+        assert violations == []
+        assert write_peak < size and check_peak < size
+
+    def test_emit_report(self, tmp_path):
+        trace, *_ = synthetic_run(tmp_path)
+        traces = {("dqn-bfgs", 0.3, 0): trace}
+        _, peak = traced_peak(emit_report, SummaryTable(), traces, tmp_path / "report")
+        assert (tmp_path / "report" / "long.csv").read_text() == long_csv_text(traces)
+        assert peak < (tmp_path / "report" / "long.csv").stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +594,7 @@ class TestValidateRun:
             f"round 1: tracker deviates from the mean gradient by 1.000e+00 > {bound:.3e}"
         ]
 
+    @pytest.mark.filterwarnings("error::UserWarning")
     def test_header_only_trace_reports_missing_rows(self, finished_run):
         trace, trace_path, summary_path, graph_path = finished_run
         header = trace_path.read_text().split("\n")[0]
@@ -460,6 +602,47 @@ class TestValidateRun:
         assert validate_run(trace_path, summary_path, graph_path) == [
             f"expected {(trace.rounds + 1) * 4} rows ({trace.rounds} rounds), found 0"
         ]
+
+    def test_blank_lines_are_skipped(self, finished_run):
+        # blank lines before the header, between rows and at the end read as
+        # absent, so the tampered row is still named by its round and agent
+        _, trace_path, summary_path, graph_path = finished_run
+        lines = trace_path.read_text().strip().split("\n")
+
+        def write_spaced():
+            spaced = ["", lines[0], "", *lines[1:4], "", "", *lines[4:], "", ""]
+            trace_path.write_text("\n".join(spaced) + "\n")
+
+        write_spaced()
+        assert validate_run(trace_path, summary_path, graph_path) == []
+        parts = lines[5].split(",")
+        formula = int(parts[-1])
+        parts[-1] = str(formula + 8)
+        lines[5] = ",".join(parts)
+        write_spaced()
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"round 1 agent 0: ledger says {formula + 8} bytes, formula gives {formula}"
+        ]
+
+    def test_missing_trailing_newline(self, finished_run):
+        trace, trace_path, summary_path, graph_path = finished_run
+        text = trace_path.read_text()
+        trace_path.write_text(text.rstrip("\n"))
+        assert validate_run(trace_path, summary_path, graph_path) == []
+        payload = json.loads(summary_path.read_text())
+        payload["final_rse_max"] = 1e-9
+        summary_path.write_text(json.dumps(payload))
+        worst = float(np.max(trace.rse[trace.rounds]))
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"final_rse_max 1e-09 != the trace's last-round maximum {worst!r}"
+        ]
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_trace_without_header_is_an_error(self, finished_run, text):
+        _, trace_path, summary_path, graph_path = finished_run
+        trace_path.write_text(text)
+        with pytest.raises(ValueError, match="has no header"):
+            validate_run(trace_path, summary_path, graph_path)
 
     def test_detects_false_convergence_claim(self, finished_run):
         _, trace_path, summary_path, graph_path = finished_run
