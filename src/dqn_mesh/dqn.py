@@ -1,10 +1,12 @@
 """Synchronous peer-to-peer simulation of distributed quasi-Newton descent.
 
-Each round every agent mixes state with its neighbors through a doubly
-stochastic weight matrix, tracks the network-average gradient with a
-correction term, refreshes a local inverse-Hessian estimate from the
-step/tracker differences, and mixes the resulting descent directions.
-A first-order gradient-tracking baseline shares the same engine so that
+Each round every agent forms a direction from its state, mixes iterates
+with its neighbors through a doubly stochastic weight matrix, tracks the
+network-average gradient with a correction term and refreshes a local
+inverse-Hessian estimate from the step/tracker differences.  Both
+quasi-Newton methods run that round (qn_step, on QnState); only the
+direction differs, DQN's W (-C v) and EC-DQN's saddle-point step.  A
+first-order gradient-tracking baseline shares the same engine so that
 iteration and communication costs are directly comparable.  Every
 method, the constrained one included, is one call of the same run driver
 (run_rounds), which builds the weights, network and recorder, runs the
@@ -49,7 +51,7 @@ from .quasi_newton import curvature_ok  # noqa: F401
 from .topology import CommGraph, metropolis_weights
 
 __all__ = [
-    "DqnState",
+    "QnState",
     "DigingState",
     "SyncNetwork",
     "RunTrace",
@@ -57,6 +59,7 @@ __all__ = [
     "DivergedError",
     "track_gradient",
     "init_dqn_states",
+    "qn_step",
     "dqn_step",
     "diging_step",
     "run_rounds",
@@ -98,24 +101,26 @@ class DivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DqnState:
-    """Every agent's variables for the unconstrained method, stacked.
+class QnState:
+    """Every agent's variables for either quasi-Newton method, stacked.
 
-    Row i of x, v, the mixed directions z and last_gradient (each N x n)
-    and slice i of the inverse-Hessian estimates c (N x n x n) belong to
-    agent i.
-    skipped_pairs and safeguard_repairs count, over the rounds taken so
-    far, curvature pairs left unapplied and estimates whose spectrum was
-    repaired.
+    Row i of x, v, the direction d that the last round used (zero before
+    the first) and last_gradient (each N x n), of the multipliers beta
+    (N x m, EC-DQN only) and slice i of the inverse-Hessian estimates h
+    (N x n x n) belong to agent i.  The counters cover the rounds taken
+    so far: curvature pairs left unapplied, spectrum repairs and, for
+    EC-DQN (None for DQN), saddle-point solves retried.
     """
 
     x: np.ndarray
     v: np.ndarray
-    z: np.ndarray
-    c: np.ndarray
+    d: np.ndarray
+    h: np.ndarray
     last_gradient: np.ndarray
+    beta: np.ndarray | None = None
     skipped_pairs: int = 0
     safeguard_repairs: int = 0
+    kkt_retries: int | None = None
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,8 @@ class SyncNetwork:
         """One synchronous exchange: every agent averages neighbor rows.
 
         Each agent pushes its n-vector to every neighbor, so a mixed
-        payload costs 8 * n * degree bytes per agent.
+        payload costs 8 * n * degree bytes per agent.  No solver passes
+        account; it stays for instrumentation that passes it positionally.
         """
         rows = np.asarray(rows, dtype=float)
         if rows.shape[0] != self.graph.n_agents:
@@ -166,8 +172,9 @@ class RunTrace:
     """Per-round history of a run plus its terminal status.
 
     One record per round, including round zero, so a run of R rounds
-    yields R + 1 records.  x_final holds the last iterate of every agent
-    (one row per agent); intermediate iterates are not retained.  The
+    yields R + 1 records; DQN's z_consensus is that of the directions each
+    round used, zero at round zero.  x_final holds the last iterate of
+    every agent (one row per agent); intermediate iterates are not kept.  The
     counters cover the completed rounds of the quasi-Newton methods and
     stay None where a method has no such event: skipped_pairs counts
     curvature pairs left unapplied, safeguard_repairs spectrum repairs,
@@ -296,26 +303,18 @@ def _unconstrained_start(problem: SeparableProblem, seed: int) -> tuple[np.ndarr
     return x, problem.gradients(x)
 
 
-def init_dqn_states(problem: SeparableProblem, network: SyncNetwork, seed: int = 0) -> DqnState:
-    """Draw initial iterates and warm-start the tracker and directions.
-
-    v starts at the local gradient, the inverse estimate at C0_SCALE
-    times the identity, and the mixed direction z is formed once from
-    -C v.  This setup exchange is not metered; the ledger counts
-    iteration rounds only.
-    """
+def init_dqn_states(problem: SeparableProblem, seed: int = 0) -> QnState:
+    """Draw initial iterates and warm-start the tracker: v starts at the
+    local gradient, the inverse estimate at C0_SCALE times the identity
+    and the direction at zero."""
     n, n_agents = problem.dim, problem.n_agents
     x, grads = _unconstrained_start(problem, seed)
     c = np.broadcast_to(C0_SCALE * np.eye(n), (n_agents, n, n)).copy()
-    z = network.mix(-np.matvec(c, grads), account=False)
-    return DqnState(x=x, v=grads.copy(), z=z, c=c, last_gradient=grads)
+    return QnState(x=x, v=grads.copy(), d=np.zeros_like(x), h=c, last_gradient=grads)
 
 
 def track_gradient(
-    network: SyncNetwork,
-    state: DqnState,
-    new_x: np.ndarray,
-    problem: SeparableProblem,
+    network: SyncNetwork, state, new_x: np.ndarray, problem: SeparableProblem
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tracker update v' = W (v + g(x') - g(x)); returns (v', new gradients).
 
@@ -326,19 +325,16 @@ def track_gradient(
     return network.mix(state.v + new_g - state.last_gradient), new_g
 
 
-def dqn_step(
-    network: SyncNetwork,
-    state: DqnState,
-    problem: SeparableProblem,
-    config: RunConfig,
-) -> DqnState:
-    """One synchronous round: mix iterates, track gradients, refresh the
-    curvature estimates, then mix descent directions.
-
-    Three payloads cross every edge, so the ledger adds 24 * dim * degree
-    bytes per agent.
-    """
-    new_x = network.mix(state.x + config.alpha * state.z)
+def qn_step(
+    network: SyncNetwork, state: QnState, problem: SeparableProblem, config,
+    direction: Callable, box: tuple[float, float],
+) -> QnState:
+    """One round of either quasi-Newton method: direction(network, state,
+    problem, config) returns (d, multipliers or None, state with its
+    repairs), then x' = W (x + alpha d), gradient tracking, and a refresh
+    of every inverse estimate inside box = (floor, ceiling)."""
+    d, beta, state = direction(network, state, problem, config)
+    new_x = network.mix(state.x + config.alpha * d)
     if _blown_up(new_x):
         raise DivergedError(state)
     new_v, new_g = track_gradient(network, state, new_x, problem)
@@ -347,18 +343,29 @@ def dqn_step(
     # repairs go through this module's pd_safeguard name, so a wrapper
     # installed on it sees every batch of them
     refresh = refresh_inverse_batch(
-        state.c, new_x - state.x, new_v - state.v, config.scheme, DEFAULT_FLOOR, GAMMA,
-        safeguard=pd_safeguard,
+        state.h, new_x - state.x, new_v - state.v, config.scheme, *box, safeguard=pd_safeguard
     )
-    return DqnState(
-        x=new_x,
-        v=new_v,
-        z=network.mix(-np.matvec(refresh.estimates, new_v)),
-        c=refresh.estimates,
-        last_gradient=new_g,
+    # the constructor, not dataclasses.replace: this is every round's hot path
+    return QnState(
+        x=new_x, v=new_v, d=d, h=refresh.estimates, last_gradient=new_g, beta=beta,
         skipped_pairs=state.skipped_pairs + refresh.skipped,
         safeguard_repairs=state.safeguard_repairs + refresh.repaired,
+        kkt_retries=state.kkt_retries,
     )
+
+
+def _descent_direction(network, state, problem, config):
+    """DQN's directions, the mixed descent directions W (-C v)."""
+    return network.mix(-np.matvec(state.h, state.v)), None, state
+
+
+def dqn_step(
+    network: SyncNetwork, state: QnState, problem: SeparableProblem, config: RunConfig
+) -> QnState:
+    """One round of DQN: qn_step with the descent directions, the
+    estimates kept inside [DEFAULT_FLOOR, GAMMA].  Three payloads cross
+    every edge, so the ledger adds 24 * dim * degree bytes per agent."""
+    return qn_step(network, state, problem, config, _descent_direction, (DEFAULT_FLOOR, GAMMA))
 
 
 def diging_step(
@@ -376,26 +383,28 @@ def diging_step(
 
 
 def run_rounds(
-    algo: str, problem: SeparableProblem, graph: CommGraph, config, start: Callable,
+    algo: str, problem: SeparableProblem, graph: CommGraph, config, state,
     step: Callable, stall: tuple[int, float] | None = None,
 ) -> RunTrace:
-    """The run driver of every solver: one run of algo, as its trace.
+    """The run driver of every solver: one run of algo from the start
+    state, as its trace.
 
     Builds the Metropolis weights and the metered network, takes
-    config.alpha as a float and records start(network) as round zero.
-    Then it steps, step(network, state, problem, config), and records
+    config.alpha as a float and records state as round zero.  Then it
+    steps, step(network, state, problem, config), and records
     until the worst agent's relative error meets config.rse_tol, a step
     raises DivergedError (whose state the run ends on) or
     config.max_iters rounds are spent, or, with stall = (rounds, tol)
     set, every iterate moved at most tol for that many rounds in a row
     (stalled).
     Callers pass the step found under its module-level name when they
-    run, so a wrapper installed on that name sees every round.
+    run, so a wrapper installed on that name sees every round.  The
+    trace's wall time covers this call, not the drawing of the start
+    state.
     """
     started = time.perf_counter()
     network = SyncNetwork(graph=graph, w=metropolis_weights(graph))
     config = replace(config, alpha=float(config.alpha))
-    state = start(network)
     rec = _Recorder(problem, state)
     converged = rec.record(state, network.sent_bytes) <= config.rse_tol
     flags = dict(converged=converged, diverged=False, stalled=False)
@@ -424,17 +433,18 @@ class _Recorder:
     """Accumulates per-round trace rows read off the states.
 
     A round's record computes what the stopping rule needs, every agent's
-    relative error, and copies x, v, the gradients (and z, where the
-    state has it) into a block of rounds.  A full block, and the partial
+    relative error, and copies x, v, the gradients (and, for DQN, the
+    directions d) into a block of rounds.  A full block, and the partial
     one at build, is reduced in one stacked pass: the means, consensus
     norms, mean-gradient norm, tracking residual and, in one
     ``objective_values`` call, the objective at each round's mean
     iterate.  Every column equals its textbook form bit for bit: a mean
     is ``np.add.reduce`` over the agents divided by N, as ``.mean(axis=0)``
     computes it, and a norm reduces through ``np.vecdot``, as
-    ``np.linalg.norm`` reduces through ``ddot``.  A state with multipliers
-    (beta) adds per-agent feasibility and multiplier-norm columns.  A
-    problem without a reference solution gets one solved first.
+    ``np.linalg.norm`` reduces through ``ddot``.  A constrained problem,
+    which only EC-DQN accepts, adds per-agent feasibility and
+    multiplier-norm columns.  A problem without a reference solution gets
+    one solved first.
     """
 
     BLOCK = 32
@@ -445,10 +455,12 @@ class _Recorder:
         self.problem = problem
         self.x_star = problem.reference_solution
         self.star_norm = float(np.linalg.norm(self.x_star))
-        self.track_z = hasattr(state, "z")
-        self.constraint = problem.constraint if hasattr(state, "beta") else None
-        # one slot per round: x, v, gradients and, when tracked, z
-        self.block = np.empty((self.BLOCK, 4 if self.track_z else 3, problem.n_agents, problem.dim))
+        # the unconstrained methods reject a constraint, so a quasi-Newton
+        # state on an unconstrained problem is DQN's
+        self.constraint = problem.constraint
+        self.track_d = self.constraint is None and isinstance(state, QnState)
+        # one slot per round: x, v, gradients and, when tracked, d
+        self.block = np.empty((self.BLOCK, 4 if self.track_d else 3, problem.n_agents, problem.dim))
         self.filled = 0
         self.rse: list[np.ndarray] = []
         self.bytes: list[np.ndarray] = []
@@ -465,8 +477,8 @@ class _Recorder:
         self.rse.append(rse)
         slot = self.block[self.filled]
         slot[0], slot[1], slot[2] = state.x, state.v, state.last_gradient
-        if self.track_z:
-            slot[3] = state.z
+        if self.track_d:
+            slot[3] = state.d
         self.filled += 1
         if self.filled == self.BLOCK:
             self._reduce_block()
@@ -498,7 +510,7 @@ class _Recorder:
             "tracking_residual": norms[k:],
             "objective": self.problem.objective_values(x_bar),
         }
-        if self.track_z:
+        if self.track_d:
             cols["z_consensus"] = consensus[:, 3]
         for name, col in cols.items():
             self.columns.setdefault(name, []).append(col)
@@ -538,8 +550,8 @@ def dqn_run(problem: SeparableProblem, graph: CommGraph, config: RunConfig) -> R
     relative error drops below the tolerance or the round budget runs out.
     """
     return run_rounds(
-        f"dqn-{config.scheme}", problem, graph, config,
-        lambda network: init_dqn_states(problem, network, config.seed), dqn_step,
+        f"dqn-{config.scheme}", problem, graph, config, init_dqn_states(problem, config.seed),
+        dqn_step,
     )
 
 
@@ -557,6 +569,5 @@ def diging_atc_run(problem: SeparableProblem, graph: CommGraph, config: RunConfi
     this is plain gradient descent.
     """
     return run_rounds(
-        "diging-atc", problem, graph, config,
-        lambda network: _diging_start(problem, config.seed), diging_step,
+        "diging-atc", problem, graph, config, _diging_start(problem, config.seed), diging_step
     )

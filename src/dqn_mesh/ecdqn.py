@@ -4,14 +4,13 @@ Each agent keeps an inverse Hessian estimate H, as DQN does, and solves
 a local saddle-point system coupling its tracked gradient with the shared
 constraint residual.  The resulting primal directions are optionally
 fused (mixed) before the iterate update; multipliers are recomputed fresh
-every round and never mixed.  Gradient tracking, the byte ledger and the
-curvature refresh (``refresh_inverse_batch``) reuse the unconstrained
-engine, and a run is one call of its run driver (run_rounds).  The
-agents' variables are held stacked; every round solves all saddle-point
-systems in one batched call (block elimination in inverse form: matrix
-products and one m x m solve per agent), repairs and re-solves only the
-agents whose solve failed in a second one, and refreshes the estimates
-in another.  The step size is a fixed finite positive number from the
+every round and never mixed.  That solve is this method's direction
+function; the rest of a round is DQN's (``dqn.qn_step`` on
+``dqn.QnState``), and a run is one call of its run driver (run_rounds).
+Every round solves all saddle-point systems in one batched call (block
+elimination in inverse form: matrix products and one m x m solve per
+agent) and repairs and re-solves only the agents whose solve failed in
+a second one.  The step size is a fixed finite positive number from the
 run config, the full step 1.0 unless a caller sets another.  The
 spectrum box of the estimates and the stall rule are module constants,
 which the step and the run read when they run.
@@ -23,16 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dqn import (
-    DivergedError,
-    SyncNetwork,
-    _blown_up,
-    _check_run_config,
-    run_rounds,
-    track_gradient,
-)
+from .dqn import DivergedError, QnState, SyncNetwork, _check_run_config, qn_step, run_rounds
+# track_gradient is not called here (qn_step tracks); it stays importable
+# for instrumentation that looks it up by module-level name
+from .dqn import track_gradient  # noqa: F401
 from .problems import SeparableProblem
-from .quasi_newton import cholesky_ok, pd_safeguard, refresh_inverse_batch
+from .quasi_newton import cholesky_ok, pd_safeguard
 from .quasi_newton import curvature_ok  # noqa: F401  (see the note in dqn.py)
 from .topology import CommGraph
 # metropolis_weights is not called here (run_rounds builds the weights); it
@@ -40,7 +35,6 @@ from .topology import CommGraph
 from .topology import metropolis_weights  # noqa: F401
 
 __all__ = [
-    "EcDqnState",
     "KktSystem",
     "KktFactorizationError",
     "EcRunConfig",
@@ -184,27 +178,6 @@ def kkt_solve(system: KktSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class EcDqnState:
-    """Every agent's variables for the constrained method, stacked.
-
-    Row i of x, v and last_gradient (each N x n), of the multipliers beta
-    (N x m) and slice i of the inverse Hessian estimates h (N x n x n)
-    belong to agent i.  The counters cover the rounds taken so far:
-    curvature pairs left unapplied, spectrum repairs (refresh fallbacks and
-    repairs before a KKT retry), and saddle-point solves retried.
-    """
-
-    x: np.ndarray
-    v: np.ndarray
-    h: np.ndarray
-    beta: np.ndarray
-    last_gradient: np.ndarray
-    skipped_pairs: int = 0
-    safeguard_repairs: int = 0
-    kkt_retries: int = 0
-
-
-@dataclass(frozen=True)
 class EcRunConfig:
     """Knobs for the constrained solver, the values a caller sets: the
     steps read them from here.  alpha, the fixed step size, is a finite
@@ -222,8 +195,9 @@ class EcRunConfig:
         _check_run_config(self)
 
 
-def init_ecdqn_states(problem: SeparableProblem, seed: int = 0) -> EcDqnState:
-    """Draw initial iterates and well-conditioned inverse Hessian estimates.
+def init_ecdqn_states(problem: SeparableProblem, seed: int = 0) -> QnState:
+    """Draw initial iterates and well-conditioned inverse Hessian estimates;
+    the direction and the multipliers start at zero.
 
     Every agent gets an independent symmetric positive definite estimate
     H0 = Q diag(1 / vals) Q', the inverse of a Hessian estimate with
@@ -244,73 +218,48 @@ def init_ecdqn_states(problem: SeparableProblem, seed: int = 0) -> EcDqnState:
         h0 = (q_mat / vals) @ q_mat.T
         h[i] = 0.5 * (h0 + h0.T)
     grads = problem.gradients(x)
-    return EcDqnState(
-        x=x,
-        v=grads.copy(),
-        h=h,
-        beta=np.zeros((n_agents, m)),
-        last_gradient=grads,
+    return QnState(
+        x=x, v=grads.copy(), d=np.zeros_like(x), h=h, last_gradient=grads,
+        beta=np.zeros((n_agents, m)), kkt_retries=0,
     )
 
 
-def ecdqn_step(
-    network: SyncNetwork,
-    state: EcDqnState,
-    problem: SeparableProblem,
-    config: EcRunConfig,
-) -> EcDqnState:
-    """One synchronous round of the constrained method.
-
-    Order within the round: local saddle-point solves, direction fusion,
-    iterate mixing, gradient tracking, curvature refresh.  Three payloads
-    cross every edge (two with fusion disabled).  Every agent's
-    saddle-point system is solved in one batched call.  The agents whose
-    solve fails get one spectrum repair and are solved again, together, in
-    a second batched call; a failure there aborts the run as diverged.  The
-    DivergedError of a round that aborts carries the state with that
-    round's retries and repairs counted.
-    """
+def _kkt_direction(network: SyncNetwork, state: QnState, problem: SeparableProblem, config):
+    """EC-DQN's directions, every agent's saddle-point step (mixed when
+    fused), and multipliers, all solved in one batched call.  The agents
+    whose solve fails get one spectrum repair and are solved again in a
+    second; the returned state holds the repairs and counts them and the
+    retries.  A second failure raises DivergedError, its state counting
+    that round's retries and repairs."""
     a_mat, b_vec = problem.constraint
-    h = state.h
     r_prim = np.matvec(a_mat, state.x) - b_vec
-    delta_x, beta, ok = kkt_solve_batch(h, a_mat, state.v, r_prim)
+    delta_x, beta, ok = kkt_solve_batch(state.h, a_mat, state.v, r_prim)
     failed = np.flatnonzero(~ok)
     if failed.size:
-        state = replace(
+        counted = replace(
             state, kkt_retries=state.kkt_retries + failed.size,
             safeguard_repairs=state.safeguard_repairs + failed.size,
         )
         h = state.h.copy()
-        # through this module's pd_safeguard name, as in the refresh below
+        # through this module's pd_safeguard name, so a wrapper installed on
+        # it sees the repair
         h[failed] = pd_safeguard(h[failed], floor=EIG_FLOOR, ceiling=EIG_CEILING)
         delta_x[failed], beta[failed], ok = kkt_solve_batch(
             h[failed], a_mat, state.v[failed], r_prim[failed]
         )
         if not ok.all():
-            raise DivergedError(state)
-    d = network.mix(delta_x) if config.fusion else delta_x
+            raise DivergedError(counted)
+        state = replace(counted, h=h)
+    return (network.mix(delta_x) if config.fusion else delta_x), beta, state
 
-    new_x = network.mix(state.x + config.alpha * d)
-    if _blown_up(new_x):
-        raise DivergedError(state)
-    new_v, new_g = track_gradient(network, state, new_x, problem)
-    if _blown_up(new_v):
-        raise DivergedError(state)
-    # repairs go through this module's pd_safeguard name, as in dqn_step
-    refresh = refresh_inverse_batch(
-        h, new_x - state.x, new_v - state.v, config.scheme, EIG_FLOOR, EIG_CEILING,
-        safeguard=pd_safeguard,
-    )
-    return EcDqnState(
-        x=new_x,
-        v=new_v,
-        h=refresh.estimates,
-        beta=beta,
-        last_gradient=new_g,
-        skipped_pairs=state.skipped_pairs + refresh.skipped,
-        safeguard_repairs=state.safeguard_repairs + refresh.repaired,
-        kkt_retries=state.kkt_retries,
-    )
+
+def ecdqn_step(
+    network: SyncNetwork, state: QnState, problem: SeparableProblem, config: EcRunConfig
+) -> QnState:
+    """One round of the constrained method: qn_step with the saddle-point
+    directions, the estimates kept inside [EIG_FLOOR, EIG_CEILING].  Three
+    payloads cross every edge (two with fusion disabled)."""
+    return qn_step(network, state, problem, config, _kkt_direction, (EIG_FLOOR, EIG_CEILING))
 
 
 def ecdqn_run(
@@ -323,7 +272,6 @@ def ecdqn_run(
     top of the shared record layout.
     """
     return run_rounds(
-        f"ecdqn-{config.scheme}", problem, graph, config,
-        lambda network: init_ecdqn_states(problem, config.seed), ecdqn_step,
-        stall=(STALL_ROUNDS, STALL_TOL),
+        f"ecdqn-{config.scheme}", problem, graph, config, init_ecdqn_states(problem, config.seed),
+        ecdqn_step, stall=(STALL_ROUNDS, STALL_TOL),
     )

@@ -94,6 +94,8 @@ class SeparableProblem:
             if np.linalg.matrix_rank(a) < a.shape[0]:
                 raise ValueError("constraint matrix must have full row rank")
             self.constraint = (a, b)
+        if self.reference_solution is not None and np.shape(self.reference_solution) != (self.dim,):
+            raise ValueError(f"reference solution must have shape ({self.dim},)")
         self._stack = family.stack.of(self.local_data)
 
     @property

@@ -313,7 +313,7 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         prob.reference_solution = np.linalg.solve(p, -lin)
         single = CommGraph(1, ())
         net = SyncNetwork(graph=single, w=metropolis_weights(single))
-        state = init_dqn_states(prob, net, seed=9)
+        state = init_dqn_states(prob, seed=9)
         xs = [state.x[0].copy()]
         for _ in range(50):
             state = dqn_step(net, state, prob, RunConfig(scheme="bfgs", alpha=0.5))
@@ -356,20 +356,20 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         prob3 = qp_family(3, 4, (2.0, 10.0), 6)
         triangle = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
         net3 = SyncNetwork(graph=triangle, w=metropolis_weights(triangle))
-        state3 = init_dqn_states(prob3, net3, seed=4)
+        state3 = init_dqn_states(prob3, seed=4)
         big_w = np.kron(net3.w, np.eye(4))
         xf = state3.x.ravel()
         vf = state3.v.ravel()
-        zf = state3.z.ravel()
         gf = state3.last_gradient.ravel()
-        cs = list(state3.c.copy())
+        cs = list(state3.h.copy())
         for _ in range(2):
+            # each round forms its direction from the state it starts from
+            zf = big_w @ np.concatenate([-(cs[i] @ vf[4 * i : 4 * i + 4]) for i in range(3)])
             x_new = big_w @ (xf + 0.3 * zf)
             g_new = np.concatenate(
                 [prob3.locals[i].gradient(x_new[4 * i : 4 * i + 4]) for i in range(3)]
             )
             v_new = big_w @ (vf + g_new - gf)
-            d_new = np.empty_like(xf)
             for i in range(3):
                 sl = slice(4 * i, 4 * i + 4)
                 s_vec, y_vec = x_new[sl] - xf[sl], v_new[sl] - vf[sl]
@@ -378,13 +378,12 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
                     cy = cs[i] @ y_vec
                     c = cs[i] - (np.outer(s_vec, cy) + np.outer(cy, s_vec)) / rho
                     cs[i] = c + (1.0 + (y_vec @ cy) / rho) * np.outer(s_vec, s_vec) / rho
-                d_new[sl] = -(cs[i] @ v_new[sl])
-            zf = big_w @ d_new
             xf, vf, gf = x_new, v_new, g_new
             state3 = dqn_step(net3, state3, prob3, RunConfig(scheme="bfgs", alpha=0.3))
         assert np.allclose(state3.x.ravel(), xf, atol=1e-12, rtol=0.0)
         assert np.allclose(state3.v.ravel(), vf, atol=1e-12, rtol=0.0)
-        assert np.allclose(state3.z.ravel(), zf, atol=1e-12, rtol=0.0)
+        # the direction that round 2 used
+        assert np.allclose(state3.d.ravel(), zf, atol=1e-12, rtol=0.0)
 
     _report(criterion_report, 8, "degenerate and oracle checks", body)
 

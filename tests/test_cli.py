@@ -519,18 +519,25 @@ class TestBadInput:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
-        "family, path, value, field",
+        "family, path, value, words",
         [
-            ("qp", ("locals", 1, "q", 2), float("nan"), "'q'"),
-            ("qp", ("locals", 1, "q", 2), float("inf"), "'q'"),
-            ("qp", ("reference_solution", 0), float("-inf"), "'reference_solution'"),
-            ("logreg", ("constraint", "b", 0), float("nan"), "'constraint b'"),
+            ("qp", ("locals", 1, "q", 2), float("nan"), ("non-finite", "'q'")),
+            ("qp", ("locals", 1, "q", 2), float("inf"), ("non-finite", "'q'")),
+            ("qp", ("reference_solution", 0), float("-inf"),
+             ("non-finite", "'reference_solution'")),
+            ("logreg", ("constraint", "b", 0), float("nan"), ("non-finite", "'constraint b'")),
+            # a scalar or one-entry reference would broadcast, and every
+            # error would be measured against a point the file never held
+            ("qp", ("reference_solution",), 0.25, ("reference solution", "shape (4,)")),
+            ("qp", ("reference_solution",), [0.25], ("reference solution", "shape (4,)")),
+            ("qp", ("reference_solution",), [1.0, 2.0, 3.0], ("reference solution", "shape (4,)")),
         ],
-        ids=["nan-record", "inf-record", "inf-reference", "nan-constraint"],
+        ids=[
+            "nan-record", "inf-record", "inf-reference", "nan-constraint",
+            "scalar-reference", "one-entry-reference", "short-reference",
+        ],
     )
-    def test_problem_file_with_non_finite_number(
-        self, tmp_path, capsys, family, path, value, field
-    ):
+    def test_problem_file_with_bad_field(self, tmp_path, capsys, family, path, value, words):
         extra = ["--constrained"] if family == "logreg" else []
         problem_path, graph_path = generate_pair(tmp_path, family, extra)
         payload = json.loads(problem_path.read_text())
@@ -543,7 +550,7 @@ class TestBadInput:
         args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.3"]
         args += ["--trace-out", str(tmp_path / "trace.csv")]
         rc = main(["run", "--algo", "dqn-bfgs", *args])
-        assert_input_error(rc, capsys, "problem file", "problem.json", "non-finite", field)
+        assert_input_error(rc, capsys, "problem file", "problem.json", *words)
 
     def test_problem_file_without_fields(self, tmp_path, capsys):
         _, graph_path = generate_pair(tmp_path)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqn_mesh.dqn import (
-    C0_SCALE,
     DIVERGENCE_LIMIT,
     GAMMA,
     DivergedError,
@@ -19,6 +18,7 @@ from dqn_mesh.dqn import (
     init_dqn_states,
     track_gradient,
 )
+from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run
 from dqn_mesh.problems import (
     QpLocalData,
     SeparableProblem,
@@ -122,27 +122,31 @@ class TestByteLedger:
 class TestInit:
     def test_tracker_starts_at_local_gradients(self):
         prob = quadratic_problem()
-        net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, seed=5)
-        assert state.c.shape == (3, prob.dim, prob.dim)
+        state = init_dqn_states(prob, seed=5)
+        assert state.h.shape == (3, prob.dim, prob.dim)
         for i in range(3):
             g = prob.locals[i].gradient(state.x[i])
             assert np.allclose(state.v[i], g)
             assert np.allclose(state.last_gradient[i], g)
-            assert np.allclose(state.c[i], 0.1 * np.eye(prob.dim))
+            assert np.allclose(state.h[i], 0.1 * np.eye(prob.dim))
 
-    def test_direction_mix_is_unmetered(self):
+    def test_round_zero_is_unmetered(self):
+        # every method's round-0 state has sent nothing, and DQN's round-0
+        # direction is zero: each round forms its direction when it starts
         prob = quadratic_problem()
-        net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net)
-        # the initial directions are -C0_SCALE times the local gradients
-        assert np.allclose(state.z, net.w @ (-C0_SCALE * state.last_gradient))
-        assert net.sent_bytes.tolist() == [0, 0, 0]
+        assert not init_dqn_states(prob).d.any()
+        cfg = RunConfig(alpha=0.3, max_iters=3, rse_tol=0.0)
+        traces = [dqn_run(prob, TRIANGLE, cfg), diging_atc_run(prob, TRIANGLE, cfg)]
+        ec_prob = logreg_family(3, 4, 1e-2, 0, constraint=True)
+        traces.append(ecdqn_run(ec_prob, TRIANGLE, EcRunConfig(max_iters=3, rse_tol=0.0)))
+        for trace in traces:
+            assert trace.bytes_sent[0].tolist() == [0, 0, 0]
+        assert traces[0].z_consensus[0] == 0.0
 
     def test_rejects_constrained_problem(self):
         prob = logreg_family(3, 4, 1e-2, 0, constraint=True)
         with pytest.raises(ValueError, match="constraint"):
-            init_dqn_states(prob, make_network(TRIANGLE))
+            init_dqn_states(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +160,7 @@ class TestTracking:
         prob = qp_family(4, 4, (2.0, 8.0), seed)
         graph = random_connected_graph(4, 0.7, seed)
         net = make_network(graph)
-        state = init_dqn_states(prob, net, seed=seed)
+        state = init_dqn_states(prob, seed=seed)
         for _ in range(rounds):
             state = dqn_step(net, state, prob, RunConfig(alpha=0.2))
         v_bar = state.v.mean(axis=0)
@@ -166,7 +170,7 @@ class TestTracking:
     def test_track_gradient_returns_fresh_gradients(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net)
+        state = init_dqn_states(prob)
         new_x = state.x * 0.5
         new_v, new_g = track_gradient(net, state, new_x, prob)
         for i in range(3):
@@ -213,7 +217,7 @@ class TestSingleAgent:
     def test_matches_centralized_quasi_newton(self, scheme):
         prob = single_agent_quadratic(5, 3)
         net = make_network(SINGLE)
-        state = init_dqn_states(prob, net, seed=9)
+        state = init_dqn_states(prob, seed=9)
         xs = [state.x[0].copy()]
         for _ in range(50):
             state = dqn_step(net, state, prob, RunConfig(scheme=scheme, alpha=0.5))
@@ -247,9 +251,8 @@ def kron_joint_oracle(problem, w, state, alpha, rounds):
     big_w = np.kron(w, np.eye(dim))
     x = state.x.ravel()
     v = state.v.ravel()
-    z = state.z.ravel()
     g = state.last_gradient.ravel()
-    cs = list(state.c.copy())
+    cs = list(state.h.copy())
 
     def grad_stack(xf):
         return np.concatenate(
@@ -257,10 +260,13 @@ def kron_joint_oracle(problem, w, state, alpha, rounds):
         )
 
     for _ in range(rounds):
+        # every round forms its direction from the state it starts from
+        z = big_w @ np.concatenate(
+            [-(cs[i] @ v[i * dim : (i + 1) * dim]) for i in range(n_agents)]
+        )
         x_new = big_w @ (x + alpha * z)
         g_new = grad_stack(x_new)
         v_new = big_w @ (v + g_new - g)
-        d_new = np.empty_like(x)
         for i in range(n_agents):
             sl = slice(i * dim, (i + 1) * dim)
             s_vec, y_vec = x_new[sl] - x[sl], v_new[sl] - v[sl]
@@ -271,9 +277,8 @@ def kron_joint_oracle(problem, w, state, alpha, rounds):
                 cy = cs[i] @ y_vec
                 c = cs[i] - (np.outer(s_vec, cy) + np.outer(cy, s_vec)) / rho
                 cs[i] = c + (1.0 + (y_vec @ cy) / rho) * np.outer(s_vec, s_vec) / rho
-            d_new[sl] = -(cs[i] @ v_new[sl])
-        z = big_w @ d_new
         x, v, g = x_new, v_new, g_new
+    # z is the direction the last round used
     return x, v, z
 
 
@@ -281,13 +286,13 @@ class TestJointFormOracle:
     def test_two_rounds_match_stacked_recursion(self):
         prob = quadratic_problem(n_agents=3, dim=4, seed=6)
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net, seed=4)
+        state = init_dqn_states(prob, seed=4)
         ox, ov, oz = kron_joint_oracle(prob, net.w, state, 0.3, rounds=2)
         for _ in range(2):
             state = dqn_step(net, state, prob, RunConfig(scheme="bfgs", alpha=0.3))
         assert np.allclose(state.x.ravel(), ox, atol=1e-12, rtol=0.0)
         assert np.allclose(state.v.ravel(), ov, atol=1e-12, rtol=0.0)
-        assert np.allclose(state.z.ravel(), oz, atol=1e-12, rtol=0.0)
+        assert np.allclose(state.d.ravel(), oz, atol=1e-12, rtol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +344,7 @@ class TestRunBehavior:
     def test_huge_step_raises_diverged_error(self):
         prob = quadratic_problem()
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net)
+        state = init_dqn_states(prob)
         with pytest.raises(DivergedError):
             for _ in range(50):
                 state = dqn_step(net, state, prob, RunConfig(alpha=1e20))
@@ -487,7 +492,7 @@ class TestRunTrace:
         assert d["wall_time_ms"] >= 0.0
         # recount the skipped pairs with the per-pair curvature test
         net = make_network(TRIANGLE)
-        state = init_dqn_states(prob, net)
+        state = init_dqn_states(prob)
         skipped = 0
         for _ in range(4):
             new = dqn_step(net, state, prob, RunConfig(alpha=0.3))

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqn_mesh import ecdqn
-from dqn_mesh.dqn import SyncNetwork, run_rounds
+from dqn_mesh.dqn import QnState, SyncNetwork, run_rounds
 from dqn_mesh.ecdqn import (
     STALL_ROUNDS,
-    EcDqnState,
     EcRunConfig,
     KktFactorizationError,
     KktSystem,
@@ -402,12 +401,14 @@ class TestSingleAgentNewton:
         # recover the exact quadratic Hessian column by column
         g_origin = prob.locals[0].gradient(np.zeros(5))
         p = np.array([prob.locals[0].gradient(e) - g_origin for e in np.eye(5)]).T
-        state = EcDqnState(
+        state = QnState(
             x=x0[None, :],
             v=g0[None, :].copy(),
+            d=np.zeros((1, 5)),
             h=np.linalg.inv(0.5 * (p + p.T))[None, :, :],
-            beta=np.zeros((1, 2)),
             last_gradient=g0[None, :].copy(),
+            beta=np.zeros((1, 2)),
+            kkt_retries=0,
         )
         state = ecdqn_step(net, state, prob, EcRunConfig())
         x1 = state.x[0]
@@ -553,11 +554,9 @@ class TestEcRun:
         prob = constrained_quadratic(1, 4, 1, 3)
         x0 = np.tile(prob.reference_solution + 1e-8, (1, 1))
 
-        def start(network):
-            # the seeded estimates, started next to the optimum
-            g0 = prob.gradients(x0)
-            return replace(init_ecdqn_states(prob), x=x0, v=g0.copy(), last_gradient=g0)
-
+        # the seeded estimates, started next to the optimum
+        g0 = prob.gradients(x0)
+        start = replace(init_ecdqn_states(prob), x=x0, v=g0.copy(), last_gradient=g0)
         trace = run_rounds(
             "ecdqn-bfgs", prob, SINGLE, EcRunConfig(max_iters=200, rse_tol=1e-300), start,
             ecdqn_step, stall=(STALL_ROUNDS, 1e-12),

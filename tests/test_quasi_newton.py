@@ -234,11 +234,12 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
 
         monkeypatch.setattr(module, name, recorded)
 
-    spy(dqn, "init_dqn_states", lambda args, out: [out.c])
-    spy(dqn, "refresh_inverse_batch", lambda args, out: [out.estimates])
+    spy(dqn, "init_dqn_states", lambda args, out: [out.h])
     spy(ecdqn, "init_ecdqn_states", lambda args, out: [out.h])
-    # the first argument is the stack the KKT solves used, retries included
-    spy(ecdqn, "refresh_inverse_batch", lambda args, out: [args[0], out.estimates])
+    # both methods refresh through the one round body in dqn; the first
+    # argument is the stack the round used, a KKT retry's repairs included
+    spy(dqn, "refresh_inverse_batch", lambda args, out: [args[0], out.estimates])
+    refreshes = seen["dqn_mesh.dqn", "refresh_inverse_batch"]
     with monkeypatch.context() as m:
         m.setattr(dqn, "GAMMA", 0.5)
         dqn_run(
@@ -246,6 +247,7 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
             random_connected_graph(6, 0.9, 1),
             RunConfig(scheme=scheme, alpha=0.8, max_iters=200, rse_tol=1e-10, seed=2),
         )
+    dqn_outs = list(refreshes)
     with monkeypatch.context() as m:
         m.setattr(ecdqn, "EIG_CEILING", 1.5)
         ecdqn_run(
@@ -262,8 +264,7 @@ def test_refreshed_stacks_stay_exactly_symmetric_through_runs(scheme, monkeypatc
     h[1] = oracle.reflection(prob.constraint[0][0])
     stepped = ecdqn.ecdqn_step(net, replace(state, h=h), prob, EcRunConfig(scheme=scheme))
     assert stepped.kkt_retries == 1
-    for module in (dqn, ecdqn):
-        outs = seen[module.__name__, "refresh_inverse_batch"]
+    for outs in (dqn_outs, refreshes[len(dqn_outs):]):
         for out in outs:
             assert np.array_equal(out.estimates, out.estimates.transpose(0, 2, 1))
         assert sum(len(out.estimates) - out.skipped for out in outs) > 0

@@ -132,11 +132,14 @@ def reference_dqn(problem, graph, cfg):
     g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
     v = g.copy()
     c = [C0_SCALE * np.eye(n) for _ in range(n_agents)]
-    z = w @ np.stack([-(c[i] @ v[i]) for i in range(n_agents)])
+    # round zero records a zero direction: a round forms its direction from
+    # the state it starts from, and records the direction it used
+    z = np.zeros((n_agents, n))
     worst = log.record(x, v, g, z)
     for _ in range(cfg.max_iters):
         if worst <= cfg.rse_tol:
             break
+        z = w @ np.stack([-(c[i] @ v[i]) for i in range(n_agents)])
         new_x = w @ (x + cfg.alpha * z)
         if blown_up(new_x):
             log.diverged = True
@@ -146,15 +149,12 @@ def reference_dqn(problem, graph, cfg):
         if blown_up(new_v):
             log.diverged = True
             break
-        d = []
         for i in range(n_agents):
             c[i], skipped, repaired = refresh_inverse(
                 c[i], new_x[i] - x[i], new_v[i] - v[i], cfg.scheme, DEFAULT_FLOOR, dqn.GAMMA
             )
             log.skipped += skipped
             log.repaired += repaired
-            d.append(-(c[i] @ new_v[i]))
-        z = w @ np.stack(d)
         x, v, g = new_x, new_v, new_g
         worst = log.record(x, v, g, z)
     return log, x
