@@ -37,28 +37,32 @@ import sys
 import tempfile
 from pathlib import Path
 
-from dqn_mesh.harness import ExperimentConfig, emit_report, run_algo, run_experiment
+from dqn_mesh.harness import METHODS, ExperimentConfig, emit_report, run_algo, run_experiment
 from dqn_mesh.problems import basis_pursuit_family, logreg_family, qp_family
 from dqn_mesh.topology import random_connected_graph
 
 KAPPA = 0.6
-QP_ALGOS = ("dqn-bfgs", "dqn-dfp", "diging-atc")
-EC_ALGOS = ("ecdqn-bfgs", "ecdqn-dfp")
 PAPER_ITERS = 100
+
+
+def algos(constrained: bool) -> list[str]:
+    """The method table's algorithms that run on a problem with a
+    constraint (logreg and basis pursuit here), or without one (qp)."""
+    return [algo for algo, method in METHODS.items() if method.constrained == constrained]
 
 
 def grid(seed: int):
     """(label, algo, problem, graph, alpha, fusion, rse_tol) for one seed."""
     qp = qp_family(10, 10, (2.0, 30.0), seed)
     qp_graph = random_connected_graph(10, KAPPA, seed)
-    for algo in QP_ALGOS:
+    for algo in algos(constrained=False):
         for alpha in (0.1, 0.02, 5.0):
             yield f"qp {algo} {alpha} s{seed}", algo, qp, qp_graph, alpha, True, 1e-10
     ec_graph = random_connected_graph(8, KAPPA, seed)
     logreg = logreg_family(8, 6, 1e-2, seed, constraint=True)
     bp = basis_pursuit_family(8, 10, 2e-3, seed)
     for family, problem, alphas in (("logreg", logreg, (0.3, 50.0)), ("bp", bp, (0.1,))):
-        for algo in EC_ALGOS:
+        for algo in algos(constrained=True):
             for fusion in (True, False):
                 for alpha in alphas:
                     label = f"{family} {algo} {'fused' if fusion else 'unfused'} {alpha} s{seed}"

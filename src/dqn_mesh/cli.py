@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    ALL_ALGOS,
+    METHODS,
     ExperimentConfig,
     SummaryTable,
     emit_report,
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     run = sub.add_parser("run", help="run one algorithm on a saved problem")
-    run.add_argument("--algo", choices=ALL_ALGOS, required=True)
+    run.add_argument("--algo", choices=tuple(METHODS), required=True)
     run.add_argument("--problem", type=str, required=True)
     run.add_argument("--graph", type=str, required=True)
     run.add_argument(

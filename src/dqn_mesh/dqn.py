@@ -5,9 +5,10 @@ with its neighbors through a doubly stochastic weight matrix, tracks the
 network-average gradient with a correction term and refreshes a local
 inverse-Hessian estimate from the step/tracker differences.  Both
 quasi-Newton methods run that round (qn_step, on QnState); only the
-direction differs, DQN's W (-C v) and EC-DQN's saddle-point step.  A
-first-order gradient-tracking baseline shares the same engine so that
-iteration and communication costs are directly comparable.  Every
+direction differs, DQN's W (-C v) and EC-DQN's saddle-point step.  The
+first-order gradient-tracking baseline, DIGing-ATC, is the same round with
+the direction -v and no spectrum box, so no curvature estimate, which
+makes iteration and communication costs directly comparable.  Every
 method, the constrained one included, is one call of the same run driver
 (run_rounds), which builds the weights, network and recorder, runs the
 round loop and assembles the trace; a method says only its name, start
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from numbers import Real
 from pathlib import Path
 from typing import Callable
@@ -52,7 +54,6 @@ from .topology import CommGraph, metropolis_weights
 
 __all__ = [
     "QnState",
-    "DigingState",
     "SyncNetwork",
     "RunTrace",
     "RunConfig",
@@ -61,7 +62,6 @@ __all__ = [
     "init_dqn_states",
     "qn_step",
     "dqn_step",
-    "diging_step",
     "run_rounds",
     "dqn_run",
     "diging_atc_run",
@@ -100,37 +100,29 @@ class DivergedError(RuntimeError):
         self.state = state
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QnState:
-    """Every agent's variables for either quasi-Newton method, stacked.
+    """Every agent's variables for any method, stacked.
 
     Row i of x, v, the direction d that the last round used (zero before
     the first) and last_gradient (each N x n), of the multipliers beta
     (N x m, EC-DQN only) and slice i of the inverse-Hessian estimates h
-    (N x n x n) belong to agent i.  The counters cover the rounds taken
-    so far: curvature pairs left unapplied, spectrum repairs and, for
-    EC-DQN (None for DQN), saddle-point solves retried.
+    (N x n x n, None for DIGing-ATC) belong to agent i.  The counters cover
+    the rounds taken so far: curvature pairs left unapplied, spectrum
+    repairs (both None without an estimate) and, for EC-DQN (else None),
+    saddle-point solves retried.  A step returns a new state and never
+    changes the one it is given, arrays included.
     """
 
     x: np.ndarray
     v: np.ndarray
     d: np.ndarray
-    h: np.ndarray
+    h: np.ndarray | None
     last_gradient: np.ndarray
     beta: np.ndarray | None = None
-    skipped_pairs: int = 0
-    safeguard_repairs: int = 0
+    skipped_pairs: int | None = 0
+    safeguard_repairs: int | None = 0
     kkt_retries: int | None = None
-
-
-@dataclass(frozen=True)
-class DigingState:
-    """Every agent's variables for the first-order baseline, stacked:
-    iterates x, gradient trackers v and last local gradients (each N x n)."""
-
-    x: np.ndarray
-    v: np.ndarray
-    last_gradient: np.ndarray
 
 
 @dataclass
@@ -294,21 +286,16 @@ class RunConfig:
         _check_run_config(self)
 
 
-def _unconstrained_start(problem: SeparableProblem, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One standard-normal row per agent drawn from seed, and the local
-    gradients there; a problem with a constraint is rejected."""
+def init_dqn_states(problem: SeparableProblem, seed: int = 0) -> QnState:
+    """Draw one standard-normal row per agent from seed and warm-start the
+    tracker: v starts at the local gradient, the inverse estimate at
+    C0_SCALE times the identity and the direction at zero.  A problem with
+    a constraint is rejected."""
     if problem.constraint is not None:
         raise ValueError("unconstrained method cannot honor the problem's constraint")
-    x = np.random.default_rng(seed).standard_normal((problem.n_agents, problem.dim))
-    return x, problem.gradients(x)
-
-
-def init_dqn_states(problem: SeparableProblem, seed: int = 0) -> QnState:
-    """Draw initial iterates and warm-start the tracker: v starts at the
-    local gradient, the inverse estimate at C0_SCALE times the identity
-    and the direction at zero."""
     n, n_agents = problem.dim, problem.n_agents
-    x, grads = _unconstrained_start(problem, seed)
+    x = np.random.default_rng(seed).standard_normal((n_agents, n))
+    grads = problem.gradients(x)
     c = np.broadcast_to(C0_SCALE * np.eye(n), (n_agents, n, n)).copy()
     return QnState(x=x, v=grads.copy(), d=np.zeros_like(x), h=c, last_gradient=grads)
 
@@ -327,12 +314,13 @@ def track_gradient(
 
 def qn_step(
     network: SyncNetwork, state: QnState, problem: SeparableProblem, config,
-    direction: Callable, box: tuple[float, float],
+    direction: Callable, box: tuple[float, float] | None,
 ) -> QnState:
-    """One round of either quasi-Newton method: direction(network, state,
-    problem, config) returns (d, multipliers or None, state with its
-    repairs), then x' = W (x + alpha d), gradient tracking, and a refresh
-    of every inverse estimate inside box = (floor, ceiling)."""
+    """One round of any method: direction(network, state, problem, config)
+    returns (d, multipliers or None, state with its repairs), then
+    x' = W (x + alpha d), gradient tracking, and a refresh of every inverse
+    estimate inside box = (floor, ceiling).  A method without an estimate
+    has no box: its round has no refresh and its counters stay None."""
     d, beta, state = direction(network, state, problem, config)
     new_x = network.mix(state.x + config.alpha * d)
     if _blown_up(new_x):
@@ -340,23 +328,30 @@ def qn_step(
     new_v, new_g = track_gradient(network, state, new_x, problem)
     if _blown_up(new_v):
         raise DivergedError(state)
-    # repairs go through this module's pd_safeguard name, so a wrapper
-    # installed on it sees every batch of them
-    refresh = refresh_inverse_batch(
-        state.h, new_x - state.x, new_v - state.v, config.scheme, *box, safeguard=pd_safeguard
-    )
+    h, skipped, repaired = state.h, state.skipped_pairs, state.safeguard_repairs
+    if box is not None:
+        # repairs go through this module's pd_safeguard name, so a wrapper
+        # installed on it sees every batch of them
+        refresh = refresh_inverse_batch(
+            h, new_x - state.x, new_v - state.v, config.scheme, *box, safeguard=pd_safeguard
+        )
+        h, skipped, repaired = refresh.estimates, skipped + refresh.skipped, repaired + refresh.repaired
     # the constructor, not dataclasses.replace: this is every round's hot path
     return QnState(
-        x=new_x, v=new_v, d=d, h=refresh.estimates, last_gradient=new_g, beta=beta,
-        skipped_pairs=state.skipped_pairs + refresh.skipped,
-        safeguard_repairs=state.safeguard_repairs + refresh.repaired,
-        kkt_retries=state.kkt_retries,
+        x=new_x, v=new_v, d=d, h=h, last_gradient=new_g, beta=beta,
+        skipped_pairs=skipped, safeguard_repairs=repaired, kkt_retries=state.kkt_retries,
     )
 
 
 def _descent_direction(network, state, problem, config):
     """DQN's directions, the mixed descent directions W (-C v)."""
     return network.mix(-np.matvec(state.h, state.v)), None, state
+
+
+def _tracker_direction(network, state, problem, config):
+    """DIGing-ATC's directions, the negated trackers -v: x + alpha (-v)
+    equals x - alpha v bit for bit, since negation is exact."""
+    return -state.v, None, state
 
 
 def dqn_step(
@@ -366,20 +361,6 @@ def dqn_step(
     estimates kept inside [DEFAULT_FLOOR, GAMMA].  Three payloads cross
     every edge, so the ledger adds 24 * dim * degree bytes per agent."""
     return qn_step(network, state, problem, config, _descent_direction, (DEFAULT_FLOOR, GAMMA))
-
-
-def diging_step(
-    network: SyncNetwork, state: DigingState, problem: SeparableProblem, config: RunConfig
-) -> DigingState:
-    """One round of the first-order baseline: x' = W (x - alpha v), then
-    the tracker update.  Two payloads cross every edge."""
-    new_x = network.mix(state.x - config.alpha * state.v)
-    if _blown_up(new_x):
-        raise DivergedError(state)
-    new_v, new_g = track_gradient(network, state, new_x, problem)
-    if _blown_up(new_v):
-        raise DivergedError(state)
-    return DigingState(x=new_x, v=new_v, last_gradient=new_g)
 
 
 def run_rounds(
@@ -455,10 +436,10 @@ class _Recorder:
         self.problem = problem
         self.x_star = problem.reference_solution
         self.star_norm = float(np.linalg.norm(self.x_star))
-        # the unconstrained methods reject a constraint, so a quasi-Newton
-        # state on an unconstrained problem is DQN's
+        # the unconstrained methods reject a constraint, so a state with an
+        # estimate on an unconstrained problem is DQN's
         self.constraint = problem.constraint
-        self.track_d = self.constraint is None and isinstance(state, QnState)
+        self.track_d = self.constraint is None and state.h is not None
         # one slot per round: x, v, gradients and, when tracked, d
         self.block = np.empty((self.BLOCK, 4 if self.track_d else 3, problem.n_agents, problem.dim))
         self.filled = 0
@@ -519,11 +500,8 @@ class _Recorder:
     def build(self, algo: str, config, state, started: float, flags: dict) -> RunTrace:
         """The finished trace: x_final and the counters from the last
         state, wall time since started.  A state without curvature
-        counters (the first-order baseline's) leaves them and the scheme
-        None."""
+        counters (the first-order baseline's) leaves the scheme None."""
         self._reduce_block()
-        names = ("skipped_pairs", "safeguard_repairs", "kkt_retries")
-        counters = {name: getattr(state, name, None) for name in names}
         return RunTrace(
             algo=algo,
             n_agents=self.problem.n_agents,
@@ -537,10 +515,12 @@ class _Recorder:
             rounds=len(self.rse) - 1,
             x_final=state.x.copy(),
             wall_time_ms=(time.perf_counter() - started) * 1e3,
-            scheme=None if counters["skipped_pairs"] is None else config.scheme,
+            scheme=None if state.skipped_pairs is None else config.scheme,
             fusion=getattr(config, "fusion", None),
             rse_tol=config.rse_tol,
-            **counters,
+            skipped_pairs=state.skipped_pairs,
+            safeguard_repairs=state.safeguard_repairs,
+            kkt_retries=state.kkt_retries,
             **flags,
         )
 
@@ -555,19 +535,16 @@ def dqn_run(problem: SeparableProblem, graph: CommGraph, config: RunConfig) -> R
     )
 
 
-def _diging_start(problem: SeparableProblem, seed: int) -> DigingState:
-    x, grads = _unconstrained_start(problem, seed)
-    return DigingState(x=x, v=grads.copy(), last_gradient=grads)
-
-
 def diging_atc_run(problem: SeparableProblem, graph: CommGraph, config: RunConfig) -> RunTrace:
     """First-order gradient-tracking baseline (adapt-then-combine form).
 
     x' = W (x - alpha y), y' = W (y + g(x') - g(x)), with y warm-started
-    at the local gradients.  Two payloads cross every edge per round, so
-    the ledger adds 16 * dim * degree bytes per agent.  With one agent
-    this is plain gradient descent.
+    at the local gradients: qn_step with the direction -y and no box, from
+    DQN's start without its estimate.  Two payloads cross every edge per
+    round, so the ledger adds 16 * dim * degree bytes per agent.  With one
+    agent this is plain gradient descent.
     """
-    return run_rounds(
-        "diging-atc", problem, graph, config, _diging_start(problem, config.seed), diging_step
-    )
+    start = init_dqn_states(problem, config.seed)
+    start = replace(start, h=None, skipped_pairs=None, safeguard_repairs=None)
+    step = partial(qn_step, direction=_tracker_direction, box=None)
+    return run_rounds("diging-atc", problem, graph, config, start, step)

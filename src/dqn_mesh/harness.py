@@ -30,6 +30,7 @@ from .problems import (
 from .topology import CommGraph, load_graph, random_connected_graph
 
 __all__ = [
+    "METHODS",
     "ExperimentConfig",
     "SummaryRow",
     "SummaryTable",
@@ -41,9 +42,32 @@ __all__ = [
     "validate_run",
 ]
 
-DQN_ALGOS = ("dqn-bfgs", "dqn-dfp")
-EC_ALGOS = ("ecdqn-bfgs", "ecdqn-dfp")
-ALL_ALGOS = DQN_ALGOS + ("diging-atc",) + EC_ALGOS
+
+@dataclass(frozen=True)
+class Method:
+    """What one algorithm is.  run names its run entry in this module,
+    found when a run starts (so a wrapper installed on it sees the run),
+    which draws the start state, steps it and applies the stall rule.
+    scheme is the quasi-Newton scheme, None without an estimate.  Only a
+    constrained method runs on a problem with a constraint, and only on
+    one.  With fusion, the config's fusion switch decides whether the
+    directions are mixed.  payloads cross every edge a round, one fewer
+    with fusion off.  METHODS holds every algorithm by its trace name."""
+
+    run: str
+    scheme: str | None = None
+    constrained: bool = False
+    fusion: bool = False
+    payloads: int = 3
+
+
+METHODS = {
+    "dqn-bfgs": Method("dqn_run", "bfgs"),
+    "dqn-dfp": Method("dqn_run", "dfp"),
+    "diging-atc": Method("diging_atc_run", payloads=2),
+    "ecdqn-bfgs": Method("ecdqn_run", "bfgs", constrained=True, fusion=True),
+    "ecdqn-dfp": Method("ecdqn_run", "dfp", constrained=True, fusion=True),
+}
 
 
 @dataclass(frozen=True)
@@ -51,8 +75,9 @@ class ExperimentConfig:
     """Declarative description of one sweep; alpha is a finite positive
     fixed step or "golden" (tuned per cell by golden-section search, which
     needs a positive rse_tol).  The qp family has no constrained form and
-    basis pursuit has only a constrained one; the EC-DQN methods run on a
-    constrained family and only they do."""
+    basis pursuit has only a constrained one; a constrained method (see
+    METHODS) runs on a constrained family and only such methods do.
+    fusion off is rejected unless every algorithm has a fusion switch."""
 
     family: str
     algos: tuple[str, ...]
@@ -74,21 +99,23 @@ class ExperimentConfig:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         for algo in self.algos:
-            if algo not in ALL_ALGOS:
+            if algo not in METHODS:
                 raise ValueError(f"unknown algorithm {algo!r}")
         if self.family == "qp" and self.constrained:
             raise ValueError("the qp family has no constrained form")
         if self.family == "basis-pursuit" and not self.constrained:
             raise ValueError("basis pursuit has only a constrained form")
-        unconstrained = ", ".join(algo for algo in self.algos if algo not in EC_ALGOS)
-        if self.constrained and unconstrained:
-            raise ValueError(f"{unconstrained} cannot honor the constraint of the constrained "
-                             f"{self.family} family; only {' and '.join(EC_ALGOS)} run on it")
-        constrained_only = ", ".join(algo for algo in self.algos if algo in EC_ALGOS)
-        if not self.constrained and constrained_only:
-            others = ", ".join(algo for algo in ALL_ALGOS if algo not in EC_ALGOS)
-            raise ValueError(f"{constrained_only} cannot run on the unconstrained {self.family} "
-                             f"family, which has no constraint; only {others} run on it")
+        misplaced = ", ".join(a for a in self.algos if METHODS[a].constrained != self.constrained)
+        fits = [a for a, method in METHODS.items() if method.constrained == self.constrained]
+        if misplaced and self.constrained:
+            raise ValueError(f"{misplaced} cannot honor the constraint of the constrained "
+                             f"{self.family} family; only {' and '.join(fits)} run on it")
+        if misplaced:
+            raise ValueError(f"{misplaced} cannot run on the unconstrained {self.family} family, "
+                             f"which has no constraint; only {', '.join(fits)} run on it")
+        unfusable = ", ".join(a for a in self.algos if not METHODS[a].fusion)
+        if not self.fusion and unfusable:
+            raise ValueError(f"fusion cannot be turned off for {unfusable} (no fusion switch)")
         if not (self.alpha == "golden" or _valid_step(self.alpha)):
             raise ValueError(
                 f"alpha must be a finite positive number or 'golden', not {self.alpha!r}"
@@ -189,16 +216,16 @@ def run_algo(
     seed: int = 0,
     fusion: bool = True,
 ) -> RunTrace:
-    """Dispatch one run by algorithm name."""
+    """One run of algo as METHODS says; only a fusion switch reads fusion."""
+    method = METHODS.get(algo)
+    if method is None:
+        raise ValueError(f"unknown algorithm {algo!r}")
     knobs = dict(alpha=alpha, max_iters=max_iters, rse_tol=rse_tol, seed=seed)
-    if algo in DQN_ALGOS:
-        return dqn_run(problem, graph, RunConfig(scheme=algo.split("-")[1], **knobs))
-    if algo == "diging-atc":
-        return diging_atc_run(problem, graph, RunConfig(**knobs))
-    if algo in EC_ALGOS:
-        ec_cfg = EcRunConfig(scheme=algo.split("-")[1], fusion=fusion, **knobs)
-        return ecdqn_run(problem, graph, ec_cfg)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if method.scheme is not None:
+        knobs["scheme"] = method.scheme
+    config = EcRunConfig(fusion=fusion, **knobs) if method.fusion else RunConfig(**knobs)
+    # the run entry under its name in this module now, a wrapper included
+    return globals()[method.run](problem, graph, config)
 
 
 def _tuning_score(trace: RunTrace, rse_tol: float, max_iters: int) -> float:
@@ -416,9 +443,6 @@ def _trace_rows(trace_path: str | Path, skip: int, wanted: list[int]) -> dict[in
     return picked
 
 
-_PAYLOADS_PER_ROUND = {"dqn-bfgs": 3, "dqn-dfp": 3, "diging-atc": 2, "ecdqn-bfgs": 3, "ecdqn-dfp": 3}
-
-
 def validate_run(
     trace_path: str | Path, summary_path: str | Path, graph_path: str | Path
 ) -> list[str]:
@@ -445,12 +469,10 @@ def validate_run(
             raise ValueError(f"summary {summary_path} has no {name!r} field")
     graph = load_graph(graph_path)
     deg = graph.degrees()
-    algo = summary["algo"]
-    payloads = _PAYLOADS_PER_ROUND.get(algo)
-    if payloads is None:
-        return [f"unknown algorithm {algo!r} in summary"]
-    if algo.startswith("ecdqn") and summary.get("fusion") is False:
-        payloads = 2
+    method = METHODS.get(summary["algo"])
+    if method is None:
+        return [f"unknown algorithm {summary['algo']!r} in summary"]
+    payloads = method.payloads - (method.fusion and summary.get("fusion") is False)
     dim = int(summary["dim"])
     n_agents = int(summary["n_agents"])
     rounds = int(summary["rounds"])

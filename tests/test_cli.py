@@ -137,6 +137,17 @@ class TestRun:
         assert_input_error(rc, capsys, "ecdqn-bfgs cannot run on the unconstrained qp family")
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("algo", ["dqn-bfgs", "dqn-dfp", "diging-atc"])
+    def test_no_fusion_without_a_fusion_switch_exits_two(self, tmp_path, capsys, algo):
+        # only EC-DQN can leave its directions unmixed; any other method
+        # would run fused and write a trace that says nothing of the flag
+        problem_path, graph_path = generate_pair(tmp_path)
+        rc = main(["run", "--algo", algo, "--problem", str(problem_path), "--graph",
+                   str(graph_path), "--alpha", "0.3", "--no-fusion",
+                   "--trace-out", str(tmp_path / "trace.csv")])
+        assert_input_error(rc, capsys, f"fusion cannot be turned off for {algo} ")
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_basis_pursuit_pair_runs(self, tmp_path, capsys):
         problem_path, graph_path = generate_pair(tmp_path, "basis-pursuit", ["--constrained"])
         args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.1"]

@@ -2,14 +2,17 @@
 
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
+import oracle
+from dqn_mesh import dqn, ecdqn
 from dqn_mesh.dqn import REPORT_BLOCK, RunConfig, RunTrace, diging_atc_run, dqn_run
 from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run
 from dqn_mesh.harness import (
+    METHODS,
     ExperimentConfig,
     SummaryRow,
     SummaryTable,
@@ -77,6 +80,18 @@ class TestExperimentConfig:
         # could only abort
         with pytest.raises(ValueError, match=f"{algo} cannot run on the unconstrained {family}"):
             ExperimentConfig(family=family, algos=("dqn-bfgs", algo), cond_range=(2.0, 10.0))
+
+    @pytest.mark.parametrize("algo", [a for a, method in METHODS.items() if not method.fusion])
+    def test_rejects_fusion_off_without_a_fusion_switch(self, algo):
+        # run_algo hands fusion only to a method with the switch, so fusion
+        # off would be silently ignored for every other method
+        with pytest.raises(ValueError, match=f"fusion cannot be turned off for {algo} "):
+            ExperimentConfig(family="qp", algos=(algo,), cond_range=(2.0, 10.0), fusion=False)
+
+    @pytest.mark.parametrize("algo", [a for a, method in METHODS.items() if method.fusion])
+    def test_accepts_fusion_off_with_a_fusion_switch(self, algo):
+        cfg = ExperimentConfig(family="logreg", algos=(algo,), constrained=True, fusion=False)
+        assert cfg.fusion is False
 
     @pytest.mark.parametrize("alpha", ["golden", 0.3, 2])
     def test_accepts_step_forms(self, alpha):
@@ -159,29 +174,104 @@ class TestMakeProblem:
         assert make_problem(cfg, 0).constraint is not None
 
 
+def assert_summary_json_fits(trace, method):
+    """The run's summary JSON says what its METHODS row says: a method
+    without a curvature estimate (DIGing-ATC) has no scheme, counters or
+    direction consensus; only EC-DQN counts KKT retries and has a fusion
+    switch."""
+    summary = json.loads(json.dumps(trace.summary_dict()))
+    assert summary["scheme"] == method.scheme
+    assert summary["fusion"] is (True if method.fusion else None)
+    for name in ("skipped_pairs", "safeguard_repairs"):
+        assert (summary[name] is None) is (method.scheme is None)
+    assert (summary["kkt_retries"] is None) is (not method.constrained)
+    directions = method.scheme is not None and not method.constrained
+    assert (trace.z_consensus is None) is (not directions)
+
+
 class TestRunAlgoDispatch:
-    @pytest.mark.parametrize(
-        "algo", ["dqn-bfgs", "dqn-dfp", "diging-atc"]
-    )
+    @pytest.mark.parametrize("algo", [a for a, method in METHODS.items() if not method.constrained])
     def test_unconstrained_names(self, algo):
         prob = qp_family(4, 4, (2.0, 10.0), 0)
         graph = random_connected_graph(4, 0.9, 0)
         trace = run_algo(algo, prob, graph, alpha=0.1, max_iters=3, rse_tol=0.0)
         assert trace.algo == algo
+        assert_summary_json_fits(trace, METHODS[algo])
 
-    @pytest.mark.parametrize("algo", ["ecdqn-bfgs", "ecdqn-dfp"])
+    @pytest.mark.parametrize("algo", [a for a, method in METHODS.items() if method.constrained])
     def test_constrained_names(self, algo):
         prob = logreg_family(4, 5, 1e-2, 0, constraint=True)
         solve_reference(prob)
         graph = random_connected_graph(4, 0.9, 0)
         trace = run_algo(algo, prob, graph, alpha=0.5, max_iters=3, rse_tol=0.0)
         assert trace.algo == algo
+        assert_summary_json_fits(trace, METHODS[algo])
 
     def test_unknown_algorithm(self):
         prob = qp_family(4, 4, (2.0, 10.0), 0)
         graph = random_connected_graph(4, 0.9, 0)
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_algo("sgd", prob, graph, alpha=0.1)
+
+
+def method_problem(algo):
+    """A small problem and graph that algo runs on, with its reference."""
+    if METHODS[algo].constrained:
+        prob = logreg_family(4, 5, 1e-2, 0, constraint=True)
+    else:
+        prob = qp_family(4, 4, (2.0, 10.0), 0)
+    solve_reference(prob)
+    return prob, random_connected_graph(4, 0.9, 0)
+
+
+def state_fields(state):
+    """Every field of a state, each array as its dtype, shape and bytes."""
+    def frozen(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype, value.shape, value.tobytes()
+        return value
+
+    return {f.name: frozen(getattr(state, f.name)) for f in fields(state)}
+
+
+@pytest.mark.parametrize("algo", list(METHODS))
+def test_a_step_never_changes_the_state_it_is_given(algo, monkeypatch):
+    # QnState is a plain (slotted) dataclass, so nothing but the steps
+    # keeps a state that a round was handed as it was: every round of
+    # every method's run, a diverging one included, is checked field by
+    # field and bit for bit
+    stepped = []
+
+    def watch(run_rounds):
+        def run(name, problem, graph, config, state, step, stall=None):
+            def checked(network, state, problem, config):
+                before = state_fields(state)
+                try:
+                    return step(network, state, problem, config)
+                finally:
+                    assert state_fields(state) == before
+                    stepped.append((step, network, state, config))
+
+            return run_rounds(name, problem, graph, config, state, checked, stall)
+
+        return run
+
+    for module in (dqn, ecdqn):
+        monkeypatch.setattr(module, "run_rounds", watch(module.run_rounds))
+    prob, graph = method_problem(algo)
+    for alpha in (0.3, 50.0):
+        run_algo(algo, prob, graph, alpha=alpha, max_iters=40, rse_tol=0.0)
+    assert len(stepped) > 40
+    if METHODS[algo].constrained:
+        # a round whose KKT solve fails on an indefinite estimate repairs
+        # and retries on a copy
+        step, network, state, config = stepped[0]
+        h = state.h.copy()
+        h[1] = oracle.reflection(prob.constraint[0][0])
+        state = replace(state, h=h)
+        before = state_fields(state)
+        assert step(network, state, prob, config).kkt_retries == state.kkt_retries + 1
+        assert state_fields(state) == before
 
 
 # ---------------------------------------------------------------------------
