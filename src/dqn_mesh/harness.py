@@ -70,6 +70,13 @@ METHODS = {
 }
 
 
+def _check_fusion(algos, fusion: bool) -> None:
+    """Fusion off is an error for an algorithm without a fusion switch."""
+    unfusable = ", ".join(a for a in algos if not METHODS[a].fusion)
+    if not fusion and unfusable:
+        raise ValueError(f"fusion cannot be turned off for {unfusable} (no fusion switch)")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one sweep; alpha is a finite positive
@@ -113,9 +120,7 @@ class ExperimentConfig:
         if misplaced:
             raise ValueError(f"{misplaced} cannot run on the unconstrained {self.family} family, "
                              f"which has no constraint; only {', '.join(fits)} run on it")
-        unfusable = ", ".join(a for a in self.algos if not METHODS[a].fusion)
-        if not self.fusion and unfusable:
-            raise ValueError(f"fusion cannot be turned off for {unfusable} (no fusion switch)")
+        _check_fusion(self.algos, self.fusion)
         if not (self.alpha == "golden" or _valid_step(self.alpha)):
             raise ValueError(
                 f"alpha must be a finite positive number or 'golden', not {self.alpha!r}"
@@ -216,10 +221,11 @@ def run_algo(
     seed: int = 0,
     fusion: bool = True,
 ) -> RunTrace:
-    """One run of algo as METHODS says; only a fusion switch reads fusion."""
+    """One run of algo as METHODS says; fusion off needs a fusion switch."""
     method = METHODS.get(algo)
     if method is None:
         raise ValueError(f"unknown algorithm {algo!r}")
+    _check_fusion((algo,), fusion)
     knobs = dict(alpha=alpha, max_iters=max_iters, rse_tol=rse_tol, seed=seed)
     if method.scheme is not None:
         knobs["scheme"] = method.scheme

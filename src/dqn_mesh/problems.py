@@ -254,6 +254,13 @@ class _LogRegStack(_RowStack):
         ridge = (0.5 * self.weights) * np.vecdot(points, points)[:, None]
         return ridge + self.segment_sums(np.logaddexp(0.0, -z))
 
+    def _hessian_sum(self, x: np.ndarray) -> np.ndarray:
+        """Sum of every agent's Hessian at one point x (n,): sum(weights) I
+        + rows' diag(s(1 - s)) rows with s = expit(targets * rows x), one
+        product over all M rows rather than one per agent."""
+        s = _expit(self.targets * (self.rows @ x))
+        return self.weights.sum() * np.eye(x.size) + (self.rows.T * (s * (1.0 - s))) @ self.rows
+
 
 class _BpStack(_RowStack):
     """l1-regularized least squares: rows and targets are the blocks a_i
@@ -296,14 +303,6 @@ def _logreg_local(data: LogRegLocalData) -> LocalObjective:
 
 def _bp_local(data: BasisPursuitLocalData) -> LocalObjective:
     return _one_agent(_BpStack.of([data]), data.a.shape[1], smooth=False)
-
-
-def _local_hessian(data: LogRegLocalData, x: np.ndarray) -> np.ndarray:
-    """Exact local Hessian of a logistic-regression objective."""
-    z = data.labels * (data.features @ x)
-    sig = _expit(z)
-    w = sig * (1.0 - sig)
-    return data.reg * np.eye(x.size) + (data.features.T * w) @ data.features
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +537,8 @@ def solve_reference(problem: SeparableProblem) -> np.ndarray:
     Every solver reads the constraint as (F, e), with zero rows when the
     problem has none.  Quadratics reduce to one KKT linear solve.
     Logistic regression uses damped Newton iterations on the KKT
-    stationarity system.  The l1-regularized family is solved by an
+    stationarity system, each Hessian one product over every agent's
+    stacked rows.  The l1-regularized family is solved by an
     operator-splitting pass that identifies the active sign pattern,
     followed by a linear polish step and an exact optimality certificate.
     """
@@ -568,18 +568,12 @@ def _equality_qp(p, q, f, e):
     return np.linalg.solve(kkt, np.concatenate([-q, e]))[: q.size]
 
 
-def _mean_hessian(problem: SeparableProblem, x: np.ndarray) -> np.ndarray:
-    h = np.zeros((problem.dim, problem.dim))
-    for d in problem.local_data:
-        h += _local_hessian(d, x)
-    return h / problem.n_agents
-
-
 def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
     """Damped Newton on the stationarity system g(x) + F'beta = 0, Fx = e
     from the least-norm point of Fx = e (the origin when F has no rows),
     backtracking on the norm of that system's residual (infeasible-start
-    Newton)."""
+    Newton).  The Hessian is the stack's summed Hessian over N; the
+    residual, and so the certificate, reads only ``mean_gradient``."""
     n, tol = problem.dim, REFERENCE_TOL
     f, e = _constraint_rows(problem)
     m = f.shape[0]
@@ -593,7 +587,7 @@ def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
         r = residual(x, beta)
         if np.linalg.norm(r) <= tol:
             return x
-        h = _mean_hessian(problem, x)
+        h = problem._stack._hessian_sum(x) / problem.n_agents
         kkt = np.block([[h, f.T], [f, np.zeros((m, m))]])
         try:
             delta = np.linalg.solve(kkt, -r)

@@ -9,8 +9,9 @@ H.  The stacked code in ``dqn_mesh`` carries inverse estimates and must
 reproduce the inverse forms bit for bit; the direct forms, and the
 product forms of two updates, are kept as cross-checks to rounding.  At
 the end, the paper's fixed-step bound with the contraction factor and
-smoothness bounds it reads, and the report text a trace's writers must
-produce byte for byte, formatted whole in memory.
+smoothness bounds it reads, one agent's exact logistic Hessian, and the
+report text a trace's writers must produce byte for byte, formatted
+whole in memory.
 """
 
 import math
@@ -253,6 +254,20 @@ def smoothness_bound(family, record):
 def mean_smoothness(problem):
     """Smoothness bound of the mean objective: the mean one-agent bound."""
     return float(np.mean([smoothness_bound(problem.family, d) for d in problem.local_data]))
+
+
+# One agent's exact logistic Hessian, the reference for the stacked sum
+# the logistic reference solve builds over every agent's rows at once.
+
+
+def logistic_hessian(record, x):
+    """reg I + F' diag(w) F at x from one agent's features F, labels y and
+    ridge share reg, with w = s(1 - s) = e / (1 + e)^2, e = exp(-|y Fx|),
+    the logistic function's derivative at the margins written without
+    overflow."""
+    e = np.exp(-np.abs(record.labels * (record.features @ x)))
+    w = e / (1.0 + e) ** 2
+    return record.reg * np.eye(x.size) + (record.features.T * w) @ record.features
 
 
 # The report text, formatted whole in memory from a trace's arrays: one row

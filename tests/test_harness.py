@@ -213,6 +213,14 @@ class TestRunAlgoDispatch:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_algo("sgd", prob, graph, alpha=0.1)
 
+    @pytest.mark.parametrize("algo", [a for a, method in METHODS.items() if not method.fusion])
+    def test_rejects_fusion_off_without_a_fusion_switch(self, algo):
+        # the method would run fused and say nothing; the message is the
+        # one ExperimentConfig gives
+        prob, graph = method_problem(algo)
+        with pytest.raises(ValueError, match=f"fusion cannot be turned off for {algo} "):
+            run_algo(algo, prob, graph, alpha=0.1, fusion=False)
+
 
 def method_problem(algo):
     """A small problem and graph that algo runs on, with its reference."""

@@ -1,6 +1,7 @@
 """Tests for the benchmark problem generators and reference solvers."""
 
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from dqn_mesh.problems import (
     BasisPursuitLocalData,
     LogRegLocalData,
     QpLocalData,
+    ReferenceSolveError,
     SeparableProblem,
     basis_pursuit_family,
     load_problem,
@@ -21,7 +23,7 @@ from dqn_mesh.problems import (
     save_problem,
     solve_reference,
 )
-from oracle import mean_smoothness, smoothness_bound
+from oracle import logistic_hessian, mean_smoothness, smoothness_bound
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -476,6 +478,43 @@ class TestLogRegFamily:
         with pytest.raises(TypeError, match="True or False"):
             logreg_family(3, 5, 1e-2, 0, constraint=(np.eye(2, 5), np.ones(2)))
 
+    @pytest.mark.parametrize("xi", [0.0, 1e-2])
+    @pytest.mark.parametrize("n_agents, dim", [(1, 5), (3, 5), (30, 20), (50, 24)])
+    def test_stacked_hessian_is_the_agent_sum(self, n_agents, dim, xi):
+        # the one-agent case holds a single data row; (50, 24) at xi 1e-2
+        # is the paper-scale problem
+        if n_agents == 1:
+            rng = np.random.default_rng(dim)
+            record = LogRegLocalData(features=rng.standard_normal((1, dim)),
+                                     labels=np.array([-1.0]), reg=xi)
+            prob = SeparableProblem("logreg", [record])
+        else:
+            prob = logreg_family(n_agents, dim, xi, 0, constraint=True)
+        rng = np.random.default_rng(n_agents)
+        # the origin, a typical point, and one far out where most margins
+        # saturate the logistic function
+        for x in (np.zeros(dim), rng.standard_normal(dim), 30.0 * rng.standard_normal(dim)):
+            want = np.zeros((dim, dim))
+            for d in prob.local_data:
+                want += logistic_hessian(d, x)
+            got = prob._stack._hessian_sum(x)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("n_agents, dim", [(4, 6), (10, 10), (30, 20)])
+    def test_reference_certifies_stationarity(self, n_agents, dim, constrained):
+        # g + F'beta = 0 and Fx = e to the Newton tolerance, with beta the
+        # least-squares multiplier -Fg (F has orthonormal rows)
+        for seed in range(4):
+            prob = logreg_family(n_agents, dim, 1e-2, seed, constraint=constrained)
+            x = solve_reference(prob)
+            g = prob.mean_gradient(x)
+            if constrained:
+                f, e = prob.constraint
+                assert np.linalg.norm(f @ x - e) <= 10 * REFERENCE_TOL
+                g = g - f.T @ (f @ g)
+            assert np.linalg.norm(g) <= 10 * REFERENCE_TOL
+
     def test_seed_determinism(self):
         a = logreg_family(4, 6, 1e-2, 5)
         b = logreg_family(4, 6, 1e-2, 5)
@@ -582,6 +621,20 @@ class TestSolveReference:
         ):
             expected = [prob.objective_value(x) for x in points]
             assert prob.objective_values(points).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [5, 6, 9, 10])
+    def test_uncertifiable_logistic_reference_names_the_problem(self, seed):
+        # unregularized, 3 agents in dimension 40: no minimizer to certify.
+        # Which way the Newton solve fails (a singular system or no progress)
+        # moves with the rounding of its Hessian, so only the type and the
+        # problem are pinned
+        prob = logreg_family(3, 40, 0.0, seed, constraint=True)
+        with pytest.raises(ReferenceSolveError, match=re.escape(
+            f"no reference solution for the constrained logreg problem (3 agents, dim 40, "
+            f"seed {seed}): "
+        )):
+            solve_reference(prob)
+        assert prob.reference_solution is None
 
     def test_constrained_custom_rejected(self):
         # a problem is one of the families; there is no closure-built "custom"
