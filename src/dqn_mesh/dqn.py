@@ -381,8 +381,11 @@ def run_rounds(
     Callers pass the step found under its module-level name when they
     run, so a wrapper installed on that name sees every round.  The
     trace's wall time covers this call, not the drawing of the start
-    state.
+    state.  A graph over another number of agents than the problem's is
+    rejected before anything runs.
     """
+    if graph.n_agents != problem.n_agents:
+        raise ValueError(f"the graph has {graph.n_agents} agents, the problem {problem.n_agents}")
     started = time.perf_counter()
     network = SyncNetwork(graph=graph, w=metropolis_weights(graph))
     config = replace(config, alpha=float(config.alpha))
@@ -542,8 +545,11 @@ def diging_atc_run(problem: SeparableProblem, graph: CommGraph, config: RunConfi
     at the local gradients: qn_step with the direction -y and no box, from
     DQN's start without its estimate.  Two payloads cross every edge per
     round, so the ledger adds 16 * dim * degree bytes per agent.  With one
-    agent this is plain gradient descent.
+    agent this is plain gradient descent.  A scheme other than RunConfig's
+    default is rejected; an explicit "bfgs" cannot be told from it.
     """
+    if config.scheme != RunConfig.scheme:
+        raise ValueError(f"DIGing-ATC has no curvature estimate: scheme {config.scheme!r}")
     start = init_dqn_states(problem, config.seed)
     start = replace(start, h=None, skipped_pairs=None, safeguard_repairs=None)
     step = partial(qn_step, direction=_tracker_direction, box=None)

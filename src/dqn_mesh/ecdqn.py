@@ -7,13 +7,11 @@ fused (mixed) before the iterate update; multipliers are recomputed fresh
 every round and never mixed.  That solve is this method's direction
 function; the rest of a round is DQN's (``dqn.qn_step`` on
 ``dqn.QnState``), and a run is one call of its run driver (run_rounds).
-Every round solves all saddle-point systems in one batched call (block
-elimination in inverse form: matrix products and one m x m solve per
-agent) and repairs and re-solves only the agents whose solve failed in
-a second one.  The step size is a fixed finite positive number from the
-run config, the full step 1.0 unless a caller sets another.  The
-spectrum box of the estimates and the stall rule are module constants,
-which the step and the run read when they run.
+Every round solves all saddle-point systems in one ``kkt_solve`` call and
+repairs and re-solves only the agents whose solve failed in a second.
+The step size is a fixed finite positive number from the run config, the
+full step 1.0 unless a caller sets another.  The spectrum box of the
+estimates and the stall rule are module constants, read at run time.
 """
 
 from __future__ import annotations
@@ -36,10 +34,8 @@ from .topology import metropolis_weights  # noqa: F401
 
 __all__ = [
     "KktSystem",
-    "KktFactorizationError",
     "EcRunConfig",
     "kkt_solve",
-    "kkt_solve_batch",
     "init_ecdqn_states",
     "ecdqn_step",
     "ecdqn_run",
@@ -61,17 +57,13 @@ STALL_ROUNDS = 10
 STALL_TOL = 1e-14
 
 
-class KktFactorizationError(RuntimeError):
-    """A block of the saddle-point system could not be factorized."""
-
-
 @dataclass(frozen=True)
 class KktSystem:
-    """Local saddle-point system [[H^-1, A'], [A, 0]] [dx; beta] = -[r_stat; r_prim]
-    given by the inverse Hessian estimate h.
-
-    rhs_stat and rhs_prim hold the residuals themselves (tracked gradient
-    and constraint violation); the sign flip happens inside the solver.
+    """N local saddle-point systems sharing one constraint block; row i is
+    [[H_i^-1, A'], [A, 0]] [dx_i; beta_i] = -[r_stat_i; r_prim_i], given by
+    the inverse Hessian estimates h (N, n, n), a (m, n), rhs_stat (N, n)
+    and rhs_prim (N, m): the residuals themselves (tracked gradient and
+    constraint violation), whose sign the solver flips.
     """
 
     h: np.ndarray
@@ -80,101 +72,61 @@ class KktSystem:
     rhs_prim: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.h.shape[0]
+        if (self.h.ndim, self.a.ndim, self.rhs_stat.ndim, self.rhs_prim.ndim) != (3, 2, 2, 2):
+            raise ValueError("h must be an (N, n, n) stack, a (m, n), the right-hand sides (N, k)")
+        rows, n = self.h.shape[:2]
         m = self.a.shape[0]
-        if self.h.shape != (n, n) or self.a.shape != (m, n):
+        if self.h.shape != (rows, n, n) or self.a.shape != (m, n):
             raise ValueError("inconsistent block shapes")
-        if self.rhs_stat.shape != (n,) or self.rhs_prim.shape != (m,):
+        if self.rhs_stat.shape != (rows, n) or self.rhs_prim.shape != (rows, m):
             raise ValueError("inconsistent right-hand-side shapes")
 
 
-# why each stage of a saddle-point solve can fail, by failure code
-_KKT_FAILURES = {
-    1: "constraint block A H A' is not positive definite",
-    2: "saddle-point solve residual too large",
-}
+def kkt_solve(system: KktSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every row of a stacked saddle-point system; returns delta_x
+    (N, n), beta (N, m) and ok (N,).
 
-
-def _identity_where(bad: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The stack m (N, k, k) with the rows flagged in bad set to the identity."""
-    if not bad.any():
-        return m
-    return np.where(bad[:, None, None], np.eye(m.shape[-1]), m)
-
-
-def _kkt_rows(h, a, rhs_stat, rhs_prim):
-    """``kkt_solve_batch`` with a failure code per row: 0 where the row
-    was solved, else the key in ``_KKT_FAILURES`` of its first failure."""
-    u = -rhs_stat[:, :, None]
-    w = -rhs_prim[:, :, None]
+    Block elimination (Boyd & Vandenberghe, *Convex Optimization*, section
+    10.4) in inverse form, with u = -rhs_stat and w = -rhs_prim: products
+    give H [u | A'] and the m x m Schur block S = A H A', a Cholesky test
+    of the symmetric part of S checks its rank, one LU solve of S gives
+    beta = S^-1 (A H u - w), and delta_x = H u - H A' beta.  No n x n
+    block is factorized.  ok is False, and the row's results meaningless,
+    where S has no Cholesky factor or is exactly singular, or where the
+    residual [S beta - (A H u - w); A delta_x - w] is not within
+    1e-10 * (1 + |[u; w]|).  A failed row is solved as the identity, so
+    the call never raises on it and the other rows keep their bits; each
+    row equals the same call on that row alone.
+    """
+    h, a = system.h, system.a
+    u = -system.rhs_stat[:, :, None]
+    w = -system.rhs_prim[:, :, None]
     # the right-hand sides are stacked (n, k) matrices: an (N, n) stack of
     # vectors would be one (N, n) matrix to numpy 2 and N vectors to 1.x
     at = np.broadcast_to(a.T, (len(h),) + a.T.shape)
     h_rhs = h @ np.concatenate([u, at], axis=2)
     h_u, h_at = h_rhs[:, :, :1], h_rhs[:, :, 1:]
     # the rank test reads the symmetric part of S = A H A'; the solve uses
-    # the product as computed, which keeps A delta_x - w at rounding level.
-    # The Cholesky factorization only tests; S is solved by one LU, with
-    # its failed rows swapped for the identity
+    # the product as computed, which keeps A delta_x - w at rounding level
     schur = a @ h_at
-    failure = np.where(cholesky_ok(0.5 * (schur + schur.transpose(0, 2, 1))), 0, 1)
+    ok = cholesky_ok(0.5 * (schur + schur.transpose(0, 2, 1)))
     schur_rhs = a @ h_u - w
+    identity = np.eye(len(a))
     try:
-        beta = np.linalg.solve(_identity_where(failure != 0, schur), schur_rhs)
+        beta = np.linalg.solve(np.where(ok[:, None, None], schur, identity), schur_rhs)
     except np.linalg.LinAlgError:
         # a block with a Cholesky factor can still be exactly singular to
         # LU (repeated constraint rows): those rows fail the rank test too
-        failure[np.linalg.det(schur) == 0] = 1
-        beta = np.linalg.solve(_identity_where(failure != 0, schur), schur_rhs)
+        ok &= np.linalg.det(schur) != 0
+        beta = np.linalg.solve(np.where(ok[:, None, None], schur, identity), schur_rhs)
     delta_x = h_u - h_at @ beta
 
     rhs = np.concatenate([u, w], axis=1)[:, :, 0]
     res = np.concatenate([schur @ beta - schur_rhs, a @ delta_x - w], axis=1)[:, :, 0]
     scale = 1.0 + np.sqrt(np.vecdot(rhs, rhs))
     # written so that a NaN residual fails too
-    failure[(failure == 0) & ~(np.sqrt(np.vecdot(res, res)) <= 1e-10 * scale)] = 2
-    return delta_x[:, :, 0], beta[:, :, 0], failure
-
-
-def kkt_solve_batch(
-    h: np.ndarray, a: np.ndarray, rhs_stat: np.ndarray, rhs_prim: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve N saddle-point systems sharing one constraint block at once.
-
-    h is (N, n, n), the inverse Hessian estimates, a (m, n), rhs_stat
-    (N, n) and rhs_prim (N, m); row i is the system of
-    ``KktSystem(h[i], a, rhs_stat[i], rhs_prim[i])``.  Block elimination
-    (Boyd & Vandenberghe, *Convex Optimization*, section 10.4) in inverse
-    form, with u = -rhs_stat and w = -rhs_prim: one batched product gives
-    H [u | A'] and another the m x m Schur block S = A H A', a batched
-    Cholesky factorization of the symmetric part of S tests its rank, one
-    LU solve of S gives the multipliers beta = S^-1 (A H u - w), and the
-    primal directions are delta_x = H u - H A' beta.  No n x n block is
-    factorized: the solver keeps every H positive definite.  Returns
-    delta_x (N, n), beta (N, m) and ok (N,).  ok is False on a row whose
-    Schur block has no Cholesky factor, or whose residual
-    [S beta - (A H u - w); A delta_x - w] is not finite or exceeds
-    1e-10 * (1 + |[u; w]|), the bound on the system's own right-hand
-    side; that row's delta_x and beta are meaningless.  A failed row is
-    swapped for the identity before the solve, so it never makes the
-    stacked call raise and leaves the other rows as they are.  Every solve
-    is a stacked ``np.linalg.solve``, every product a stacked ``matmul``
-    and every norm an ``np.vecdot``, so each row equals the same call on
-    that row alone.
-    """
-    delta_x, beta, failure = _kkt_rows(h, a, rhs_stat, rhs_prim)
-    return delta_x, beta, failure == 0
-
-
-def kkt_solve(system: KktSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one saddle-point system: ``kkt_solve_batch`` on a single row.
-    Raises KktFactorizationError naming the stage that failed."""
-    delta_x, beta, failure = _kkt_rows(
-        system.h[None], system.a, system.rhs_stat[None], system.rhs_prim[None]
-    )
-    if failure[0]:
-        raise KktFactorizationError(_KKT_FAILURES[failure[0]])
-    return delta_x[0], beta[0]
+    ok &= np.sqrt(np.vecdot(res, res)) <= 1e-10 * scale
+    return delta_x[:, :, 0], beta[:, :, 0], ok
 
 
 @dataclass(frozen=True)
@@ -226,14 +178,15 @@ def init_ecdqn_states(problem: SeparableProblem, seed: int = 0) -> QnState:
 
 def _kkt_direction(network: SyncNetwork, state: QnState, problem: SeparableProblem, config):
     """EC-DQN's directions, every agent's saddle-point step (mixed when
-    fused), and multipliers, all solved in one batched call.  The agents
-    whose solve fails get one spectrum repair and are solved again in a
-    second; the returned state holds the repairs and counts them and the
-    retries.  A second failure raises DivergedError, its state counting
-    that round's retries and repairs."""
+    fused), and multipliers, all from one kkt_solve call.  The agents whose
+    solve fails get one spectrum repair and are solved again in a second;
+    the returned state holds the repairs and counts them and the retries.
+    A second failure raises DivergedError, its state counting that round's
+    retries and repairs.  kkt_solve and pd_safeguard are called by this
+    module's names, so a wrapper installed on either sees every call."""
     a_mat, b_vec = problem.constraint
     r_prim = np.matvec(a_mat, state.x) - b_vec
-    delta_x, beta, ok = kkt_solve_batch(state.h, a_mat, state.v, r_prim)
+    delta_x, beta, ok = kkt_solve(KktSystem(state.h, a_mat, state.v, r_prim))
     failed = np.flatnonzero(~ok)
     if failed.size:
         counted = replace(
@@ -241,11 +194,9 @@ def _kkt_direction(network: SyncNetwork, state: QnState, problem: SeparableProbl
             safeguard_repairs=state.safeguard_repairs + failed.size,
         )
         h = state.h.copy()
-        # through this module's pd_safeguard name, so a wrapper installed on
-        # it sees the repair
         h[failed] = pd_safeguard(h[failed], floor=EIG_FLOOR, ceiling=EIG_CEILING)
-        delta_x[failed], beta[failed], ok = kkt_solve_batch(
-            h[failed], a_mat, state.v[failed], r_prim[failed]
+        delta_x[failed], beta[failed], ok = kkt_solve(
+            KktSystem(h[failed], a_mat, state.v[failed], r_prim[failed])
         )
         if not ok.all():
             raise DivergedError(counted)

@@ -456,8 +456,11 @@ def validate_run(
     and its summary's final error and convergence claim against the trace.
 
     Returns a list of violation messages; empty means the trace passes.
-    Only the first row that breaks the ledger is reported, and only the
-    rows before it lend their mean-gradient norm to the tracker bound.
+    A graph whose agent count is not the summary's raises ValueError.
+    Only the first row out of the writer's order (rounds 0..R, agents
+    0..N-1 in each) and the first ledger break before it are reported;
+    only the rows before those lend their mean-gradient norm to the
+    tracker bound.
     When the trace has every row, its last round's rse cells must have
     the summary's final_rse_max as their maximum exactly (both are the
     repr of one float) and, when the summary has an rse_tol, the run is
@@ -474,7 +477,6 @@ def validate_run(
         if name not in summary:
             raise ValueError(f"summary {summary_path} has no {name!r} field")
     graph = load_graph(graph_path)
-    deg = graph.degrees()
     method = METHODS.get(summary["algo"])
     if method is None:
         return [f"unknown algorithm {summary['algo']!r} in summary"]
@@ -482,6 +484,8 @@ def validate_run(
     dim = int(summary["dim"])
     n_agents = int(summary["n_agents"])
     rounds = int(summary["rounds"])
+    if graph.n_agents != n_agents:
+        raise ValueError(f"graph {graph_path} has {graph.n_agents} agents, the run {n_agents}")
 
     names, skip, has_rows = _trace_header(trace_path)
     cols = [names.index(name) for name in ("round", "agent", "bytes_sent")]
@@ -495,20 +499,28 @@ def validate_run(
     n_rows, expected_rows = len(rnd), (rounds + 1) * n_agents
     if n_rows != expected_rows:
         violations.append(f"expected {expected_rows} rows ({rounds} rounds), found {n_rows}")
-    expected = payloads * 8 * dim * deg[agent] * rnd
-    bad = np.flatnonzero(sent != expected)
-    stop = int(bad[0]) if bad.size else n_rows
+    # the writer's rows run through the rounds and, in each, the agents in
+    # order; the ledger is read only on the rows before the first that do not
+    seq = np.arange(n_rows)
+    unordered = np.flatnonzero((rnd != seq // n_agents) | (agent != seq % n_agents))
+    ordered = int(unordered[0]) if unordered.size else n_rows
+    if unordered.size:
+        violations.append(f"row {ordered} holds round {rnd[ordered]} agent {agent[ordered]}, "
+                          f"not round {ordered // n_agents} agent {ordered % n_agents}")
+    expected = payloads * 8 * dim * graph.degrees()[agent[:ordered]] * rnd[:ordered]
+    bad = np.flatnonzero(sent[:ordered] != expected)
+    stop = int(bad[0]) if bad.size else ordered
     if bad.size:
         violations.append(
             f"round {rnd[stop]} agent {agent[stop]}: ledger says {sent[stop]} bytes, "
             f"formula gives {expected[stop]}"
         )
     # the float cells read are each round's mean-gradient norm from its last
-    # row before the first ledger violation and, when the trace has every
+    # row before the first bad row and, when the trace has every
     # row, the last round's rse; only those rows' text is kept
     last_rounds, from_end = np.unique(rnd[:stop][::-1], return_index=True)
     grad_rows = (stop - 1 - from_end).tolist()
-    complete = n_rows > 0 and n_rows == expected_rows
+    complete = n_rows > 0 and n_rows == expected_rows and not unordered.size
     last_round = range(n_rows - n_agents, n_rows) if complete else range(0)
     text = _trace_rows(trace_path, skip, sorted({*grad_rows, *last_round}))
     grad_col = names.index("mean_grad_norm")

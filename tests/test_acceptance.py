@@ -347,7 +347,11 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
             a = q[:, :m].T
             rs = rng.standard_normal(n)
             rp = rng.standard_normal(m)
-            dx, beta = kkt_solve(KktSystem(h=np.linalg.inv(b), a=a, rhs_stat=rs, rhs_prim=rp))
+            dx, beta, ok = kkt_solve(
+                KktSystem(h=np.linalg.inv(b)[None], a=a, rhs_stat=rs[None], rhs_prim=rp[None])
+            )
+            assert ok[0]
+            dx, beta = dx[0], beta[0]
             scale = 1.0 + np.linalg.norm(np.concatenate([rs, rp]))
             assert np.linalg.norm(b @ dx + a.T @ beta + rs) <= 1e-10 * scale
             assert np.linalg.norm(a @ dx + rp) <= 1e-10 * scale

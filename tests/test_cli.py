@@ -637,6 +637,23 @@ class TestBadInput:
         rc = main(["validate", *args, "--graph", str(graph_path)])
         assert_input_error(rc, capsys, "'final_rse_max'")
 
+    def test_graph_of_another_size(self, tmp_path, capsys):
+        # a 4-agent run is run and then validated against a 3-agent graph
+        problem_path, graph_path = generate_pair(tmp_path)
+        other = tmp_path / "other"
+        _, small_graph = generate_pair(other, extra=["--agents", "3"])
+        trace_path = tmp_path / "trace.csv"
+        args = ["--problem", str(problem_path), "--alpha", "0.3", "--trace-out", str(trace_path)]
+        capsys.readouterr()
+        rc = main(["run", "--algo", "dqn-bfgs", "--graph", str(small_graph), *args])
+        assert rc == 2
+        assert capsys.readouterr().err == "run aborted: the graph has 3 agents, the problem 4\n"
+        assert main(["run", "--algo", "dqn-bfgs", "--graph", str(graph_path), *args]) == 0
+        capsys.readouterr()
+        args = ["--trace", str(trace_path), "--summary", str(trace_path.with_suffix(".json"))]
+        rc = main(["validate", *args, "--graph", str(small_graph)])
+        assert_input_error(rc, capsys, "has 3 agents, the run 4")
+
     def test_report_without_rows(self, tmp_path, capsys):
         (tmp_path / "summary.json").write_text(json.dumps({"table": {}, "runs": {}}))
         rc = main(["report", "--dir", str(tmp_path)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqn_mesh import dqn
 from dqn_mesh.dqn import (
     DIVERGENCE_LIMIT,
     GAMMA,
@@ -322,6 +323,17 @@ class TestRunBehavior:
         with pytest.raises(ValueError, match="constraint"):
             run(prob, graph, RunConfig(alpha=0.3, max_iters=0))
 
+    @pytest.mark.parametrize("run", [dqn_run, diging_atc_run, ecdqn_run])
+    def test_runs_reject_a_graph_of_another_size(self, monkeypatch, run):
+        # the mismatch is named before the reference is solved, not found
+        # at the first mix
+        prob = logreg_family(5, 3, 1e-2, 0, constraint=run is ecdqn_run)
+        assert prob.reference_solution is None
+        monkeypatch.setattr(dqn, "solve_reference", lambda problem: pytest.fail("solved"))
+        config = EcRunConfig() if run is ecdqn_run else RunConfig(alpha=0.3)
+        with pytest.raises(ValueError, match="graph has 3 agents, the problem 5"):
+            run(prob, TRIANGLE, config)
+
     @pytest.mark.parametrize(
         "values, blown",
         [
@@ -422,6 +434,14 @@ class TestSafeStepSize:
 
 
 class TestRunConfig:
+    def test_diging_rejects_a_scheme(self):
+        # DIGing-ATC has no curvature estimate, so a scheme would change
+        # nothing; RunConfig's default (which an explicit "bfgs" equals) runs
+        prob = quadratic_problem()
+        with pytest.raises(ValueError, match="DIGing-ATC has no curvature estimate"):
+            diging_atc_run(prob, TRIANGLE, RunConfig(alpha=0.2, scheme="dfp"))
+        assert diging_atc_run(prob, TRIANGLE, RunConfig(alpha=0.2, max_iters=3)).rounds == 3
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown quasi-Newton scheme"):
             RunConfig(alpha=0.1, scheme="sr1")

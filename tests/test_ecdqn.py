@@ -12,13 +12,11 @@ from dqn_mesh.dqn import QnState, SyncNetwork, run_rounds
 from dqn_mesh.ecdqn import (
     STALL_ROUNDS,
     EcRunConfig,
-    KktFactorizationError,
     KktSystem,
     ecdqn_run,
     ecdqn_step,
     init_ecdqn_states,
     kkt_solve,
-    kkt_solve_batch,
 )
 from dqn_mesh.problems import (
     QpLocalData,
@@ -88,17 +86,35 @@ def constrained_quadratic(n_agents, dim, m, seed):
 # saddle-point solver
 
 
+def solve_one(h, a, rhs_stat, rhs_prim):
+    """kkt_solve on a one-row stack: that row's dx, beta and ok."""
+    dx, beta, ok = kkt_solve(
+        KktSystem(h=h[None], a=a, rhs_stat=rhs_stat[None], rhs_prim=rhs_prim[None])
+    )
+    return dx[0], beta[0], bool(ok[0])
+
+
 class TestKktSystem:
     def test_rejects_inconsistent_blocks(self):
         with pytest.raises(ValueError, match="block shapes"):
             KktSystem(
-                h=np.eye(3), a=np.ones((1, 2)), rhs_stat=np.zeros(3), rhs_prim=np.zeros(1)
+                h=np.eye(3)[None], a=np.ones((1, 2)), rhs_stat=np.zeros((1, 3)),
+                rhs_prim=np.zeros((1, 1)),
             )
 
     def test_rejects_inconsistent_rhs(self):
         with pytest.raises(ValueError, match="right-hand-side"):
             KktSystem(
-                h=np.eye(2), a=np.ones((1, 2)), rhs_stat=np.zeros(2), rhs_prim=np.zeros(2)
+                h=np.eye(2)[None], a=np.ones((1, 2)), rhs_stat=np.zeros((1, 2)),
+                rhs_prim=np.zeros((1, 2)),
+            )
+
+    def test_rejects_an_unstacked_system(self):
+        # one system's blocks are not a stack of one: a ValueError, not an
+        # unpacking error
+        with pytest.raises(ValueError, match="stack"):
+            KktSystem(
+                h=np.eye(2), a=np.ones((1, 2)), rhs_stat=np.zeros(2), rhs_prim=np.zeros(1)
             )
 
 
@@ -106,36 +122,36 @@ class TestKktSolve:
     def test_frozen_pure_feasibility_step(self):
         # identity Hessian, constraint x1 = fixed: the step restores
         # feasibility along the first axis and the multiplier balances it
-        sys_ = KktSystem(
+        dx, beta, ok = solve_one(
             h=np.eye(2),
             a=np.array([[1.0, 0.0]]),
             rhs_stat=np.zeros(2),
             rhs_prim=np.array([1.0]),
         )
-        dx, beta = kkt_solve(sys_)
+        assert ok
         assert np.allclose(dx, [-1.0, 0.0])
         assert np.allclose(beta, [1.0])
 
     def test_frozen_mixed_residuals(self):
         # by hand: 2*dx + A'beta = -(2,0), dx2 = -3 => beta = 6, dx1 = -1
-        sys_ = KktSystem(
+        dx, beta, ok = solve_one(
             h=0.5 * np.eye(2),
             a=np.array([[0.0, 1.0]]),
             rhs_stat=np.array([2.0, 0.0]),
             rhs_prim=np.array([3.0]),
         )
-        dx, beta = kkt_solve(sys_)
+        assert ok
         assert np.allclose(dx, [-1.0, -3.0])
         assert np.allclose(beta, [6.0])
 
     def test_zero_residuals_give_zero_step(self):
-        sys_ = KktSystem(
+        dx, beta, ok = solve_one(
             h=np.diag([0.5, 1.0 / 3.0]),
             a=np.array([[1.0, 1.0]]),
             rhs_stat=np.zeros(2),
             rhs_prim=np.zeros(1),
         )
-        dx, beta = kkt_solve(sys_)
+        assert ok
         assert np.array_equal(dx, np.zeros(2))
         assert np.array_equal(beta, np.zeros(1))
 
@@ -153,7 +169,8 @@ class TestKktSolve:
         a = q[:, :m].T
         rs = rng.standard_normal(n)
         rp = rng.standard_normal(m)
-        dx, beta = kkt_solve(KktSystem(h=np.linalg.inv(b), a=a, rhs_stat=rs, rhs_prim=rp))
+        dx, beta, ok = solve_one(np.linalg.inv(b), a, rs, rp)
+        assert ok
         full = np.block([[b, a.T], [a, np.zeros((m, m))]])
         sol = np.linalg.solve(full, np.concatenate([-rs, -rp]))
         scale = 1.0 + np.linalg.norm(sol)
@@ -164,22 +181,19 @@ class TestKktSolve:
         # no n x n block is factorized: an indefinite estimate fails only
         # where it makes the Schur block A H A' indefinite
         h = np.diag([1.0, -1.0])
-        with pytest.raises(KktFactorizationError, match="constraint block"):
-            kkt_solve(KktSystem(h=h, a=np.array([[0.0, 1.0]]), rhs_stat=np.zeros(2),
-                                rhs_prim=np.zeros(1)))
-        dx, beta = kkt_solve(KktSystem(h=h, a=np.array([[1.0, 0.0]]), rhs_stat=np.zeros(2),
-                                       rhs_prim=np.zeros(1)))
+        a = np.array([[0.0, 1.0]])
+        assert not solve_one(h, a, np.zeros(2), np.zeros(1))[2]
+        with pytest.raises(KktError, match="constraint block"):
+            reference_kkt_solve_inverse(h, a, np.zeros(2), np.zeros(1))
+        dx, beta, ok = solve_one(h, np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
+        assert ok
         assert np.array_equal(dx, np.zeros(2)) and np.array_equal(beta, np.zeros(1))
 
     def test_rank_deficient_constraint_rejected(self):
-        sys_ = KktSystem(
-            h=np.eye(3),
-            a=np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-            rhs_stat=np.zeros(3),
-            rhs_prim=np.zeros(2),
-        )
-        with pytest.raises(KktFactorizationError, match="constraint block"):
-            kkt_solve(sys_)
+        a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert not solve_one(np.eye(3), a, np.zeros(3), np.zeros(2))[2]
+        with pytest.raises(KktError, match="constraint block"):
+            reference_kkt_solve_inverse(np.eye(3), a, np.zeros(3), np.zeros(2))
 
     @pytest.mark.parametrize("n_agents,n,m", [(3, 4, 2), (3, 3, 3), (1, 2, 2), (2, 5, 1)])
     def test_same_result_under_numpy1_solve_rule(self, monkeypatch, n_agents, n, m):
@@ -200,10 +214,10 @@ class TestKktSolve:
         a = q[:, :m].T
         rs = rng.standard_normal((n_agents, n))
         rp = rng.standard_normal((n_agents, m))
-        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
+        dx, beta, ok = kkt_solve(KktSystem(h, a, rs, rp))
         assert ok.all()
         monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
-        dx1, beta1, ok1 = kkt_solve_batch(h, a, rs, rp)
+        dx1, beta1, ok1 = kkt_solve(KktSystem(h, a, rs, rp))
         assert np.array_equal(dx1, dx)
         assert np.array_equal(beta1, beta)
         assert ok1.all()
@@ -216,7 +230,7 @@ class TestKktSolve:
         a = q[:, :2].T
         rs = rng.standard_normal((5, 4))
         rp = rng.standard_normal((5, 2))
-        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
+        dx, beta, ok = kkt_solve(KktSystem(h, a, rs, rp))
         assert ok.all()
         if stage == "constraint block":
             bad = reflection(a[0])
@@ -227,10 +241,9 @@ class TestKktSolve:
             np.linalg.cholesky(bad)
         with pytest.raises(KktError, match=stage):
             reference_kkt_solve_inverse(bad, a, rs[2], rp[2])
-        with pytest.raises(KktFactorizationError, match=stage):
-            kkt_solve(KktSystem(h=bad, a=a, rhs_stat=rs[2], rhs_prim=rp[2]))
+        assert not solve_one(bad, a, rs[2], rp[2])[2]
         h[2] = bad
-        dx_bad, beta_bad, ok = kkt_solve_batch(h, a, rs, rp)
+        dx_bad, beta_bad, ok = kkt_solve(KktSystem(h, a, rs, rp))
         assert ok.tolist() == [True, True, False, True, True]
         # the other rows keep the all-good batch's bits
         assert np.array_equal(dx_bad[ok], dx[ok])
@@ -243,7 +256,7 @@ class TestKktSolve:
         a = q[:, :3].T
         rs = rng.standard_normal((7, 6))
         rp = rng.standard_normal((7, 3))
-        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
+        dx, beta, ok = kkt_solve(KktSystem(h, a, rs, rp))
         assert ok.all()
         for i in range(7):
             dx_i, beta_i = reference_kkt_solve_inverse(h[i], a, rs[i], rp[i])
@@ -260,7 +273,7 @@ class TestKktSolve:
         a = q[:, :m].T
         rs = rng.standard_normal((n_agents, n))
         rp = rng.standard_normal((n_agents, m))
-        dx, beta, ok = kkt_solve_batch(np.linalg.inv(b), a, rs, rp)
+        dx, beta, ok = kkt_solve(KktSystem(np.linalg.inv(b), a, rs, rp))
         assert ok.all()
         for i in range(n_agents):
             dx_i, beta_i = reference_kkt_solve(b[i], a, rs[i], rp[i])
@@ -274,18 +287,19 @@ class TestKktSolve:
         a = q[:, :2].T
         rs = rng.standard_normal((5, 4))
         rp = rng.standard_normal((5, 2))
-        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
+        dx, beta, ok = kkt_solve(KktSystem(h, a, rs, rp))
         assert ok.all()
         h[3] = 0.0
         # its Schur block is zero, which a stacked solve would raise on
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(a @ h @ a.T, rp[:, :, None])
-        dx_bad, beta_bad, ok = kkt_solve_batch(h, a, rs, rp)
+        dx_bad, beta_bad, ok = kkt_solve(KktSystem(h, a, rs, rp))
         assert ok.tolist() == [True, True, True, False, True]
         assert np.array_equal(dx_bad[ok], dx[ok])
         assert np.array_equal(beta_bad[ok], beta[ok])
-        with pytest.raises(KktFactorizationError, match="constraint block"):
-            kkt_solve(KktSystem(h=h[3], a=a, rhs_stat=rs[3], rhs_prim=rp[3]))
+        assert not solve_one(h[3], a, rs[3], rp[3])[2]
+        with pytest.raises(KktError, match="constraint block"):
+            reference_kkt_solve_inverse(h[3], a, rs[3], rp[3])
 
     def test_non_finite_right_hand_side_is_flagged(self):
         # a NaN residual norm fails the residual check instead of passing it
@@ -293,12 +307,11 @@ class TestKktSolve:
         a = np.array([[1.0, 0.0, 0.0]])
         rs = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])
         rp = np.zeros((2, 1))
-        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
+        dx, beta, ok = kkt_solve(KktSystem(h, a, rs, rp))
         assert ok.tolist() == [False, True]
-        dx_1, beta_1 = kkt_solve(KktSystem(h=h[1], a=a, rhs_stat=rs[1], rhs_prim=rp[1]))
-        assert np.array_equal(dx[1], dx_1) and np.array_equal(beta[1], beta_1)
-        with pytest.raises(KktFactorizationError, match="residual"):
-            kkt_solve(KktSystem(h=h[0], a=a, rhs_stat=rs[0], rhs_prim=rp[0]))
+        dx_1, beta_1, ok_1 = solve_one(h[1], a, rs[1], rp[1])
+        assert ok_1 and np.array_equal(dx[1], dx_1) and np.array_equal(beta[1], beta_1)
+        assert not solve_one(h[0], a, rs[0], rp[0])[2]
         with pytest.raises(KktError, match="residual"):
             reference_kkt_solve_inverse(h[0], a, rs[0], rp[0])
 
@@ -310,18 +323,20 @@ class TestKktSolve:
         a = np.stack([q[:, 0], q[:, 0], q[:, 1]])
         rs = rng.standard_normal((4, 4))
         rp = rng.standard_normal((4, 3))
-        dx, beta, ok = kkt_solve_batch(h, a, rs, rp)
+        dx, beta, ok = kkt_solve(KktSystem(h, a, rs, rp))
         assert not ok.any()
         for i in range(4):
-            with pytest.raises(KktFactorizationError, match="constraint block"):
-                kkt_solve(KktSystem(h=h[i], a=a, rhs_stat=rs[i], rhs_prim=rp[i]))
+            assert not solve_one(h[i], a, rs[i], rp[i])[2]
+            with pytest.raises(KktError, match="constraint block"):
+                reference_kkt_solve_inverse(h[i], a, rs[i], rp[i])
 
 
 @pytest.mark.parametrize("retry", [False, True], ids=["clean", "retry"])
 def test_step_factorizes_only_m_by_m_blocks(monkeypatch, retry):
     # no n x n block is factorized or solved: every matrix a round hands to
     # np.linalg.solve or to the Cholesky probe is an m x m Schur block,
-    # in a retried round too
+    # in a retried round too.  The round solves through the module's
+    # kkt_solve name, once, and once more for the retried rows
     prob = logreg_family(5, 8, 1e-2, 3, constraint=True)
     m = prob.constraint[0].shape[0]
     assert m < prob.dim
@@ -340,12 +355,20 @@ def test_step_factorizes_only_m_by_m_blocks(monkeypatch, retry):
 
         return recorded
 
+    solved = []
+
+    def spy_kkt(system):
+        solved.append(len(system.h))
+        return kkt_solve(system)
+
     monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
     monkeypatch.setattr(ecdqn, "cholesky_ok", spy(ecdqn.cholesky_ok))
+    monkeypatch.setattr(ecdqn, "kkt_solve", spy_kkt)
     stepped = ecdqn_step(net, state, prob, EcRunConfig(alpha=0.5))
     assert stepped.kkt_retries == int(retry)
     assert len(shapes) == (4 if retry else 2)
     assert set(shapes) == {(m, m)}
+    assert solved == ([5, 1] if retry else [5])
 
 
 # ---------------------------------------------------------------------------

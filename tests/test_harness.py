@@ -784,6 +784,31 @@ class TestValidateRun:
         args = (tmp_path / "trace.csv", tmp_path / "summary.json", tmp_path / "graph.json")
         assert validate_run(*args) == []
 
+    @pytest.mark.parametrize("n_agents", [2, 6])
+    def test_graph_of_another_size_is_an_error(self, finished_run, tmp_path, n_agents):
+        # a smaller graph would be indexed past its end, a larger one give a
+        # misleading ledger violation
+        _, trace_path, summary_path, _ = finished_run
+        graph_path = tmp_path / "other.json"
+        save_graph(random_connected_graph(n_agents, 0.9, 0), graph_path)
+        with pytest.raises(ValueError, match=f"has {n_agents} agents, the run 4"):
+            validate_run(trace_path, summary_path, graph_path)
+
+    @pytest.mark.parametrize("agent", ["4", "-1", "1"])
+    def test_row_out_of_order_is_reported(self, finished_run, agent):
+        # row 4 is agent 0 of round 1: an agent past the graph, a negative
+        # one and a swapped one are each named before any degree is read
+        _, trace_path, summary_path, graph_path = finished_run
+        lines = trace_path.read_text().strip().split("\n")
+        column = lines[0].split(",").index("agent")
+        parts = lines[5].split(",")
+        parts[column] = agent
+        lines[5] = ",".join(parts)
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"row 4 holds round 1 agent {agent}, not round 1 agent 0"
+        ]
+
     def test_unknown_algorithm_reported(self, finished_run):
         _, trace_path, summary_path, graph_path = finished_run
         payload = json.loads(summary_path.read_text())
