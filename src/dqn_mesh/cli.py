@@ -138,7 +138,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    payload = json.loads((Path(args.dir) / "summary.json").read_text())
+    path = Path(args.dir) / "summary.json"
+    payload = json.loads(path.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
     SummaryTable.from_dict(payload.get("table", {})).print_table()
     return 0
 

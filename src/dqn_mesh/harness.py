@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 from typing import Callable
@@ -175,9 +175,11 @@ class SummaryTable:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SummaryTable":
-        if "rows" not in payload:
-            raise ValueError("summary table has no 'rows' field")
-        return cls(rows=[SummaryRow(**r) for r in payload["rows"]])
+        names = {f.name for f in fields(SummaryRow)}
+        rows = payload.get("rows") if isinstance(payload, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, dict) and set(r) == names for r in rows):
+            raise ValueError(f"summary table needs a 'rows' list of objects with the fields {sorted(names)}")
+        return cls(rows=[SummaryRow(**r) for r in rows])
 
     def total_aborted(self) -> int:
         return sum(r.aborted for r in self.rows)
@@ -340,18 +342,23 @@ def run_experiment(
             aborted[(algo, kappa)] = aborted.get((algo, kappa), 0) + 1
             reasons.append(f"{algo} kappa={kappa} seed={seed}: {type(exc).__name__}: {exc}")
 
+    # a problem depends only on its seed, and a seed that fails aborts its cells at every kappa
+    by_seed: dict[int, SeparableProblem | Exception] = {}
+    for seed in config.seeds:
+        try:
+            by_seed[seed] = make_problem(config, seed)
+            solve_reference(by_seed[seed])
+        except Exception as exc:
+            by_seed[seed] = exc
     for kappa in config.kappas:
         for seed in config.seeds:
             graph = random_connected_graph(config.n_agents, kappa, seed)
-            try:
-                problem = make_problem(config, seed)
-                solve_reference(problem)
-            except Exception as exc:
-                abort(config.algos, kappa, seed, exc)
+            if isinstance(by_seed[seed], Exception):
+                abort(config.algos, kappa, seed, by_seed[seed])
                 continue
             for algo in config.algos:
                 try:
-                    traces[(algo, kappa, seed)] = run_cell(config, algo, problem, graph, seed)
+                    traces[(algo, kappa, seed)] = run_cell(config, algo, by_seed[seed], graph, seed)
                 except Exception as exc:
                     abort((algo,), kappa, seed, exc)
     rows = []
@@ -387,10 +394,6 @@ def run_experiment(
     return SummaryTable(rows=rows, abort_reasons=reasons), traces
 
 
-def _trace_filename(algo: str, kappa: float, seed: int) -> str:
-    return f"trace_{algo}_k{kappa}_s{seed}.csv"
-
-
 def emit_report(
     table: SummaryTable,
     traces: dict[tuple[str, float, int], RunTrace],
@@ -407,8 +410,9 @@ def emit_report(
     out.mkdir(parents=True, exist_ok=True)
     runs = {}
     for (algo, kappa, seed), trace in sorted(traces.items()):
-        trace.to_csv(out / _trace_filename(algo, kappa, seed))
-        runs[f"{algo}_k{kappa}_s{seed}"] = trace.summary_dict()
+        name = f"{algo}_k{kappa}_s{seed}"
+        trace.to_csv(out / f"trace_{name}.csv")
+        runs[name] = trace.summary_dict()
     payload = {"table": table.to_dict(), "runs": runs}
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     with open(out / "long.csv", "w") as fh:
@@ -528,13 +532,15 @@ def validate_run(
         r: float(text[j].split(",")[grad_col]) for r, j in zip(last_rounds.tolist(), grad_rows)
     }
     residuals = summary.get("tracking_residuals", [])
+    if not isinstance(residuals, list) or any(type(r) not in (int, float) for r in residuals):
+        raise ValueError(f"summary {summary_path}: tracking_residuals is not a list of numbers")
     if len(residuals) != rounds + 1:
         violations.append(
             f"expected {rounds + 1} tracking residuals, found {len(residuals)}"
         )
     for k, res in enumerate(residuals):
         bound = 1e-12 * (1.0 + grad_norms.get(k, 0.0))
-        if res > bound:
+        if not res <= bound:  # a NaN residual fails too
             violations.append(
                 f"round {k}: tracker deviates from the mean gradient by {res:.3e} > {bound:.3e}"
             )

@@ -14,14 +14,13 @@ distributed runs can report the relative error of every agent's iterate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "LocalObjective",
     "SeparableProblem",
     "QpLocalData",
     "LogRegLocalData",
@@ -36,22 +35,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalObjective:
-    """One agent's objective: value and gradient closures built from its
-    family record (the one-agent case of the family's stacked kernels),
-    and whether it is smooth.
-
-    For nonsmooth objectives the gradient callable returns a subgradient
-    and ``smooth`` is False; finite-difference checks then avoid kinks.
-    """
-
-    dim: int
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    smooth: bool = True
-
-
 @dataclass
 class SeparableProblem:
     """A mean-of-locals objective with an optional equality constraint.
@@ -61,9 +44,8 @@ class SeparableProblem:
     ``mean_gradient``, ``objective_value`` and ``objective_values``
     evaluate every agent at once from a stack of the records built at
     construction (for logistic regression and basis pursuit a ragged one:
-    every agent needs at least one data row).  ``locals`` holds each
-    agent's ``LocalObjective``, derived from its record; later edits to
-    ``locals`` (wrapped closures included) do not reach those methods.
+    every agent needs at least one data row).  One agent's objective is
+    the problem of its record alone, ``SeparableProblem(family, [record])``.
     """
 
     family: str
@@ -73,14 +55,12 @@ class SeparableProblem:
     xi: float | None = None
     seed: int | None = None
     achieved_cond: float | None = None
-    locals: list[LocalObjective] = field(init=False)
 
     def __post_init__(self) -> None:
         family = _family(self.family)
         if not self.local_data:
             raise ValueError("need at least one local objective")
-        self.locals = [family.local(d) for d in self.local_data]
-        dims = {loc.dim for loc in self.locals}
+        dims = {family.dim(d) for d in self.local_data}
         if len(dims) != 1:
             raise ValueError("all local objectives must share one dimension")
         if self.constraint is not None:
@@ -100,11 +80,16 @@ class SeparableProblem:
 
     @property
     def n_agents(self) -> int:
-        return len(self.locals)
+        return len(self.local_data)
 
     @property
     def dim(self) -> int:
-        return self.locals[0].dim
+        return _FAMILIES[self.family].dim(self.local_data[0])
+
+    @property
+    def locals(self) -> list:
+        """Always a fresh empty list, kept only for the benchmark tracer."""
+        return []
 
     def objective_value(self, x: np.ndarray) -> float:
         """Mean of the local objective values at x, summed in agent order."""
@@ -168,9 +153,8 @@ def _expit(t: np.ndarray) -> np.ndarray:
 
 # Every generator family is written once, for stacks holding all agents'
 # data: gradients at one point per agent, x (N, n) -> (N, n), and values
-# at every row of a stack of points (R, n) -> (R, N).  Each agent's
-# closures are the one-agent case of the same kernels, and every step is
-# a stacked ``np.vecdot``, ``np.matvec`` or ``np.vecmat``, an elementwise
+# at every row of a stack of points (R, n) -> (R, N).  Every step is a
+# stacked ``np.vecdot``, ``np.matvec`` or ``np.vecmat``, an elementwise
 # op or a per-agent segment sum, so row i of a stacked call equals the
 # call on agent i alone bit for bit, and each point's row equals the call
 # on that point alone.
@@ -279,30 +263,6 @@ class _BpStack(_RowStack):
         r = np.vecdot(points[:, None, :], self.rows) - self.targets
         l1 = self.weights * np.add.reduce(np.abs(points), axis=1)[:, None]
         return 0.5 * self.segment_sums(r * r) + l1
-
-
-def _one_agent(stack, dim: int, smooth: bool = True) -> LocalObjective:
-    """One agent's closures: its stack of one, called on a single point."""
-
-    def value(x: np.ndarray) -> float:
-        return float(stack.values(x[None])[0, 0])
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return stack.gradients(x[None])[0]
-
-    return LocalObjective(dim=dim, value=value, gradient=gradient, smooth=smooth)
-
-
-def _qp_local(data: QpLocalData) -> LocalObjective:
-    return _one_agent(_QpStack(data.p[None], data.q[None]), data.q.size)
-
-
-def _logreg_local(data: LogRegLocalData) -> LocalObjective:
-    return _one_agent(_LogRegStack.of([data]), data.features.shape[1])
-
-
-def _bp_local(data: BasisPursuitLocalData) -> LocalObjective:
-    return _one_agent(_BpStack.of([data]), data.a.shape[1], smooth=False)
 
 
 # ---------------------------------------------------------------------------
@@ -684,14 +644,14 @@ def _bp_polish(p, q, xi_total, f, e, x_rough):
 class _Family(NamedTuple):
     record: type  # one agent's data, stored as one JSON object per agent
     stack: type  # every agent's data, evaluated at once
-    local: Callable  # record -> that agent's LocalObjective
+    dim: Callable  # record -> its dimension
     solve: Callable  # problem -> reference solution
 
 
 _FAMILIES = {
-    "qp": _Family(QpLocalData, _QpStack, _qp_local, _solve_qp),
-    "logreg": _Family(LogRegLocalData, _LogRegStack, _logreg_local, _solve_smooth_newton),
-    "basis-pursuit": _Family(BasisPursuitLocalData, _BpStack, _bp_local, _solve_basis_pursuit),
+    "qp": _Family(QpLocalData, _QpStack, lambda d: d.q.size, _solve_qp),
+    "logreg": _Family(LogRegLocalData, _LogRegStack, lambda d: d.features.shape[1], _solve_smooth_newton),
+    "basis-pursuit": _Family(BasisPursuitLocalData, _BpStack, lambda d: d.a.shape[1], _solve_basis_pursuit),
 }
 FAMILIES = tuple(_FAMILIES)
 

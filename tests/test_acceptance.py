@@ -25,6 +25,7 @@ from dqn_mesh.problems import (
 )
 from dqn_mesh.quasi_newton import refresh_inverse_batch
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
+from one_agent import agent_problems
 from oracle import (
     DIRECT,
     INVERSE,
@@ -366,12 +367,13 @@ def test_criterion_8_degenerate_and_oracle_checks(criterion_report):
         vf = state3.v.ravel()
         gf = state3.last_gradient.ravel()
         cs = list(state3.h.copy())
+        agents3 = agent_problems(prob3)
         for _ in range(2):
             # each round forms its direction from the state it starts from
             zf = big_w @ np.concatenate([-(cs[i] @ vf[4 * i : 4 * i + 4]) for i in range(3)])
             x_new = big_w @ (xf + 0.3 * zf)
             g_new = np.concatenate(
-                [prob3.locals[i].gradient(x_new[4 * i : 4 * i + 4]) for i in range(3)]
+                [agents3[i].gradients(x_new[None, 4 * i : 4 * i + 4])[0] for i in range(3)]
             )
             v_new = big_w @ (vf + g_new - gf)
             for i in range(3):

@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line driver."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dqn_mesh.cli import main
-from dqn_mesh.harness import ExperimentConfig, run_experiment
+from dqn_mesh.harness import ExperimentConfig, SummaryRow, run_experiment
 from dqn_mesh.problems import REFERENCE_TOL, load_problem
+
+
+SUMMARY_ROW = [f.name for f in fields(SummaryRow)]
 
 
 def generate_pair(tmp_path, family="qp", extra=()):
@@ -658,3 +662,34 @@ class TestBadInput:
         (tmp_path / "summary.json").write_text(json.dumps({"table": {}, "runs": {}}))
         rc = main(["report", "--dir", str(tmp_path)])
         assert_input_error(rc, capsys, "'rows'")
+
+    @pytest.mark.parametrize(
+        "payload, words",
+        [
+            ([], ("summary.json", "not hold a JSON object")),
+            ({"table": {"rows": [{"algo": "x"}]}}, ("summary table", "'success_rate'")),
+            ({"table": {"rows": [dict.fromkeys(SUMMARY_ROW, 1), 3]}}, ("summary table",)),
+            ({"table": {"rows": [{**dict.fromkeys(SUMMARY_ROW, 1), "extra": 1}]}},
+             ("summary table",)),
+        ],
+        ids=["list", "partial-row", "number-row", "extra-key"],
+    )
+    def test_report_of_another_shape(self, tmp_path, capsys, payload, words):
+        (tmp_path / "summary.json").write_text(json.dumps(payload))
+        rc = main(["report", "--dir", str(tmp_path)])
+        assert_input_error(rc, capsys, *words)
+
+    @pytest.mark.parametrize("residuals", [None, "abc"], ids=["null", "string"])
+    def test_summary_with_bad_tracking_residuals(self, tmp_path, capsys, residuals):
+        problem_path, graph_path = generate_pair(tmp_path)
+        trace_path = tmp_path / "trace.csv"
+        args = ["--problem", str(problem_path), "--graph", str(graph_path), "--alpha", "0.3"]
+        main(["run", "--algo", "dqn-bfgs", *args, "--tol", "1e-8", "--trace-out", str(trace_path)])
+        summary_path = trace_path.with_suffix(".json")
+        payload = json.loads(summary_path.read_text())
+        payload["tracking_residuals"] = residuals
+        summary_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        args = ["--trace", str(trace_path), "--summary", str(summary_path)]
+        rc = main(["validate", *args, "--graph", str(graph_path)])
+        assert_input_error(rc, capsys, "tracking_residuals is not a list of numbers")

@@ -28,6 +28,7 @@ from dqn_mesh.problems import (
     solve_reference,
 )
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
+from one_agent import agent_problems
 from oracle import curvature_ok, mean_smoothness, safe_step_size, spectral_contraction
 
 TRIANGLE = CommGraph(3, ((0, 1), (1, 2), (0, 2)))
@@ -125,8 +126,9 @@ class TestInit:
         prob = quadratic_problem()
         state = init_dqn_states(prob, seed=5)
         assert state.h.shape == (3, prob.dim, prob.dim)
+        agents = agent_problems(prob)
         for i in range(3):
-            g = prob.locals[i].gradient(state.x[i])
+            g = agents[i].gradients(state.x[i][None])[0]
             assert np.allclose(state.v[i], g)
             assert np.allclose(state.last_gradient[i], g)
             assert np.allclose(state.h[i], 0.1 * np.eye(prob.dim))
@@ -174,8 +176,9 @@ class TestTracking:
         state = init_dqn_states(prob)
         new_x = state.x * 0.5
         new_v, new_g = track_gradient(net, state, new_x, prob)
+        agents = agent_problems(prob)
         for i in range(3):
-            assert np.allclose(new_g[i], prob.locals[i].gradient(new_x[i]))
+            assert np.allclose(new_g[i], agents[i].gradients(new_x[i][None])[0])
         assert np.allclose(new_v, net.w @ (state.v + new_g - state.last_gradient))
 
 
@@ -189,14 +192,14 @@ def centralized_qn_oracle(problem, alpha, c0_scale, scheme, steps, seed):
     # the gradient, so this is a plain curvature-estimating descent loop
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(problem.dim)
-    loc = problem.locals[0]
-    g = loc.gradient(x)
+    (agent,) = agent_problems(problem)
+    g = agent.gradients(x[None])[0]
     c = c0_scale * np.eye(problem.dim)
     z = -(c @ g)
     history = [x.copy()]
     for _ in range(steps):
         x_new = x + alpha * z
-        g_new = loc.gradient(x_new)
+        g_new = agent.gradients(x_new[None])[0]
         s, y = x_new - x, g_new - g
         rho = y @ s
         if rho > 1e-10 * np.linalg.norm(y) * np.linalg.norm(s):
@@ -231,13 +234,13 @@ class TestSingleAgent:
         trace = diging_atc_run(prob, SINGLE, RunConfig(alpha=0.4, max_iters=30, rse_tol=0.0, seed=2))
         rng = np.random.default_rng(2)
         x = rng.standard_normal(4)
-        loc = prob.locals[0]
+        (agent,) = agent_problems(prob)
         x_star = prob.reference_solution
         for k in range(31):
             assert trace.rse[k, 0] == pytest.approx(
                 np.linalg.norm(x - x_star) / np.linalg.norm(x_star), abs=1e-12
             )
-            x = x - 0.4 * loc.gradient(x)
+            x = x - 0.4 * agent.gradients(x[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +257,11 @@ def kron_joint_oracle(problem, w, state, alpha, rounds):
     v = state.v.ravel()
     g = state.last_gradient.ravel()
     cs = list(state.h.copy())
+    agents = agent_problems(problem)
 
     def grad_stack(xf):
         return np.concatenate(
-            [problem.locals[i].gradient(xf[i * dim : (i + 1) * dim]) for i in range(n_agents)]
+            [agents[i].gradients(xf[None, i * dim : (i + 1) * dim])[0] for i in range(n_agents)]
         )
 
     for _ in range(rounds):

@@ -25,6 +25,7 @@ from dqn_mesh.problems import (
     solve_reference,
 )
 from dqn_mesh.topology import CommGraph, metropolis_weights, random_connected_graph
+from one_agent import agent_problems
 from oracle import (
     KktError,
     ill_conditioned_schur,
@@ -397,8 +398,9 @@ class TestInit:
     def test_tracker_and_multiplier_start(self):
         prob = constrained_quadratic(3, 4, 2, 2)
         state = init_ecdqn_states(prob, seed=0)
+        agents = agent_problems(prob)
         for i in range(3):
-            assert np.allclose(state.v[i], prob.locals[i].gradient(state.x[i]))
+            assert np.allclose(state.v[i], agents[i].gradients(state.x[i][None])[0])
         assert np.array_equal(state.beta, np.zeros((3, 2)))
 
     def test_seed_reproducibility(self):
@@ -420,10 +422,11 @@ class TestSingleAgentNewton:
         net = make_network(SINGLE)
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal(5)
-        g0 = prob.locals[0].gradient(x0)
+        (agent,) = agent_problems(prob)
+        g0 = agent.gradients(x0[None])[0]
         # recover the exact quadratic Hessian column by column
-        g_origin = prob.locals[0].gradient(np.zeros(5))
-        p = np.array([prob.locals[0].gradient(e) - g_origin for e in np.eye(5)]).T
+        g_origin = agent.gradients(np.zeros((1, 5)))[0]
+        p = np.array([agent.gradients(e[None])[0] - g_origin for e in np.eye(5)]).T
         state = QnState(
             x=x0[None, :],
             v=g0[None, :].copy(),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from dqn_mesh import dqn, ecdqn
+from dqn_mesh import dqn, ecdqn, harness
 from dqn_mesh.dqn import REPORT_BLOCK, RunConfig, RunTrace, diging_atc_run, dqn_run
 from dqn_mesh.ecdqn import EcRunConfig, ecdqn_run
 from dqn_mesh.harness import (
@@ -149,6 +149,15 @@ class TestSummaryTable:
         back = SummaryTable.from_dict(json.loads(json.dumps(table.to_dict())))
         assert back == table
         assert back.total_aborted() == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[], {"rows": 3}, {"rows": [3]}, {"rows": [{"algo": "x"}]}],
+        ids=["list", "number-rows", "number-row", "partial-row"],
+    )
+    def test_from_dict_rejects_another_shape(self, payload):
+        with pytest.raises(ValueError, match="summary table"):
+            SummaryTable.from_dict(payload)
 
 
 class TestMakeProblem:
@@ -452,6 +461,39 @@ class TestRunExperiment:
             for seed in (0, 1) for algo in ("dqn-bfgs", "diging-atc")
         ]
 
+    def test_a_failed_seed_aborts_its_cells_at_every_kappa(self):
+        cfg = small_sweep_config(cond_range=None, seeds=(0, 1), kappas=(0.6, 0.9))
+        table, _ = run_experiment(cfg)
+        assert table.abort_reasons == [
+            f"{algo} kappa={kappa} seed={seed}: ValueError: qp family needs cond_range"
+            for kappa in (0.6, 0.9) for seed in (0, 1) for algo in ("dqn-bfgs", "diging-atc")
+        ]
+        assert [row.aborted for row in table.rows] == [2, 2, 2, 2]
+
+    def test_each_seed_is_built_and_solved_once(self, monkeypatch):
+        # a problem depends only on its seed, not on the connectivity
+        solved = []
+
+        def counted(problem):
+            solved.append(problem.seed)
+            return solve_reference(problem)
+
+        monkeypatch.setattr(harness, "solve_reference", counted)
+        cfg = ExperimentConfig(
+            family="basis-pursuit", algos=("ecdqn-bfgs",), constrained=True, n_agents=8,
+            dim=6, kappas=(0.3, 0.6, 0.8), seeds=(0, 1), alpha=0.3, max_iters=5,
+        )
+        _, traces = run_experiment(cfg)
+        assert solved == [0, 1]
+        assert len(traces) == 6
+        # each cell is the run on a problem built for it alone
+        for (algo, kappa, seed), trace in traces.items():
+            problem = make_problem(cfg, seed)
+            solve_reference(problem)
+            graph = random_connected_graph(cfg.n_agents, kappa, seed)
+            alone = run_algo(algo, problem, graph, 0.3, max_iters=5, rse_tol=cfg.rse_tol, seed=seed)
+            assert np.array_equal(trace.rse, alone.rse)
+
 
 # ---------------------------------------------------------------------------
 # reporting
@@ -647,6 +689,36 @@ class TestValidateRun:
         trace_path.write_text("\n".join(lines[:-2]) + "\n")
         violations = validate_run(trace_path, summary_path, graph_path)
         assert any("rows" in v for v in violations)
+
+    @pytest.mark.parametrize(
+        "residuals", [None, "abc", [0.0, "x"], {"0": 0.0}], ids=["null", "string", "text-entry", "object"]
+    )
+    def test_tracking_residuals_of_another_shape(self, finished_run, residuals):
+        _, trace_path, summary_path, graph_path = finished_run
+        payload = json.loads(summary_path.read_text())
+        payload["tracking_residuals"] = residuals
+        summary_path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="tracking_residuals is not a list of numbers"):
+            validate_run(trace_path, summary_path, graph_path)
+
+    def test_nan_tracking_residual_is_a_violation(self, finished_run):
+        trace, trace_path, summary_path, graph_path = finished_run
+        payload = json.loads(summary_path.read_text())
+        payload["tracking_residuals"][1] = float("nan")
+        summary_path.write_text(json.dumps(payload))
+        bound = 1e-12 * (1.0 + float(trace.mean_grad_norm[1]))
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"round 1: tracker deviates from the mean gradient by nan > {bound:.3e}"
+        ]
+
+    def test_missing_tracking_residuals_is_a_violation(self, finished_run):
+        trace, trace_path, summary_path, graph_path = finished_run
+        payload = json.loads(summary_path.read_text())
+        del payload["tracking_residuals"]
+        summary_path.write_text(json.dumps(payload))
+        assert validate_run(trace_path, summary_path, graph_path) == [
+            f"expected {trace.rounds + 1} tracking residuals, found 0"
+        ]
 
     def test_detects_tracker_violation(self, finished_run):
         _, trace_path, summary_path, graph_path = finished_run

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from dqn_mesh.problems import (
     save_problem,
     solve_reference,
 )
+from one_agent import agent_problems
 from oracle import logistic_hessian, mean_smoothness, smoothness_bound
 
 
@@ -36,9 +37,11 @@ def fd_gradient(fun, x, h=1e-6):
     return g
 
 
-def assert_gradient_matches(loc, x, rtol=1e-5):
-    g = loc.gradient(x)
-    g_fd = fd_gradient(loc.value, x)
+def assert_gradient_matches(agent, x, rtol=1e-5):
+    """One agent's gradient, from its one-agent problem, against finite
+    differences of that problem's value."""
+    g = agent.gradients(x[None])[0]
+    g_fd = fd_gradient(agent.objective_value, x)
     assert np.linalg.norm(g - g_fd) <= rtol * (1.0 + np.linalg.norm(g))
 
 
@@ -49,39 +52,34 @@ def assert_gradient_matches(loc, x, rtol=1e-5):
 class TestFrozenLocals:
     def test_quadratic_value_and_gradient(self):
         data = QpLocalData(p=np.diag([2.0, 4.0]), q=np.array([1.0, -1.0]))
-        from dqn_mesh.problems import _qp_local
-
-        loc = _qp_local(data)
+        agent = SeparableProblem("qp", [data])
         x = np.array([1.0, 1.0])
         # 0.5*(2+4) + (1-1) = 3
-        assert loc.value(x) == pytest.approx(3.0)
-        assert np.allclose(loc.gradient(x), [3.0, 3.0])
+        assert agent.objective_value(x) == pytest.approx(3.0)
+        assert np.allclose(agent.gradients(x[None])[0], [3.0, 3.0])
         assert smoothness_bound("qp", data) == pytest.approx(4.0)
 
     def test_logistic_at_origin(self):
-        from dqn_mesh.problems import _logreg_local
-
         data = LogRegLocalData(
             features=np.array([[1.0, 0.0]]), labels=np.array([1.0]), reg=0.0
         )
-        loc = _logreg_local(data)
+        agent = SeparableProblem("logreg", [data])
         x = np.zeros(2)
-        assert loc.value(x) == pytest.approx(np.log(2.0))
+        assert agent.objective_value(x) == pytest.approx(np.log(2.0))
         # d/dx log(1+exp(-x1)) at 0 is -sigma(0) = -1/2 on the first coordinate
-        assert np.allclose(loc.gradient(x), [-0.5, 0.0])
+        assert np.allclose(agent.gradients(x[None])[0], [-0.5, 0.0])
 
     def test_l1_least_squares_off_kink(self):
-        from dqn_mesh.problems import _bp_local
-
         data = BasisPursuitLocalData(
             a=np.array([[1.0, 0.0]]), b=np.array([1.0]), l1=0.5
         )
-        loc = _bp_local(data)
+        agent = SeparableProblem("basis-pursuit", [data])
         x = np.array([2.0, -3.0])
         # residual 1, so 0.5 + 0.5*(|2|+|-3|) = 3
-        assert loc.value(x) == pytest.approx(3.0)
-        assert np.allclose(loc.gradient(x), [1.5, -0.5])
-        assert not loc.smooth
+        assert agent.objective_value(x) == pytest.approx(3.0)
+        assert np.allclose(agent.gradients(x[None])[0], [1.5, -0.5])
+        # the l1 family is the nonsmooth one: its gradient is a subgradient
+        assert agent.family == "basis-pursuit"
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +93,8 @@ class TestGradients:
         prob = qp_family(4, 8, (2.0, 50.0), seed)
         rng = np.random.default_rng(seed + 1)
         x = rng.standard_normal(8)
-        for loc in prob.locals:
-            assert_gradient_matches(loc, x)
+        for agent in agent_problems(prob):
+            assert_gradient_matches(agent, x)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -104,8 +102,8 @@ class TestGradients:
         prob = logreg_family(4, 6, 1e-2, seed)
         rng = np.random.default_rng(seed + 1)
         x = rng.standard_normal(6)
-        for loc in prob.locals:
-            assert_gradient_matches(loc, x)
+        for agent in agent_problems(prob):
+            assert_gradient_matches(agent, x)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -115,8 +113,8 @@ class TestGradients:
         # keep every coordinate well clear of zero so the subgradient is a
         # plain gradient in the differencing neighborhood
         x = rng.choice([-1.0, 1.0], size=8) * rng.uniform(0.5, 1.5, size=8)
-        for loc in prob.locals:
-            assert_gradient_matches(loc, x)
+        for agent in agent_problems(prob):
+            assert_gradient_matches(agent, x)
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +256,18 @@ class TestQpFamily:
 
 
 def assert_stacked_quadratics_exact(prob, rng):
-    """The stacked evaluators equal both the per-agent closures and the
+    """The stacked evaluators equal both the one-agent problems and the
     textbook per-agent expressions bit for bit."""
     x_rows = rng.standard_normal((prob.n_agents, prob.dim))
     x = rng.standard_normal(prob.dim)
     stacked = prob.gradients(x_rows)
-    closures = np.stack([loc.gradient(xi) for loc, xi in zip(prob.locals, x_rows)])
+    agents = agent_problems(prob)
+    closures = np.stack([a.gradients(xi[None])[0] for a, xi in zip(agents, x_rows)])
     by_hand = np.stack([d.p @ xi + d.q for d, xi in zip(prob.local_data, x_rows)])
     assert np.array_equal(stacked, closures)
     assert np.array_equal(stacked, by_hand)
     value = prob.objective_value(x)
-    assert value == sum(loc.value(x) for loc in prob.locals) / prob.n_agents
+    assert value == sum(a.objective_value(x) for a in agents) / prob.n_agents
     assert value == sum(float(0.5 * x @ d.p @ x + d.q @ x) for d in prob.local_data) / prob.n_agents
 
 
@@ -297,20 +296,12 @@ class TestStackedQuadratics:
         assert np.array_equal(back.gradients(x_rows), prob.gradients(x_rows))
 
     def test_rejects_local_data_of_another_length(self):
-        # locals is derived from local_data, so the two cannot disagree
+        # a problem is its records: locals is no field, and reads empty
         base = qp_family(5, 3, (2.0, 20.0), 0)
         with pytest.raises(TypeError, match="locals"):
             SeparableProblem("qp", base.local_data[:4], locals=base.locals)
-        assert len(SeparableProblem("qp", base.local_data[:4]).locals) == 4
-
-    def test_edited_locals_do_not_reach_the_stack(self):
-        prob = qp_family(5, 2, (2.0, 20.0), 8)
-        x_rows = np.random.default_rng(6).standard_normal((5, 2))
-        grads = prob.gradients(x_rows)
-        values = prob.objective_values(x_rows)
-        prob.locals[0] = replace(prob.locals[0], value=lambda x: 0.0, gradient=np.zeros_like)
-        assert np.array_equal(prob.gradients(x_rows), grads)
-        assert np.array_equal(prob.objective_values(x_rows), values)
+        assert SeparableProblem("qp", base.local_data[:4]).n_agents == 4
+        assert qp_family(5, 4, (2, 10), 0).locals == []
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +310,19 @@ class TestStackedQuadratics:
 
 def closure_sums(prob, x_rows, points, x):
     """gradients, objective_values, objective_value and mean_gradient as
-    loops over the agents' own closures."""
-    grads = np.stack([loc.gradient(xi) for loc, xi in zip(prob.locals, x_rows)])
-    values = [sum(loc.value(pt) for loc in prob.locals) / prob.n_agents for pt in points]
-    value = sum(loc.value(x) for loc in prob.locals) / prob.n_agents
+    loops over the agents' own one-agent problems."""
+    agents = agent_problems(prob)
+    grads = np.stack([a.gradients(xi[None])[0] for a, xi in zip(agents, x_rows)])
+    values = [sum(a.objective_value(pt) for a in agents) / prob.n_agents for pt in points]
+    value = sum(a.objective_value(x) for a in agents) / prob.n_agents
     g = np.zeros(prob.dim)
-    for loc in prob.locals:
-        g += loc.gradient(x)
+    for a in agents:
+        g += a.gradients(x[None])[0]
     return grads, values, value, g / prob.n_agents
 
 
 def assert_stacked_rows_exact(prob, x_rows, points, x):
-    """The stacked evaluators equal the closure loops bit for bit."""
+    """The stacked evaluators equal the one-agent loops bit for bit."""
     grads, values, value, mean_grad = closure_sums(prob, x_rows, points, x)
     assert np.array_equal(prob.gradients(x_rows), grads)
     assert prob.objective_values(points).tolist() == values
@@ -366,11 +358,11 @@ class TestStackedRows:
         x_rows = rng.standard_normal((prob.n_agents, prob.dim))
         points = rng.standard_normal((7, prob.dim))
         assert_stacked_rows_exact(prob, x_rows, points, rng.standard_normal(prob.dim))
-        # and the closures compute the textbook formulas
-        for d, loc, xi in zip(prob.local_data, prob.locals, x_rows):
+        # and the one-agent problems compute the textbook formulas
+        for d, agent, xi in zip(prob.local_data, agent_problems(prob), x_rows):
             value, grad = textbook_forms(d, xi)
-            assert loc.value(xi) == pytest.approx(value, rel=1e-12)
-            assert np.allclose(loc.gradient(xi), grad, rtol=1e-12, atol=1e-12)
+            assert agent.objective_value(xi) == pytest.approx(value, rel=1e-12)
+            assert np.allclose(agent.gradients(xi[None])[0], grad, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("family", sorted(ROW_FAMILIES))
     def test_one_agent_problem(self, family):
@@ -677,9 +669,9 @@ class TestSerialization:
             assert np.array_equal(back.constraint[1], prob.constraint[1])
         rng = np.random.default_rng(0)
         x = rng.standard_normal(prob.dim)
-        for la, lb in zip(prob.locals, back.locals):
-            assert la.value(x) == pytest.approx(lb.value(x), rel=1e-12)
-            assert np.allclose(la.gradient(x), lb.gradient(x))
+        for la, lb in zip(agent_problems(prob), agent_problems(back)):
+            assert la.objective_value(x) == pytest.approx(lb.objective_value(x), rel=1e-12)
+            assert np.allclose(la.gradients(x[None])[0], lb.gradients(x[None])[0])
         # every field of every record comes back exactly, and saves the same
         for da, db in zip(prob.local_data, back.local_data):
             assert type(db) is type(da)

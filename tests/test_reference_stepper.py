@@ -40,6 +40,7 @@ from dqn_mesh.ecdqn import (
 from dqn_mesh.problems import logreg_family, qp_family, solve_reference
 from dqn_mesh.quasi_newton import DEFAULT_FLOOR, refresh_inverse_batch
 from dqn_mesh.topology import metropolis_weights, random_connected_graph
+from one_agent import agent_problems
 from oracle import (
     DIRECT,
     INVERSE,
@@ -92,10 +93,11 @@ def refresh_hessian(b, s, y, scheme, floor, ceiling):
 class Log:
     """Every per-round column of a solver trace, in textbook form: norms
     through ``np.linalg.norm``, means through ``.mean(axis=0)`` and the
-    objective summed over the agents' own value closures."""
+    objective summed over the agents' own one-agent problems."""
 
     def __init__(self, problem, payloads, degrees):
         self.problem = problem
+        self.agents = agent_problems(problem)
         self.x_star = problem.reference_solution
         self.ledger = 8 * payloads * problem.dim * degrees
         self.rse, self.objective, self.bytes_sent = [], [], []
@@ -104,6 +106,10 @@ class Log:
         self.feasibility, self.beta_norm = [], []
         self.skipped = self.repaired = self.retries = 0
         self.diverged = self.stalled = False
+
+    def gradients(self, x):
+        """Every agent's gradient at its own row of x, one agent at a time."""
+        return np.stack([agent.gradients(xi[None])[0] for agent, xi in zip(self.agents, x)])
 
     def record(self, x, v, g, z=None, feas=None, beta=None):
         rse = np.linalg.norm(x - self.x_star, axis=1) / np.linalg.norm(self.x_star)
@@ -115,7 +121,7 @@ class Log:
             self.z_consensus.append(np.linalg.norm(z - z.mean(axis=0)))
         self.mean_grad_norm.append(np.linalg.norm(g_bar))
         self.tracking_residual.append(np.linalg.norm(v_bar - g_bar))
-        values = [loc.value(x_bar) for loc in self.problem.locals]
+        values = [agent.objective_value(x_bar) for agent in self.agents]
         self.objective.append(sum(values) / self.problem.n_agents)
         self.bytes_sent.append(self.ledger * (len(self.rse) - 1))
         if feas is not None:
@@ -129,7 +135,7 @@ def reference_dqn(problem, graph, cfg):
     w = metropolis_weights(graph)
     log = Log(problem, 3, graph.degrees())
     x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
-    g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
+    g = log.gradients(x)
     v = g.copy()
     c = [C0_SCALE * np.eye(n) for _ in range(n_agents)]
     # round zero records a zero direction: a round forms its direction from
@@ -144,7 +150,7 @@ def reference_dqn(problem, graph, cfg):
         if blown_up(new_x):
             log.diverged = True
             break
-        new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
+        new_g = log.gradients(new_x)
         new_v = w @ (v + new_g - g)
         if blown_up(new_v):
             log.diverged = True
@@ -165,7 +171,7 @@ def reference_diging(problem, graph, cfg):
     w = metropolis_weights(graph)
     log = Log(problem, 2, graph.degrees())
     x = np.random.default_rng(cfg.seed).standard_normal((n_agents, n))
-    g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
+    g = log.gradients(x)
     y = g.copy()
     worst = log.record(x, y, g)
     for _ in range(cfg.max_iters):
@@ -175,7 +181,7 @@ def reference_diging(problem, graph, cfg):
         if blown_up(new_x):
             log.diverged = True
             break
-        new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
+        new_g = log.gradients(new_x)
         y = w @ (y + new_g - g)
         if blown_up(y):
             log.diverged = True
@@ -232,7 +238,7 @@ def reference_ecdqn(problem, graph, cfg, form="inverse"):
         q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
         m0 = start(q_mat, rng.uniform(*B0_SPECTRUM, size=n))
         m.append(0.5 * (m0 + m0.T))
-    g = np.stack([problem.locals[i].gradient(x[i]) for i in range(n_agents)])
+    g = log.gradients(x)
     v = g.copy()
 
     def record(x, v, g, beta):
@@ -255,7 +261,7 @@ def reference_ecdqn(problem, graph, cfg, form="inverse"):
         if blown_up(new_x):
             log.diverged = True
             break
-        new_g = np.stack([problem.locals[i].gradient(new_x[i]) for i in range(n_agents)])
+        new_g = log.gradients(new_x)
         new_v = w @ (v + new_g - g)
         if blown_up(new_v):
             log.diverged = True
