@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from numbers import Real
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -200,8 +200,9 @@ class RunTrace:
     safeguard_repairs: int | None = None
     kkt_retries: int | None = None
 
-    def to_csv(self, path: str | Path) -> None:
-        """Write one row per (round, agent) with the pinned column set.
+    def to_csv(self, path: str | Path, long: tuple[TextIO, str] | None = None) -> None:
+        """Write one row per (round, agent) with the pinned column set; given long,
+        (an open long table, "algo,kappa,seed,"), write each row's prefixed round,agent,rse there too.
 
         The file is written REPORT_BLOCK rounds at a time, so the text held
         at once is one block's rows, not the whole trace."""
@@ -225,12 +226,18 @@ class RunTrace:
                 rse = floats(self.rse)
                 sent = np.asarray(self.bytes_sent[block], dtype=np.int64).tolist()
                 feas, beta = (floats(self.feasibility), floats(self.beta_norm)) if extra else ((), ())
-                rows = []
+                rows, heads = [], []
                 for j, k in enumerate(range(block.start, block.stop)):
                     for i in range(self.n_agents):
-                        row = f"{k},{i},{rse[j][i]!r},{shared[j]},{sent[j][i]}"
+                        if long is None:
+                            row = f"{k},{i},{rse[j][i]!r},{shared[j]},{sent[j][i]}"
+                        else:  # the rse cell is formatted once, for both files
+                            heads.append(head := f"{k},{i},{rse[j][i]!r}")
+                            row = f"{head},{shared[j]},{sent[j][i]}"
                         rows.append(f"{row},{feas[j][i]!r},{beta[j][i]!r}\n" if extra else row + "\n")
                 fh.write("".join(rows))
+                if long is not None:
+                    long[0].write("".join([f"{long[1]}{head}\n" for head in heads]))
 
     def summary_dict(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dqn import REPORT_BLOCK, RunConfig, RunTrace, _valid_step, diging_atc_run, dqn_run
+from .dqn import RunConfig, RunTrace, _valid_step, diging_atc_run, dqn_run
 from .ecdqn import EcRunConfig, ecdqn_run
 from .problems import (
     FAMILIES,
@@ -179,6 +179,14 @@ class SummaryTable:
         rows = payload.get("rows") if isinstance(payload, dict) else None
         if not isinstance(rows, list) or not all(isinstance(r, dict) and set(r) == names for r in rows):
             raise ValueError(f"summary table needs a 'rows' list of objects with the fields {sorted(names)}")
+        kinds = {"algo": (str,), "runs": (int,), "converged": (int,), "aborted": (int,),
+                 "kappa": (int, float), "success_rate": (int, float)}
+        for j, row in enumerate(rows):
+            for name, value in row.items():
+                kind = kinds.get(name, (int, float, type(None)))
+                if type(value) not in kind:
+                    wanted = " or ".join("null" if k is type(None) else k.__name__ for k in kind)
+                    raise ValueError(f"summary table row {j}: {name} must be {wanted}, not {value!r}")
         return cls(rows=[SummaryRow(**r) for r in rows])
 
     def total_aborted(self) -> int:
@@ -402,29 +410,21 @@ def emit_report(
     """Write summary JSON, one CSV per run, and a long-format CSV.
 
     All content except wall-time fields is reproducible byte for byte
-    from the same config.  The CSVs are written one trace and
-    REPORT_BLOCK rounds at a time, in sorted order, so the text held at
-    once is one block's rows.
+    from the same config.  Each trace's writer, called in sorted order,
+    writes its rows to the long table too, REPORT_BLOCK rounds at a time,
+    so the text held at once is one block's rows.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = {}
-    for (algo, kappa, seed), trace in sorted(traces.items()):
-        name = f"{algo}_k{kappa}_s{seed}"
-        trace.to_csv(out / f"trace_{name}.csv")
-        runs[name] = trace.summary_dict()
+    with open(out / "long.csv", "w") as long:
+        long.write("algo,kappa,seed,round,agent,rse\n")
+        for (algo, kappa, seed), trace in sorted(traces.items()):
+            name = f"{algo}_k{kappa}_s{seed}"
+            trace.to_csv(out / f"trace_{name}.csv", long=(long, f"{algo},{kappa},{seed},"))
+            runs[name] = trace.summary_dict()
     payload = {"table": table.to_dict(), "runs": runs}
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    with open(out / "long.csv", "w") as fh:
-        fh.write("algo,kappa,seed,round,agent,rse\n")
-        for (algo, kappa, seed), trace in sorted(traces.items()):
-            n = trace.rounds + 1
-            for lo in range(0, n, REPORT_BLOCK):
-                rse = np.asarray(trace.rse[lo : min(lo + REPORT_BLOCK, n)], dtype=float).tolist()
-                fh.write("".join(
-                    f"{algo},{kappa},{seed},{k},{i},{r!r}\n"
-                    for k, row in enumerate(rse, lo) for i, r in enumerate(row)
-                ))
 
 
 def _trace_header(trace_path: str | Path) -> tuple[list[str], int, bool]:

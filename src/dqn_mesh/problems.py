@@ -543,9 +543,11 @@ def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
     def residual(xv, bv):
         return np.concatenate([problem.mean_gradient(xv) + f.T @ bv, f @ xv - e])
 
+    # r is the residual at (x, beta), kept from the accepted trial point
+    r = residual(x, beta)
     for _ in range(200):
-        r = residual(x, beta)
-        if np.linalg.norm(r) <= tol:
+        base = np.linalg.norm(r)
+        if base <= tol:
             return x
         h = problem._stack._hessian_sum(x) / problem.n_agents
         kkt = np.block([[h, f.T], [f, np.zeros((m, m))]])
@@ -554,12 +556,15 @@ def _solve_smooth_newton(problem: SeparableProblem) -> np.ndarray:
         except np.linalg.LinAlgError:
             raise _no_reference(problem, "the Newton system is singular") from None
         t = 1.0
-        base = np.linalg.norm(r)
-        while t > 1e-12 and np.linalg.norm(residual(x + t * delta[:n], beta + t * delta[n:])) > (1 - 1e-4 * t) * base:
+        while True:
+            x_t, beta_t = x + t * delta[:n], beta + t * delta[n:]
+            r_t = residual(x_t, beta_t)
+            # below t = 1e-12 the step is taken without the decrease test
+            if t <= 1e-12 or np.linalg.norm(r_t) <= (1 - 1e-4 * t) * base:
+                break
             t *= 0.5
-        x = x + t * delta[:n]
-        beta = beta + t * delta[n:]
-    if np.linalg.norm(residual(x, beta)) <= 10 * tol:
+        x, beta, r = x_t, beta_t, r_t
+    if np.linalg.norm(r) <= 10 * tol:
         return x
     raise _no_reference(problem, "the Newton iteration failed to reach the tolerance")
 

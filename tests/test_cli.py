@@ -679,6 +679,22 @@ class TestBadInput:
         rc = main(["report", "--dir", str(tmp_path)])
         assert_input_error(rc, capsys, *words)
 
+    @pytest.mark.parametrize("name, value", [
+        ("success_rate", None), ("algo", None), ("runs", 2.5), ("kappa", "0.6"),
+        ("rounds_mean", "10"),
+    ])
+    def test_report_on_a_row_value_of_the_wrong_type(self, tmp_path, capsys, name, value):
+        row = {"algo": "dqn-bfgs", "kappa": 0.6, "runs": 2, "converged": 1, "aborted": 0,
+               "success_rate": 0.5, "rounds_mean": 10.0, "rounds_std": 0.0, "bytes_mean": 96.0,
+               "bytes_max": 128.0, "wall_ms_mean": None}
+        (tmp_path / "summary.json").write_text(json.dumps({"table": {"rows": [row]}}))
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        row[name] = value
+        (tmp_path / "summary.json").write_text(json.dumps({"table": {"rows": [row, row]}}))
+        rc = main(["report", "--dir", str(tmp_path)])
+        assert_input_error(rc, capsys, f"summary table row 0: {name} must be")
+
     @pytest.mark.parametrize("residuals", [None, "abc"], ids=["null", "string"])
     def test_summary_with_bad_tracking_residuals(self, tmp_path, capsys, residuals):
         problem_path, graph_path = generate_pair(tmp_path)

@@ -128,24 +128,22 @@ class TestExperimentConfig:
 
 
 class TestSummaryTable:
+    ROW = SummaryRow(
+        algo="dqn-bfgs",
+        kappa=0.6,
+        runs=3,
+        converged=2,
+        aborted=1,
+        success_rate=2 / 3,
+        rounds_mean=120.0,
+        rounds_std=10.0,
+        bytes_mean=5.5e4,
+        bytes_max=6.0e4,
+        wall_ms_mean=12.0,
+    )
+
     def test_round_trip(self):
-        table = SummaryTable(
-            rows=[
-                SummaryRow(
-                    algo="dqn-bfgs",
-                    kappa=0.6,
-                    runs=3,
-                    converged=2,
-                    aborted=1,
-                    success_rate=2 / 3,
-                    rounds_mean=120.0,
-                    rounds_std=10.0,
-                    bytes_mean=5.5e4,
-                    bytes_max=6.0e4,
-                    wall_ms_mean=12.0,
-                )
-            ]
-        )
+        table = SummaryTable(rows=[self.ROW])
         back = SummaryTable.from_dict(json.loads(json.dumps(table.to_dict())))
         assert back == table
         assert back.total_aborted() == 1
@@ -158,6 +156,17 @@ class TestSummaryTable:
     def test_from_dict_rejects_another_shape(self, payload):
         with pytest.raises(ValueError, match="summary table"):
             SummaryTable.from_dict(payload)
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("success_rate", None, "int or float"), ("algo", None, "str"), ("aborted", True, "int"),
+        ("bytes_max", [1], "int or float or null"),
+    ])
+    def test_from_dict_names_the_row_and_field_of_the_wrong_kind(self, name, value, kind):
+        rows = [asdict(self.ROW)] * 2
+        SummaryTable.from_dict({"rows": rows})
+        rows[1] = {**rows[1], name: value}
+        with pytest.raises(ValueError, match=rf"^summary table row 1: {name} must be {kind}, not "):
+            SummaryTable.from_dict({"rows": rows})
 
 
 class TestMakeProblem:
@@ -589,9 +598,22 @@ class TestStreamedReports:
         text = (tmp_path / "trace.csv").read_text()
         assert text == trace_csv_text(trace) and len(text.splitlines()) == 1 + trace.n_agents
 
-    def test_emit_report_matches_the_oracle(self, tmp_path):
-        table, traces = run_experiment(small_sweep_config(seeds=(0, 1)))
+    @pytest.mark.parametrize("config", [
+        dict(seeds=(0, 1)),
+        # constrained EC-DQN traces carry the feasibility and beta_norm columns
+        dict(family="logreg", algos=("ecdqn-bfgs", "ecdqn-dfp"), cond_range=None, xi=1e-2,
+             constrained=True, dim=5, seeds=(3, 4), max_iters=150, rse_tol=1e-7),
+        # every trace ends one round short of, at and one round past a block
+        *(dict(seeds=(0, 1), max_iters=records - 1, rse_tol=1e-300)
+          for records in (REPORT_BLOCK - 1, REPORT_BLOCK, REPORT_BLOCK + 1)),
+    ], ids=["qp", "ecdqn", "block-1", "block", "block+1"])
+    def test_emit_report_matches_the_oracle(self, tmp_path, config):
+        table, traces = run_experiment(small_sweep_config(**config))
         assert len(traces) == 4
+        if config.get("constrained"):
+            assert all(t.feasibility is not None for t in traces.values())
+        if config.get("rse_tol") == 1e-300:
+            assert {t.rounds for t in traces.values()} == {config["max_iters"]}
         emit_report(table, traces, tmp_path)
         assert (tmp_path / "long.csv").read_text() == long_csv_text(traces)
         for (algo, kappa, seed), trace in traces.items():

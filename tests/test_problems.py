@@ -507,6 +507,21 @@ class TestLogRegFamily:
                 g = g - f.T @ (f @ g)
             assert np.linalg.norm(g) <= 10 * REFERENCE_TOL
 
+    def test_reference_evaluates_each_accepted_point_once(self, monkeypatch):
+        # six Newton steps, each accepting the full step: one residual at
+        # the start and one per trial point, none re-evaluated
+        prob = logreg_family(30, 20, 1e-2, 11, constraint=True)
+        calls = []
+        mean_gradient = SeparableProblem.mean_gradient
+
+        def counted(self, x):
+            calls.append(None)
+            return mean_gradient(self, x)
+
+        monkeypatch.setattr(SeparableProblem, "mean_gradient", counted)
+        solve_reference(prob)
+        assert len(calls) == 7
+
     def test_seed_determinism(self):
         a = logreg_family(4, 6, 1e-2, 5)
         b = logreg_family(4, 6, 1e-2, 5)

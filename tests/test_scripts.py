@@ -1,4 +1,4 @@
-"""Smoke runs of the sweep scripts on tiny grids."""
+"""Smoke runs of the study scripts on tiny grids."""
 
 import importlib.util
 import json
@@ -17,11 +17,6 @@ def load_script(name):
 
 
 @pytest.fixture(scope="module")
-def run_sweeps():
-    return load_script("run_sweeps")
-
-
-@pytest.fixture(scope="module")
 def conditioning_study():
     return load_script("conditioning_study")
 
@@ -29,23 +24,6 @@ def conditioning_study():
 @pytest.fixture(scope="module")
 def trace_digest():
     return load_script("trace_digest")
-
-
-def test_run_sweeps_writes_reports_and_prints_tables(run_sweeps, tmp_path, capsys):
-    argv = ["--families", "qp", "logreg", "--kappas", "0.8", "--seeds", "1",
-            "--max-iters", "30", "--out", str(tmp_path)]
-    assert run_sweeps.main(argv) == 0
-    stdout = capsys.readouterr().out
-    for family, algos in (("qp", ("dqn-bfgs", "dqn-dfp", "diging-atc")),
-                          ("logreg", ("ecdqn-bfgs", "ecdqn-dfp"))):
-        summary = json.loads((tmp_path / family / "summary.json").read_text())
-        assert [row["algo"] for row in summary["table"]["rows"]] == list(algos)
-        assert (tmp_path / family / "long.csv").is_file()
-        assert f"== {family}" in stdout
-        for algo in algos:
-            assert (tmp_path / family / f"trace_{algo}_k0.8_s0.csv").is_file()
-            assert algo in stdout
-    assert stdout.count("bytes/agent") == 2
 
 
 def test_conditioning_study_writes_band_table(conditioning_study, tmp_path, capsys):
